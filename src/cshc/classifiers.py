@@ -417,13 +417,14 @@ def predict_batch(model, ds):
 # ---------------------------------------------------------------------------
 
 def model_state(model):
+    state = model.state()  # raises for models that cannot be serialized
     s = {"kind": model.spec.kind, "name": model.spec.name,
          "hyperparams": {k: v for k, v in model.spec.hyperparams.items()
                          if k != "predictions"},
          "n_classes": model.n_classes, "n_features": model.n_features,
          "scaler": {"mean": model.scaler.mean.tolist(),
                     "scale": model.scaler.scale.tolist()}}
-    s.update(model.state())
+    s.update(state)
     return s
 
 

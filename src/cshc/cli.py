@@ -5,11 +5,10 @@ import csv
 import os
 import sys
 
-import numpy as np
-
 from . import harness
 from .config import load_config
-from .data import DataError, export_assignments_csv, load_csv
+from .data import (DataError, export_assignments_csv, load_csv,
+                   load_feature_rows)
 
 
 def _apply_overrides(cfg, args):
@@ -54,7 +53,6 @@ def cmd_train(args):
     name, path, label = cfg.datasets[0]
     ds = load_csv(path, label)
     prep = harness.prepare_dataset(name, ds, cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
     harness.save_bundle(prep, cfg, cfg.outdir)
     export_assignments_csv(os.path.join(cfg.outdir, "assignments.csv"),
                            prep.plan, prep.fold)
@@ -66,18 +64,7 @@ def cmd_train(args):
 
 def cmd_select(args):
     meta, models, forest, cm = harness.load_bundle(args.model)
-    feature_names = meta["dataset"]["feature_names"]
-    rows = []
-    with open(args.input, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if header != feature_names:
-            raise DataError("input columns %s do not match the bundle's %s"
-                            % (header, feature_names))
-        for rec in reader:
-            if rec:
-                rows.append([float(v) for v in rec])
-    X = np.asarray(rows)
+    X = load_feature_rows(args.input, meta["dataset"]["feature_names"])
     mcfg = meta["config"]
     outcomes = harness.select_rows(
         meta, models, forest, cm, X, args.method,
@@ -97,6 +84,7 @@ def cmd_select(args):
     if args.output is None:
         emit(sys.stdout)
     else:
+        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         with open(args.output, "w", newline="") as fh:
             emit(fh)
     return 0

@@ -130,6 +130,38 @@ class CorrectnessMatrix:
         return self.correct.mean(axis=0)
 
 
+def _read_header(reader, path):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("%s: file is empty" % path) from None
+    return [h.strip() for h in header]
+
+
+def _feature_values(path, lineno, header, rec, skip=None):
+    """A record's cells as finite floats, leaving out column ``skip``.
+
+    Wrong cell counts and cells that are not finite numbers are reported
+    with their row number and column name.
+    """
+    if len(rec) != len(header):
+        raise DataError("%s: row %d has %d cells, expected %d"
+                        % (path, lineno, len(rec), len(header)))
+    vals = []
+    for i, cell in enumerate(rec):
+        if i == skip:
+            continue
+        try:
+            x = float(cell)
+        except ValueError:
+            x = np.nan
+        if not np.isfinite(x):
+            raise DataError("%s: row %d, column %r: non-numeric value %r"
+                            % (path, lineno, header[i], cell))
+        vals.append(x)
+    return np.array(vals)
+
+
 def load_csv(path, label_column):
     """Load a headered CSV into a Dataset.
 
@@ -139,11 +171,7 @@ def load_csv(path, label_column):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("%s: file is empty" % path) from None
-        header = [h.strip() for h in header]
+        header = _read_header(reader, path)
         if label_column not in header:
             raise DataError(
                 "%s: label column %r not found (columns: %s)"
@@ -156,34 +184,34 @@ def load_csv(path, label_column):
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
-            if len(rec) != len(header):
-                raise DataError("%s: row %d has %d cells, expected %d"
-                                % (path, lineno, len(rec), len(header)))
-            vals = np.empty(len(feature_names))
-            k = 0
-            for i, cell in enumerate(rec):
-                if i == label_pos:
-                    continue
-                try:
-                    x = float(cell)
-                except ValueError:
-                    x = np.nan
-                if not np.isfinite(x):
-                    raise DataError("%s: row %d, column %r: non-numeric value %r"
-                                    % (path, lineno, header[i], cell))
-                vals[k] = x
-                k += 1
+            rows.append(_feature_values(path, lineno, header, rec,
+                                        skip=label_pos))
             name = rec[label_pos].strip()
             if name not in class_ids:
                 class_ids[name] = len(class_names)
                 class_names.append(name)
-            rows.append(vals)
             labels.append(class_ids[name])
     if not rows:
         raise DataError("%s: no data rows" % path)
     if len(class_names) < 2:
         raise DataError("%s: only one class (%r) present" % (path, class_names[0]))
     return Dataset(np.vstack(rows), np.array(labels), feature_names, class_names)
+
+
+def load_feature_rows(path, feature_names):
+    """Feature matrix of a headered CSV whose columns are exactly
+    ``feature_names``, checked like the feature cells of ``load_csv``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
+        if header != feature_names:
+            raise DataError("input columns %s do not match the bundle's %s"
+                            % (header, feature_names))
+        rows = [_feature_values(path, lineno, header, rec)
+                for lineno, rec in enumerate(reader, start=2) if rec]
+    if not rows:
+        raise DataError("%s: no data rows" % path)
+    return np.vstack(rows)
 
 
 def _round_half_up(x):

@@ -9,15 +9,16 @@ derived from keyed substreams of one seed.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import kernels
+from .data import DataError
 from .rng import substream
 
-FOREST_FORMAT = "cshc-forest/1"
+FOREST_FORMAT = "cshc-forest/2"
 
 
 @dataclass
@@ -61,66 +62,38 @@ def bootstrap_draws(n_rows, fraction):
 
 
 @dataclass
-class ClusterNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "ClusterNode" = None
-    right: "ClusterNode" = None
-    member_rows: np.ndarray = None
-    member_mult: np.ndarray = None
-    correct_counts: np.ndarray = None
-    size: float = 0.0
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-
-@dataclass
 class Tree:
-    root: ClusterNode
-    feature_subset: np.ndarray
-    bootstrap_rows: np.ndarray
-    bootstrap_mult: np.ndarray
-    # flattened form for routing
-    feat: np.ndarray = None
-    thr: np.ndarray = None
-    left: np.ndarray = None
-    right: np.ndarray = None
-    leaf_id: np.ndarray = None
-    leaves: list = field(default_factory=list)
-    leaf_counts: np.ndarray = None
+    """One tree as flat arrays, nodes and leaves numbered in preorder
+    (node, left subtree, right subtree).
 
-    def flatten(self):
-        feat, thr, left, right, leaf_id = [], [], [], [], []
-        leaves = []
-        stack = [(self.root, -1, False)]
-        while stack:
-            node, parent, is_left = stack.pop()
-            i = len(feat)
-            if parent >= 0:
-                if is_left:
-                    left[parent] = i
-                else:
-                    right[parent] = i
-            feat.append(node.feature)
-            thr.append(node.threshold)
-            left.append(-1)
-            right.append(-1)
-            leaf_id.append(-1)
-            if node.is_leaf:
-                leaf_id[i] = len(leaves)
-                leaves.append(node)
-            else:
-                stack.append((node.right, i, False))
-                stack.append((node.left, i, True))
-        self.feat = np.asarray(feat, dtype=np.int64)
-        self.thr = np.asarray(thr, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.leaf_id = np.asarray(leaf_id, dtype=np.int64)
-        self.leaves = leaves
-        self.leaf_counts = np.vstack([lf.correct_counts for lf in leaves])
+    Internal nodes have left/right >= 0 and leaf_id -1; leaves have
+    left/right -1 and feat -1. Leaf l holds the member rows and
+    multiplicities leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]] and
+    the weighted correct counts leaf_counts[l].
+    """
+
+    feature_subset: np.ndarray  # (k,) features the tree may split on
+    bootstrap_rows: np.ndarray  # (m,) distinct rows of the bootstrap draw
+    bootstrap_mult: np.ndarray  # (m,) their multiplicities
+    feat: np.ndarray            # (N,) split feature per node
+    thr: np.ndarray             # (N,) split threshold per node
+    left: np.ndarray            # (N,) left child per node
+    right: np.ndarray           # (N,) right child per node
+    leaf_id: np.ndarray         # (N,) leaf index per node
+    leaf_ptr: np.ndarray        # (L + 1,) offsets into leaf_rows/leaf_mult
+    leaf_rows: np.ndarray       # (m,) member rows, grouped by leaf
+    leaf_mult: np.ndarray       # (m,) member multiplicities
+    leaf_counts: np.ndarray     # (L, n) weighted correct counts per leaf
+
+    def members(self, leaf):
+        """(rows, mult) of one leaf's members."""
+        a, b = self.leaf_ptr[leaf], self.leaf_ptr[leaf + 1]
+        return self.leaf_rows[a:b], self.leaf_mult[a:b]
+
+
+# Tree fields holding integers; the others hold float64
+_INT_FIELDS = {"feature_subset", "bootstrap_rows", "feat", "left", "right",
+               "leaf_id", "leaf_ptr", "leaf_rows"}
 
 
 @dataclass
@@ -141,11 +114,10 @@ class Forest:
 class LeafBundle:
     """Per-tree leaves hit by one query point, plus their aggregation."""
 
-    tree_leaf_ids: np.ndarray      # (T,)
-    leaf_counts: np.ndarray        # (T, n) correct counts in each hit leaf
-    rows: np.ndarray               # (k,) unique member rows, ascending
-    mult: np.ndarray               # (k,) summed multiplicities
-    aggregate_correct: np.ndarray  # (n,)
+    tree_leaf_ids: np.ndarray  # (T,)
+    leaf_counts: np.ndarray    # (T, n) correct counts in each hit leaf
+    rows: np.ndarray           # (k,) unique member rows, ascending
+    mult: np.ndarray           # (k,) summed multiplicities
     dominant_true_class: int
 
 
@@ -165,39 +137,56 @@ def split_gain(member_rows, member_mult, feature, threshold, correct, features):
     return float(left.max() + (total - left).max() - total.max())
 
 
-def grow_tree(member_rows, member_mult, depth, cfg, correct, features, allowed):
-    """Recursively partition a weighted cluster; returns the subtree root.
+def grow_tree(rows, mult, cfg, correct, features, allowed):
+    """Recursively partition the weighted cluster (rows, mult) into a Tree.
 
     A node becomes a leaf when the depth limit is reached, no candidate
     split keeps both children at min_cluster_size, the parent's best
     count is already unbeatable (zero), or the best gain falls below
     min_improvement * parent best count.
     """
-    member_rows = np.asarray(member_rows, dtype=np.int64)
-    mult = np.asarray(member_mult, dtype=np.float64)
-    wc = mult[:, None] * correct[member_rows]
-    counts = wc.sum(axis=0)
-    parent_best = counts.max()
+    rows = np.asarray(rows, dtype=np.int64)
+    mult = np.asarray(mult, dtype=np.float64)
+    nodes = []   # [feat, thr, left, right, leaf_id] per node, in preorder
+    leaves = []  # (rows, mult, counts) per leaf, in preorder
 
-    def leaf():
-        return ClusterNode(member_rows=member_rows, member_mult=mult,
-                           correct_counts=counts, size=float(mult.sum()))
+    def grow(rows, mult, depth):
+        i = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, -1])
+        wc = mult[:, None] * correct[rows]
+        counts = wc.sum(axis=0)
+        parent_best = counts.max()
+        if depth < cfg.max_depth and parent_best != 0.0:
+            vals = np.ascontiguousarray(features[rows][:, allowed])
+            gain, col, thr = kernels.best_split(
+                vals, np.ascontiguousarray(wc), mult,
+                float(cfg.min_cluster_size))
+            if col >= 0 and gain >= cfg.min_improvement * parent_best:
+                feature = int(allowed[col])
+                go_left = features[rows, feature] <= thr
+                nodes[i][:2] = feature, float(thr)
+                nodes[i][2] = grow(rows[go_left], mult[go_left], depth + 1)
+                nodes[i][3] = grow(rows[~go_left], mult[~go_left], depth + 1)
+                return i
+        nodes[i][4] = len(leaves)
+        leaves.append((rows, mult, counts))
+        return i
 
-    if depth >= cfg.max_depth or parent_best == 0.0:
-        return leaf()
-    vals = np.ascontiguousarray(features[member_rows][:, allowed])
-    gain, col, thr = kernels.best_split(vals, np.ascontiguousarray(wc), mult,
-                                        float(cfg.min_cluster_size))
-    if col < 0 or gain < cfg.min_improvement * parent_best:
-        return leaf()
-    feature = int(allowed[col])
-    go_left = features[member_rows, feature] <= thr
-    node = ClusterNode(feature=feature, threshold=float(thr))
-    node.left = grow_tree(member_rows[go_left], mult[go_left], depth + 1,
-                          cfg, correct, features, allowed)
-    node.right = grow_tree(member_rows[~go_left], mult[~go_left], depth + 1,
-                           cfg, correct, features, allowed)
-    return node
+    grow(rows, mult, 0)
+    feat, thr, left, right, leaf_id = zip(*nodes)
+    sizes = [r.size for r, _, _ in leaves]
+    return Tree(
+        feature_subset=np.asarray(allowed, dtype=np.int64),
+        bootstrap_rows=rows, bootstrap_mult=mult,
+        feat=np.asarray(feat, dtype=np.int64),
+        thr=np.asarray(thr, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        leaf_id=np.asarray(leaf_id, dtype=np.int64),
+        leaf_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        leaf_rows=np.concatenate([r for r, _, _ in leaves]),
+        leaf_mult=np.concatenate([m for _, m, _ in leaves]),
+        leaf_counts=np.vstack([c for _, _, c in leaves]))
 
 
 def build_forest(cm, ds, cfg):
@@ -221,36 +210,29 @@ def build_forest(cm, ds, cfg):
         rows = np.nonzero(counts)[0]
         mult = counts[rows].astype(np.float64)
         allowed = np.sort(rng.choice(F, size=k_feat, replace=False))
-        root = grow_tree(rows, mult, 0, cfg, correct, features, allowed)
-        tree = Tree(root=root, feature_subset=allowed,
-                    bootstrap_rows=rows, bootstrap_mult=counts[rows].copy())
-        tree.flatten()
-        trees.append(tree)
+        trees.append(grow_tree(rows, mult, cfg, correct, features, allowed))
     return Forest(trees=trees, config=cfg, n_classifiers=cm.n_classifiers,
                   truth=cm.truth.copy(), n_rows=M, n_features=F)
 
 
 def _bundle_from_leaf_ids(forest, leaf_ids):
-    T = forest.n_trees
-    n = forest.n_classifiers
-    leaf_counts = np.empty((T, n))
-    row_parts, mult_parts = [], []
-    for t, lid in enumerate(leaf_ids):
-        lf = forest.trees[t].leaves[lid]
-        leaf_counts[t] = lf.correct_counts
-        row_parts.append(lf.member_rows)
-        mult_parts.append(lf.member_mult)
-    all_rows = np.concatenate(row_parts)
-    all_mult = np.concatenate(mult_parts)
-    rows, inverse = np.unique(all_rows, return_inverse=True)
-    mult = np.bincount(inverse, weights=all_mult)
+    row_parts, mult_parts, leaf_counts = [], [], []
+    for tree, lid in zip(forest.trees, leaf_ids.tolist()):
+        rows, mult = tree.members(lid)
+        row_parts.append(rows)
+        mult_parts.append(mult)
+        leaf_counts.append(tree.leaf_counts[lid])
+    mult = np.bincount(np.concatenate(row_parts),
+                       weights=np.concatenate(mult_parts),
+                       minlength=forest.n_rows)
+    rows = np.flatnonzero(mult)
+    mult = mult[rows]
     class_support = np.bincount(forest.truth[rows], weights=mult)
     return LeafBundle(
         tree_leaf_ids=np.asarray(leaf_ids, dtype=np.int64),
-        leaf_counts=leaf_counts,
+        leaf_counts=np.array(leaf_counts),
         rows=rows,
         mult=mult,
-        aggregate_correct=leaf_counts.sum(axis=0),
         dominant_true_class=int(np.argmax(class_support)),
     )
 
@@ -289,66 +271,28 @@ def leaf_ranks(bundle):
 # ---------------------------------------------------------------------------
 
 def forest_to_dict(forest):
-    trees = []
-    for tree in forest.trees:
-        trees.append({
-            "feature_subset": tree.feature_subset.tolist(),
-            "bootstrap_rows": tree.bootstrap_rows.tolist(),
-            "bootstrap_mult": tree.bootstrap_mult.tolist(),
-            "feat": tree.feat.tolist(),
-            "thr": tree.thr.tolist(),
-            "left": tree.left.tolist(),
-            "right": tree.right.tolist(),
-            "leaf_id": tree.leaf_id.tolist(),
-            "leaves": [{"rows": lf.member_rows.tolist(),
-                        "mult": lf.member_mult.tolist(),
-                        "counts": lf.correct_counts.tolist(),
-                        "size": lf.size} for lf in tree.leaves],
-        })
     return {"format": FOREST_FORMAT,
             "config": forest.config.asdict(),
             "n_classifiers": forest.n_classifiers,
             "n_rows": forest.n_rows,
             "n_features": forest.n_features,
             "truth": forest.truth.tolist(),
-            "trees": trees}
-
-
-def _rebuild_nodes(feat, thr, left, right, leaves_data, node=0):
-    if left[node] < 0:
-        lf = leaves_data[node]
-        return ClusterNode(member_rows=np.asarray(lf["rows"], dtype=np.int64),
-                           member_mult=np.asarray(lf["mult"], dtype=np.float64),
-                           correct_counts=np.asarray(lf["counts"]),
-                           size=float(lf["size"]))
-    return ClusterNode(
-        feature=int(feat[node]), threshold=float(thr[node]),
-        left=_rebuild_nodes(feat, thr, left, right, leaves_data, left[node]),
-        right=_rebuild_nodes(feat, thr, left, right, leaves_data, right[node]),
-    )
+            "trees": [{f.name: getattr(tree, f.name).tolist()
+                       for f in fields(Tree)} for tree in forest.trees]}
 
 
 def forest_from_dict(data):
     if data.get("format") != FOREST_FORMAT:
-        raise ValueError("unsupported forest format %r" % data.get("format"))
-    cfg = CshcConfig(**data["config"])
+        raise DataError("unsupported forest format %r; this program reads %r"
+                        % (data.get("format"), FOREST_FORMAT))
     trees = []
     for td in data["trees"]:
-        feat = np.asarray(td["feat"], dtype=np.int64)
-        thr = np.asarray(td["thr"], dtype=np.float64)
-        left = np.asarray(td["left"], dtype=np.int64)
-        right = np.asarray(td["right"], dtype=np.int64)
-        leaf_id = np.asarray(td["leaf_id"], dtype=np.int64)
-        leaves_by_node = {i: td["leaves"][leaf_id[i]]
-                          for i in range(len(feat)) if leaf_id[i] >= 0}
-        root = _rebuild_nodes(feat, thr, left, right, leaves_by_node)
-        tree = Tree(root=root,
-                    feature_subset=np.asarray(td["feature_subset"], dtype=np.int64),
-                    bootstrap_rows=np.asarray(td["bootstrap_rows"], dtype=np.int64),
-                    bootstrap_mult=np.asarray(td["bootstrap_mult"], dtype=np.int64))
-        tree.flatten()
-        trees.append(tree)
-    return Forest(trees=trees, config=cfg,
+        arrays = {}
+        for f in fields(Tree):
+            dtype = np.int64 if f.name in _INT_FIELDS else np.float64
+            arrays[f.name] = np.asarray(td[f.name], dtype=dtype)
+        trees.append(Tree(**arrays))
+    return Forest(trees=trees, config=CshcConfig(**data["config"]),
                   n_classifiers=int(data["n_classifiers"]),
                   truth=np.asarray(data["truth"], dtype=np.int64),
                   n_rows=int(data["n_rows"]),

@@ -23,13 +23,7 @@ from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
                    build_correctness_holdout, load_csv, make_split)
 from .forest import CshcConfig, build_forest, query_batch
-from .rng import substream
-
-# fixed substream tags: the recourse chain reuses the rr/lp streams so
-# its first two stages replay the standalone methods draw for draw
-_STREAM = {"rr": 0x11, "lp": 0x12}
-
-SELECTION_METHODS = ("cshc", "rr", "lp", "lpr")
+from .selection import SELECTION_METHODS
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +218,14 @@ def evaluate_method(prep, method, cfg):
     """Run one method over the whole test partition."""
     Q = prep.test_ds.n_samples
     C = prep.ds.n_classes
-    seed = prep.seed
-    sample_ids = prep.test_ds.row_ids
-    outcomes = []
     if method in SELECTION_METHODS:
-        bundles = prep.get_bundles()
-        for q in range(Q):
-            labels_row = prep.test_labels[q]
-            sid = int(sample_ids[q])
-            if method == "cshc":
-                out = sel.select_cshc(bundles[q], prep.val_acc, labels_row)
-            elif method == "rr":
-                out = sel.select_rr(bundles[q], labels_row, C,
-                                    substream(seed, _STREAM["rr"], sid))
-            elif method == "lp":
-                out = sel.select_lp(bundles[q], prep.cm, labels_row, cfg.gamma,
-                                    C, substream(seed, _STREAM["lp"], sid),
-                                    cache=prep.lp_cache)
-            else:
-                out = sel.select_lpr(
-                    bundles[q], prep.cm, labels_row, cfg.rho, cfg.gamma, C,
-                    prep.val_acc,
-                    substream(seed, _STREAM["rr"], sid),
-                    substream(seed, _STREAM["lp"], sid),
-                    cache=prep.lp_cache)
-            outcomes.append(out)
+        outcomes = sel.select_batch(
+            method, prep.get_bundles(), prep.test_labels, prep.test_ds.row_ids,
+            prep.cm, prep.val_acc, C, cfg.gamma, cfg.rho, prep.seed,
+            prep.lp_cache)
     else:
         regions = prep.get_regions(cfg.knn_k)
+        outcomes = []
         for q in range(Q):
             labels_row = prep.test_labels[q]
             region = regions[q]
@@ -482,8 +457,8 @@ BUNDLE_FORMAT = "cshc-bundle/1"
 
 
 def save_bundle(prep, cfg, outdir):
-    os.makedirs(outdir, exist_ok=True)
-    forest_mod.save_forest(prep.forest, os.path.join(outdir, "forest.json"))
+    """Write forest.json, models.json and meta.json; a model that cannot
+    be serialized fails the call before any file is written."""
     models = [clf.model_state(model) for model in prep.models]
     meta = {
         "format": BUNDLE_FORMAT,
@@ -498,6 +473,8 @@ def save_bundle(prep, cfg, outdir):
                        "n_classes": prep.ds.n_classes},
         "seed": prep.seed,
     }
+    os.makedirs(outdir, exist_ok=True)
+    forest_mod.save_forest(prep.forest, os.path.join(outdir, "forest.json"))
     with open(os.path.join(outdir, "models.json"), "w") as fh:
         json.dump(models, fh)
     with open(os.path.join(outdir, "meta.json"), "w") as fh:
@@ -522,33 +499,15 @@ def load_bundle(outdir):
 
 def select_rows(meta, models, forest, cm, X, method, gamma, rho, seed):
     """Classify feature rows using a deserialized bundle."""
-    if method not in SELECTION_METHODS:
-        raise DataError("select supports %s; got %r"
-                        % ("/".join(SELECTION_METHODS), method))
     C = len(meta["dataset"]["class_names"])
     val_acc = np.asarray(meta["validation_accuracy"])
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     bundles = query_batch(forest, X)
     label_matrix = np.column_stack(
         [clf.predict_proba_batch(m, _FeatureRows(X)).argmax(axis=1) for m in models])
-    outcomes = []
-    cache = {}
-    for q, bundle in enumerate(bundles):
-        labels_row = label_matrix[q]
-        if method == "cshc":
-            out = sel.select_cshc(bundle, val_acc, labels_row)
-        elif method == "rr":
-            out = sel.select_rr(bundle, labels_row, C,
-                                substream(seed, _STREAM["rr"], q))
-        elif method == "lp":
-            out = sel.select_lp(bundle, cm, labels_row, gamma, C,
-                                substream(seed, _STREAM["lp"], q), cache=cache)
-        else:
-            out = sel.select_lpr(bundle, cm, labels_row, rho, gamma, C, val_acc,
-                                 substream(seed, _STREAM["rr"], q),
-                                 substream(seed, _STREAM["lp"], q), cache=cache)
-        outcomes.append(out)
-    return outcomes
+    return sel.select_batch(method, bundles, label_matrix,
+                            np.arange(X.shape[0]), cm, val_acc, C, gamma, rho,
+                            seed, {})
 
 
 class _FeatureRows:

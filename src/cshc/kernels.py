@@ -1,29 +1,17 @@
-"""Hot numeric kernels: split search and tree routing.
+"""Hot numeric kernels: split search and tree routing, vectorized in numpy.
 
-Each kernel exists twice, as a vectorized numpy implementation and as a
-plain-loop version compiled with numba. The numpy versions are the
-reference; set ``CSHC_NUMBA=0`` (or uninstall numba) to force them. The
-module-level names ``best_split``, ``gini_split`` and ``route`` point at
-whichever backend is active; ``BACKEND`` records the choice.
-
-Conventions shared by both backends:
+Conventions:
   - a sample is routed left iff its feature value <= threshold
   - candidate thresholds are midpoints between consecutive distinct values
   - ties are broken by lowest feature column, then lowest threshold
 """
-
-import os
 
 import numpy as np
 
 NO_SPLIT = (-1.0, -1, np.nan)
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def np_best_split(vals, wcorrect, mult, min_size):
+def best_split(vals, wcorrect, mult, min_size):
     """Best cost-sensitive split of a weighted cluster.
 
     vals     : (S, F) feature values of the cluster members
@@ -62,7 +50,7 @@ def np_best_split(vals, wcorrect, mult, min_size):
     return best_gain, best_col, best_thr
 
 
-def np_gini_split(vals, labels, n_classes):
+def gini_split(vals, labels, n_classes):
     """Best Gini split of an unweighted cluster.
 
     Maximizes sum over children of (sum_k count_k^2) / child_size, which
@@ -95,8 +83,8 @@ def np_gini_split(vals, labels, n_classes):
     return best_gain, best_col, best_thr
 
 
-def np_route(feat, thr, left, right, leaf_id, X):
-    """Route the rows of X through a flattened tree; returns leaf ids.
+def route(feat, thr, left, right, leaf_id, X):
+    """Route the rows of X through a tree's flat node arrays; returns leaf ids.
 
     Internal nodes have left >= 0; leaves carry leaf_id >= 0.
     """
@@ -109,146 +97,3 @@ def np_route(feat, thr, left, right, leaf_id, X):
         node[rows] = nxt
         rows = rows[left[nxt] >= 0]
     return leaf_id[node]
-
-
-# ---------------------------------------------------------------------------
-# loop bodies for numba
-# ---------------------------------------------------------------------------
-
-def _loop_best_split(vals, wcorrect, mult, min_size):
-    S, F = vals.shape
-    n = wcorrect.shape[1]
-    total_wc = np.zeros(n)
-    total_m = 0.0
-    for i in range(S):
-        total_m += mult[i]
-        for a in range(n):
-            total_wc[a] += wcorrect[i, a]
-    parent_best = total_wc[0]
-    for a in range(1, n):
-        if total_wc[a] > parent_best:
-            parent_best = total_wc[a]
-    best_gain = -1.0
-    best_col = -1
-    best_thr = np.nan
-    cur = np.zeros(n)
-    for j in range(F):
-        order = np.argsort(vals[:, j])
-        for a in range(n):
-            cur[a] = 0.0
-        left_m = 0.0
-        for p in range(S - 1):
-            row = order[p]
-            left_m += mult[row]
-            for a in range(n):
-                cur[a] += wcorrect[row, a]
-            lo = vals[row, j]
-            hi = vals[order[p + 1], j]
-            if lo >= hi:
-                continue
-            if left_m < min_size or total_m - left_m < min_size:
-                continue
-            lbest = cur[0]
-            rbest = total_wc[0] - cur[0]
-            for a in range(1, n):
-                if cur[a] > lbest:
-                    lbest = cur[a]
-                if total_wc[a] - cur[a] > rbest:
-                    rbest = total_wc[a] - cur[a]
-            gain = lbest + rbest - parent_best
-            if gain > best_gain:
-                best_gain = gain
-                best_col = j
-                best_thr = 0.5 * (lo + hi)
-    if best_col < 0:
-        return -1.0, -1, np.nan
-    return best_gain, best_col, best_thr
-
-
-def _loop_gini_split(vals, labels, n_classes):
-    S, F = vals.shape
-    total = np.zeros(n_classes)
-    for i in range(S):
-        total[labels[i]] += 1.0
-    parent_score = 0.0
-    for k in range(n_classes):
-        parent_score += total[k] * total[k]
-    parent_score /= S
-    best_gain = -1.0
-    best_col = -1
-    best_thr = np.nan
-    cur = np.zeros(n_classes)
-    for j in range(F):
-        order = np.argsort(vals[:, j])
-        for k in range(n_classes):
-            cur[k] = 0.0
-        for p in range(S - 1):
-            row = order[p]
-            cur[labels[row]] += 1.0
-            lo = vals[row, j]
-            hi = vals[order[p + 1], j]
-            if lo >= hi:
-                continue
-            nl = float(p + 1)
-            left = 0.0
-            right = 0.0
-            for k in range(n_classes):
-                left += cur[k] * cur[k]
-                right += (total[k] - cur[k]) * (total[k] - cur[k])
-            gain = left / nl + right / (S - nl) - parent_score
-            if gain > best_gain:
-                best_gain = gain
-                best_col = j
-                best_thr = 0.5 * (lo + hi)
-    if best_col < 0:
-        return -1.0, -1, np.nan
-    return best_gain, best_col, best_thr
-
-
-def _loop_route(feat, thr, left, right, leaf_id, X):
-    Q = X.shape[0]
-    out = np.empty(Q, dtype=np.int64)
-    for q in range(Q):
-        node = 0
-        while left[node] >= 0:
-            if X[q, feat[node]] <= thr[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[q] = leaf_id[node]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _numba_wanted():
-    flag = os.environ.get("CSHC_NUMBA", "").strip().lower()
-    return flag not in {"0", "false", "off", "no"}
-
-
-BACKEND = "numpy"
-nb_best_split = None
-nb_gini_split = None
-nb_route = None
-
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        nb_best_split = njit(cache=True)(_loop_best_split)
-        nb_gini_split = njit(cache=True)(_loop_gini_split)
-        nb_route = njit(cache=True)(_loop_route)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-
-if BACKEND == "numba":
-    best_split = nb_best_split
-    gini_split = nb_gini_split
-    route = nb_route
-else:
-    best_split = np_best_split
-    gini_split = np_gini_split
-    route = np_route

@@ -13,6 +13,14 @@ import numpy as np
 
 from . import forest as forest_mod
 from . import lp as lp_mod
+from .data import DataError
+from .rng import substream
+
+SELECTION_METHODS = ("cshc", "rr", "lp", "lpr")
+
+# fixed substream tags: the recourse chain reuses the rr/lp streams so
+# its first two stages replay the standalone methods draw for draw
+_STREAM = {"rr": 0x11, "lp": 0x12}
 
 
 @dataclass
@@ -136,3 +144,33 @@ def select_lpr(bundle, cm, test_labels, rho, gamma, n_classes,
                                     "lpr-dominant", low, True, **ratios)
     return SelectionOutcome(lp.chosen_classifier, lp.predicted_class,
                             "lpr-fallback", low, True, **ratios)
+
+
+def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
+                 n_classes, gamma, rho, seed, cache):
+    """Outcome of one selection method for every query of a batch.
+
+    Query q's tie-break draws come from streams keyed by (seed, stage,
+    sample_ids[q]), so its outcome does not depend on the rest of the
+    batch. ``cache`` memoizes LP solutions across the batch.
+    """
+    if method not in SELECTION_METHODS:
+        raise DataError("selection methods are %s; got %r"
+                        % ("/".join(SELECTION_METHODS), method))
+    outcomes = []
+    for bundle, labels_row, sid in zip(bundles, label_matrix, sample_ids):
+        sid = int(sid)
+        if method == "cshc":
+            out = select_cshc(bundle, val_acc, labels_row)
+        elif method == "rr":
+            out = select_rr(bundle, labels_row, n_classes,
+                            substream(seed, _STREAM["rr"], sid))
+        elif method == "lp":
+            out = select_lp(bundle, cm, labels_row, gamma, n_classes,
+                            substream(seed, _STREAM["lp"], sid), cache=cache)
+        else:
+            out = select_lpr(bundle, cm, labels_row, rho, gamma, n_classes,
+                             val_acc, substream(seed, _STREAM["rr"], sid),
+                             substream(seed, _STREAM["lp"], sid), cache=cache)
+        outcomes.append(out)
+    return outcomes

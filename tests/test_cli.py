@@ -1,6 +1,10 @@
 """Command-line round trips over temporary datasets."""
 
+import json
 import os
+import shutil
+
+import pytest
 
 from cshc.cli import main
 from test_harness import tiny_experiment_config
@@ -44,6 +48,74 @@ class TestTrainSelect:
         assert main(["select", "--model", bundle_dir, "--input",
                      str(bad)]) == 2
         assert "do not match" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_bundle(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    bundle_dir = str(tmp / "bundle")
+    assert main(["train", "--data", write_tiny_csv(tmp), "--label", "label",
+                 "--out", bundle_dir, "--seed", "5"]) == 0
+    return bundle_dir
+
+
+class TestSelectInput:
+    @pytest.mark.parametrize("text,message", [
+        ("x0,x1\n1.0,nan\n", "row 2, column 'x1': non-numeric value 'nan'"),
+        ("x0,x1\ninf,0.5\n", "row 2, column 'x0': non-numeric value 'inf'"),
+        ("x0,x1\n1.0,2.0\n3.0\n", "row 3 has 1 cells, expected 2"),
+        ("x0,x1\n1.0,abc\n", "row 2, column 'x1': non-numeric value 'abc'"),
+        ("x0,x1\n", "no data rows"),
+    ], ids=["nan", "inf", "ragged", "non-numeric", "header-only"])
+    def test_malformed_rows_exit_2(self, trained_bundle, tmp_path, capsys,
+                                   text, message):
+        bad = tmp_path / "rows.csv"
+        bad.write_text(text)
+        out = tmp_path / "sel.csv"
+        assert main(["select", "--model", trained_bundle, "--input", str(bad),
+                     "--output", str(out), "--method", "cshc"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_parent_is_created(self, trained_bundle, tmp_path):
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n")
+        out = tmp_path / "new" / "dir" / "sel.csv"
+        assert main(["select", "--model", trained_bundle, "--input",
+                     str(query), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_old_forest_format_rejected(self, trained_bundle, tmp_path,
+                                        capsys):
+        bundle_dir = str(tmp_path / "old")
+        shutil.copytree(trained_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "forest.json")
+        with open(path) as fh:
+            data = json.load(fh)
+        data["format"] = "cshc-forest/1"
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n")
+        assert main(["select", "--model", bundle_dir, "--input",
+                     str(query)]) == 2
+        assert "'cshc-forest/1'" in capsys.readouterr().err
+
+
+class TestTrainExternal:
+    def test_external_pool_is_not_serializable(self, region_benchmark,
+                                               tmp_path, capsys):
+        data_path, ext_paths, _ = region_benchmark
+        ini = tmp_path / "external.ini"
+        ini.write_text("[classifiers]\npool =\n" + "".join(
+            "external expert%d = %s\n" % (a, p)
+            for a, p in enumerate(ext_paths)))
+        bundle_dir = str(tmp_path / "bundle")
+        assert main(["train", "--config", str(ini), "--data", data_path,
+                     "--label", "label", "--out", bundle_dir]) == 2
+        err = capsys.readouterr().err
+        assert "external classifier 'expert0' is not serializable" in err
+        assert not os.path.exists(bundle_dir)
 
 
 class TestEvaluate:

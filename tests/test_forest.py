@@ -21,8 +21,18 @@ def simple_bundle(leaf_counts, rows=None, mult=None, dominant=0):
     mult = np.ones(rows.size) if mult is None else np.asarray(mult, dtype=float)
     return LeafBundle(tree_leaf_ids=np.zeros(leaf_counts.shape[0], dtype=np.int64),
                       leaf_counts=leaf_counts, rows=rows, mult=mult,
-                      aggregate_correct=leaf_counts.sum(axis=0),
                       dominant_true_class=dominant)
+
+
+def is_leaf(tree, node):
+    return tree.left[node] < 0
+
+
+def tree_depth(tree, node=0):
+    if is_leaf(tree, node):
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]),
+                   tree_depth(tree, tree.right[node]))
 
 
 class TestConfigArithmetic:
@@ -77,41 +87,42 @@ class TestSplitGain:
 class TestGrowTree:
     def test_hand_example_splits_at_midpoint(self):
         cfg = CshcConfig(min_cluster_size=2, max_depth=5, min_improvement=0.02)
-        node = grow_tree(np.arange(4), np.ones(4), 0, cfg,
+        tree = grow_tree(np.arange(4), np.ones(4), cfg,
                          TestSplitGain.correct, TestSplitGain.features,
                          np.array([0]))
-        assert not node.is_leaf
-        assert node.feature == 0
-        assert node.threshold == 2.5
-        assert node.left.is_leaf and node.right.is_leaf
-        assert node.left.correct_counts.tolist() == [2.0, 0.0]
+        assert not is_leaf(tree, 0)
+        assert tree.feat[0] == 0
+        assert tree.thr[0] == 2.5
+        # preorder: root, its left leaf, its right leaf
+        assert tree.left[0] == 1 and tree.right[0] == 2
+        assert is_leaf(tree, 1) and is_leaf(tree, 2)
+        assert tree.leaf_id.tolist() == [-1, 0, 1]
+        assert tree.leaf_counts[0].tolist() == [2.0, 0.0]
+        rows, mult = tree.members(0)
+        assert rows.tolist() == [0, 1] and mult.tolist() == [1.0, 1.0]
 
     def test_two_members_min_size_two_stays_leaf(self):
         cfg = CshcConfig(min_cluster_size=2)
-        node = grow_tree(np.arange(2), np.ones(2), 0, cfg,
+        tree = grow_tree(np.arange(2), np.ones(2), cfg,
                          TestSplitGain.correct[:2], TestSplitGain.features[:2],
                          np.array([0]))
-        assert node.is_leaf
+        assert is_leaf(tree, 0)
 
     def test_optimal_parent_stays_leaf(self):
         cfg = CshcConfig()
         correct = np.array([[1.0, 0.0]] * 4)
-        node = grow_tree(np.arange(4), np.ones(4), 0, cfg, correct,
+        tree = grow_tree(np.arange(4), np.ones(4), cfg, correct,
                          TestSplitGain.features, np.array([0]))
-        assert node.is_leaf
+        assert is_leaf(tree, 0)
 
     def test_depth_limit(self):
         cfg = CshcConfig(max_depth=1, min_cluster_size=1, min_improvement=0.0)
         rng = np.random.default_rng(0)
         features = rng.uniform(size=(16, 1))
         correct = rng.integers(0, 2, size=(16, 2)).astype(float)
-        node = grow_tree(np.arange(16), np.ones(16), 0, cfg, correct,
+        tree = grow_tree(np.arange(16), np.ones(16), cfg, correct,
                          features, np.array([0]))
-
-        def depth(n):
-            return 0 if n.is_leaf else 1 + max(depth(n.left), depth(n.right))
-
-        assert depth(node) <= 1
+        assert tree_depth(tree) <= 1
 
 
 def region_forest(seed=0, n_trees=10):
@@ -136,8 +147,8 @@ class TestBuildForest:
         forest, _, _, _ = region_forest()
         for tree in forest.trees:
             got = {}
-            for lf in tree.leaves:
-                for r, m in zip(lf.member_rows, lf.member_mult):
+            for lid in range(tree.leaf_counts.shape[0]):
+                for r, m in zip(*tree.members(lid)):
                     got[int(r)] = got.get(int(r), 0) + int(m)
             want = dict(zip(tree.bootstrap_rows.tolist(),
                             tree.bootstrap_mult.tolist()))
@@ -147,14 +158,14 @@ class TestBuildForest:
         forest, cm, ds, cfg = region_forest()
         correct = cm.correct.astype(float)
 
-        def walk(node):
-            if node.is_leaf:
-                return node.member_rows, node.member_mult
-            lr, lm = walk(node.left)
-            rr, rm = walk(node.right)
+        def walk(tree, node):
+            if is_leaf(tree, node):
+                return tree.members(tree.leaf_id[node])
+            lr, lm = walk(tree, tree.left[node])
+            rr, rm = walk(tree, tree.right[node])
             rows = np.concatenate([lr, rr])
             mult = np.concatenate([lm, rm])
-            gain = split_gain(rows, mult, node.feature, node.threshold,
+            gain = split_gain(rows, mult, tree.feat[node], tree.thr[node],
                               correct, ds.features)
             wc = mult[:, None] * correct[rows]
             parent_best = wc.sum(axis=0).max()
@@ -163,7 +174,7 @@ class TestBuildForest:
             return rows, mult
 
         for tree in forest.trees:
-            walk(tree.root)
+            walk(tree, 0)
 
     def test_deterministic_build(self):
         f1, _, _, _ = region_forest(seed=3)
@@ -182,14 +193,15 @@ class TestQuery:
     def test_boundary_routes_left(self):
         forest, _, _, _ = region_forest()
         tree = forest.trees[0]
-        if tree.root.is_leaf:
+        if is_leaf(tree, 0):
             pytest.skip("degenerate tree")
-        thr = tree.root.threshold
-        feature = tree.root.feature
         x = np.zeros(2)
-        x[feature] = thr
+        x[tree.feat[0]] = tree.thr[0]
         bundle = query(forest, x)
         assert bundle.tree_leaf_ids.shape == (forest.n_trees,)
+        # in preorder the root's left subtree is nodes 1 .. right[0] - 1
+        left_leaves = tree.leaf_id[1:tree.right[0]]
+        assert bundle.tree_leaf_ids[0] in left_leaves[left_leaves >= 0]
 
     def test_single_leaf_forest_bundle(self):
         cm = make_cm([[0, 1], [1, 0]], [0, 1])
@@ -198,8 +210,8 @@ class TestQuery:
         cfg = CshcConfig(n_trees=1, bootstrap_fraction=1.0, seed=1)
         forest = build_forest(cm, ds, cfg)
         bundle = query(forest, [0.0])
-        lf = forest.trees[0].leaves[0]
-        assert bundle.mult.sum() == lf.member_mult.sum()
+        _, mult = forest.trees[0].members(0)
+        assert bundle.mult.sum() == mult.sum()
 
     def test_multiset_union_adds_multiplicities(self):
         # two single-leaf trees sharing sample 0 with multiplicities 1 and 2
@@ -207,8 +219,7 @@ class TestQuery:
         bundle = query(forest, [0.5, 0.5])
         by_hand = {}
         for t, lid in enumerate(bundle.tree_leaf_ids):
-            lf = forest.trees[t].leaves[lid]
-            for r, m in zip(lf.member_rows, lf.member_mult):
+            for r, m in zip(*forest.trees[t].members(lid)):
                 by_hand[int(r)] = by_hand.get(int(r), 0) + m
         assert {int(r): m for r, m in zip(bundle.rows, bundle.mult)} == by_hand
 

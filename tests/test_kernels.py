@@ -1,4 +1,4 @@
-"""Backend equivalence and brute-force checks for the hot kernels."""
+"""Brute-force checks for the hot kernels."""
 
 import numpy as np
 import pytest
@@ -38,18 +38,12 @@ def random_cluster(rng, max_members=12, max_features=3, n_classifiers=3):
     return vals, correct * mult[:, None], mult
 
 
-BACKENDS = [("numpy", kernels.np_best_split)]
-if kernels.nb_best_split is not None:
-    BACKENDS.append(("numba", kernels.nb_best_split))
-
-
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_best_split_matches_bruteforce(name, impl):
+def test_best_split_matches_bruteforce():
     rng = np.random.default_rng(42)
     for _ in range(150):
         vals, wc, mult = random_cluster(rng)
-        got = impl(np.ascontiguousarray(vals), np.ascontiguousarray(wc),
-                   mult, 2.0)
+        got = kernels.best_split(np.ascontiguousarray(vals),
+                                 np.ascontiguousarray(wc), mult, 2.0)
         want = brute_best_split(vals, wc, mult, 2.0)
         if want[1] < 0:
             assert got[1] == -1
@@ -57,18 +51,6 @@ def test_best_split_matches_bruteforce(name, impl):
             assert got[1] == want[1]
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             assert got[2] == pytest.approx(want[2], abs=1e-12)
-
-
-@pytest.mark.skipif(kernels.nb_best_split is None, reason="numba unavailable")
-def test_backends_agree():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        vals, wc, mult = random_cluster(rng, max_members=20, max_features=4)
-        a = kernels.np_best_split(vals, wc, mult, 1.0)
-        b = kernels.nb_best_split(np.ascontiguousarray(vals),
-                                  np.ascontiguousarray(wc), mult, 1.0)
-        assert a[1] == b[1]
-        assert a[0] == pytest.approx(b[0], abs=1e-12)
 
 
 def brute_gini_score(vals, labels, C, j, t):
@@ -82,13 +64,7 @@ def brute_gini_score(vals, labels, C, j, t):
     return score
 
 
-GINI_BACKENDS = [("numpy", kernels.np_gini_split)]
-if kernels.nb_gini_split is not None:
-    GINI_BACKENDS.append(("numba", kernels.nb_gini_split))
-
-
-@pytest.mark.parametrize("name,impl", GINI_BACKENDS)
-def test_gini_split_matches_bruteforce(name, impl):
+def test_gini_split_matches_bruteforce():
     rng = np.random.default_rng(3)
     for _ in range(100):
         S = rng.integers(2, 14)
@@ -96,7 +72,7 @@ def test_gini_split_matches_bruteforce(name, impl):
         C = rng.integers(2, 4)
         vals = np.round(rng.uniform(0, 3, size=(S, F)) * 2) / 2
         labels = rng.integers(0, C, size=S)
-        gain, col, thr = impl(np.ascontiguousarray(vals), labels, C)
+        gain, col, thr = kernels.gini_split(np.ascontiguousarray(vals), labels, C)
         # exhaustive: best achievable score over all midpoints
         best = None
         counts = np.bincount(labels, minlength=C).astype(float)
@@ -126,26 +102,11 @@ def _toy_tree():
     return feat, thr, left, right, leaf_id
 
 
-ROUTE_BACKENDS = [("numpy", kernels.np_route)]
-if kernels.nb_route is not None:
-    ROUTE_BACKENDS.append(("numba", kernels.nb_route))
-
-
-@pytest.mark.parametrize("name,impl", ROUTE_BACKENDS)
-def test_route_boundary_goes_left(name, impl):
+def test_route_boundary_goes_left():
     feat, thr, left, right, leaf_id = _toy_tree()
     X = np.array([[1.5, 9.0],   # on the boundary -> left
                   [1.6, 0.0],   # right then boundary -> left
                   [1.6, 0.1],
                   [0.0, 5.0]])
-    got = impl(feat, thr, left, right, leaf_id, np.ascontiguousarray(X))
+    got = kernels.route(feat, thr, left, right, leaf_id, np.ascontiguousarray(X))
     assert got.tolist() == [0, 1, 2, 0]
-
-
-@pytest.mark.skipif(kernels.nb_route is None, reason="numba unavailable")
-def test_route_backends_agree_random():
-    rng = np.random.default_rng(11)
-    feat, thr, left, right, leaf_id = _toy_tree()
-    X = np.ascontiguousarray(rng.uniform(-2, 4, size=(300, 2)))
-    assert np.array_equal(kernels.np_route(feat, thr, left, right, leaf_id, X),
-                          kernels.nb_route(feat, thr, left, right, leaf_id, X))
