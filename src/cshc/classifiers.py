@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .data import DataError
+from .data import DataError, open_input
 from .rng import substream
 
 KINDS = ("gaussian_nb", "one_nn", "decision_tree_gini", "perceptron", "external")
@@ -220,7 +220,7 @@ def load_external_predictions(path, split=None, n_classes=None):
     """
     labels, probas = {}, {}
     width = None
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

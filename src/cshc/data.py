@@ -130,6 +130,15 @@ class CorrectnessMatrix:
         return self.correct.mean(axis=0)
 
 
+def open_input(path, **kwargs):
+    """``open`` for reading a file the user named; a missing or unreadable
+    file is a DataError naming the path."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise DataError("%s: cannot read: %s" % (path, exc.strerror)) from None
+
+
 def _read_header(reader, path):
     try:
         header = next(reader)
@@ -169,7 +178,7 @@ def load_csv(path, label_column):
     reported with row and column names. Classes are encoded by first
     appearance down the file.
     """
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
         if label_column not in header:
@@ -201,7 +210,7 @@ def load_csv(path, label_column):
 def load_feature_rows(path, feature_names):
     """Feature matrix of a headered CSV whose columns are exactly
     ``feature_names``, checked like the feature cells of ``load_csv``."""
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
         if header != feature_names:

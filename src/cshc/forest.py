@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import kernels
-from .data import DataError
+from .data import DataError, open_input
 from .rng import substream
 
 FOREST_FORMAT = "cshc-forest/2"
@@ -286,9 +286,11 @@ def forest_from_dict(data):
         raise DataError("unsupported forest format %r; this program reads %r"
                         % (data.get("format"), FOREST_FORMAT))
     trees = []
-    for td in data["trees"]:
+    for t, td in enumerate(data["trees"]):
         arrays = {}
         for f in fields(Tree):
+            if f.name not in td:
+                raise DataError("forest tree %d lacks field %r" % (t, f.name))
             dtype = np.int64 if f.name in _INT_FIELDS else np.float64
             arrays[f.name] = np.asarray(td[f.name], dtype=dtype)
         trees.append(Tree(**arrays))
@@ -305,5 +307,5 @@ def save_forest(forest, path):
 
 
 def load_forest(path):
-    with open(path) as fh:
+    with open_input(path) as fh:
         return forest_from_dict(json.load(fh))

@@ -21,7 +21,8 @@ from . import forest as forest_mod
 from . import selection as sel
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
-                   build_correctness_holdout, load_csv, make_split)
+                   build_correctness_holdout, load_csv, make_split,
+                   open_input)
 from .forest import CshcConfig, build_forest, query_batch
 from .selection import SELECTION_METHODS
 
@@ -482,11 +483,11 @@ def save_bundle(prep, cfg, outdir):
 
 
 def load_bundle(outdir):
-    with open(os.path.join(outdir, "meta.json")) as fh:
+    with open_input(os.path.join(outdir, "meta.json")) as fh:
         meta = json.load(fh)
     if meta.get("format") != BUNDLE_FORMAT:
         raise DataError("unsupported bundle format %r" % meta.get("format"))
-    with open(os.path.join(outdir, "models.json")) as fh:
+    with open_input(os.path.join(outdir, "models.json")) as fh:
         models = [clf.model_from_state(s) for s in json.load(fh)]
     forest = forest_mod.load_forest(os.path.join(outdir, "forest.json"))
     val = meta["validation"]

@@ -152,7 +152,8 @@ def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
 
     Query q's tie-break draws come from streams keyed by (seed, stage,
     sample_ids[q]), so its outcome does not depend on the rest of the
-    batch. ``cache`` memoizes LP solutions across the batch.
+    batch. ``cache`` memoizes LP solutions across the batch. A failing
+    LP aborts the batch with an LpSolverError that names the sample.
     """
     if method not in SELECTION_METHODS:
         raise DataError("selection methods are %s; got %r"
@@ -160,17 +161,22 @@ def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
     outcomes = []
     for bundle, labels_row, sid in zip(bundles, label_matrix, sample_ids):
         sid = int(sid)
-        if method == "cshc":
-            out = select_cshc(bundle, val_acc, labels_row)
-        elif method == "rr":
-            out = select_rr(bundle, labels_row, n_classes,
-                            substream(seed, _STREAM["rr"], sid))
-        elif method == "lp":
-            out = select_lp(bundle, cm, labels_row, gamma, n_classes,
-                            substream(seed, _STREAM["lp"], sid), cache=cache)
-        else:
-            out = select_lpr(bundle, cm, labels_row, rho, gamma, n_classes,
-                             val_acc, substream(seed, _STREAM["rr"], sid),
-                             substream(seed, _STREAM["lp"], sid), cache=cache)
+        try:
+            if method == "cshc":
+                out = select_cshc(bundle, val_acc, labels_row)
+            elif method == "rr":
+                out = select_rr(bundle, labels_row, n_classes,
+                                substream(seed, _STREAM["rr"], sid))
+            elif method == "lp":
+                out = select_lp(bundle, cm, labels_row, gamma, n_classes,
+                                substream(seed, _STREAM["lp"], sid),
+                                cache=cache)
+            else:
+                out = select_lpr(bundle, cm, labels_row, rho, gamma, n_classes,
+                                 val_acc, substream(seed, _STREAM["rr"], sid),
+                                 substream(seed, _STREAM["lp"], sid),
+                                 cache=cache)
+        except lp_mod.LpSolverError as exc:
+            raise lp_mod.LpSolverError("sample %d: %s" % (sid, exc)) from exc
         outcomes.append(out)
     return outcomes

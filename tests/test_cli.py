@@ -102,6 +102,35 @@ class TestSelectInput:
         assert "'cshc-forest/1'" in capsys.readouterr().err
 
 
+class TestSelectFiles:
+    @pytest.mark.parametrize("flag", ["--input", "--model"])
+    def test_missing_path_exits_2(self, trained_bundle, tmp_path, capsys,
+                                  flag):
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n")
+        missing = str(tmp_path / "nope")
+        args = {"--model": trained_bundle, "--input": str(query), flag: missing}
+        assert main(["select"] + [x for item in args.items() for x in item]) == 2
+        err = capsys.readouterr().err
+        assert missing in err and "No such file or directory" in err
+
+    def test_tree_missing_field_exits_2(self, trained_bundle, tmp_path,
+                                        capsys):
+        bundle_dir = str(tmp_path / "truncated")
+        shutil.copytree(trained_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "forest.json")
+        with open(path) as fh:
+            data = json.load(fh)
+        del data["trees"][1]["leaf_ptr"]
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n")
+        assert main(["select", "--model", bundle_dir, "--input",
+                     str(query)]) == 2
+        assert "forest tree 1 lacks field 'leaf_ptr'" in capsys.readouterr().err
+
+
 class TestTrainExternal:
     def test_external_pool_is_not_serializable(self, region_benchmark,
                                                tmp_path, capsys):

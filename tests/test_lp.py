@@ -1,17 +1,21 @@
-"""LP construction, the simplex, and the discrete-grid oracle."""
+"""LP construction, the HiGHS solve, and its oracles: the reference dense
+simplex and the discrete weight grid."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cshc.data import CorrectnessMatrix
-from cshc.lp import (LpInstance, build_instance, instance_dump,
-                     penalties_given_weights, solve)
+from cshc.lp import (LpInstance, _merge_equivalent, build_instance,
+                     instance_dump, penalties_given_weights, solve)
+from lp_reference import merge_equivalent, reference_solve
 from test_forest import simple_bundle
 
 
 def grid_oracle(inst, step=1):
     """Best objective over integer weight vectors summing to 100, with
-    the closed-form inner penalties. Independent of the simplex."""
+    the closed-form inner penalties. Independent of any LP solver."""
     n = inst.n
     best = np.inf
     if n == 1:
@@ -106,40 +110,10 @@ class TestBuildInstance:
         assert inst.gamma == 80.0
 
 
-def scipy_optimum(inst):
-    """Independent optimum via scipy's HiGHS solver, built directly from
-    the instance definition (not via the production standard form)."""
-    from scipy.optimize import linprog
-
-    n, k = inst.n, inst.k
-    cost = np.concatenate([np.zeros(n), inst.m.astype(float),
-                           2.0 * inst.m.astype(float)])
-    rows, rhs = [], []
-    for i in range(k):
-        corr = (inst.L[i] == inst.y[i]).astype(float)
-        for c in range(inst.n_classes):
-            if c == inst.y[i]:
-                continue
-            diff = corr - (inst.L[i] == c).astype(float)
-            for pen_col, floor in ((n + i, inst.gamma), (n + k + i, 1.0)):
-                row = np.zeros(n + 2 * k)
-                row[:n] = -diff
-                row[pen_col] = -1.0
-                rows.append(row)
-                rhs.append(-floor)
-    A_eq = np.zeros((1, n + 2 * k))
-    A_eq[0, :n] = 1.0
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  A_eq=A_eq, b_eq=[100.0],
-                  bounds=[(0, 100)] * n + [(0, None)] * (2 * k),
-                  method="highs")
-    assert res.status == 0
-    return res.fun
-
-
 class TestOracleEquivalence:
-    def test_random_instances_never_beat_grid_and_match_highs(self):
-        # the step-1 grid bounds the optimum from above; HiGHS pins it
+    def test_random_instances_never_beat_grid_and_match_reference(self):
+        # the step-1 grid bounds the optimum from above; the reference
+        # simplex pins it
         rng = np.random.default_rng(123)
         for _ in range(60):
             inst = random_instance(rng)
@@ -147,7 +121,8 @@ class TestOracleEquivalence:
             check_full_feasibility(inst, sol)
             grid = grid_oracle(inst)
             assert sol.objective <= grid + 1e-6
-            assert sol.objective == pytest.approx(scipy_optimum(inst), abs=1e-6)
+            assert sol.objective == pytest.approx(reference_solve(inst)[0],
+                                                  abs=1e-6)
 
     def test_multiplicity_scaling(self):
         rng = np.random.default_rng(5)
@@ -182,6 +157,45 @@ class TestOracleEquivalence:
         s2 = solve(inst)
         assert np.array_equal(s1.w, s2.w)
         assert s1.objective == s2.objective
+
+
+@st.composite
+def lp_instances(draw):
+    n = draw(st.integers(1, 5))
+    C = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 40))
+    label = st.integers(0, C - 1)
+    y = draw(st.lists(label, min_size=k, max_size=k))
+    L = draw(st.lists(st.lists(label, min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    m = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return LpInstance(n=n, n_classes=C, m=m, y=y, L=L, gamma=80.0)
+
+
+# fixed examples: the property tests are part of the deterministic suite
+DETERMINISTIC = settings(max_examples=80, derandomize=True, deadline=None,
+                         database=None)
+
+
+class TestProperties:
+    @DETERMINISTIC
+    @given(lp_instances())
+    def test_optimum_matches_reference_simplex(self, inst):
+        sol = solve(inst)
+        ref = reference_solve(inst)[0]
+        assert abs(sol.objective - ref) <= 1e-6 * max(1.0, abs(ref))
+        assert sol.w.min() >= 0.0 and sol.w.max() <= 100.0 + 1e-6
+        assert sol.w.sum() == pytest.approx(100.0, abs=1e-6)
+        obj, _, _ = penalties_given_weights(inst, sol.w)
+        assert abs(obj - sol.objective) <= 1e-6 * max(1.0, abs(ref))
+
+    @DETERMINISTIC
+    @given(lp_instances())
+    def test_merge_matches_loop_reference(self, inst):
+        got = _merge_equivalent(inst)
+        for have, want in zip(got, merge_equivalent(inst)):
+            assert have.dtype == want.dtype
+            assert np.array_equal(have, want)
 
 
 class TestDumps:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from cshc import lp
 from cshc.data import CorrectnessMatrix
 from cshc.rng import substream
-from cshc.selection import (select_cshc, select_lp, select_lpr, select_rr,
-                            vote)
+from cshc.selection import (select_batch, select_cshc, select_lp, select_lpr,
+                            select_rr, vote)
 from test_forest import simple_bundle
 
 
@@ -230,12 +231,13 @@ class TestRecourseExitFixtures:
 
     def test_cshc_match_exit(self):
         # ranks (3,2,1): rr sees support {c0: 3 (from B+C), c1: 3 (A)},
-        # tie -> class 0 via B. LP: A correct on e1, B on e2 -> weights
-        # near (50,50); A's label c1 wins the LP vote. CSHC picks A
-        # (top rank), whose label c1 matches LP's class -> cshc-match.
-        cm = cm_for([[0, 1, 1], [1, 0, 0]], [0, 1], 2)
+        # tie -> class 0 via B. LP: A right / B wrong on e1 (twice), the
+        # reverse on e2, C wrong on both -> unique optimum (50.5, 49.5, 0);
+        # A's label c1 wins the LP vote. CSHC picks A (top rank), whose
+        # label c1 matches LP's class -> cshc-match.
+        cm = cm_for([[0, 1, 1], [0, 1, 0]], [0, 1], 2)
         bundle = simple_bundle([[3.0, 2.0, 1.0]], rows=np.array([0, 1]),
-                               mult=np.array([1.0, 1.0]))
+                               mult=np.array([2.0, 1.0]))
         labels = np.array([1, 0, 0])
         r1, r2 = rng_pair()
         out = select_lpr(bundle, cm, labels, 0.1, 80.0, 2,
@@ -243,6 +245,7 @@ class TestRecourseExitFixtures:
         assert out.method_used == "lpr-cshc-match"
         assert out.chosen_classifier == 0
         assert out.predicted_class == 1
+        assert out.lp_ratio == pytest.approx(49.5 / 50.5)
 
     def test_dominant_exit(self):
         # four classifiers, three classes; rr backs class 1 (B+C sum to
@@ -281,12 +284,33 @@ class TestRecourseExitFixtures:
         assert out.predicted_class == 2
 
     def test_agree_exit(self):
-        # rr and lp both land on class 0 with low confidence
-        cm = cm_for([[0, 1], [1, 0]], [0, 1], 2)
+        # rr and lp both land on class 0 with low confidence; the LP
+        # optimum (50.5, 49.5) is unique: A right / B wrong on e1 (twice),
+        # the reverse on e2
+        cm = cm_for([[0, 1], [0, 1]], [0, 1], 2)
         bundle = simple_bundle([[2.0, 1.0]], rows=np.array([0, 1]),
-                               mult=np.array([1.0, 1.0]))
+                               mult=np.array([2.0, 1.0]))
         labels = np.array([0, 1])
         r1, r2 = rng_pair()
         out = select_lpr(bundle, cm, labels, 0.01, 80.0, 2, None, r1, r2)
         assert out.method_used == "lpr-agree"
         assert out.predicted_class == 0
+        assert out.lp_ratio == pytest.approx(49.5 / 50.5)
+
+
+class TestSelectBatch:
+    @pytest.mark.parametrize("method", ["lp", "lpr"])
+    def test_lp_failure_names_the_sample(self, monkeypatch, method):
+        def broken(inst):
+            raise lp.LpSolverError("HiGHS: broken\n" + lp.instance_dump(inst))
+
+        monkeypatch.setattr(lp, "solve", broken)
+        cm = cm_for([[0, 1], [0, 1]], [0, 1], 2)
+        bundle = simple_bundle([[2.0, 2.0]], rows=np.array([0, 1]),
+                               mult=np.array([2.0, 1.0]))
+        with pytest.raises(lp.LpSolverError) as info:
+            select_batch(method, [bundle], np.array([[0, 1]]), [7], cm,
+                         None, 2, 80.0, 0.0, 0, {})
+        text = str(info.value)
+        assert text.startswith("sample 7: HiGHS: broken\n")
+        assert "m=2 y=0 labels=[0, 1]" in text
