@@ -1,6 +1,7 @@
 """Tabular data ingestion, splits, folds and correctness matrices."""
 
 import csv
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +138,16 @@ def open_input(path, **kwargs):
         return open(path, **kwargs)
     except OSError as exc:
         raise DataError("%s: cannot read: %s" % (path, exc.strerror)) from None
+
+
+def load_json(path):
+    """The parsed contents of a JSON file the user named; a file that
+    cannot be read or is not valid JSON is a DataError naming the path."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
 
 
 def _read_header(reader, path):

@@ -9,13 +9,14 @@ derived from keyed substreams of one seed.
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import kernels
-from .data import DataError, open_input
+from .data import DataError, load_json
 from .rng import substream
 
 FOREST_FORMAT = "cshc-forest/2"
@@ -98,27 +99,122 @@ _INT_FIELDS = {"feature_subset", "bootstrap_rows", "feat", "left", "right",
 
 @dataclass
 class Forest:
+    """The tree ensemble plus per-leaf tables derived from it.
+
+    The tables hold the leaves of all trees one after another, tree t's
+    from row leaf_base[t] on: leaf_rank holds each leaf's within-leaf
+    classifier ranks, leaf_support its member multiplicities summed by
+    validation truth. Both are computed on construction and never
+    serialized.
+    """
+
     trees: list
     config: CshcConfig
     n_classifiers: int
     truth: np.ndarray  # validation truth per correctness-matrix row
     n_rows: int
     n_features: int
+    leaf_base: np.ndarray = field(init=False, repr=False)     # (T,)
+    leaf_rank: np.ndarray = field(init=False, repr=False)     # (sum L, n)
+    leaf_support: np.ndarray = field(init=False, repr=False)  # (sum L, C)
+
+    def __post_init__(self):
+        trees = self.trees
+        leaves = [tree.leaf_counts.shape[0] for tree in trees]
+        self.leaf_base = np.cumsum([0] + leaves[:-1]).astype(np.int64)
+        self.leaf_rank = _within_leaf_ranks(
+            np.vstack([tree.leaf_counts for tree in trees]))
+        n_classes = int(self.truth.max()) + 1
+        leaf_of = np.repeat(np.arange(sum(leaves)), np.concatenate(
+            [np.diff(tree.leaf_ptr) for tree in trees]))
+        rows = np.concatenate([tree.leaf_rows for tree in trees])
+        self.leaf_support = np.bincount(
+            leaf_of * n_classes + self.truth[rows],
+            weights=np.concatenate([tree.leaf_mult for tree in trees]),
+            minlength=sum(leaves) * n_classes).reshape(-1, n_classes)
 
     @property
     def n_trees(self):
         return len(self.trees)
 
 
+def _within_leaf_ranks(counts):
+    """Classifier ranks within each row of leaf correct counts: the best
+    classifier gets rank n, the worst rank 1, and tied counts share the
+    average of the ranks they span."""
+    return rankdata(counts, method="average", axis=1)
+
+
 @dataclass
 class LeafBundle:
-    """Per-tree leaves hit by one query point, plus their aggregation."""
+    """The leaves one query point hits, one per tree, and what selection
+    reads of them.
 
-    tree_leaf_ids: np.ndarray  # (T,)
-    leaf_counts: np.ndarray    # (T, n) correct counts in each hit leaf
-    rows: np.ndarray           # (k,) unique member rows, ascending
-    mult: np.ndarray           # (k,) summed multiplicities
-    dominant_true_class: int
+    query_batch fills in the cumulative rank and the dominant true class.
+    The member union (rows, mult) and the per-tree correct counts and
+    ranks are built from the forest when first read.
+    """
+
+    tree_leaf_ids: np.ndarray    # (T,) leaf hit in each tree
+    cumulative_rank: np.ndarray  # (n,) within-leaf ranks summed over trees
+    dominant_true_class: int     # class with the most member multiplicity
+    forest: Forest = field(default=None, repr=False)
+
+    @classmethod
+    def from_counts(cls, leaf_counts, rows, mult, dominant_true_class=0,
+                    tree_leaf_ids=None):
+        """A bundle given directly by its hit leaves' correct counts
+        (T, n) and its member union, without a forest.
+
+        An LP cache keys bundles by tree_leaf_ids (zeros by default), so
+        bundles sharing one cache need distinct ids.
+        """
+        leaf_counts = np.atleast_2d(np.asarray(leaf_counts, dtype=np.float64))
+        ranks = _within_leaf_ranks(leaf_counts)
+        if tree_leaf_ids is None:
+            tree_leaf_ids = np.zeros(leaf_counts.shape[0], dtype=np.int64)
+        bundle = cls(np.asarray(tree_leaf_ids, dtype=np.int64),
+                     ranks.sum(axis=0), int(dominant_true_class))
+        vars(bundle).update(
+            leaf_counts=leaf_counts, tree_ranks=ranks,
+            _union=(np.asarray(rows, dtype=np.int64),
+                    np.asarray(mult, dtype=np.float64)))
+        return bundle
+
+    def _hit_leaves(self):
+        return zip(self.forest.trees, self.tree_leaf_ids.tolist())
+
+    @cached_property
+    def _union(self):
+        # one bincount over the validation rows adds the multiplicities
+        # tree by tree; the rows come out ascending
+        parts = [tree.members(lid) for tree, lid in self._hit_leaves()]
+        mult = np.bincount(np.concatenate([r for r, _ in parts]),
+                           weights=np.concatenate([m for _, m in parts]),
+                           minlength=self.forest.n_rows)
+        rows = np.flatnonzero(mult)
+        return rows, mult[rows]
+
+    @property
+    def rows(self):
+        """(k,) distinct member rows of the hit leaves, ascending."""
+        return self._union[0]
+
+    @property
+    def mult(self):
+        """(k,) their multiplicities summed over trees."""
+        return self._union[1]
+
+    @cached_property
+    def leaf_counts(self):
+        """(T, n) correct counts in each hit leaf."""
+        return np.array([tree.leaf_counts[lid]
+                         for tree, lid in self._hit_leaves()])
+
+    @cached_property
+    def tree_ranks(self):
+        """(T, n) within-leaf ranks in each hit leaf."""
+        return self.forest.leaf_rank[self.tree_leaf_ids + self.forest.leaf_base]
 
 
 def split_gain(member_rows, member_mult, feature, threshold, correct, features):
@@ -215,28 +311,6 @@ def build_forest(cm, ds, cfg):
                   truth=cm.truth.copy(), n_rows=M, n_features=F)
 
 
-def _bundle_from_leaf_ids(forest, leaf_ids):
-    row_parts, mult_parts, leaf_counts = [], [], []
-    for tree, lid in zip(forest.trees, leaf_ids.tolist()):
-        rows, mult = tree.members(lid)
-        row_parts.append(rows)
-        mult_parts.append(mult)
-        leaf_counts.append(tree.leaf_counts[lid])
-    mult = np.bincount(np.concatenate(row_parts),
-                       weights=np.concatenate(mult_parts),
-                       minlength=forest.n_rows)
-    rows = np.flatnonzero(mult)
-    mult = mult[rows]
-    class_support = np.bincount(forest.truth[rows], weights=mult)
-    return LeafBundle(
-        tree_leaf_ids=np.asarray(leaf_ids, dtype=np.int64),
-        leaf_counts=np.array(leaf_counts),
-        rows=rows,
-        mult=mult,
-        dominant_true_class=int(np.argmax(class_support)),
-    )
-
-
 def query(forest, x):
     """LeafBundle for one feature vector (boundary values route left)."""
     x = np.asarray(x, dtype=np.float64)
@@ -244,26 +318,39 @@ def query(forest, x):
 
 
 def query_batch(forest, X):
+    """LeafBundles for the rows of X.
+
+    Each query's cumulative rank and class support are gathered from the
+    forest's per-leaf tables and summed tree by tree. Ranks are multiples
+    of 0.5 and supports whole numbers, so the sums are exact in any order.
+    """
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     if X.shape[1] != forest.n_features:
         raise ValueError("query has %d features, forest expects %d"
                          % (X.shape[1], forest.n_features))
-    leaf_ids = np.empty((X.shape[0], forest.n_trees), dtype=np.int64)
+    Q = X.shape[0]
+    leaf_ids = np.empty((Q, forest.n_trees), dtype=np.int64)
     for t, tree in enumerate(forest.trees):
         leaf_ids[:, t] = kernels.route(tree.feat, tree.thr, tree.left,
                                        tree.right, tree.leaf_id, X)
-    return [_bundle_from_leaf_ids(forest, leaf_ids[q])
-            for q in range(X.shape[0])]
+    hit = leaf_ids + forest.leaf_base
+    cumulative = np.zeros((Q, forest.leaf_rank.shape[1]))
+    support = np.zeros((Q, forest.leaf_support.shape[1]))
+    for t in range(forest.n_trees):
+        cumulative += forest.leaf_rank[hit[:, t]]
+        support += forest.leaf_support[hit[:, t]]
+    dominant = support.argmax(axis=1).tolist()
+    return [LeafBundle(leaf_ids[q], cumulative[q], dominant[q], forest)
+            for q in range(Q)]
 
 
 def leaf_ranks(bundle):
-    """Within-leaf classifier ranks and their cumulative sum.
+    """Per-tree within-leaf ranks (T, n) and their sum over trees (n,).
 
     The best classifier in a leaf gets rank n, the worst rank 1; tied
     correct counts share the average of the ranks they span.
     """
-    per_tree = rankdata(bundle.leaf_counts, method="average", axis=1)
-    return per_tree, per_tree.sum(axis=0)
+    return bundle.tree_ranks, bundle.cumulative_rank
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +369,14 @@ def forest_to_dict(forest):
 
 
 def forest_from_dict(data):
-    if data.get("format") != FOREST_FORMAT:
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != FOREST_FORMAT:
         raise DataError("unsupported forest format %r; this program reads %r"
-                        % (data.get("format"), FOREST_FORMAT))
+                        % (fmt, FOREST_FORMAT))
+    for key in ("config", "n_classifiers", "n_rows", "n_features", "truth",
+                "trees"):
+        if key not in data:
+            raise DataError("forest lacks field %r" % key)
     trees = []
     for t, td in enumerate(data["trees"]):
         arrays = {}
@@ -307,5 +399,4 @@ def save_forest(forest, path):
 
 
 def load_forest(path):
-    with open_input(path) as fh:
-        return forest_from_dict(json.load(fh))
+    return forest_from_dict(load_json(path))

@@ -21,8 +21,8 @@ from . import forest as forest_mod
 from . import selection as sel
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
-                   build_correctness_holdout, load_csv, make_split,
-                   open_input)
+                   build_correctness_holdout, load_csv, load_json,
+                   make_split)
 from .forest import CshcConfig, build_forest, query_batch
 from .selection import SELECTION_METHODS
 
@@ -482,13 +482,29 @@ def save_bundle(prep, cfg, outdir):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+# meta.json entries that select reads
+_META_KEYS = (("dataset", "feature_names"), ("dataset", "class_names"),
+              ("config", "gamma"), ("config", "rho"), ("seed",),
+              ("validation_accuracy",), ("validation", "predicted"),
+              ("validation", "truth"), ("validation", "sample_indices"),
+              ("validation", "n_classes"))
+
+
 def load_bundle(outdir):
-    with open_input(os.path.join(outdir, "meta.json")) as fh:
-        meta = json.load(fh)
-    if meta.get("format") != BUNDLE_FORMAT:
-        raise DataError("unsupported bundle format %r" % meta.get("format"))
-    with open_input(os.path.join(outdir, "models.json")) as fh:
-        models = [clf.model_from_state(s) for s in json.load(fh)]
+    meta_path = os.path.join(outdir, "meta.json")
+    meta = load_json(meta_path)
+    fmt = meta.get("format") if isinstance(meta, dict) else None
+    if fmt != BUNDLE_FORMAT:
+        raise DataError("unsupported bundle format %r" % fmt)
+    for keys in _META_KEYS:
+        node = meta
+        for key in keys:
+            if not isinstance(node, dict) or key not in node:
+                raise DataError("%s: missing key %r"
+                                % (meta_path, ".".join(keys)))
+            node = node[key]
+    models = [clf.model_from_state(s)
+              for s in load_json(os.path.join(outdir, "models.json"))]
     forest = forest_mod.load_forest(os.path.join(outdir, "forest.json"))
     val = meta["validation"]
     cm = CorrectnessMatrix(np.asarray(val["predicted"], dtype=np.int64),

@@ -14,7 +14,7 @@ model, solved by dual simplex so that a basic (vertex) solution comes
 back, the same one run to run. Degenerate instances have many optimal
 weight vectors; which vertex is returned is HiGHS's choice.
 
-Callers reuse solutions through the bundle-content cache.
+Callers reuse solutions through a cache keyed by the query's leaf ids.
 """
 
 from dataclasses import dataclass
@@ -99,15 +99,17 @@ def penalties_given_weights(inst, w):
     Used as the independent oracle and for feasibility checking.
     """
     w = np.asarray(w, dtype=np.float64)
-    g = np.empty(inst.k)
-    f = np.empty(inst.k)
-    for i in range(inst.k):
-        support = np.bincount(inst.L[i], weights=w, minlength=inst.n_classes)
-        correct = support[inst.y[i]]
-        support[inst.y[i]] = -np.inf
-        margin = correct - support.max()
-        g[i] = max(0.0, inst.gamma - margin)
-        f[i] = max(0.0, 1.0 - margin)
+    k, n = inst.L.shape
+    rows = np.arange(k)
+    # row-major accumulation adds each sample's weights in classifier
+    # order, as a per-sample bincount would, so the sums match it exactly
+    support = np.zeros((k, inst.n_classes))
+    np.add.at(support, (np.repeat(rows, n), inst.L.ravel()), np.tile(w, k))
+    correct = support[rows, inst.y]
+    support[rows, inst.y] = -np.inf
+    margin = correct - support.max(axis=1)
+    g = np.maximum(0.0, inst.gamma - margin)
+    f = np.maximum(0.0, 1.0 - margin)
     objective = float((inst.m * (g + 2.0 * f)).sum())
     return objective, g, f
 

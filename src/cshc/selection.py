@@ -104,7 +104,7 @@ def select_lp(bundle, cm, test_labels, gamma, n_classes, rng, cache=None):
 def _solve_cached(bundle, cm, gamma, cache):
     if cache is None:
         return lp_mod.solve(lp_mod.build_instance(bundle, cm, gamma))
-    key = (bundle.rows.tobytes(), bundle.mult.tobytes(), float(gamma))
+    key = (bundle.tree_leaf_ids.tobytes(), float(gamma))
     if key not in cache:
         cache[key] = lp_mod.solve(lp_mod.build_instance(bundle, cm, gamma))
     return cache[key]
@@ -152,7 +152,8 @@ def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
 
     Query q's tie-break draws come from streams keyed by (seed, stage,
     sample_ids[q]), so its outcome does not depend on the rest of the
-    batch. ``cache`` memoizes LP solutions across the batch. A failing
+    batch. ``cache`` memoizes LP solutions across the batch, keyed by the
+    bundles' leaf ids, so it serves bundles of one forest only. A failing
     LP aborts the batch with an LpSolverError that names the sample.
     """
     if method not in SELECTION_METHODS:

@@ -5,8 +5,8 @@ oracle the LP tests compare it with. It shares no code with ``cshc.lp``
 beyond the ``LpInstance`` data: the tableau is built from the instance's
 raw rows (no merging of equivalent samples), and the simplex is the
 dense tableau method the program used before it moved to HiGHS. The
-loop form of the program's sample merge is kept here as the reference
-for its vectorized version.
+loop forms of the program's sample merge and closed-form penalties are
+kept here as the references for their vectorized versions.
 
 Candidate columns follow the largest-reduced-cost rule and switch to
 Bland's rule after a fixed number of pivots so degenerate instances
@@ -40,6 +40,23 @@ def merge_equivalent(inst):
     rows = np.asarray(order, dtype=np.int64)
     return (np.asarray(merged_m, dtype=np.int64), inst.y[rows], inst.L[rows],
             group_of)
+
+
+def penalties_given_weights(inst, w):
+    """Loop form of the program's closed-form penalties: one bincount of
+    the weights by label per sample. Returns (objective, g, f)."""
+    w = np.asarray(w, dtype=np.float64)
+    g = np.empty(inst.k)
+    f = np.empty(inst.k)
+    for i in range(inst.k):
+        support = np.bincount(inst.L[i], weights=w, minlength=inst.n_classes)
+        correct = support[inst.y[i]]
+        support[inst.y[i]] = -np.inf
+        margin = correct - support.max()
+        g[i] = max(0.0, inst.gamma - margin)
+        f[i] = max(0.0, 1.0 - margin)
+    objective = float((inst.m * (g + 2.0 * f)).sum())
+    return objective, g, f
 
 
 def _build_standard_form(inst):

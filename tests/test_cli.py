@@ -130,6 +130,42 @@ class TestSelectFiles:
                      str(query)]) == 2
         assert "forest tree 1 lacks field 'leaf_ptr'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,rewrite,message", [
+        ("forest.json", lambda text: text[:1000], "forest.json: not valid JSON"),
+        ("models.json", lambda text: "nope", "models.json: not valid JSON"),
+        ("meta.json", lambda text: '{"format": "cshc-bundle/1"}',
+         "meta.json: missing key 'dataset.feature_names'"),
+        ("meta.json", lambda text: _without(text, "validation", "truth"),
+         "meta.json: missing key 'validation.truth'"),
+        ("forest.json", lambda text: _without(text, "truth"),
+         "forest lacks field 'truth'"),
+    ], ids=["forest-truncated", "models-not-json", "meta-format-only",
+            "meta-no-truth", "forest-no-truth"])
+    def test_malformed_bundle_file_exits_2(self, trained_bundle, tmp_path,
+                                           capsys, name, rewrite, message):
+        bundle_dir = str(tmp_path / "malformed")
+        shutil.copytree(trained_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, name)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(rewrite(text))
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n")
+        assert main(["select", "--model", bundle_dir, "--input",
+                     str(query)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def _without(text, *keys):
+    """JSON text with the entry at the path of keys removed."""
+    data = json.loads(text)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    return json.dumps(data)
+
 
 class TestTrainExternal:
     def test_external_pool_is_not_serializable(self, region_benchmark,

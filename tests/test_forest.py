@@ -1,13 +1,19 @@
 """Forest build, splitting, query and rank behaviour."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cshc.data import CorrectnessMatrix, Dataset
 from cshc.forest import (CshcConfig, LeafBundle, bootstrap_draws,
                          build_forest, feature_subset_size, forest_from_dict,
-                         forest_to_dict, grow_tree, leaf_ranks, query,
-                         query_batch, split_gain)
+                         forest_to_dict, grow_tree, leaf_ranks, load_forest,
+                         query, query_batch, save_forest, split_gain)
+from forest_reference import reference_bundle
 
 
 def make_cm(predicted, truth):
@@ -19,9 +25,7 @@ def simple_bundle(leaf_counts, rows=None, mult=None, dominant=0):
     leaf_counts = np.atleast_2d(np.asarray(leaf_counts, dtype=float))
     rows = np.arange(leaf_counts.shape[1]) if rows is None else np.asarray(rows)
     mult = np.ones(rows.size) if mult is None else np.asarray(mult, dtype=float)
-    return LeafBundle(tree_leaf_ids=np.zeros(leaf_counts.shape[0], dtype=np.int64),
-                      leaf_counts=leaf_counts, rows=rows, mult=mult,
-                      dominant_true_class=dominant)
+    return LeafBundle.from_counts(leaf_counts, rows, mult, dominant)
 
 
 def is_leaf(tree, node):
@@ -283,3 +287,73 @@ class TestSerialization:
         reloaded = json.loads(path.read_text())
         assert forest_from_dict(reloaded).trees[0].thr.tolist() == \
             forest.trees[0].thr.tolist()
+
+
+@st.composite
+def small_forests(draw):
+    """A forest over a random correctness matrix, and query points: the
+    validation rows themselves (which sit on split thresholds) plus
+    random points."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    M = draw(st.integers(4, 40))
+    F = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    C = draw(st.integers(2, 3))
+    cfg = CshcConfig(n_trees=draw(st.integers(1, 6)),
+                     min_cluster_size=draw(st.integers(1, 3)),
+                     min_improvement=draw(st.sampled_from([0.0, 0.02])),
+                     seed=draw(st.integers(0, 99)))
+    rng = np.random.default_rng(seed)
+    # coarse feature values, so that rows tie and queries hit thresholds
+    features = rng.integers(0, 5, size=(M, F)).astype(float)
+    truth = rng.integers(0, C, size=M)
+    predicted = np.where(rng.random((M, n)) < 0.6, truth[:, None],
+                         rng.integers(0, C, size=(M, n)))
+    cm = CorrectnessMatrix(predicted, truth, np.arange(M))
+    ds = Dataset(features, truth, ["f%d" % j for j in range(F)],
+                 ["c%d" % c for c in range(C)])
+    queries = np.vstack([features, rng.uniform(-1.0, 5.0, size=(8, F))])
+    return build_forest(cm, ds, cfg), queries
+
+
+# fixed examples: the property tests are part of the deterministic suite
+DETERMINISTIC = settings(max_examples=60, derandomize=True, deadline=None,
+                         database=None)
+
+
+def assert_same_bundle(bundle, ref):
+    """Every part of a program bundle equals the reference, bit for bit."""
+    per_tree, cumulative = leaf_ranks(bundle)
+    assert bundle.tree_leaf_ids.tobytes() == ref.tree_leaf_ids.tobytes()
+    assert cumulative.tobytes() == ref.cumulative_rank.tobytes()
+    assert per_tree.tobytes() == ref.tree_ranks.tobytes()
+    assert bundle.leaf_counts.tobytes() == ref.leaf_counts.tobytes()
+    assert bundle.dominant_true_class == ref.dominant_true_class
+    assert bundle.rows.tobytes() == ref.rows.tobytes()
+    assert bundle.mult.tobytes() == ref.mult.tobytes()
+
+
+class TestQueryOracle:
+    @DETERMINISTIC
+    @given(small_forests())
+    def test_query_matches_eager_reference(self, case):
+        forest, X = case
+        bundles = query_batch(forest, X)
+        assert len(bundles) == X.shape[0]
+        for x, bundle in zip(X, bundles):
+            assert_same_bundle(bundle, reference_bundle(forest, x))
+
+    @DETERMINISTIC
+    @given(small_forests())
+    def test_save_load_round_trip(self, case):
+        forest, X = case
+        with tempfile.TemporaryDirectory() as tmp:
+            first = os.path.join(tmp, "first.json")
+            second = os.path.join(tmp, "second.json")
+            save_forest(forest, first)
+            restored = load_forest(first)
+            save_forest(restored, second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        for x, bundle in zip(X, query_batch(restored, X)):
+            assert_same_bundle(bundle, reference_bundle(forest, x))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cshc.data import CorrectnessMatrix
 from cshc.lp import (LpInstance, _merge_equivalent, build_instance,
                      instance_dump, penalties_given_weights, solve)
+import lp_reference
 from lp_reference import merge_equivalent, reference_solve
 from test_forest import simple_bundle
 
@@ -188,6 +189,17 @@ class TestProperties:
         assert sol.w.sum() == pytest.approx(100.0, abs=1e-6)
         obj, _, _ = penalties_given_weights(inst, sol.w)
         assert abs(obj - sol.objective) <= 1e-6 * max(1.0, abs(ref))
+
+    @DETERMINISTIC
+    @given(lp_instances(), st.data())
+    def test_penalties_match_loop_reference(self, inst, data):
+        w = np.asarray(data.draw(st.lists(
+            st.floats(0.0, 100.0), min_size=inst.n, max_size=inst.n)))
+        got = penalties_given_weights(inst, w)
+        want = lp_reference.penalties_given_weights(inst, w)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
 
     @DETERMINISTIC
     @given(lp_instances())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cshc import lp
-from cshc.data import CorrectnessMatrix
+from cshc.data import CorrectnessMatrix, Dataset
+from cshc.forest import CshcConfig, build_forest, query_batch
 from cshc.rng import substream
 from cshc.selection import (select_batch, select_cshc, select_lp, select_lpr,
                             select_rr, vote)
@@ -152,9 +153,8 @@ class TestRecourseChain:
     def test_lp_exit_when_rr_unsure(self):
         # rr ratio 1.0 (3 vs 3); LP concentrates on classifier 0 -> ratio 0
         cm = cm_for([[0, 1, 1]], [0], 3)
-        bundle = simple_bundle([[1.0, 0.0, 0.0]], rows=np.array([0]),
+        bundle = simple_bundle([[3.0, 2.0, 1.0]], rows=np.array([0]),
                                mult=np.array([1.0]))
-        bundle.leaf_counts = np.array([[3.0, 2.0, 1.0]])
         r1, r2 = rng_pair()
         out = select_lpr(bundle, cm, np.array([0, 1, 1]), 0.5, 80.0, 3,
                          None, r1, r2)
@@ -314,3 +314,60 @@ class TestSelectBatch:
         text = str(info.value)
         assert text.startswith("sample 7: HiGHS: broken\n")
         assert "m=2 y=0 labels=[0, 1]" in text
+
+
+class TestBatchEqualsSingle:
+    """A sample's outcome does not depend on the batch it comes in."""
+
+    def batch_case(self):
+        # three noisy classifiers over three classes on coarse features
+        rng = np.random.default_rng(12)
+        M = 90
+        features = rng.integers(0, 6, size=(M, 2)).astype(float)
+        truth = rng.integers(0, 3, size=M)
+        predicted = np.where(rng.random((M, 3)) < 0.6, truth[:, None],
+                             rng.integers(0, 3, size=(M, 3)))
+        cm = cm_for(predicted, truth, 3)
+        ds = Dataset(features, truth, ["x", "y"], ["a", "b", "c"])
+        forest = build_forest(cm, ds, CshcConfig(n_trees=6,
+                                                 min_improvement=0.0))
+        # validation points plus repeats of some: shared leaf-id tuples
+        X = np.vstack([features[:30], features[:10]])
+        labels = rng.integers(0, 3, size=(X.shape[0], 3))
+        sample_ids = rng.permutation(1000)[:X.shape[0]]
+        return forest, cm, X, labels, sample_ids
+
+    def run(self, method, bundles, labels, sample_ids, cm, cache):
+        return select_batch(method, bundles, labels, sample_ids, cm,
+                            [0.6, 0.5, 0.6], 3, 80.0, 0.3, 5, cache)
+
+    @pytest.mark.parametrize("method", ["cshc", "rr", "lp", "lpr"])
+    def test_shuffled_batch_equals_queries_alone(self, method):
+        forest, cm, X, labels, sample_ids = self.batch_case()
+        order = np.random.default_rng(3).permutation(X.shape[0])
+        batch = self.run(method, query_batch(forest, X[order]),
+                         labels[order], sample_ids[order], cm, {})
+        for out, q in zip(batch, order):
+            alone = self.run(method, query_batch(forest, X[q:q + 1]),
+                             labels[q:q + 1], sample_ids[q:q + 1], cm, {})
+            assert out == alone[0]
+
+    def test_one_solve_per_leaf_id_tuple(self, monkeypatch):
+        forest, cm, X, labels, sample_ids = self.batch_case()
+        solved = []
+        real_solve = lp.solve
+
+        def counting_solve(inst):
+            solved.append(inst)
+            return real_solve(inst)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        bundles = query_batch(forest, X)
+        distinct = {b.tree_leaf_ids.tobytes() for b in bundles}
+        assert len(distinct) < len(bundles)
+        cache = {}
+        self.run("lp", bundles, labels, sample_ids, cm, cache)
+        assert len(solved) == len(distinct)
+        # lpr reuses every solution lp left in the shared cache
+        self.run("lpr", query_batch(forest, X), labels, sample_ids, cm, cache)
+        assert len(solved) == len(distinct)
