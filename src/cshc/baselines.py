@@ -1,137 +1,174 @@
-"""Neighborhood-based competitor methods over a shared region abstraction.
+"""Neighborhood-based competitor methods over batched kNN regions.
 
 All scoring consults only the DCS training partition (via the
-correctness matrix), the query's features and the classifiers'
+correctness matrix), the queries' features and the classifiers'
 test-time labels; test truth never enters. Regions use exact Euclidean
 nearest neighbors on standardized features, distance ties broken by
 the lower sample index.
+
+Every function works on a batch of Q queries: a region is a row of the
+(Q, k) neighbor and distance arrays from `region_of`, query labels are
+(Q, n), competence scorers return (Q, n) scores and the votes end in
+per-query (winner, rep) arrays.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass
-class Region:
-    neighbors: np.ndarray  # ascending distance, then index
-    k: int
-    distances: np.ndarray = None
+# bytes of the largest (queries, pool rows, features) block region_of holds
+BLOCK_BYTES = 4 << 20
 
 
-def region_of(x, k, dcs_features):
-    if k > dcs_features.shape[0]:
-        warnings.warn("k=%d exceeds pool of %d samples; clamping"
-                      % (k, dcs_features.shape[0]))
-        k = dcs_features.shape[0]
+def region_of(queries, k, pool):
+    """The k nearest pool rows of every query.
+
+    Returns (Q, k) neighbor indices and distances, by ascending distance
+    and then pool index. Queries go in blocks whose difference array
+    stays within BLOCK_BYTES; each query's squared distances are the
+    same sums over the same features as a one-query scan, so blocking
+    changes no bit.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    N, F = pool.shape
+    if k > N:
+        warnings.warn("k=%d exceeds pool of %d samples; clamping" % (k, N))
+        k = N
     if k < 1:
         raise ValueError("k must be >= 1")
-    d2 = ((dcs_features - x) ** 2).sum(axis=1)
-    order = np.argsort(d2, kind="stable")[:k]
-    return Region(neighbors=order, k=k, distances=np.sqrt(d2[order]))
+    Q = queries.shape[0]
+    neighbors = np.empty((Q, k), dtype=np.int64)
+    d2_near = np.empty((Q, k))
+    block = max(1, BLOCK_BYTES // (8 * N * max(F, 1)))
+    for s in range(0, Q, block):
+        diff = pool[None] - queries[s:s + block, None]
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        # candidates at or below each row's k-th distance, row-major, so
+        # a stable sort by (row, distance) keeps ties in index order
+        row, col = np.nonzero(d2 <= kth[:, None])
+        dist = d2[row, col]
+        order = np.lexsort((dist, row))
+        first = np.searchsorted(row, np.arange(d2.shape[0]))
+        take = order[first[:, None] + np.arange(k)]
+        neighbors[s:s + block] = col[take]
+        d2_near[s:s + block] = dist[take]
+    return neighbors, np.sqrt(d2_near)
 
 
-def ola(region, cm):
+def _p_true(neighbors, cm):
+    """(Q, k, n) probability each classifier gave each neighbor's truth."""
+    n = cm.n_classifiers
+    return cm.proba[neighbors[:, :, None], np.arange(n),
+                    cm.truth[neighbors][:, :, None]]
+
+
+def _class_match(neighbors, cm, query_labels):
+    """(Q, k, n): the neighbor's true class is the classifier's label."""
+    return cm.truth[neighbors][:, :, None] == \
+        np.asarray(query_labels)[:, None, :]
+
+
+def _masked_mean(values, mask, weights=None):
+    """Mean of (Q, k, n) values over the masked neighbors, optionally
+    weighted by (Q, k) weights; an empty mask scores 0."""
+    if weights is not None:
+        values = values * weights[:, :, None]
+        den = np.where(mask, weights[:, :, None], 0.0).sum(axis=1)
+    else:
+        den = mask.sum(axis=1)
+    num = np.where(mask, values, 0).sum(axis=1)
+    return np.divide(num, den, out=np.zeros(num.shape), where=mask.any(axis=1))
+
+
+def _inverse_distance(distances):
+    return 1.0 / (distances + 1e-12)
+
+
+def ola(neighbors, cm):
     """Mean correctness of each classifier over the region."""
-    return cm.correct[region.neighbors].mean(axis=0)
+    return cm.correct[neighbors].mean(axis=1)
 
 
-def lca(region, cm, query_labels):
+def lca(neighbors, cm, query_labels):
     """Accuracy restricted to region samples of the class each
     classifier predicts for the query; empty restriction scores 0."""
-    truth = cm.truth[region.neighbors]
-    correct = cm.correct[region.neighbors]
-    scores = np.zeros(cm.n_classifiers)
-    for a in range(cm.n_classifiers):
-        mask = truth == query_labels[a]
-        if mask.any():
-            scores[a] = correct[mask, a].mean()
-    return scores
+    return _masked_mean(cm.correct[neighbors],
+                        _class_match(neighbors, cm, query_labels))
 
 
-def apriori(region, cm, distance_weighting=False):
-    """Mean probability assigned to each neighbor's true class."""
-    p_true = cm.proba[region.neighbors, :, cm.truth[region.neighbors]]
-    if distance_weighting:
-        w = 1.0 / (region.distances + 1e-12)
-        return (p_true * w[:, None]).sum(axis=0) / w.sum()
-    return p_true.mean(axis=0)
+def apriori(neighbors, cm, distances=None):
+    """Mean probability assigned to each neighbor's true class; given
+    the region's distances, weighted by their inverse."""
+    p_true = _p_true(neighbors, cm)
+    if distances is not None:
+        w = _inverse_distance(distances)
+        return (p_true * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+    return p_true.mean(axis=1)
 
 
-def aposteriori(region, cm, query_labels, distance_weighting=False):
+def aposteriori(neighbors, cm, query_labels, distances=None):
     """Like apriori but averaged only over neighbors whose true class
     matches the classifier's query prediction."""
-    truth = cm.truth[region.neighbors]
-    p_true = cm.proba[region.neighbors, :, truth]
-    scores = np.zeros(cm.n_classifiers)
-    for a in range(cm.n_classifiers):
-        mask = truth == query_labels[a]
-        if not mask.any():
-            continue
-        if distance_weighting:
-            w = 1.0 / (region.distances[mask] + 1e-12)
-            scores[a] = (p_true[mask, a] * w).sum() / w.sum()
-        else:
-            scores[a] = p_true[mask, a].mean()
-    return scores
+    return _masked_mean(
+        _p_true(neighbors, cm), _class_match(neighbors, cm, query_labels),
+        None if distances is None else _inverse_distance(distances))
 
 
-def mcb(region, cm, query_labels, similarity_threshold=0.7):
+def mcb(neighbors, cm, query_labels, similarity_threshold=0.7):
     """OLA over the neighbors whose output profile resembles the query's.
 
     A profile is the vector of all classifiers' predictions; similarity
     is the fraction of agreeing positions. An empty filtered region
     falls back to the full one.
     """
-    profiles = cm.predicted[region.neighbors]
-    sim = (profiles == np.asarray(query_labels)).mean(axis=1)
+    profiles = cm.predicted[neighbors]
+    sim = (profiles == np.asarray(query_labels)[:, None, :]).mean(axis=2)
     keep = sim >= similarity_threshold
-    if not keep.any():
-        keep = np.ones(len(region.neighbors), dtype=bool)
-    return cm.correct[region.neighbors[keep]].mean(axis=0)
+    keep[~keep.any(axis=1)] = True
+    return _masked_mean(cm.correct[neighbors], keep[:, :, None])
 
 
 def _plurality(labels, weights, n_classes):
-    support = np.bincount(labels, weights=weights, minlength=n_classes)
-    return int(np.argmax(support)), support
+    """Weighted class vote of every query: (winner, rep) arrays.
 
-
-def knora_e(region, cm, query_labels, n_classes):
-    """Shrink the region until some classifier is perfect on it; those
-    classifiers vote with equal weight. Returns (committee, class, rep).
+    Class ties go to the lower class index; rep is the winning class's
+    heaviest voter, the lower classifier index among equal weights.
     """
-    committee = None
-    for kk in range(region.k, 0, -1):
-        sub = region.neighbors[:kk]
-        perfect = np.nonzero(cm.correct[sub].min(axis=0) == 1)[0]
-        if perfect.size:
-            committee = perfect
-            break
-    if committee is None:
-        committee = np.arange(cm.n_classifiers)
-    labels = np.asarray(query_labels)[committee]
-    winner, _ = _plurality(labels, np.ones(committee.size), n_classes)
-    rep = int(committee[labels == winner][0])
+    onehot = labels[:, :, None] == np.arange(n_classes)
+    support = (onehot * weights[:, :, None]).sum(axis=1)
+    winner = support.argmax(axis=1)
+    voters = labels == winner[:, None]
+    rep = np.where(voters, weights, -1.0).argmax(axis=1)
+    return winner, rep
+
+
+def knora_e(neighbors, cm, query_labels, n_classes):
+    """Shrink the region until some classifier is perfect on it; those
+    classifiers vote with equal weight. Returns (committee, class, rep),
+    the committee a (Q, n) mask.
+
+    The largest perfect prefix is the longest run of correct answers
+    from the nearest neighbor; no run at all puts every classifier in
+    the committee.
+    """
+    run = np.cumprod(cm.correct[neighbors], axis=1).sum(axis=1)
+    committee = run == run.max(axis=1, keepdims=True)
+    winner, rep = _plurality(np.asarray(query_labels), committee * 1.0,
+                             n_classes)
     return committee, winner, rep
 
 
-def knora_u(region, cm, query_labels, n_classes):
+def knora_u(neighbors, cm, query_labels, n_classes):
     """Correct-count weighted vote; all-zero counts fall back to an
     unweighted vote of the whole pool. Returns (weights, class, rep)."""
-    weights = cm.correct[region.neighbors].sum(axis=0).astype(np.float64)
-    if not weights.any():
-        weights = np.ones(cm.n_classifiers)
-    labels = np.asarray(query_labels)
-    winner, _ = _plurality(labels, weights, n_classes)
-    voters = np.nonzero(labels == winner)[0]
-    rep = int(voters[np.argmax(weights[voters])])
+    weights = cm.correct[neighbors].sum(axis=1).astype(np.float64)
+    weights[~weights.any(axis=1)] = 1.0
+    winner, rep = _plurality(np.asarray(query_labels), weights, n_classes)
     return weights, winner, rep
 
 
 def majority_vote(query_labels, n_classes):
     """Unweighted plurality; returns (class, lowest-index voter)."""
     labels = np.asarray(query_labels)
-    winner, _ = _plurality(labels, np.ones(labels.size), n_classes)
-    rep = int(np.nonzero(labels == winner)[0][0])
-    return winner, rep
+    return _plurality(labels, np.ones(labels.shape), n_classes)

@@ -158,8 +158,8 @@ def cmd_export_viz(args):
     out = args.output or os.path.join(cfg.outdir, "viz_%s_%s.csv"
                                       % (name, args.method))
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    harness.export_viz(prep.ds, prep.plan,
-                       result.cells[(name, args.method)].outcomes, out)
+    cell = result.cells[(name, args.method)]
+    harness.export_viz(prep.ds, prep.plan, cell.chosen, cell.predicted, out)
     print("projection written to %s" % out)
     return 0
 

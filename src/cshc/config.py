@@ -57,6 +57,9 @@ class ExperimentConfig:
             raise DataError("reference method %r not in method list" % self.reference)
         if not (len(self.pool) + len(self.external)) >= 2:
             raise DataError("need at least 2 classifiers in the pool")
+        if self.knn_k < 1:
+            raise DataError("[baselines] k must be at least 1, got %d"
+                            % self.knn_k)
         return self
 
     def classifier_specs(self):

@@ -131,7 +131,7 @@ class PreparedDataset:
     seed: int
     fold: np.ndarray = None
     bundles: list = None
-    regions: list = None
+    regions: tuple = None         # (Q, k) neighbours and distances
     lp_cache: dict = field(default_factory=dict)
 
     def get_bundles(self):
@@ -141,8 +141,7 @@ class PreparedDataset:
 
     def get_regions(self, k):
         if self.regions is None:
-            self.regions = [bl.region_of(x, k, self.dsel_std)
-                            for x in self.test_std]
+            self.regions = bl.region_of(self.test_std, k, self.dsel_std)
         return self.regions
 
 
@@ -206,67 +205,61 @@ class MethodResult:
     accuracy: float
     predicted: np.ndarray
     chosen: np.ndarray
-    outcomes: list = None
+    outcomes: list = None         # selection methods only
     recourse_rate: float = None
 
 
-def _competence_outcome(method, scores, labels_row):
-    chosen = int(np.argmax(scores))
-    return sel.SelectionOutcome(chosen, int(labels_row[chosen]), method, 0.0, False)
+# Neighbourhood baselines other than mv, each called with the test
+# partition's (Q, k) neighbours and distances. A scorer is looked up on
+# `bl` when it is called, so wrappers installed on the module apply. One
+# array back is (Q, n) competence scores, whose argmax is the chosen
+# classifier; a tuple back ends in a vote's (winner, rep) arrays.
+_BASELINES = {
+    "ola": lambda prep, cfg, nb, dist: bl.ola(nb, prep.cm),
+    "lca": lambda prep, cfg, nb, dist: bl.lca(nb, prep.cm, prep.test_labels),
+    "apr": lambda prep, cfg, nb, dist: bl.apriori(
+        nb, prep.cm, dist if cfg.apr_distance_weighting else None),
+    "apo": lambda prep, cfg, nb, dist: bl.aposteriori(
+        nb, prep.cm, prep.test_labels,
+        dist if cfg.apr_distance_weighting else None),
+    "mcb": lambda prep, cfg, nb, dist: bl.mcb(
+        nb, prep.cm, prep.test_labels, cfg.mcb_similarity),
+    "knora_e": lambda prep, cfg, nb, dist: bl.knora_e(
+        nb, prep.cm, prep.test_labels, prep.ds.n_classes),
+    "knora_u": lambda prep, cfg, nb, dist: bl.knora_u(
+        nb, prep.cm, prep.test_labels, prep.ds.n_classes),
+}
+
+
+def _baseline_choice(prep, method, cfg):
+    """(chosen, predicted) arrays of a neighbourhood baseline."""
+    if method == "mv":  # the only baseline that reads no region
+        winner, rep = bl.majority_vote(prep.test_labels, prep.ds.n_classes)
+        return rep, winner
+    if method not in _BASELINES:
+        raise DataError("unknown method %r" % method)
+    result = _BASELINES[method](prep, cfg, *prep.get_regions(cfg.knn_k))
+    if isinstance(result, tuple):
+        return result[-1], result[-2]
+    chosen = result.argmax(axis=1)
+    return chosen, prep.test_labels[np.arange(chosen.size), chosen]
 
 
 def evaluate_method(prep, method, cfg):
     """Run one method over the whole test partition."""
-    Q = prep.test_ds.n_samples
-    C = prep.ds.n_classes
+    outcomes = recourse = None
     if method in SELECTION_METHODS:
         outcomes = sel.select_batch(
             method, prep.get_bundles(), prep.test_labels, prep.test_ds.row_ids,
-            prep.cm, prep.val_acc, C, cfg.gamma, cfg.rho, prep.seed,
-            prep.lp_cache)
+            prep.cm, prep.val_acc, prep.ds.n_classes, cfg.gamma, cfg.rho,
+            prep.seed, prep.lp_cache)
+        predicted = np.array([o.predicted_class for o in outcomes])
+        chosen = np.array([o.chosen_classifier for o in outcomes])
+        if method == "lpr":
+            recourse = float(np.mean([o.recourse_invoked for o in outcomes]))
     else:
-        regions = prep.get_regions(cfg.knn_k)
-        outcomes = []
-        for q in range(Q):
-            labels_row = prep.test_labels[q]
-            region = regions[q]
-            if method == "ola":
-                out = _competence_outcome(method, bl.ola(region, prep.cm), labels_row)
-            elif method == "lca":
-                out = _competence_outcome(method, bl.lca(region, prep.cm, labels_row),
-                                          labels_row)
-            elif method == "apr":
-                out = _competence_outcome(
-                    method, bl.apriori(region, prep.cm, cfg.apr_distance_weighting),
-                    labels_row)
-            elif method == "apo":
-                out = _competence_outcome(
-                    method,
-                    bl.aposteriori(region, prep.cm, labels_row,
-                                   cfg.apr_distance_weighting),
-                    labels_row)
-            elif method == "mcb":
-                out = _competence_outcome(
-                    method, bl.mcb(region, prep.cm, labels_row, cfg.mcb_similarity),
-                    labels_row)
-            elif method == "knora_e":
-                _, winner, rep = bl.knora_e(region, prep.cm, labels_row, C)
-                out = sel.SelectionOutcome(rep, winner, method, 0.0, False)
-            elif method == "knora_u":
-                _, winner, rep = bl.knora_u(region, prep.cm, labels_row, C)
-                out = sel.SelectionOutcome(rep, winner, method, 0.0, False)
-            elif method == "mv":
-                winner, rep = bl.majority_vote(labels_row, C)
-                out = sel.SelectionOutcome(rep, winner, method, 0.0, False)
-            else:
-                raise DataError("unknown method %r" % method)
-            outcomes.append(out)
-    predicted = np.array([o.predicted_class for o in outcomes])
-    chosen = np.array([o.chosen_classifier for o in outcomes])
+        chosen, predicted = _baseline_choice(prep, method, cfg)
     accuracy = float((predicted == prep.test_ds.labels).mean() * 100.0)
-    recourse = None
-    if method == "lpr":
-        recourse = float(np.mean([o.recourse_invoked for o in outcomes]))
     return MethodResult(method, accuracy, predicted, chosen, outcomes, recourse)
 
 
@@ -414,7 +407,7 @@ def write_trace_csv(prep, method_result, path):
             ])
 
 
-def export_viz(ds, plan, outcomes, path):
+def export_viz(ds, plan, chosen, predicted, path):
     """Figure-style plot data: test samples in the training PCA plane,
     tagged with the selected classifier and whether it was right."""
     if ds.n_features < 2:
@@ -426,11 +419,10 @@ def export_viz(ds, plan, outcomes, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample_index", "pc1", "pc2", "chosen_classifier", "correct"])
-        for q, out in enumerate(outcomes):
+        for q in range(len(chosen)):
             w.writerow([int(plan.test_indices[q]),
                         "%.6f" % coords[q, 0], "%.6f" % coords[q, 1],
-                        out.chosen_classifier,
-                        int(out.predicted_class == truth[q])])
+                        int(chosen[q]), int(predicted[q] == truth[q])])
 
 
 def append_run_record(result, path):
@@ -490,6 +482,21 @@ _META_KEYS = (("dataset", "feature_names"), ("dataset", "class_names"),
               ("validation", "n_classes"))
 
 
+def _meta_array(meta_path, meta, keys, dtype, ndim):
+    """A meta.json entry as an array of rank ndim, else a DataError."""
+    node = meta
+    for key in keys:
+        node = node[key]
+    try:
+        arr = np.asarray(node, dtype=dtype)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise DataError("%s: %r is not a %d-D array of numbers"
+                        % (meta_path, ".".join(keys), ndim))
+    return arr
+
+
 def load_bundle(outdir):
     meta_path = os.path.join(outdir, "meta.json")
     meta = load_json(meta_path)
@@ -503,14 +510,30 @@ def load_bundle(outdir):
                 raise DataError("%s: missing key %r"
                                 % (meta_path, ".".join(keys)))
             node = node[key]
-    models = [clf.model_from_state(s)
-              for s in load_json(os.path.join(outdir, "models.json"))]
+    predicted, truth, sample_indices = (
+        _meta_array(meta_path, meta, ("validation", key), np.int64, ndim)
+        for key, ndim in (("predicted", 2), ("truth", 1),
+                          ("sample_indices", 1)))
+    M, n = predicted.shape
+    for key, arr in (("truth", truth), ("sample_indices", sample_indices)):
+        if arr.size != M:
+            raise DataError("%s: 'validation.%s' has %d entries for %d "
+                            "validation rows" % (meta_path, key, arr.size, M))
+    val_acc = _meta_array(meta_path, meta, ("validation_accuracy",),
+                          np.float64, 1)
+    if val_acc.size != n:
+        raise DataError("%s: 'validation_accuracy' has %d entries for %d "
+                        "classifiers" % (meta_path, val_acc.size, n))
+    models_path = os.path.join(outdir, "models.json")
+    states = load_json(models_path)
+    if not (isinstance(states, list) and len(states) == n
+            and all(isinstance(state, dict) for state in states)):
+        raise DataError("%s: expected a list of %d classifier objects"
+                        % (models_path, n))
+    models = [clf.model_from_state(state) for state in states]
     forest = forest_mod.load_forest(os.path.join(outdir, "forest.json"))
-    val = meta["validation"]
-    cm = CorrectnessMatrix(np.asarray(val["predicted"], dtype=np.int64),
-                           np.asarray(val["truth"], dtype=np.int64),
-                           np.asarray(val["sample_indices"], dtype=np.int64),
-                           n_classes=int(val["n_classes"]))
+    cm = CorrectnessMatrix(predicted, truth, sample_indices,
+                           n_classes=int(meta["validation"]["n_classes"]))
     return meta, models, forest, cm
 
 

@@ -86,11 +86,6 @@ def instance_dump(inst):
     return "\n".join(lines)
 
 
-def solution_dump(sol):
-    return "w=%s\ng=%s\nf=%s\nobjective=%.9f" % (
-        sol.w.tolist(), sol.g.tolist(), sol.f.tolist(), sol.objective)
-
-
 def penalties_given_weights(inst, w):
     """Closed-form optimal (g, f) for fixed weights.
 

@@ -7,6 +7,7 @@ LP-optimized weights (lp), and the confidence-gated recourse chain
 class support; lower means more confident.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ def vote(weights, test_labels, n_classes, rng):
     Each classifier adds its weight to the class it labels the query
     with. Class ties go to the lower class index; among the winning
     class's voters the heaviest wins, weight ties broken by a draw from
-    the caller's stream.
+    the caller's stream. ``rng`` is a Generator or a callable that makes
+    one, called only when a weight tie needs the draw.
     """
     weights = np.asarray(weights, dtype=np.float64)
     test_labels = np.asarray(test_labels, dtype=np.int64)
@@ -64,7 +66,10 @@ def vote(weights, test_labels, n_classes, rng):
     ratio = float(support[second] / support[top]) if support[second] > 0 else 0.0
     voters = np.nonzero(test_labels == top)[0]
     heaviest = voters[weights[voters] == weights[voters].max()]
-    chosen = int(heaviest[0]) if heaviest.size == 1 else int(rng.choice(heaviest))
+    if heaviest.size == 1:
+        chosen = int(heaviest[0])
+    else:
+        chosen = int((rng() if callable(rng) else rng).choice(heaviest))
     return SupportProfile(support, top, second, ratio), chosen
 
 
@@ -152,8 +157,9 @@ def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
 
     Query q's tie-break draws come from streams keyed by (seed, stage,
     sample_ids[q]), so its outcome does not depend on the rest of the
-    batch. ``cache`` memoizes LP solutions across the batch, keyed by the
-    bundles' leaf ids, so it serves bundles of one forest only. A failing
+    batch; a stream is created only when a vote ties. ``cache`` memoizes
+    LP solutions across the batch, keyed by the bundles' leaf ids, so it
+    serves bundles of one forest only. A failing
     LP aborts the batch with an LpSolverError that names the sample.
     """
     if method not in SELECTION_METHODS:
@@ -162,21 +168,19 @@ def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
     outcomes = []
     for bundle, labels_row, sid in zip(bundles, label_matrix, sample_ids):
         sid = int(sid)
+        rng_rr = functools.partial(substream, seed, _STREAM["rr"], sid)
+        rng_lp = functools.partial(substream, seed, _STREAM["lp"], sid)
         try:
             if method == "cshc":
                 out = select_cshc(bundle, val_acc, labels_row)
             elif method == "rr":
-                out = select_rr(bundle, labels_row, n_classes,
-                                substream(seed, _STREAM["rr"], sid))
+                out = select_rr(bundle, labels_row, n_classes, rng_rr)
             elif method == "lp":
                 out = select_lp(bundle, cm, labels_row, gamma, n_classes,
-                                substream(seed, _STREAM["lp"], sid),
-                                cache=cache)
+                                rng_lp, cache=cache)
             else:
                 out = select_lpr(bundle, cm, labels_row, rho, gamma, n_classes,
-                                 val_acc, substream(seed, _STREAM["rr"], sid),
-                                 substream(seed, _STREAM["lp"], sid),
-                                 cache=cache)
+                                 val_acc, rng_rr, rng_lp, cache=cache)
         except lp_mod.LpSolverError as exc:
             raise lp_mod.LpSolverError("sample %d: %s" % (sid, exc)) from exc
         outcomes.append(out)

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import record_acceptance, region_benchmark_config
 from cshc import kernels
-from cshc.baselines import Region, aposteriori, apriori, lca, mcb, ola
+from cshc.baselines import aposteriori, apriori, lca, mcb, ola
 from cshc.data import CorrectnessMatrix
 from cshc.harness import (average_ranks, mgi, run_experiment, wins_losses,
                           write_trace_csv)
@@ -498,18 +498,18 @@ class TestCriterion3f:
         rng = np.random.default_rng(60)
         for _ in range(200):
             cm = self._random_cm(rng)
-            region = Region(rng.permutation(40)[:7], 7)
-            assert np.allclose(apriori(region, cm), ola(region, cm))
+            region = rng.permutation(40)[:7][None]  # a batch of one query
+            assert np.allclose(apriori(region, cm)[0], ola(region, cm)[0])
         record_acceptance("3f: apriori == ola (one-hot, 200 queries)", "PASS")
 
     def test_aposteriori_equals_lca_one_hot(self):
         rng = np.random.default_rng(61)
         for _ in range(200):
             cm = self._random_cm(rng)
-            region = Region(rng.permutation(40)[:7], 7)
-            labels = rng.integers(0, 3, size=4)
-            assert np.allclose(aposteriori(region, cm, labels),
-                               lca(region, cm, labels))
+            region = rng.permutation(40)[:7][None]
+            labels = rng.integers(0, 3, size=(1, 4))
+            assert np.allclose(aposteriori(region, cm, labels)[0],
+                               lca(region, cm, labels)[0])
         record_acceptance("3f: aposteriori == lca (one-hot, 200 queries)",
                           "PASS")
 
@@ -517,9 +517,10 @@ class TestCriterion3f:
         rng = np.random.default_rng(62)
         for _ in range(200):
             cm = self._random_cm(rng)
-            region = Region(rng.permutation(40)[:7], 7)
-            labels = rng.integers(0, 3, size=4)
-            assert np.allclose(mcb(region, cm, labels, 0.0), ola(region, cm))
+            region = rng.permutation(40)[:7][None]
+            labels = rng.integers(0, 3, size=(1, 4))
+            assert np.allclose(mcb(region, cm, labels, 0.0)[0],
+                               ola(region, cm)[0])
         record_acceptance("3f: mcb(0) == ola (200 queries)", "PASS")
 
     def test_lpr_rho_one_equals_rr(self):

@@ -1,11 +1,24 @@
-"""Region construction and the neighborhood-based competitors."""
+"""Region construction and the neighborhood-based competitors.
+
+The unit tests run the batched functions on a batch of one query; the
+property tests hold them to the per-query oracle in baselines_reference.
+"""
+
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cshc.baselines import (Region, aposteriori, apriori, knora_e, knora_u,
-                            lca, majority_vote, mcb, ola, region_of)
-from cshc.data import CorrectnessMatrix
+import baselines_reference as ref
+from cshc import baselines as bl
+from cshc.baselines import (aposteriori, apriori, knora_e, knora_u, lca,
+                            majority_vote, mcb, ola, region_of)
+from cshc.data import CorrectnessMatrix, load_csv
+from cshc.harness import evaluate_method, prepare_dataset
+from test_harness import tiny_experiment_config
 
 
 def cm_with_proba(predicted, truth, n_classes, proba=None):
@@ -22,47 +35,59 @@ def cm_with_proba(predicted, truth, n_classes, proba=None):
     return cm
 
 
+def nearest(k):
+    """One query's region holding samples 0..k-1, nearest first."""
+    return np.arange(k)[None]
+
+
+def first(result):
+    """Query 0 of a batched result."""
+    if isinstance(result, tuple):
+        return tuple(first(r) for r in result)
+    return result[0]
+
+
 class TestRegion:
     def test_query_on_training_point(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        region = region_of(np.array([1.0, 1.0]), 2, X)
-        assert region.neighbors[0] == 1
-        assert region.distances[0] == 0.0
+        neighbors, distances = first(region_of(np.array([[1.0, 1.0]]), 2, X))
+        assert neighbors[0] == 1
+        assert distances[0] == 0.0
 
     def test_k_one(self):
         X = np.array([[0.0], [5.0]])
-        region = region_of(np.array([0.4]), 1, X)
-        assert region.neighbors.tolist() == [0]
+        neighbors, _ = first(region_of(np.array([[0.4]]), 1, X))
+        assert neighbors.tolist() == [0]
 
     def test_distance_tie_lower_index(self):
         X = np.array([[1.0], [-1.0], [1.0]])
-        region = region_of(np.array([0.0]), 3, X)
-        assert region.neighbors.tolist() == [0, 1, 2]
+        neighbors, _ = first(region_of(np.array([[0.0]]), 3, X))
+        assert neighbors.tolist() == [0, 1, 2]
 
     def test_k_clamped_with_warning(self):
         X = np.zeros((3, 1))
         with pytest.warns(UserWarning, match="clamp"):
-            region = region_of(np.array([0.0]), 9, X)
-        assert region.k == 3
+            neighbors, _ = first(region_of(np.array([[0.0]]), 9, X))
+        assert neighbors.size == 3
 
 
 class TestOla:
     def test_perfect_classifier(self):
         cm = cm_with_proba([[0], [0], [1]], [0, 0, 1], 2)
-        region = Region(np.arange(3), 3)
-        assert ola(region, cm).tolist() == [1.0]
+        region = nearest(3)
+        assert first(ola(region, cm)).tolist() == [1.0]
 
     def test_three_of_seven(self):
         pred = np.array([[0]] * 7)
         truth = np.array([0, 0, 0, 1, 1, 1, 1])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(7), 7)
-        assert ola(region, cm)[0] == pytest.approx(3 / 7)
+        region = nearest(7)
+        assert first(ola(region, cm))[0] == pytest.approx(3 / 7)
 
     def test_all_zero_picks_classifier_zero(self):
         cm = cm_with_proba([[1, 1], [1, 1]], [0, 0], 2)
-        region = Region(np.arange(2), 2)
-        scores = ola(region, cm)
+        region = nearest(2)
+        scores = first(ola(region, cm))
         assert scores.tolist() == [0.0, 0.0]
         assert int(np.argmax(scores)) == 0
 
@@ -70,8 +95,8 @@ class TestOla:
 class TestLca:
     def test_no_samples_of_predicted_class(self):
         cm = cm_with_proba([[0], [0]], [0, 0], 2)
-        region = Region(np.arange(2), 2)
-        scores = lca(region, cm, query_labels=[1])
+        region = nearest(2)
+        scores = first(lca(region, cm, query_labels=[[1]]))
         assert scores.tolist() == [0.0]
 
     def test_three_quarters(self):
@@ -79,15 +104,16 @@ class TestLca:
         pred = np.array([[0], [0], [0], [1], [1]])
         truth = np.array([0, 0, 0, 0, 1])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(4), 4)
-        assert lca(region, cm, query_labels=[0])[0] == pytest.approx(0.75)
+        region = nearest(4)
+        assert first(lca(region, cm, query_labels=[[0]]))[0] == \
+            pytest.approx(0.75)
 
     def test_perfect_on_class(self):
         pred = np.array([[0], [0], [1]])
         truth = np.array([0, 0, 1])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(3), 3)
-        assert lca(region, cm, query_labels=[0])[0] == 1.0
+        region = nearest(3)
+        assert first(lca(region, cm, query_labels=[[0]]))[0] == 1.0
 
 
 class TestApriori:
@@ -96,15 +122,15 @@ class TestApriori:
         pred = rng.integers(0, 3, size=(20, 4))
         truth = rng.integers(0, 3, size=20)
         cm = cm_with_proba(pred, truth, 3)
-        region = Region(np.arange(7), 7)
-        assert np.allclose(apriori(region, cm), ola(region, cm))
+        region = nearest(7)
+        assert np.allclose(first(apriori(region, cm)), first(ola(region, cm)))
 
     def test_uniform_probabilities(self):
         proba = np.full((5, 2, 4), 0.25)
         cm = cm_with_proba(np.zeros((5, 2), dtype=int),
                            np.zeros(5, dtype=int), 4, proba=proba)
-        region = Region(np.arange(5), 5)
-        assert np.allclose(apriori(region, cm), 0.25)
+        region = nearest(5)
+        assert np.allclose(first(apriori(region, cm)), 0.25)
 
     def test_two_member_average(self):
         proba = np.zeros((2, 1, 2))
@@ -112,8 +138,8 @@ class TestApriori:
         proba[1, 0] = [0.6, 0.4]
         cm = cm_with_proba(np.zeros((2, 1), dtype=int),
                            np.zeros(2, dtype=int), 2, proba=proba)
-        region = Region(np.arange(2), 2)
-        assert apriori(region, cm)[0] == pytest.approx(0.7)
+        region = nearest(2)
+        assert first(apriori(region, cm))[0] == pytest.approx(0.7)
 
 
 class TestAposteriori:
@@ -122,15 +148,15 @@ class TestAposteriori:
         pred = rng.integers(0, 3, size=(20, 4))
         truth = rng.integers(0, 3, size=20)
         cm = cm_with_proba(pred, truth, 3)
-        region = Region(np.arange(9), 9)
+        region = nearest(9)
         for labels in rng.integers(0, 3, size=(10, 4)):
-            assert np.allclose(aposteriori(region, cm, labels),
-                               lca(region, cm, labels))
+            assert np.allclose(first(aposteriori(region, cm, [labels])),
+                               first(lca(region, cm, [labels])))
 
     def test_empty_restriction_scores_zero(self):
         cm = cm_with_proba([[0], [0]], [0, 0], 2)
-        region = Region(np.arange(2), 2)
-        assert aposteriori(region, cm, [1]).tolist() == [0.0]
+        region = nearest(2)
+        assert first(aposteriori(region, cm, [[1]])).tolist() == [0.0]
 
 
 class TestMcb:
@@ -139,16 +165,18 @@ class TestMcb:
         pred = rng.integers(0, 2, size=(15, 5))
         truth = rng.integers(0, 2, size=15)
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(8), 8)
+        region = nearest(8)
         labels = rng.integers(0, 2, size=5)
-        assert np.allclose(mcb(region, cm, labels, 0.0), ola(region, cm))
+        assert np.allclose(first(mcb(region, cm, [labels], 0.0)),
+                           first(ola(region, cm)))
 
     def test_identical_profiles_no_filtering(self):
         pred = np.tile([0, 1, 0], (6, 1))
         truth = np.array([0, 1, 0, 1, 0, 1])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(6), 6)
-        assert np.allclose(mcb(region, cm, [0, 1, 0], 0.7), ola(region, cm))
+        region = nearest(6)
+        assert np.allclose(first(mcb(region, cm, [[0, 1, 0]], 0.7)),
+                           first(ola(region, cm)))
 
     def test_three_of_five_agreement_dropped(self):
         # profile agrees on 3 of 5 positions: similarity 0.6 < 0.7
@@ -156,20 +184,21 @@ class TestMcb:
                          [0, 1, 0, 0, 1]])
         truth = np.array([0, 0])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(2), 2)
-        scores = mcb(region, cm, [0, 1, 0, 1, 0], 0.7)
+        region = nearest(2)
+        scores = first(mcb(region, cm, [[0, 1, 0, 1, 0]], 0.7))
         # only the first row survives; OLA over it
         assert np.allclose(scores, cm.correct[0])
 
 
 class TestKnoraE:
+    # the committee comes back as a mask over the classifiers
     def test_perfect_at_full_k(self):
         pred = np.array([[0, 1], [0, 1], [0, 0]])
         truth = np.array([0, 0, 0])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(3), 3)
-        committee, winner, rep = knora_e(region, cm, [0, 1], 2)
-        assert committee.tolist() == [0]
+        region = nearest(3)
+        committee, winner, rep = first(knora_e(region, cm, [[0, 1]], 2))
+        assert np.flatnonzero(committee).tolist() == [0]
         assert winner == 0 and rep == 0
 
     def test_shrinks_to_one(self):
@@ -177,18 +206,18 @@ class TestKnoraE:
         pred = np.array([[1, 0], [0, 1]])
         truth = np.array([0, 0])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(2), 2)
-        committee, winner, rep = knora_e(region, cm, [0, 1], 2)
-        assert committee.tolist() == [1]
+        region = nearest(2)
+        committee, winner, rep = first(knora_e(region, cm, [[0, 1]], 2))
+        assert np.flatnonzero(committee).tolist() == [1]
         assert rep == 1
 
     def test_fallback_to_all(self):
         pred = np.array([[1, 1]])
         truth = np.array([0])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(1), 1)
-        committee, winner, rep = knora_e(region, cm, [0, 1], 2)
-        assert committee.tolist() == [0, 1]
+        region = nearest(1)
+        committee, winner, rep = first(knora_e(region, cm, [[0, 1]], 2))
+        assert np.flatnonzero(committee).tolist() == [0, 1]
 
 
 class TestKnoraU:
@@ -196,8 +225,8 @@ class TestKnoraU:
         pred = np.array([[0, 1, 0], [0, 1, 0], [0, 1, 1]])
         truth = np.array([0, 0, 1])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(3), 3)
-        weights, winner, rep = knora_u(region, cm, [0, 1, 0], 2)
+        region = nearest(3)
+        weights, winner, rep = first(knora_u(region, cm, [[0, 1, 0]], 2))
         assert weights.tolist() == [2.0, 1.0, 3.0]
         assert winner == 0  # support 5 (clf 0 and 2) vs 1
         assert rep == 2     # heaviest voter for the winning class
@@ -206,8 +235,8 @@ class TestKnoraU:
         pred = np.array([[1, 1, 1]])
         truth = np.array([0])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(1), 1)
-        weights, winner, rep = knora_u(region, cm, [1, 1, 0], 2)
+        region = nearest(1)
+        weights, winner, rep = first(knora_u(region, cm, [[1, 1, 0]], 2))
         assert weights.tolist() == [1.0, 1.0, 1.0]
         assert winner == 1
 
@@ -215,8 +244,8 @@ class TestKnoraU:
         pred = np.array([[0, 1], [0, 1], [1, 0], [1, 0]])
         truth = np.array([0, 0, 0, 0])
         cm = cm_with_proba(pred, truth, 2)
-        region = Region(np.arange(4), 4)
-        weights, winner, rep = knora_u(region, cm, [0, 1], 2)
+        region = nearest(4)
+        weights, winner, rep = first(knora_u(region, cm, [[0, 1]], 2))
         assert weights.tolist() == [2.0, 2.0]
         assert winner == 0
         assert rep == 0
@@ -226,20 +255,213 @@ class TestKnoraU:
         truth = rng.integers(0, 3, size=9)
         pred = np.tile(truth[:, None], (1, 4))
         cm = cm_with_proba(pred, truth, 3)
-        region = Region(np.arange(9), 9)
+        region = nearest(9)
         for labels in rng.integers(0, 3, size=(20, 4)):
-            _, winner, _ = knora_u(region, cm, labels, 3)
-            mv_winner, _ = majority_vote(labels, 3)
+            _, winner, _ = first(knora_u(region, cm, [labels], 3))
+            mv_winner, _ = first(majority_vote([labels], 3))
             assert winner == mv_winner
 
 
 class TestMajorityVote:
     def test_plurality(self):
-        assert majority_vote([0, 0, 1], 2) == (0, 0)
+        assert first(majority_vote([[0, 0, 1]], 2)) == (0, 0)
 
     def test_tie_lower_class(self):
-        winner, rep = majority_vote([0, 1], 2)
+        winner, rep = first(majority_vote([[0, 1]], 2))
         assert winner == 0 and rep == 0
 
     def test_unanimous(self):
-        assert majority_vote([2, 2, 2], 3)[0] == 2
+        assert first(majority_vote([[2, 2, 2]], 3))[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel and scorers against the per-query oracle
+# ---------------------------------------------------------------------------
+
+# fixed examples: the property tests are part of the deterministic suite
+DETERMINISTIC = settings(max_examples=80, derandomize=True, deadline=None,
+                         database=None)
+
+
+@st.composite
+def knn_cases(draw):
+    """A pool with duplicate rows and queries at planted distance ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    N = draw(st.integers(1, 30))
+    F = draw(st.integers(1, 10))
+    if draw(st.booleans()):  # coarse grid: many equal distances
+        pool = rng.integers(0, 3, size=(N, F)).astype(float)
+    else:  # wide magnitudes: the summation order shows in the last bits
+        pool = rng.normal(size=(N, F)) * 10.0 ** rng.integers(-3, 4, size=F)
+    dup = rng.integers(0, N, size=N // 3)
+    pool[rng.integers(0, N, size=dup.size)] = pool[dup]
+    Q = draw(st.integers(1, 12))
+    a, b = pool[rng.integers(0, N, size=Q)], pool[rng.integers(0, N, size=Q)]
+    queries = np.where(rng.random((Q, 1)) < 0.5, a, (a + b) / 2.0)
+    queries[rng.random(Q) < 0.3] += rng.normal(size=F)
+    k = draw(st.sampled_from(["one", "all", "over", "some"]))
+    k = {"one": 1, "all": N, "over": N + 2,
+         "some": int(rng.integers(1, N + 1))}[k]
+    return pool, queries, k
+
+
+def reference_regions(queries, k, pool):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [ref.region_of(x, k, pool) for x in queries]
+
+
+class TestRegionOracle:
+    @DETERMINISTIC
+    @given(knn_cases())
+    def test_matches_per_query_scan(self, case):
+        pool, queries, k = case
+        want = reference_regions(queries, k, pool)
+        N, F = pool.shape
+        # whole batch in one block, three queries a block, one a block
+        for block_bytes in (bl.BLOCK_BYTES, 8 * N * F * 3, 1):
+            with mock.patch.object(bl, "BLOCK_BYTES", block_bytes), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                neighbors, distances = region_of(queries, k, pool)
+            assert len(caught) == (1 if k > N else 0)
+            assert np.array_equal(neighbors,
+                                  np.array([r.neighbors for r in want]))
+            assert np.array_equal(distances,
+                                  np.array([r.distances for r in want]))
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            region_of(np.zeros((2, 1)), 0, np.zeros((3, 1)))
+
+
+@st.composite
+def scorer_cases(draw):
+    """Regions over a correctness matrix with soft and one-hot outputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 5))
+    C = draw(st.integers(2, 4))
+    Q = draw(st.integers(1, 10))
+    k = draw(st.integers(1, M))
+    truth = rng.integers(0, C, size=M)
+    # mostly right, so that knora_e finds perfect runs of every length
+    predicted = np.where(rng.random((M, n)) < 0.7, truth[:, None],
+                         rng.integers(0, C, size=(M, n)))
+    proba = rng.dirichlet(np.ones(C), size=(M, n))
+    hard = rng.random(n) < 0.3
+    proba[:, hard] = np.eye(C)[predicted[:, hard]]
+    cm = CorrectnessMatrix(predicted, truth, np.arange(M), proba=proba,
+                           n_classes=C)
+    neighbors = np.argsort(rng.random((Q, M)), axis=1)[:, :k]
+    # sorted distances with ties and exact zeros
+    distances = np.sort(rng.integers(0, 4, size=(Q, k)) * 0.5, axis=1)
+    labels = np.where(rng.random((Q, n)) < 0.5, predicted[neighbors[:, 0]],
+                      rng.integers(0, C, size=(Q, n)))
+    similarity = draw(st.sampled_from([0.0, 0.5, 0.7, 1.0]))
+    return cm, neighbors, distances, labels, C, similarity
+
+
+SCORERS = {  # name -> (batched call, reference call on one Region)
+    "ola": (lambda c, nb, d, L, C, s: ola(nb, c),
+            lambda c, r, L, C, s: ref.ola(r, c)),
+    "lca": (lambda c, nb, d, L, C, s: lca(nb, c, L),
+            lambda c, r, L, C, s: ref.lca(r, c, L)),
+    "apr": (lambda c, nb, d, L, C, s: apriori(nb, c),
+            lambda c, r, L, C, s: ref.apriori(r, c)),
+    "apr-weighted": (lambda c, nb, d, L, C, s: apriori(nb, c, d),
+                     lambda c, r, L, C, s: ref.apriori(r, c, True)),
+    "apo": (lambda c, nb, d, L, C, s: aposteriori(nb, c, L),
+            lambda c, r, L, C, s: ref.aposteriori(r, c, L)),
+    "apo-weighted": (lambda c, nb, d, L, C, s: aposteriori(nb, c, L, d),
+                     lambda c, r, L, C, s: ref.aposteriori(r, c, L, True)),
+    "mcb": (lambda c, nb, d, L, C, s: mcb(nb, c, L, s),
+            lambda c, r, L, C, s: ref.mcb(r, c, L, s)),
+}
+
+
+class TestScorerOracle:
+    @pytest.mark.parametrize("name", sorted(SCORERS))
+    @DETERMINISTIC
+    @given(case=scorer_cases())
+    def test_competence_matches_per_query(self, name, case):
+        cm, nb, dist, labels, C, sim = case
+        batched, single = SCORERS[name]
+        scores = batched(cm, nb, dist, labels, C, sim)
+        assert scores.shape == labels.shape
+        for q in range(nb.shape[0]):
+            region = ref.Region(nb[q], nb.shape[1], dist[q])
+            want = single(cm, region, labels[q], C, sim)
+            assert np.allclose(scores[q], want, rtol=1e-12, atol=0.0)
+            assert np.argmax(scores[q]) == np.argmax(want)
+
+    @DETERMINISTIC
+    @given(case=scorer_cases())
+    def test_votes_match_per_query(self, case):
+        cm, nb, _, labels, C, _ = case
+        committee, e_winner, e_rep = knora_e(nb, cm, labels, C)
+        weights, u_winner, u_rep = knora_u(nb, cm, labels, C)
+        mv_winner, mv_rep = majority_vote(labels, C)
+        for q in range(nb.shape[0]):
+            region = ref.Region(nb[q], nb.shape[1])
+            want = ref.knora_e(region, cm, labels[q], C)
+            assert np.flatnonzero(committee[q]).tolist() == want[0].tolist()
+            assert (e_winner[q], e_rep[q]) == want[1:]
+            want = ref.knora_u(region, cm, labels[q], C)
+            assert np.array_equal(weights[q], want[0])
+            assert (u_winner[q], u_rep[q]) == want[1:]
+            assert (mv_winner[q], mv_rep[q]) == \
+                ref.majority_vote(labels[q], C)
+
+
+BASELINE_METHODS = ("ola", "lca", "apr", "apo", "mcb", "knora_e", "knora_u",
+                    "mv")
+
+
+def tiny_prepared(tmp_path, **overrides):
+    cfg = tiny_experiment_config(tmp_path)
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    name, path, label = cfg.datasets[0]
+    return prepare_dataset(name, load_csv(path, label), cfg), cfg
+
+
+class TestHarnessOracle:
+    @pytest.mark.parametrize("k,weighted", [(7, False), (12, True)])
+    def test_evaluate_method_matches_per_query(self, tmp_path, k, weighted):
+        prep, cfg = tiny_prepared(tmp_path, knn_k=k,
+                                  apr_distance_weighting=weighted)
+        for method in BASELINE_METHODS:
+            cell = evaluate_method(prep, method, cfg)
+            chosen, predicted = ref.evaluate_baseline(prep, method, cfg)
+            assert cell.outcomes is None
+            assert np.array_equal(cell.chosen, chosen), method
+            assert np.array_equal(cell.predicted, predicted), method
+
+    def test_mv_reads_no_region(self, tmp_path, monkeypatch):
+        prep, cfg = tiny_prepared(tmp_path)
+
+        def no_regions(*args):
+            raise AssertionError("mv built kNN regions")
+
+        monkeypatch.setattr(bl, "region_of", no_regions)
+        evaluate_method(prep, "mv", cfg)
+        assert prep.regions is None
+
+    @pytest.mark.parametrize("method,scorer", [
+        ("ola", "ola"), ("lca", "lca"), ("apr", "apriori"),
+        ("apo", "aposteriori"), ("mcb", "mcb"), ("knora_e", "knora_e"),
+        ("knora_u", "knora_u"), ("mv", "majority_vote")])
+    def test_scorer_looked_up_at_call_time(self, tmp_path, monkeypatch,
+                                           method, scorer):
+        # a wrapper installed on the module after import must be called
+        prep, cfg = tiny_prepared(tmp_path)
+        real, calls = getattr(bl, scorer), []
+
+        def wrapped(*args):
+            calls.append(scorer)
+            return real(*args)
+
+        monkeypatch.setattr(bl, scorer, wrapped)
+        evaluate_method(prep, method, cfg)
+        assert calls == [scorer]

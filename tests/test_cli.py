@@ -139,8 +139,24 @@ class TestSelectFiles:
          "meta.json: missing key 'validation.truth'"),
         ("forest.json", lambda text: _without(text, "truth"),
          "forest lacks field 'truth'"),
+        ("meta.json", lambda text: _truncated(text, 5, "validation", "truth"),
+         "meta.json: 'validation.truth' has 5 entries for "),
+        ("meta.json",
+         lambda text: _truncated(text, 5, "validation", "sample_indices"),
+         "meta.json: 'validation.sample_indices' has 5 entries for "),
+        ("meta.json", lambda text: _truncated(text, 2, "validation_accuracy"),
+         "meta.json: 'validation_accuracy' has 2 entries for 4 classifiers"),
+        ("meta.json", lambda text: _replaced(text, [[0, 1], [1]], "validation",
+                                             "predicted"),
+         "meta.json: 'validation.predicted' is not a 2-D array of numbers"),
+        ("models.json", lambda text: "[1]",
+         "models.json: expected a list of 4 classifier objects"),
+        ("models.json", lambda text: _truncated(text, 3),
+         "models.json: expected a list of 4 classifier objects"),
     ], ids=["forest-truncated", "models-not-json", "meta-format-only",
-            "meta-no-truth", "forest-no-truth"])
+            "meta-no-truth", "forest-no-truth", "meta-short-truth",
+            "meta-short-sample-indices", "meta-short-accuracy",
+            "meta-ragged-predicted", "models-not-objects", "models-short"])
     def test_malformed_bundle_file_exits_2(self, trained_bundle, tmp_path,
                                            capsys, name, rewrite, message):
         bundle_dir = str(tmp_path / "malformed")
@@ -165,6 +181,28 @@ def _without(text, *keys):
         node = node[key]
     del node[keys[-1]]
     return json.dumps(data)
+
+
+def _replaced(text, value, *keys):
+    """JSON text with the entry at the path of keys set to value."""
+    data = json.loads(text)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return json.dumps(data)
+
+
+def _truncated(text, size, *keys):
+    """JSON text with the list at the path of keys cut to its first size
+    entries; no keys cut the top-level list."""
+    data = json.loads(text)
+    if not keys:
+        return json.dumps(data[:size])
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    return _replaced(text, node[keys[-1]][:size], *keys)
 
 
 class TestTrainExternal:
@@ -194,6 +232,18 @@ class TestEvaluate:
         assert os.path.exists(os.path.join(out, "runs.jsonl"))
         stdout = capsys.readouterr().out
         assert "oracle" in stdout
+
+    def test_k_zero_exits_2(self, tmp_path, capsys):
+        data = write_tiny_csv(tmp_path)
+        ini = tmp_path / "k0.ini"
+        ini.write_text("[baselines]\nk = 0\n")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(ini), "--data", data,
+                     "--label", "label", "--out", str(out), "--methods", "mv",
+                     "--reference", "mv"]) == 2
+        assert "[baselines] k must be at least 1, got 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:
@@ -230,3 +280,15 @@ class TestExportViz:
         lines = open(out_file).read().strip().splitlines()
         assert lines[0].startswith("sample_index,pc1,pc2")
         assert len(lines) > 10
+
+    def test_baseline_method(self, tmp_path, capsys):
+        data = write_tiny_csv(tmp_path)
+        out_file = str(tmp_path / "viz.csv")
+        assert main(["export-viz", "--data", data, "--label", "label",
+                     "--out", str(tmp_path / "o"), "--method", "ola",
+                     "--output", out_file]) == 0
+        lines = open(out_file).read().strip().splitlines()
+        assert lines[0] == "sample_index,pc1,pc2,chosen_classifier,correct"
+        assert len(lines) > 10
+        assert {line.split(",")[3] for line in lines[1:]} <= {"0", "1", "2",
+                                                               "3"}

@@ -72,6 +72,14 @@ def test_validate_rejects_unknown_method():
         cfg.validate()
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_validate_rejects_k_below_one(k):
+    cfg = load_config(None)
+    cfg.knn_k = k
+    with pytest.raises(DataError, match=r"\[baselines\] k must be at least 1"):
+        cfg.validate()
+
+
 def test_config_hash_ignores_outdir():
     a = load_config(None)
     b = load_config(None)

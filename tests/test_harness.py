@@ -1,5 +1,6 @@
 """Metrics, experiment orchestration, and report/export behaviour."""
 
+import csv
 import math
 
 import numpy as np
@@ -241,8 +242,26 @@ class TestExportViz:
         result = run_experiment(cfg, keep_preps=True)
         prep = result.preps["tiny"]
         out = tmp_path / "viz.csv"
-        export_viz(prep.ds, prep.plan,
-                   result.cells[("tiny", "cshc")].outcomes, str(out))
+        cell = result.cells[("tiny", "cshc")]
+        export_viz(prep.ds, prep.plan, cell.chosen, cell.predicted, str(out))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "sample_index,pc1,pc2,chosen_classifier,correct"
         assert len(lines) - 1 == prep.test_ds.n_samples
+
+    def test_baseline_method(self, tmp_path):
+        cfg = tiny_experiment_config(tmp_path)
+        cfg.methods = ["ola"]
+        cfg.reference = "ola"
+        result = run_experiment(cfg, keep_preps=True)
+        prep = result.preps["tiny"]
+        cell = result.cells[("tiny", "ola")]
+        out = tmp_path / "viz.csv"
+        export_viz(prep.ds, prep.plan, cell.chosen, cell.predicted, str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["sample_index"]) for r in rows] == \
+            prep.plan.test_indices.tolist()
+        assert [int(r["chosen_classifier"]) for r in rows] == \
+            cell.chosen.tolist()
+        correct = cell.predicted == prep.test_ds.labels
+        assert [int(r["correct"]) for r in rows] == correct.astype(int).tolist()

@@ -7,8 +7,8 @@ from cshc import lp
 from cshc.data import CorrectnessMatrix, Dataset
 from cshc.forest import CshcConfig, build_forest, query_batch
 from cshc.rng import substream
-from cshc.selection import (select_batch, select_cshc, select_lp, select_lpr,
-                            select_rr, vote)
+from cshc.selection import (_STREAM, select_batch, select_cshc, select_lp,
+                            select_lpr, select_rr, vote)
 from test_forest import simple_bundle
 
 
@@ -351,6 +351,28 @@ class TestBatchEqualsSingle:
             alone = self.run(method, query_batch(forest, X[q:q + 1]),
                              labels[q:q + 1], sample_ids[q:q + 1], cm, {})
             assert out == alone[0]
+
+    @pytest.mark.parametrize("method", ["rr", "lpr"])
+    def test_weight_tie_draws_from_the_sample_stream(self, method):
+        # classifiers 0 and 1 tie on rank and label: every rr vote draws
+        bundle = simple_bundle([[2.0, 2.0, 1.0]], rows=np.array([0]),
+                               mult=np.array([1.0]))
+        cm = cm_for([[0, 0, 1]], [0], 2)
+        labels = np.array([0, 0, 1])
+        sample_ids = np.arange(40)
+        batch = select_batch(method, [bundle] * 40, np.tile(labels, (40, 1)),
+                             sample_ids, cm, None, 2, 80.0, 0.3, 5, {})
+        for out, sid in zip(batch, sample_ids):
+            r_rr = substream(5, _STREAM["rr"], sid)
+            r_lp = substream(5, _STREAM["lp"], sid)
+            if method == "rr":
+                alone = select_rr(bundle, labels, 2, r_rr)
+            else:
+                alone = select_lpr(bundle, cm, labels, 0.3, 80.0, 2, None,
+                                   r_rr, r_lp)
+            assert alone.method_used == "rr"
+            assert out == alone
+        assert {o.chosen_classifier for o in batch} == {0, 1}
 
     def test_one_solve_per_leaf_id_tuple(self, monkeypatch):
         forest, cm, X, labels, sample_ids = self.batch_case()
