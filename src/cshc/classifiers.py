@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .data import DataError, open_input
+from .data import DataError, open_input, require_int
 from .rng import substream
 
 KINDS = ("gaussian_nb", "one_nn", "decision_tree_gini", "perceptron", "external")
@@ -60,6 +60,11 @@ class _Scaler:
 class TrainedClassifier:
     """Shared surface: spec, class count and probability outputs."""
 
+    # serialized state: constructor argument -> (numpy dtype, shape). A
+    # shape letter is C (classes), F (features), B (F + 1), or a size that
+    # all the fields naming it share.
+    STATE = {}
+
     def __init__(self, spec, n_classes, n_features, scaler):
         self.spec = spec
         self.n_classes = n_classes
@@ -68,6 +73,13 @@ class TrainedClassifier:
 
     def proba_from_features(self, X):
         raise NotImplementedError
+
+    def state(self):
+        return {name: getattr(self, name).tolist() for name in self.STATE}
+
+    def check_state(self):
+        """Raise DataError if restored state that has the right shapes
+        still cannot be used."""
 
     def predict_proba_matrix(self, ds):
         """(Q, C) probabilities for every row of a Dataset."""
@@ -82,6 +94,9 @@ class TrainedClassifier:
 
 
 class GaussianNBTrained(TrainedClassifier):
+    STATE = {"log_prior": ("f8", "C"), "theta": ("f8", "CF"),
+             "var": ("f8", "CF")}
+
     def __init__(self, spec, n_classes, n_features, scaler, log_prior, theta, var):
         super().__init__(spec, n_classes, n_features, scaler)
         self.log_prior = log_prior
@@ -104,12 +119,10 @@ class GaussianNBTrained(TrainedClassifier):
         p = np.exp(jll - shift)
         return p / p.sum(axis=1, keepdims=True)
 
-    def state(self):
-        return {"log_prior": self.log_prior.tolist(), "theta": self.theta.tolist(),
-                "var": self.var.tolist()}
-
 
 class OneNNTrained(TrainedClassifier):
+    STATE = {"X": ("f8", "NF"), "y": ("i8", "N")}
+
     def __init__(self, spec, n_classes, n_features, scaler, X, y):
         super().__init__(spec, n_classes, n_features, scaler)
         self.X = X
@@ -123,11 +136,18 @@ class OneNNTrained(TrainedClassifier):
             p[i, self.y[np.argmin(d2)]] = 1.0  # argmin keeps the lowest index on ties
         return p
 
-    def state(self):
-        return {"X": self.X.tolist(), "y": self.y.tolist()}
+    def check_state(self):
+        y = self.y
+        if not (y.size and ((y >= 0) & (y < self.n_classes)).all()):
+            raise DataError("'y' is not a non-empty list of classes in [0, %d)"
+                            % self.n_classes)
 
 
 class GiniTreeTrained(TrainedClassifier):
+    STATE = {"feat": ("i8", "N"), "thr": ("f8", "N"), "left": ("i8", "N"),
+             "right": ("i8", "N"), "leaf_id": ("i8", "N"),
+             "leaf_proba": ("f8", "LC")}
+
     def __init__(self, spec, n_classes, n_features, scaler, feat, thr, left, right,
                  leaf_id, leaf_proba):
         super().__init__(spec, n_classes, n_features, scaler)
@@ -144,14 +164,17 @@ class GiniTreeTrained(TrainedClassifier):
                                self.leaf_id, Z)
         return self.leaf_proba[leaves]
 
-    def state(self):
-        return {"feat": self.feat.tolist(), "thr": self.thr.tolist(),
-                "left": self.left.tolist(), "right": self.right.tolist(),
-                "leaf_id": self.leaf_id.tolist(),
-                "leaf_proba": self.leaf_proba.tolist()}
+    def check_state(self):
+        L = kernels.check_tree(self.feat, self.thr, self.left, self.right,
+                               self.leaf_id, self.n_features)
+        if self.leaf_proba.shape[0] != L:
+            raise DataError("'leaf_proba' has %d rows for %d leaves"
+                            % (self.leaf_proba.shape[0], L))
 
 
 class PerceptronTrained(TrainedClassifier):
+    STATE = {"W": ("f8", "CB")}
+
     def __init__(self, spec, n_classes, n_features, scaler, W):
         super().__init__(spec, n_classes, n_features, scaler)
         self.W = W  # (C, F+1) averaged weights, bias last
@@ -163,9 +186,6 @@ class PerceptronTrained(TrainedClassifier):
         shift = scores.max(axis=1, keepdims=True)
         p = np.exp(scores - shift)
         return p / p.sum(axis=1, keepdims=True)
-
-    def state(self):
-        return {"W": self.W.tolist()}
 
 
 class ExternalTrained(TrainedClassifier):
@@ -303,44 +323,24 @@ def _train_one_nn(spec, ds, scaler):
 
 
 def _train_gini_tree(spec, ds, scaler):
+    """Unpruned tree: every impure node takes its best Gini split."""
     Z = np.ascontiguousarray(scaler.transform(ds.features))
     y = ds.labels
     C = ds.n_classes
-    feat, thr, left, right, leaf_id = [], [], [], [], []
-    leaf_proba = []
-    # explicit stack: unpruned trees can outgrow the recursion limit
-    stack = [(np.arange(ds.n_samples), -1, False)]
-    while stack:
-        rows, parent, is_left = stack.pop()
-        node = len(feat)
-        if parent >= 0:
-            if is_left:
-                left[parent] = node
-            else:
-                right[parent] = node
-        feat.append(-1)
-        thr.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_id.append(-1)
-        counts = np.bincount(y[rows], minlength=C).astype(float)
-        if counts.max() < rows.size:  # impure: split whenever possible
-            gain, col, t = kernels.gini_split(Z[rows], y[rows], C)
-            if col >= 0:
-                feat[node] = int(col)
-                thr[node] = float(t)
-                mask = Z[rows, col] <= t
-                stack.append((rows[~mask], node, False))
-                stack.append((rows[mask], node, True))
-                continue
-        leaf_id[node] = len(leaf_proba)
-        leaf_proba.append(counts / counts.sum())
-    return GiniTreeTrained(
-        spec, C, ds.n_features, scaler,
-        np.asarray(feat, dtype=np.int64), np.asarray(thr),
-        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-        np.asarray(leaf_id, dtype=np.int64), np.vstack(leaf_proba),
-    )
+
+    def split(rows, depth):
+        if np.bincount(y[rows], minlength=C).max() == rows.size:
+            return None
+        gain, col, t = kernels.gini_split(Z[rows], y[rows], C)
+        if col < 0:
+            return None
+        mask = Z[rows, col] <= t
+        return int(col), float(t), rows[mask], rows[~mask]
+
+    nodes, leaves = kernels.grow(np.arange(ds.n_samples), split)
+    counts = [np.bincount(y[r], minlength=C).astype(float) for r in leaves]
+    return GiniTreeTrained(spec, C, ds.n_features, scaler, *nodes,
+                           np.vstack([c / c.sum() for c in counts]))
 
 
 def _train_perceptron(spec, ds, scaler):
@@ -428,24 +428,49 @@ def model_state(model):
     return s
 
 
+_RESTORABLE = {"gaussian_nb": GaussianNBTrained, "one_nn": OneNNTrained,
+               "decision_tree_gini": GiniTreeTrained,
+               "perceptron": PerceptronTrained}
+
+
+def _state_array(state, key, dtype, shape, sizes):
+    """state[key] as an array of the given shape letters, binding each
+    letter sizes does not hold yet to the size found."""
+    if key not in state:
+        raise DataError("lacks key %r" % key)
+    try:
+        arr = np.asarray(state[key], dtype=dtype)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != len(shape) or any(
+            sizes.setdefault(d, n) != n for d, n in zip(shape, arr.shape)):
+        raise DataError("%r is not an array of shape (%s) with C = %d "
+                        "classes and F = %d features"
+                        % (key, ", ".join(shape), sizes["C"], sizes["F"]))
+    return arr
+
+
 def model_from_state(s):
-    spec = ClassifierSpec(s["kind"], s["name"], dict(s["hyperparams"]))
-    scaler = _Scaler(s["scaler"]["mean"], s["scaler"]["scale"])
-    C, F = s["n_classes"], s["n_features"]
-    if s["kind"] == "gaussian_nb":
-        return GaussianNBTrained(spec, C, F, scaler, np.asarray(s["log_prior"]),
-                                 np.asarray(s["theta"]), np.asarray(s["var"]))
-    if s["kind"] == "one_nn":
-        return OneNNTrained(spec, C, F, scaler, np.asarray(s["X"]),
-                            np.asarray(s["y"], dtype=np.int64))
-    if s["kind"] == "decision_tree_gini":
-        return GiniTreeTrained(spec, C, F, scaler,
-                               np.asarray(s["feat"], dtype=np.int64),
-                               np.asarray(s["thr"]),
-                               np.asarray(s["left"], dtype=np.int64),
-                               np.asarray(s["right"], dtype=np.int64),
-                               np.asarray(s["leaf_id"], dtype=np.int64),
-                               np.asarray(s["leaf_proba"]))
-    if s["kind"] == "perceptron":
-        return PerceptronTrained(spec, C, F, scaler, np.asarray(s["W"]))
-    raise DataError("cannot restore classifier kind %r" % s["kind"])
+    """A model from its model_state; a DataError names the first key or
+    array that does not fit the kind's STATE."""
+    for key in ("kind", "name", "hyperparams", "n_classes", "n_features",
+                "scaler"):
+        if key not in s:
+            raise DataError("lacks key %r" % key)
+    cls = _RESTORABLE.get(s["kind"]) if isinstance(s["kind"], str) else None
+    if cls is None:
+        raise DataError("cannot restore classifier kind %r" % s["kind"])
+    if not (isinstance(s["name"], str) and isinstance(s["hyperparams"], dict)
+            and isinstance(s["scaler"], dict)):
+        raise DataError("'name', 'hyperparams' or 'scaler' has the wrong type")
+    C = require_int(s["n_classes"], "'n_classes'", 2)
+    F = require_int(s["n_features"], "'n_features'", 1)
+    sizes = {"C": C, "F": F, "B": F + 1}
+    scaler = _Scaler(*(_state_array(s["scaler"], key, "f8", "F", sizes)
+                       for key in ("mean", "scale")))
+    arrays = {key: _state_array(s, key, dtype, shape, sizes)
+              for key, (dtype, shape) in cls.STATE.items()}
+    model = cls(ClassifierSpec(s["kind"], s["name"], dict(s["hyperparams"])),
+                C, F, scaler, **arrays)
+    model.check_state()
+    return model

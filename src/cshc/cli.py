@@ -31,7 +31,7 @@ def _single_dataset_config(args):
         cfg.datasets = [(name, args.data, args.label or cfg.label_column)]
     if not cfg.datasets:
         raise DataError("no dataset given (use --data or a config [data] section)")
-    return cfg
+    return cfg.validate()
 
 
 def _add_common(p, with_data=True):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .classifiers import ClassifierSpec
 from .data import DataError
+from .forest import CshcConfig
 
 ALL_METHODS = ("cshc", "rr", "lp", "lpr", "ola", "lca", "apr", "apo",
                "mcb", "knora_e", "knora_u", "mv")
@@ -60,7 +61,17 @@ class ExperimentConfig:
         if self.knn_k < 1:
             raise DataError("[baselines] k must be at least 1, got %d"
                             % self.knn_k)
+        self.forest_config()
         return self
+
+    def forest_config(self):
+        """The [cshc] settings as a CshcConfig; DataError when out of range."""
+        return CshcConfig(n_trees=self.n_trees,
+                          bootstrap_fraction=self.bootstrap_fraction,
+                          min_cluster_size=self.min_cluster_size,
+                          max_depth=self.max_depth,
+                          min_improvement=self.min_improvement,
+                          seed=self.seed)
 
     def classifier_specs(self):
         specs = [ClassifierSpec(kind) for kind in self.pool]
@@ -103,7 +114,12 @@ def load_config(path=None):
             raw = parser.get(section, key)
             if cast is bool:
                 return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            try:
+                return cast(raw)
+            except ValueError:
+                raise DataError("[%s] %s must be %s, got %r" % (
+                    section, key, "an integer" if cast is int else "a number",
+                    raw)) from None
         return current
 
     cfg.protocol = get("experiment", "protocol", str, cfg.protocol)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,6 +149,16 @@ def load_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
+
+
+def require_int(value, name, minimum):
+    """value, a loaded integer of at least minimum, else a DataError
+    naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise DataError("%s must be an integer >= %d, got %r"
+                        % (name, minimum, value))
+    return int(value)
 
 
 def _read_header(reader, path):

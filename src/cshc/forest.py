@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import kernels
-from .data import DataError, load_json
+from .data import DataError, load_json, require_int
 from .rng import substream
 
 FOREST_FORMAT = "cshc-forest/2"
@@ -33,15 +33,15 @@ class CshcConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+            raise DataError("n_trees must be >= 1")
         if not 0.0 < self.bootstrap_fraction <= 1.0:
-            raise ValueError("bootstrap_fraction must be in (0, 1]")
+            raise DataError("bootstrap_fraction must be in (0, 1]")
         if self.min_cluster_size < 1:
-            raise ValueError("min_cluster_size must be >= 1")
+            raise DataError("min_cluster_size must be >= 1")
         if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+            raise DataError("max_depth must be >= 1")
         if not 0.0 <= self.min_improvement < 1.0:
-            raise ValueError("min_improvement must be in [0, 1)")
+            raise DataError("min_improvement must be in [0, 1)")
 
     def asdict(self):
         return {"n_trees": self.n_trees,
@@ -67,8 +67,10 @@ class Tree:
     """One tree as flat arrays, nodes and leaves numbered in preorder
     (node, left subtree, right subtree).
 
-    Internal nodes have left/right >= 0 and leaf_id -1; leaves have
-    left/right -1 and feat -1. Leaf l holds the member rows and
+    The node arrays are the layout of `kernels`, which grows, routes and
+    checks them: internal node i has left child i + 1, a right child
+    after its left subtree and leaf_id -1; leaves have left/right -1 and
+    feat -1. Leaf l holds the member rows and
     multiplicities leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]] and
     the weighted correct counts leaf_counts[l].
     """
@@ -234,7 +236,7 @@ def split_gain(member_rows, member_mult, feature, threshold, correct, features):
 
 
 def grow_tree(rows, mult, cfg, correct, features, allowed):
-    """Recursively partition the weighted cluster (rows, mult) into a Tree.
+    """Grow a Tree over the weighted cluster (rows, mult) with `kernels.grow`.
 
     A node becomes a leaf when the depth limit is reached, no candidate
     split keeps both children at min_cluster_size, the parent's best
@@ -243,46 +245,29 @@ def grow_tree(rows, mult, cfg, correct, features, allowed):
     """
     rows = np.asarray(rows, dtype=np.int64)
     mult = np.asarray(mult, dtype=np.float64)
-    nodes = []   # [feat, thr, left, right, leaf_id] per node, in preorder
-    leaves = []  # (rows, mult, counts) per leaf, in preorder
 
-    def grow(rows, mult, depth):
-        i = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, -1])
+    def split(item, depth):
+        rows, mult = item
         wc = mult[:, None] * correct[rows]
-        counts = wc.sum(axis=0)
-        parent_best = counts.max()
-        if depth < cfg.max_depth and parent_best != 0.0:
-            vals = np.ascontiguousarray(features[rows][:, allowed])
-            gain, col, thr = kernels.best_split(
-                vals, np.ascontiguousarray(wc), mult,
-                float(cfg.min_cluster_size))
-            if col >= 0 and gain >= cfg.min_improvement * parent_best:
-                feature = int(allowed[col])
-                go_left = features[rows, feature] <= thr
-                nodes[i][:2] = feature, float(thr)
-                nodes[i][2] = grow(rows[go_left], mult[go_left], depth + 1)
-                nodes[i][3] = grow(rows[~go_left], mult[~go_left], depth + 1)
-                return i
-        nodes[i][4] = len(leaves)
-        leaves.append((rows, mult, counts))
-        return i
+        parent_best = wc.sum(axis=0).max()
+        if depth >= cfg.max_depth or parent_best == 0.0:
+            return None
+        gain, col, thr = kernels.best_split(
+            np.ascontiguousarray(features[rows][:, allowed]), wc, mult,
+            float(cfg.min_cluster_size))
+        if col < 0 or gain < cfg.min_improvement * parent_best:
+            return None
+        go_left = features[rows, allowed[col]] <= thr
+        return (int(allowed[col]), float(thr), (rows[go_left], mult[go_left]),
+                (rows[~go_left], mult[~go_left]))
 
-    grow(rows, mult, 0)
-    feat, thr, left, right, leaf_id = zip(*nodes)
-    sizes = [r.size for r, _, _ in leaves]
-    return Tree(
-        feature_subset=np.asarray(allowed, dtype=np.int64),
-        bootstrap_rows=rows, bootstrap_mult=mult,
-        feat=np.asarray(feat, dtype=np.int64),
-        thr=np.asarray(thr, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        leaf_id=np.asarray(leaf_id, dtype=np.int64),
-        leaf_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
-        leaf_rows=np.concatenate([r for r, _, _ in leaves]),
-        leaf_mult=np.concatenate([m for _, m, _ in leaves]),
-        leaf_counts=np.vstack([c for _, _, c in leaves]))
+    nodes, leaves = kernels.grow((rows, mult), split)
+    return Tree(np.asarray(allowed, dtype=np.int64), rows, mult, *nodes,
+                leaf_ptr=np.cumsum([0] + [r.size for r, _ in leaves]),
+                leaf_rows=np.concatenate([r for r, _ in leaves]),
+                leaf_mult=np.concatenate([m for _, m in leaves]),
+                leaf_counts=np.vstack([(m[:, None] * correct[r]).sum(axis=0)
+                                       for r, m in leaves]))
 
 
 def build_forest(cm, ds, cfg):
@@ -368,6 +353,36 @@ def forest_to_dict(forest):
                        for f in fields(Tree)} for tree in forest.trees]}
 
 
+def _tree_from_dict(td, n_rows, n_features, n_classifiers):
+    """One serialized tree, its node arrays checked against the layout
+    `kernels.route` reads and its leaf tables against its leaves."""
+    arrays = {}
+    for f in fields(Tree):
+        if f.name not in td:
+            raise DataError("lacks field %r" % f.name)
+        dtype = np.int64 if f.name in _INT_FIELDS else np.float64
+        try:
+            arrays[f.name] = np.asarray(td[f.name], dtype=dtype)
+        except (TypeError, ValueError):
+            raise DataError("has a non-numeric field %r" % f.name) from None
+    tree = Tree(**arrays)
+    L = kernels.check_tree(tree.feat, tree.thr, tree.left, tree.right,
+                           tree.leaf_id, n_features)
+    ptr, rows = tree.leaf_ptr, tree.leaf_rows
+    if not (ptr.shape == (L + 1,) and ptr[0] == 0 and ptr[-1] == rows.size
+            and (np.diff(ptr) >= 0).all()):
+        raise DataError("has 'leaf_ptr' other than %d ascending offsets "
+                        "from 0 to %d" % (L + 1, rows.size))
+    if not (rows.ndim == 1 and tree.leaf_mult.shape == rows.shape
+            and ((rows >= 0) & (rows < n_rows)).all()):
+        raise DataError("has 'leaf_rows' and 'leaf_mult' other than equal "
+                        "lists of rows in [0, %d)" % n_rows)
+    if tree.leaf_counts.shape != (L, n_classifiers):
+        raise DataError("has 'leaf_counts' of shape %s, not (%d, %d)"
+                        % (tree.leaf_counts.shape, L, n_classifiers))
+    return tree
+
+
 def forest_from_dict(data):
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != FOREST_FORMAT:
@@ -377,20 +392,30 @@ def forest_from_dict(data):
                 "trees"):
         if key not in data:
             raise DataError("forest lacks field %r" % key)
+    n_rows, n_features = (require_int(data[key], "forest %r" % key, 1)
+                          for key in ("n_rows", "n_features"))
+    n_classifiers = require_int(data["n_classifiers"],
+                                "forest 'n_classifiers'", 2)
+    try:
+        config = CshcConfig(**data["config"])
+        truth = np.asarray(data["truth"], dtype=np.int64)
+    except (TypeError, ValueError):
+        raise DataError("forest 'config' or 'truth' is malformed") from None
+    if truth.shape != (n_rows,) or truth.min() < 0:
+        raise DataError("forest 'truth' is not %d class indices" % n_rows)
+    if not (isinstance(data["trees"], list) and data["trees"]):
+        raise DataError("forest 'trees' is not a non-empty list")
     trees = []
     for t, td in enumerate(data["trees"]):
-        arrays = {}
-        for f in fields(Tree):
-            if f.name not in td:
-                raise DataError("forest tree %d lacks field %r" % (t, f.name))
-            dtype = np.int64 if f.name in _INT_FIELDS else np.float64
-            arrays[f.name] = np.asarray(td[f.name], dtype=dtype)
-        trees.append(Tree(**arrays))
-    return Forest(trees=trees, config=CshcConfig(**data["config"]),
-                  n_classifiers=int(data["n_classifiers"]),
-                  truth=np.asarray(data["truth"], dtype=np.int64),
-                  n_rows=int(data["n_rows"]),
-                  n_features=int(data["n_features"]))
+        if not isinstance(td, dict):
+            raise DataError("forest tree %d is not an object" % t)
+        try:
+            trees.append(_tree_from_dict(td, n_rows, n_features,
+                                         n_classifiers))
+        except DataError as exc:
+            raise DataError("forest tree %d %s" % (t, exc)) from None
+    return Forest(trees=trees, config=config, n_classifiers=n_classifiers,
+                  truth=truth, n_rows=n_rows, n_features=n_features)
 
 
 def save_forest(forest, path):
@@ -399,4 +424,9 @@ def save_forest(forest, path):
 
 
 def load_forest(path):
-    return forest_from_dict(load_json(path))
+    """A saved forest; a malformed file is a DataError naming the path."""
+    data = load_json(path)
+    try:
+        return forest_from_dict(data)
+    except DataError as exc:
+        raise DataError("%s: %s" % (path, exc)) from None

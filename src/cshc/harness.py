@@ -22,8 +22,8 @@ from . import selection as sel
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
                    build_correctness_holdout, load_csv, load_json,
-                   make_split)
-from .forest import CshcConfig, build_forest, query_batch
+                   make_split, require_int)
+from .forest import build_forest, query_batch
 from .selection import SELECTION_METHODS
 
 
@@ -167,13 +167,7 @@ def prepare_dataset(name, ds, cfg):
     else:
         cm, models, fold = build_correctness_cv3(train_ds, specs, cfg.seed)
         dsel_ds = train_ds
-    fcfg = CshcConfig(n_trees=cfg.n_trees,
-                      bootstrap_fraction=cfg.bootstrap_fraction,
-                      min_cluster_size=cfg.min_cluster_size,
-                      max_depth=cfg.max_depth,
-                      min_improvement=cfg.min_improvement,
-                      seed=cfg.seed)
-    forest = build_forest(cm, dsel_ds, fcfg)
+    forest = build_forest(cm, dsel_ds, cfg.forest_config())
     Q, n, C = test_ds.n_samples, len(specs), ds.n_classes
     test_proba = np.empty((Q, n, C))
     for a, model in enumerate(models):
@@ -530,10 +524,40 @@ def load_bundle(outdir):
             and all(isinstance(state, dict) for state in states)):
         raise DataError("%s: expected a list of %d classifier objects"
                         % (models_path, n))
-    models = [clf.model_from_state(state) for state in states]
-    forest = forest_mod.load_forest(os.path.join(outdir, "forest.json"))
+    n_classes = require_int(meta["validation"]["n_classes"],
+                            "%s: 'validation.n_classes'" % meta_path, 2)
+    names = meta["dataset"]
+    if not (all(isinstance(names[key], list)
+                and all(isinstance(x, str) for x in names[key])
+                for key in ("feature_names", "class_names"))
+            and len(names["class_names"]) == n_classes):
+        raise DataError("%s: 'dataset.feature_names' and "
+                        "'dataset.class_names' are not lists of names, one "
+                        "per feature and one per class" % meta_path)
+    n_features = len(names["feature_names"])
+    models = []
+    for a, state in enumerate(states):
+        try:
+            model = clf.model_from_state(state)
+        except DataError as exc:
+            raise DataError("%s: classifier %d: %s"
+                            % (models_path, a, exc)) from None
+        if (model.n_classes, model.n_features) != (n_classes, n_features):
+            raise DataError("%s: classifier %d has %d classes and %d "
+                            "features, meta.json %d and %d"
+                            % (models_path, a, model.n_classes,
+                               model.n_features, n_classes, n_features))
+        models.append(model)
+    forest_path = os.path.join(outdir, "forest.json")
+    forest = forest_mod.load_forest(forest_path)
+    if (forest.n_rows, forest.n_classifiers, forest.n_features) != (
+            M, n, n_features):
+        raise DataError("%s: forest has %d rows, %d classifiers and %d "
+                        "features, meta.json %d, %d and %d"
+                        % (forest_path, forest.n_rows, forest.n_classifiers,
+                           forest.n_features, M, n, n_features))
     cm = CorrectnessMatrix(predicted, truth, sample_indices,
-                           n_classes=int(meta["validation"]["n_classes"]))
+                           n_classes=n_classes)
     return meta, models, forest, cm
 
 

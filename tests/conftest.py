@@ -2,10 +2,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cshc.classifiers import ClassifierSpec
 from cshc.config import ExperimentConfig
 from cshc.data import Dataset
+
+# fixed examples, no deadline and no example database: the property tests
+# are part of the deterministic suite; each test sets its own max_examples
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 ACCEPTANCE_LOG = []
 

@@ -1,4 +1,10 @@
-"""Eager reference for the forest query.
+"""Eager references for the forest query and the tree growers.
+
+The program grows both kinds of tree with one preorder grower over one
+vectorized split scan. `grow_tree` and `gini_tree` below are the growers
+it replaced, a recursive CSHC grower and a stack-built Gini tree, each
+over the per-column scans of `kernels_reference`; the grower tests compare
+the program's trees with them array for array.
 
 The program gathers a query's cumulative rank and dominant class from
 per-leaf tables it builds once per forest, and builds the member union
@@ -12,6 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.stats import rankdata
+
+import kernels_reference
+from cshc.forest import Tree
 
 
 def walk(tree, x):
@@ -51,3 +60,92 @@ def reference_bundle(forest, x):
         rows=rows,
         mult=mult,
         dominant_true_class=int(np.argmax(class_support)))
+
+
+def grow_tree(rows, mult, cfg, correct, features, allowed):
+    """Recursively partition the weighted cluster (rows, mult) into a Tree.
+
+    A node becomes a leaf when the depth limit is reached, no candidate
+    split keeps both children at min_cluster_size, the parent's best
+    count is already unbeatable (zero), or the best gain falls below
+    min_improvement * parent best count.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    mult = np.asarray(mult, dtype=np.float64)
+    nodes = []   # [feat, thr, left, right, leaf_id] per node, in preorder
+    leaves = []  # (rows, mult, counts) per leaf, in preorder
+
+    def grow(rows, mult, depth):
+        i = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, -1])
+        wc = mult[:, None] * correct[rows]
+        counts = wc.sum(axis=0)
+        parent_best = counts.max()
+        if depth < cfg.max_depth and parent_best != 0.0:
+            vals = np.ascontiguousarray(features[rows][:, allowed])
+            gain, col, thr = kernels_reference.best_split(
+                vals, np.ascontiguousarray(wc), mult,
+                float(cfg.min_cluster_size))
+            if col >= 0 and gain >= cfg.min_improvement * parent_best:
+                feature = int(allowed[col])
+                go_left = features[rows, feature] <= thr
+                nodes[i][:2] = feature, float(thr)
+                nodes[i][2] = grow(rows[go_left], mult[go_left], depth + 1)
+                nodes[i][3] = grow(rows[~go_left], mult[~go_left], depth + 1)
+                return i
+        nodes[i][4] = len(leaves)
+        leaves.append((rows, mult, counts))
+        return i
+
+    grow(rows, mult, 0)
+    feat, thr, left, right, leaf_id = zip(*nodes)
+    sizes = [r.size for r, _, _ in leaves]
+    return Tree(
+        feature_subset=np.asarray(allowed, dtype=np.int64),
+        bootstrap_rows=rows, bootstrap_mult=mult,
+        feat=np.asarray(feat, dtype=np.int64),
+        thr=np.asarray(thr, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        leaf_id=np.asarray(leaf_id, dtype=np.int64),
+        leaf_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        leaf_rows=np.concatenate([r for r, _, _ in leaves]),
+        leaf_mult=np.concatenate([m for _, m, _ in leaves]),
+        leaf_counts=np.vstack([c for _, _, c in leaves]))
+
+
+def gini_tree(Z, y, C):
+    """(feat, thr, left, right, leaf_id, leaf_proba) of the unpruned Gini
+    tree over the rows of Z with labels y in [0, C)."""
+    feat, thr, left, right, leaf_id = [], [], [], [], []
+    leaf_proba = []
+    # explicit stack: unpruned trees can outgrow the recursion limit
+    stack = [(np.arange(Z.shape[0]), -1, False)]
+    while stack:
+        rows, parent, is_left = stack.pop()
+        node = len(feat)
+        if parent >= 0:
+            if is_left:
+                left[parent] = node
+            else:
+                right[parent] = node
+        feat.append(-1)
+        thr.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_id.append(-1)
+        counts = np.bincount(y[rows], minlength=C).astype(float)
+        if counts.max() < rows.size:  # impure: split whenever possible
+            gain, col, t = kernels_reference.gini_split(Z[rows], y[rows], C)
+            if col >= 0:
+                feat[node] = int(col)
+                thr[node] = float(t)
+                mask = Z[rows, col] <= t
+                stack.append((rows[~mask], node, False))
+                stack.append((rows[mask], node, True))
+                continue
+        leaf_id[node] = len(leaf_proba)
+        leaf_proba.append(counts / counts.sum())
+    return (np.asarray(feat, dtype=np.int64), np.asarray(thr),
+            np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+            np.asarray(leaf_id, dtype=np.int64), np.vstack(leaf_proba))

@@ -278,10 +278,6 @@ class TestMajorityVote:
 # the batched kernel and scorers against the per-query oracle
 # ---------------------------------------------------------------------------
 
-# fixed examples: the property tests are part of the deterministic suite
-DETERMINISTIC = settings(max_examples=80, derandomize=True, deadline=None,
-                         database=None)
-
 
 @st.composite
 def knn_cases(draw):
@@ -312,7 +308,7 @@ def reference_regions(queries, k, pool):
 
 
 class TestRegionOracle:
-    @DETERMINISTIC
+    @settings(max_examples=80)
     @given(knn_cases())
     def test_matches_per_query_scan(self, case):
         pool, queries, k = case
@@ -382,7 +378,7 @@ SCORERS = {  # name -> (batched call, reference call on one Region)
 
 class TestScorerOracle:
     @pytest.mark.parametrize("name", sorted(SCORERS))
-    @DETERMINISTIC
+    @settings(max_examples=80)
     @given(case=scorer_cases())
     def test_competence_matches_per_query(self, name, case):
         cm, nb, dist, labels, C, sim = case
@@ -395,7 +391,7 @@ class TestScorerOracle:
             assert np.allclose(scores[q], want, rtol=1e-12, atol=0.0)
             assert np.argmax(scores[q]) == np.argmax(want)
 
-    @DETERMINISTIC
+    @settings(max_examples=80)
     @given(case=scorer_cases())
     def test_votes_match_per_query(self, case):
         cm, nb, _, labels, C, _ = case

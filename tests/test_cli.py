@@ -3,9 +3,12 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import cshc
 from cshc.cli import main
 from test_harness import tiny_experiment_config
 
@@ -153,10 +156,36 @@ class TestSelectFiles:
          "models.json: expected a list of 4 classifier objects"),
         ("models.json", lambda text: _truncated(text, 3),
          "models.json: expected a list of 4 classifier objects"),
+        ("models.json", lambda text: json.dumps([{}] * 4),
+         "models.json: classifier 0: lacks key 'kind'"),
+        ("meta.json", lambda text: _replaced(text, "x", "validation",
+                                             "n_classes"),
+         "meta.json: 'validation.n_classes' must be an integer >= 2, "
+         "got 'x'"),
+        ("models.json", lambda text: _truncated(text, 1, 0, "theta"),
+         "models.json: classifier 0: 'theta' is not an array of shape "
+         "(C, F) with C = 2 classes and F = 2 features"),
+        ("forest.json", lambda text: _replaced(text, [0, 1], "trees", 0,
+                                               "leaf_ptr"),
+         "forest.json: forest tree 0 has 'leaf_ptr' other than "),
+        ("forest.json", lambda text: _truncated(text, 0, "trees", 0,
+                                                "leaf_counts"),
+         "forest.json: forest tree 0 has 'leaf_counts' of shape (0,), not ("),
+        ("forest.json", lambda text: _replaced(text, 3, "n_features"),
+         "forest.json: forest has 81 rows, 4 classifiers and 3 features, "
+         "meta.json 81, 4 and 2"),
+        ("meta.json", lambda text: _truncated(text, 1, "dataset",
+                                              "class_names"),
+         "meta.json: 'dataset.feature_names' and 'dataset.class_names' are "
+         "not lists of names"),
     ], ids=["forest-truncated", "models-not-json", "meta-format-only",
             "meta-no-truth", "forest-no-truth", "meta-short-truth",
             "meta-short-sample-indices", "meta-short-accuracy",
-            "meta-ragged-predicted", "models-not-objects", "models-short"])
+            "meta-ragged-predicted", "models-not-objects", "models-short",
+            "models-empty-objects", "meta-n-classes-not-int",
+            "models-short-theta", "forest-bad-leaf-ptr",
+            "forest-no-leaf-counts", "forest-feature-count",
+            "meta-short-class-names"])
     def test_malformed_bundle_file_exits_2(self, trained_bundle, tmp_path,
                                            capsys, name, rewrite, message):
         bundle_dir = str(tmp_path / "malformed")
@@ -171,6 +200,52 @@ class TestSelectFiles:
         assert main(["select", "--model", bundle_dir, "--input",
                      str(query)]) == 2
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("name,field,value,message", [
+        ("forest.json", "left", 0, "has 'left' 0 at node 0"),
+        ("forest.json", "right", 10 ** 6, "has 'right' 1000000 at node 0"),
+        ("forest.json", "leaf_id", 99, "has 'leaf_id' 99 at node "),
+        ("models.json", "left", 0,
+         "classifier 2: has 'left' 0 at node 0"),
+        ("models.json", "feat", -1,
+         "classifier 2: has 'feat' -1 at node 0"),
+        ("models.json", "leaf_id", 99,
+         "classifier 2: has 'leaf_id' 99 at node "),
+    ], ids=["forest-cyclic", "forest-right-out-of-range",
+            "forest-leaf-id-out-of-range",
+            "gini-cyclic", "gini-feat-negative", "gini-leaf-id-out-of-range"])
+    def test_bad_tree_exits_2(self, trained_bundle, tmp_path, name, field,
+                              value, message):
+        """A tree that route could loop in or index out of fails the load.
+        The root of the first tree that splits, else of the first tree, is
+        changed; select runs in a subprocess so that a hang fails the
+        test."""
+        bundle_dir = str(tmp_path / "bad-tree")
+        shutil.copytree(trained_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, name)
+        with open(path) as fh:
+            data = json.load(fh)
+        trees = (data["trees"] if name == "forest.json" else
+                 [m for m in data if m["kind"] == "decision_tree_gini"])
+        tree = next((t for t in trees if t["left"][0] >= 0), trees[0])
+        if field == "leaf_id":
+            tree[field] = [value if i >= 0 else i for i in tree[field]]
+        else:
+            tree[field][0] = value
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n2.0,-0.2\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cshc.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cshc.cli", "select", "--model",
+             bundle_dir, "--input", str(query)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "%s: " % path in proc.stderr and message in proc.stderr
 
 
 def _without(text, *keys):
@@ -243,6 +318,45 @@ class TestEvaluate:
                      "--reference", "mv"]) == 2
         assert "[baselines] k must be at least 1, got 0" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigErrors:
+    """A bad configuration exits 2 before any work on every command."""
+
+    @pytest.mark.parametrize("command,ini,message", [
+        ("train", "[experiment]\nprotocol = foo\n",
+         "protocol must be split50 or cv3, got 'foo'"),
+        ("train", "[experiment]\nmethods = cshc, nope\n",
+         "unknown method 'nope'"),
+        ("train", "[baselines]\nk = 0\n",
+         "[baselines] k must be at least 1, got 0"),
+        ("train", "[classifiers]\npool = gaussian_nb\n",
+         "need at least 2 classifiers in the pool"),
+        ("train", "[cshc]\nn_trees = 0\n", "n_trees must be >= 1"),
+        ("evaluate", "[cshc]\nn_trees = 0\n", "n_trees must be >= 1"),
+        ("compare", "[cshc]\nn_trees = 0\n", "n_trees must be >= 1"),
+        ("train", "[cshc]\nn_trees = abc\n",
+         "[cshc] n_trees must be an integer, got 'abc'"),
+        ("evaluate", "[cshc]\nmin_improvement = lots\n",
+         "[cshc] min_improvement must be a number, got 'lots'"),
+        ("compare", "[cshc]\nn_trees = abc\n",
+         "[cshc] n_trees must be an integer, got 'abc'"),
+    ], ids=["train-protocol", "train-method", "train-k-zero",
+            "train-one-classifier", "train-no-trees", "evaluate-no-trees",
+            "compare-no-trees", "train-trees-not-int",
+            "evaluate-improvement-not-number", "compare-trees-not-int"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, command, ini,
+                                message):
+        data = write_tiny_csv(tmp_path)
+        path = tmp_path / "bad.ini"
+        path.write_text(ini + "[data]\ntiny = %s\n" % data)
+        out = tmp_path / "out"
+        args = [command, "--config", str(path), "--out", str(out)]
+        if command != "compare":
+            args += ["--data", data, "--label", "label"]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

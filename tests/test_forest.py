@@ -2,18 +2,20 @@
 
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forest_reference
+from cshc.classifiers import ClassifierSpec, train
 from cshc.data import CorrectnessMatrix, Dataset
-from cshc.forest import (CshcConfig, LeafBundle, bootstrap_draws,
+from cshc.forest import (CshcConfig, LeafBundle, Tree, bootstrap_draws,
                          build_forest, feature_subset_size, forest_from_dict,
                          forest_to_dict, grow_tree, leaf_ranks, load_forest,
                          query, query_batch, save_forest, split_gain)
-from forest_reference import reference_bundle
 
 
 def make_cm(predicted, truth):
@@ -316,11 +318,6 @@ def small_forests(draw):
     return build_forest(cm, ds, cfg), queries
 
 
-# fixed examples: the property tests are part of the deterministic suite
-DETERMINISTIC = settings(max_examples=60, derandomize=True, deadline=None,
-                         database=None)
-
-
 def assert_same_bundle(bundle, ref):
     """Every part of a program bundle equals the reference, bit for bit."""
     per_tree, cumulative = leaf_ranks(bundle)
@@ -334,16 +331,17 @@ def assert_same_bundle(bundle, ref):
 
 
 class TestQueryOracle:
-    @DETERMINISTIC
+    @settings(max_examples=60)
     @given(small_forests())
     def test_query_matches_eager_reference(self, case):
         forest, X = case
         bundles = query_batch(forest, X)
         assert len(bundles) == X.shape[0]
         for x, bundle in zip(X, bundles):
-            assert_same_bundle(bundle, reference_bundle(forest, x))
+            assert_same_bundle(
+                bundle, forest_reference.reference_bundle(forest, x))
 
-    @DETERMINISTIC
+    @settings(max_examples=60)
     @given(small_forests())
     def test_save_load_round_trip(self, case):
         forest, X = case
@@ -356,4 +354,57 @@ class TestQueryOracle:
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
         for x, bundle in zip(X, query_batch(restored, X)):
-            assert_same_bundle(bundle, reference_bundle(forest, x))
+            assert_same_bundle(
+                bundle, forest_reference.reference_bundle(forest, x))
+
+
+@st.composite
+def grow_cases(draw):
+    """Features with ties, a bootstrap multiset and the growth limits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = draw(st.integers(1, 60))
+    F = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):  # coarse grid: many tied values
+        features = rng.integers(0, 4, size=(M, F)).astype(float)
+    else:
+        features = rng.normal(size=(M, F))
+    counts = np.bincount(rng.integers(0, M, size=M), minlength=M)
+    rows = np.flatnonzero(counts)
+    cfg = CshcConfig(max_depth=draw(st.sampled_from([1, 2, 3, 15])),
+                     min_cluster_size=draw(st.integers(1, 3)),
+                     min_improvement=draw(st.sampled_from([0.0, 0.02, 0.3])))
+    allowed = np.sort(rng.choice(F, size=draw(st.integers(1, F)),
+                                 replace=False))
+    correct = (rng.random((M, n)) < 0.6).astype(float)
+    labels = rng.integers(0, n, size=M)
+    return (rows, counts[rows].astype(float), cfg, correct, features,
+            allowed, labels, n)
+
+
+class TestGrowOracle:
+    """The preorder grower builds the trees its replaced growers built."""
+
+    @settings(max_examples=150)
+    @given(grow_cases())
+    def test_grow_tree_matches_recursive_reference(self, case):
+        rows, mult, cfg, correct, features, allowed, _, _ = case
+        got = grow_tree(rows, mult, cfg, correct, features, allowed)
+        want = forest_reference.grow_tree(rows, mult, cfg, correct, features,
+                                          allowed)
+        for f in fields(Tree):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+    @settings(max_examples=150)
+    @given(grow_cases())
+    def test_gini_tree_matches_stack_reference(self, case):
+        _, _, _, _, features, _, labels, n = case
+        ds = Dataset(features, labels, ["f%d" % j for j in range(
+            features.shape[1])], ["c%d" % c for c in range(n)])
+        model = train(ClassifierSpec("decision_tree_gini"), ds)
+        want = forest_reference.gini_tree(features, labels, n)
+        got = (model.feat, model.thr, model.left, model.right, model.leaf_id,
+               model.leaf_proba)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -1,9 +1,13 @@
-"""Brute-force checks for the hot kernels."""
+"""Brute-force and reference checks for the hot kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernels_reference
 from cshc import kernels
+from cshc.data import DataError
 
 
 def brute_best_split(vals, wc, mult, min_size):
@@ -92,6 +96,59 @@ def test_gini_split_matches_bruteforce():
             assert gain == pytest.approx(best[0], abs=1e-9)
 
 
+@st.composite
+def scan_cases(draw):
+    """A cluster with tied and constant columns, 1 to 40 members, and a
+    min_size at the edges of the multiplicity range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    S = draw(st.integers(1, 40))
+    F = draw(st.integers(1, 10))
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):  # coarse grid: many tied values
+        vals = rng.integers(0, 3, size=(S, F)).astype(float)
+    else:
+        vals = rng.normal(size=(S, F)) * 10.0 ** rng.integers(-3, 4, size=F)
+    vals[:, rng.random(F) < 0.3] = 1.5  # constant columns
+    mult = rng.integers(1, 4, size=S).astype(float)
+    total = mult.sum()
+    prefix = np.cumsum(mult[rng.permutation(S)])
+    min_size = draw(st.sampled_from([
+        0.0, 1.0, 2.0, mult.min(), np.floor(total / 2), np.ceil(total / 2),
+        total - mult.min(), total, total + 1.0,
+        prefix[rng.integers(0, S)]]))
+    labels = rng.integers(0, n, size=S)
+    wcorrect = rng.integers(0, 2, size=(S, n)) * mult[:, None]
+    return vals, wcorrect, mult, float(min_size), labels, n
+
+
+def bits(result):
+    """(gain, column, threshold) as bytes, so equal means bit-identical."""
+    gain, col, thr = result
+    assert isinstance(col, int)
+    return np.array([gain, col, thr], dtype=np.float64).tobytes()
+
+
+class TestScanOracle:
+    """The vectorized scan equals the per-column scan it replaced, bit
+    for bit, ties included."""
+
+    @settings(max_examples=300)
+    @given(scan_cases())
+    def test_best_split_matches_per_column_reference(self, case):
+        vals, wcorrect, mult, min_size, _, _ = case
+        got = kernels.best_split(vals, wcorrect, mult, min_size)
+        want = kernels_reference.best_split(vals, wcorrect, mult, min_size)
+        assert bits(got) == bits(want)
+
+    @settings(max_examples=300)
+    @given(scan_cases())
+    def test_gini_split_matches_per_column_reference(self, case):
+        vals, _, _, _, labels, n = case
+        got = kernels.gini_split(vals, labels, n)
+        want = kernels_reference.gini_split(vals, labels, n)
+        assert bits(got) == bits(want)
+
+
 def _toy_tree():
     # node0: x0 <= 1.5 -> leaf0 else node2: x1 <= 0 -> leaf1 else leaf2
     feat = np.array([0, -1, 1, -1, -1], dtype=np.int64)
@@ -110,3 +167,39 @@ def test_route_boundary_goes_left():
                   [0.0, 5.0]])
     got = kernels.route(feat, thr, left, right, leaf_id, np.ascontiguousarray(X))
     assert got.tolist() == [0, 1, 2, 0]
+
+
+class TestCheckTree:
+    def test_grown_layout_passes(self):
+        assert kernels.check_tree(*_toy_tree(), n_features=2) == 3
+
+    @pytest.mark.parametrize("field,node,value,message", [
+        ("left", 0, 0, "has 'left' 0 at node 0"),       # a cycle
+        ("left", 2, 4, "has 'left' 4 at node 2"),       # not the next node
+        ("left", 1, -2, "has 'left' -2 at node 1"),     # a leaf child not -1
+        ("right", 0, 1, "has 'right' 1 at node 0"),     # the left child
+        ("right", 2, 5, "has 'right' 5 at node 2"),     # past the last node
+        ("right", 3, 4, "has 'right' 4 at node 3"),     # a leaf with a child
+        ("feat", 2, 2, "has 'feat' 2 at node 2"),
+        ("feat", 0, -1, "has 'feat' -1 at node 0"),
+        ("leaf_id", 4, 99, "has 'leaf_id' 99 at node 4"),
+        ("leaf_id", 3, 2, "has 'leaf_id' 2 at node 3"),  # out of node order
+        ("leaf_id", 2, 0, "has 'leaf_id' 0 at node 2"),  # on an internal node
+    ])
+    def test_rejects_bad_field(self, field, node, value, message):
+        arrays = dict(zip(("feat", "thr", "left", "right", "leaf_id"),
+                          _toy_tree()))
+        arrays[field][node] = value
+        with pytest.raises(DataError) as exc:
+            kernels.check_tree(n_features=2, **arrays)
+        assert str(exc.value) == message
+
+    def test_rejects_unequal_lengths(self):
+        feat, thr, left, right, leaf_id = _toy_tree()
+        with pytest.raises(DataError,
+                           match=r"has 'thr' of shape \(4,\), not \(5,\)"):
+            kernels.check_tree(feat, thr[:4], left, right, leaf_id, 2)
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(DataError,
+                           match=r"has 'feat' of shape \(0,\), not"):
+            kernels.check_tree(empty, thr, left, right, leaf_id, 2)

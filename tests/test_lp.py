@@ -173,13 +173,8 @@ def lp_instances(draw):
     return LpInstance(n=n, n_classes=C, m=m, y=y, L=L, gamma=80.0)
 
 
-# fixed examples: the property tests are part of the deterministic suite
-DETERMINISTIC = settings(max_examples=80, derandomize=True, deadline=None,
-                         database=None)
-
-
 class TestProperties:
-    @DETERMINISTIC
+    @settings(max_examples=80)
     @given(lp_instances())
     def test_optimum_matches_reference_simplex(self, inst):
         sol = solve(inst)
@@ -190,7 +185,7 @@ class TestProperties:
         obj, _, _ = penalties_given_weights(inst, sol.w)
         assert abs(obj - sol.objective) <= 1e-6 * max(1.0, abs(ref))
 
-    @DETERMINISTIC
+    @settings(max_examples=80)
     @given(lp_instances(), st.data())
     def test_penalties_match_loop_reference(self, inst, data):
         w = np.asarray(data.draw(st.lists(
@@ -201,7 +196,7 @@ class TestProperties:
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
 
-    @DETERMINISTIC
+    @settings(max_examples=80)
     @given(lp_instances())
     def test_merge_matches_loop_reference(self, inst):
         got = _merge_equivalent(inst)
