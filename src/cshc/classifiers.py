@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .data import DataError, open_input, require_int
+from .data import DataError, open_input, read_array
 from .rng import substream
 
 KINDS = ("gaussian_nb", "one_nn", "decision_tree_gini", "perceptron", "external")
@@ -62,8 +62,10 @@ class TrainedClassifier:
 
     # serialized state: constructor argument -> (numpy dtype, shape). A
     # shape letter is C (classes), F (features), B (F + 1), or a size that
-    # all the fields naming it share.
+    # all the fields naming it share. Float arrays must be finite, except
+    # that the log probabilities in LOG_STATE may hold -inf.
     STATE = {}
+    LOG_STATE = ()
 
     def __init__(self, spec, n_classes, n_features, scaler):
         self.spec = spec
@@ -96,6 +98,7 @@ class TrainedClassifier:
 class GaussianNBTrained(TrainedClassifier):
     STATE = {"log_prior": ("f8", "C"), "theta": ("f8", "CF"),
              "var": ("f8", "CF")}
+    LOG_STATE = ("log_prior",)
 
     def __init__(self, spec, n_classes, n_features, scaler, log_prior, theta, var):
         super().__init__(spec, n_classes, n_features, scaler)
@@ -118,6 +121,10 @@ class GaussianNBTrained(TrainedClassifier):
         shift = jll.max(axis=1, keepdims=True)
         p = np.exp(jll - shift)
         return p / p.sum(axis=1, keepdims=True)
+
+    def check_state(self):
+        if not (self.var > 0).all():
+            raise DataError("'var' holds a variance <= 0")
 
 
 class OneNNTrained(TrainedClassifier):
@@ -421,7 +428,6 @@ def model_state(model):
     s = {"kind": model.spec.kind, "name": model.spec.name,
          "hyperparams": {k: v for k, v in model.spec.hyperparams.items()
                          if k != "predictions"},
-         "n_classes": model.n_classes, "n_features": model.n_features,
          "scaler": {"mean": model.scaler.mean.tolist(),
                     "scale": model.scaler.scale.tolist()}}
     s.update(state)
@@ -433,28 +439,28 @@ _RESTORABLE = {"gaussian_nb": GaussianNBTrained, "one_nn": OneNNTrained,
                "perceptron": PerceptronTrained}
 
 
-def _state_array(state, key, dtype, shape, sizes):
+def _state_array(state, key, dtype, shape, sizes, log=False):
     """state[key] as an array of the given shape letters, binding each
-    letter sizes does not hold yet to the size found."""
+    letter sizes does not hold yet to the size found. A float array must
+    be finite, or hold -inf where log is set."""
     if key not in state:
         raise DataError("lacks key %r" % key)
-    try:
-        arr = np.asarray(state[key], dtype=dtype)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != len(shape) or any(
-            sizes.setdefault(d, n) != n for d, n in zip(shape, arr.shape)):
+    arr = read_array(state[key], repr(key), dtype, len(shape))
+    if any(sizes.setdefault(d, n) != n for d, n in zip(shape, arr.shape)):
         raise DataError("%r is not an array of shape (%s) with C = %d "
                         "classes and F = %d features"
                         % (key, ", ".join(shape), sizes["C"], sizes["F"]))
+    if arr.dtype.kind == "f" and not (
+            np.isfinite(arr) | (log & (arr == -np.inf))).all():
+        raise DataError("%r holds a value that is not a finite number" % key)
     return arr
 
 
-def model_from_state(s):
-    """A model from its model_state; a DataError names the first key or
-    array that does not fit the kind's STATE."""
-    for key in ("kind", "name", "hyperparams", "n_classes", "n_features",
-                "scaler"):
+def model_from_state(s, n_classes, n_features):
+    """A model of n_classes classes over n_features features from its
+    model_state; a DataError names the first key or array that does not
+    fit the kind's STATE."""
+    for key in ("kind", "name", "hyperparams", "scaler"):
         if key not in s:
             raise DataError("lacks key %r" % key)
     cls = _RESTORABLE.get(s["kind"]) if isinstance(s["kind"], str) else None
@@ -463,14 +469,15 @@ def model_from_state(s):
     if not (isinstance(s["name"], str) and isinstance(s["hyperparams"], dict)
             and isinstance(s["scaler"], dict)):
         raise DataError("'name', 'hyperparams' or 'scaler' has the wrong type")
-    C = require_int(s["n_classes"], "'n_classes'", 2)
-    F = require_int(s["n_features"], "'n_features'", 1)
-    sizes = {"C": C, "F": F, "B": F + 1}
+    sizes = {"C": n_classes, "F": n_features, "B": n_features + 1}
     scaler = _Scaler(*(_state_array(s["scaler"], key, "f8", "F", sizes)
                        for key in ("mean", "scale")))
-    arrays = {key: _state_array(s, key, dtype, shape, sizes)
+    if not (scaler.scale > 0).all():
+        raise DataError("scaler 'scale' holds a value <= 0")
+    arrays = {key: _state_array(s, key, dtype, shape, sizes,
+                                key in cls.LOG_STATE)
               for key, (dtype, shape) in cls.STATE.items()}
     model = cls(ClassifierSpec(s["kind"], s["name"], dict(s["hyperparams"])),
-                C, F, scaler, **arrays)
+                n_classes, n_features, scaler, **arrays)
     model.check_state()
     return model

@@ -70,7 +70,7 @@ def cmd_select(args):
         meta, models, forest, cm, X, args.method,
         gamma=args.gamma if args.gamma is not None else mcfg["gamma"],
         rho=args.rho if args.rho is not None else mcfg["rho"],
-        seed=args.seed if args.seed is not None else meta["seed"])
+        seed=args.seed if args.seed is not None else mcfg["seed"])
     class_names = meta["dataset"]["class_names"]
 
     def emit(fh):

@@ -151,14 +151,24 @@ def load_json(path):
             raise DataError("%s: not valid JSON: %s" % (path, exc)) from None
 
 
-def require_int(value, name, minimum):
-    """value, a loaded integer of at least minimum, else a DataError
-    naming it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        raise DataError("%s must be an integer >= %d, got %r"
-                        % (name, minimum, value))
+def require_int(value, name):
+    """value, a loaded integer, else a DataError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError("%s must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def read_array(value, name, dtype, ndim):
+    """A loaded value as an ndim-D array of dtype; a DataError naming it
+    when the value does not convert (a string, a ragged list, an integer
+    beyond int64) or has another rank."""
+    try:
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise DataError("%s is not a %d-D array of numbers" % (name, ndim))
+    return arr
 
 
 def _read_header(reader, path):

@@ -16,10 +16,10 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import kernels
-from .data import DataError, load_json, require_int
+from .data import CorrectnessMatrix, DataError, load_json, read_array
 from .rng import substream
 
-FOREST_FORMAT = "cshc-forest/2"
+FOREST_FORMAT = "cshc-forest/3"
 
 
 @dataclass
@@ -43,14 +43,6 @@ class CshcConfig:
         if not 0.0 <= self.min_improvement < 1.0:
             raise DataError("min_improvement must be in [0, 1)")
 
-    def asdict(self):
-        return {"n_trees": self.n_trees,
-                "bootstrap_fraction": self.bootstrap_fraction,
-                "min_cluster_size": self.min_cluster_size,
-                "max_depth": self.max_depth,
-                "min_improvement": self.min_improvement,
-                "seed": self.seed}
-
 
 def feature_subset_size(n_features):
     """round(2 * sqrt(F)), half rounded up, capped at F."""
@@ -70,23 +62,20 @@ class Tree:
     The node arrays are the layout of `kernels`, which grows, routes and
     checks them: internal node i has left child i + 1, a right child
     after its left subtree and leaf_id -1; leaves have left/right -1 and
-    feat -1. Leaf l holds the member rows and
-    multiplicities leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]] and
-    the weighted correct counts leaf_counts[l].
+    feat -1. Leaf l holds the member rows and multiplicities
+    leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]]; together the leaves
+    hold the tree's bootstrap draw. Everything else about a leaf is
+    derived from its members by `Forest`.
     """
 
-    feature_subset: np.ndarray  # (k,) features the tree may split on
-    bootstrap_rows: np.ndarray  # (m,) distinct rows of the bootstrap draw
-    bootstrap_mult: np.ndarray  # (m,) their multiplicities
-    feat: np.ndarray            # (N,) split feature per node
-    thr: np.ndarray             # (N,) split threshold per node
-    left: np.ndarray            # (N,) left child per node
-    right: np.ndarray           # (N,) right child per node
-    leaf_id: np.ndarray         # (N,) leaf index per node
-    leaf_ptr: np.ndarray        # (L + 1,) offsets into leaf_rows/leaf_mult
-    leaf_rows: np.ndarray       # (m,) member rows, grouped by leaf
-    leaf_mult: np.ndarray       # (m,) member multiplicities
-    leaf_counts: np.ndarray     # (L, n) weighted correct counts per leaf
+    feat: np.ndarray       # (N,) split feature per node
+    thr: np.ndarray        # (N,) split threshold per node
+    left: np.ndarray       # (N,) left child per node
+    right: np.ndarray      # (N,) right child per node
+    leaf_id: np.ndarray    # (N,) leaf index per node
+    leaf_ptr: np.ndarray   # (L + 1,) offsets into leaf_rows/leaf_mult
+    leaf_rows: np.ndarray  # (m,) member rows, grouped by leaf
+    leaf_mult: np.ndarray  # (m,) member multiplicities, whole numbers >= 1
 
     def members(self, leaf):
         """(rows, mult) of one leaf's members."""
@@ -95,45 +84,49 @@ class Tree:
 
 
 # Tree fields holding integers; the others hold float64
-_INT_FIELDS = {"feature_subset", "bootstrap_rows", "feat", "left", "right",
-               "leaf_id", "leaf_ptr", "leaf_rows"}
+_INT_FIELDS = {"feat", "left", "right", "leaf_id", "leaf_ptr", "leaf_rows"}
 
 
 @dataclass
 class Forest:
-    """The tree ensemble plus per-leaf tables derived from it.
+    """The tree ensemble over the rows of a correctness matrix, plus
+    per-leaf tables derived from the two.
 
     The tables hold the leaves of all trees one after another, tree t's
-    from row leaf_base[t] on: leaf_rank holds each leaf's within-leaf
-    classifier ranks, leaf_support its member multiplicities summed by
-    validation truth. Both are computed on construction and never
-    serialized.
+    from row leaf_base[t] on: leaf_counts holds each leaf's member
+    multiplicities summed over the rows each classifier got right,
+    leaf_rank the classifiers' ranks within the leaf and leaf_support
+    the multiplicities summed by validation truth. They are computed on
+    construction and never serialized; the sums are of whole numbers, so
+    they are exact in any order.
     """
 
     trees: list
-    config: CshcConfig
-    n_classifiers: int
-    truth: np.ndarray  # validation truth per correctness-matrix row
-    n_rows: int
+    cm: CorrectnessMatrix  # the validation rows the leaves' members index
     n_features: int
     leaf_base: np.ndarray = field(init=False, repr=False)     # (T,)
+    leaf_counts: np.ndarray = field(init=False, repr=False)   # (sum L, n)
     leaf_rank: np.ndarray = field(init=False, repr=False)     # (sum L, n)
     leaf_support: np.ndarray = field(init=False, repr=False)  # (sum L, C)
 
     def __post_init__(self):
-        trees = self.trees
-        leaves = [tree.leaf_counts.shape[0] for tree in trees]
+        trees, cm = self.trees, self.cm
+        leaves = [tree.leaf_ptr.size - 1 for tree in trees]
+        L = sum(leaves)
         self.leaf_base = np.cumsum([0] + leaves[:-1]).astype(np.int64)
-        self.leaf_rank = _within_leaf_ranks(
-            np.vstack([tree.leaf_counts for tree in trees]))
-        n_classes = int(self.truth.max()) + 1
-        leaf_of = np.repeat(np.arange(sum(leaves)), np.concatenate(
+        leaf_of = np.repeat(np.arange(L), np.concatenate(
             [np.diff(tree.leaf_ptr) for tree in trees]))
         rows = np.concatenate([tree.leaf_rows for tree in trees])
+        mult = np.concatenate([tree.leaf_mult for tree in trees])
+        wc = mult[:, None] * cm.correct[rows]
+        self.leaf_counts = np.column_stack(
+            [np.bincount(leaf_of, weights=wc[:, a], minlength=L)
+             for a in range(cm.n_classifiers)])
+        self.leaf_rank = _within_leaf_ranks(self.leaf_counts)
+        C = cm.class_count()
         self.leaf_support = np.bincount(
-            leaf_of * n_classes + self.truth[rows],
-            weights=np.concatenate([tree.leaf_mult for tree in trees]),
-            minlength=sum(leaves) * n_classes).reshape(-1, n_classes)
+            leaf_of * C + cm.truth[rows], weights=mult,
+            minlength=L * C).reshape(-1, C)
 
     @property
     def n_trees(self):
@@ -193,7 +186,7 @@ class LeafBundle:
         parts = [tree.members(lid) for tree, lid in self._hit_leaves()]
         mult = np.bincount(np.concatenate([r for r, _ in parts]),
                            weights=np.concatenate([m for _, m in parts]),
-                           minlength=self.forest.n_rows)
+                           minlength=self.forest.cm.n_samples)
         rows = np.flatnonzero(mult)
         return rows, mult[rows]
 
@@ -210,8 +203,8 @@ class LeafBundle:
     @cached_property
     def leaf_counts(self):
         """(T, n) correct counts in each hit leaf."""
-        return np.array([tree.leaf_counts[lid]
-                         for tree, lid in self._hit_leaves()])
+        return self.forest.leaf_counts[self.tree_leaf_ids
+                                       + self.forest.leaf_base]
 
     @cached_property
     def tree_ranks(self):
@@ -262,12 +255,10 @@ def grow_tree(rows, mult, cfg, correct, features, allowed):
                 (rows[~go_left], mult[~go_left]))
 
     nodes, leaves = kernels.grow((rows, mult), split)
-    return Tree(np.asarray(allowed, dtype=np.int64), rows, mult, *nodes,
+    return Tree(*nodes,
                 leaf_ptr=np.cumsum([0] + [r.size for r, _ in leaves]),
                 leaf_rows=np.concatenate([r for r, _ in leaves]),
-                leaf_mult=np.concatenate([m for _, m in leaves]),
-                leaf_counts=np.vstack([(m[:, None] * correct[r]).sum(axis=0)
-                                       for r, m in leaves]))
+                leaf_mult=np.concatenate([m for _, m in leaves]))
 
 
 def build_forest(cm, ds, cfg):
@@ -292,8 +283,7 @@ def build_forest(cm, ds, cfg):
         mult = counts[rows].astype(np.float64)
         allowed = np.sort(rng.choice(F, size=k_feat, replace=False))
         trees.append(grow_tree(rows, mult, cfg, correct, features, allowed))
-    return Forest(trees=trees, config=cfg, n_classifiers=cm.n_classifiers,
-                  truth=cm.truth.copy(), n_rows=M, n_features=F)
+    return Forest(trees, cm, F)
 
 
 def query(forest, x):
@@ -344,78 +334,59 @@ def leaf_ranks(bundle):
 
 def forest_to_dict(forest):
     return {"format": FOREST_FORMAT,
-            "config": forest.config.asdict(),
-            "n_classifiers": forest.n_classifiers,
-            "n_rows": forest.n_rows,
-            "n_features": forest.n_features,
-            "truth": forest.truth.tolist(),
             "trees": [{f.name: getattr(tree, f.name).tolist()
                        for f in fields(Tree)} for tree in forest.trees]}
 
 
-def _tree_from_dict(td, n_rows, n_features, n_classifiers):
+def _tree_from_dict(td, n_rows, n_features):
     """One serialized tree, its node arrays checked against the layout
-    `kernels.route` reads and its leaf tables against its leaves."""
+    `kernels.route` reads and its leaf members against its leaves."""
     arrays = {}
     for f in fields(Tree):
         if f.name not in td:
             raise DataError("lacks field %r" % f.name)
-        dtype = np.int64 if f.name in _INT_FIELDS else np.float64
-        try:
-            arrays[f.name] = np.asarray(td[f.name], dtype=dtype)
-        except (TypeError, ValueError):
-            raise DataError("has a non-numeric field %r" % f.name) from None
+        arrays[f.name] = read_array(
+            td[f.name], "field %r" % f.name,
+            np.int64 if f.name in _INT_FIELDS else np.float64, 1)
     tree = Tree(**arrays)
     L = kernels.check_tree(tree.feat, tree.thr, tree.left, tree.right,
                            tree.leaf_id, n_features)
-    ptr, rows = tree.leaf_ptr, tree.leaf_rows
+    ptr, rows, mult = tree.leaf_ptr, tree.leaf_rows, tree.leaf_mult
     if not (ptr.shape == (L + 1,) and ptr[0] == 0 and ptr[-1] == rows.size
             and (np.diff(ptr) >= 0).all()):
         raise DataError("has 'leaf_ptr' other than %d ascending offsets "
                         "from 0 to %d" % (L + 1, rows.size))
-    if not (rows.ndim == 1 and tree.leaf_mult.shape == rows.shape
+    # the members are one bootstrap draw of at most n_rows rows
+    whole = np.isfinite(mult) & (mult >= 1) & (mult == np.floor(mult))
+    if not (mult.shape == rows.shape and whole.all()
+            and mult.sum() <= n_rows
             and ((rows >= 0) & (rows < n_rows)).all()):
         raise DataError("has 'leaf_rows' and 'leaf_mult' other than equal "
-                        "lists of rows in [0, %d)" % n_rows)
-    if tree.leaf_counts.shape != (L, n_classifiers):
-        raise DataError("has 'leaf_counts' of shape %s, not (%d, %d)"
-                        % (tree.leaf_counts.shape, L, n_classifiers))
+                        "lists of rows in [0, %d) and whole numbers >= 1 "
+                        "with a sum of at most %d" % (n_rows, n_rows))
     return tree
 
 
-def forest_from_dict(data):
+def forest_from_dict(data, cm, n_features):
+    """The forest a dict of forest_to_dict holds, over the correctness
+    matrix cm and n_features features; a DataError names the first tree
+    and field that does not fit them."""
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != FOREST_FORMAT:
         raise DataError("unsupported forest format %r; this program reads %r"
                         % (fmt, FOREST_FORMAT))
-    for key in ("config", "n_classifiers", "n_rows", "n_features", "truth",
-                "trees"):
-        if key not in data:
-            raise DataError("forest lacks field %r" % key)
-    n_rows, n_features = (require_int(data[key], "forest %r" % key, 1)
-                          for key in ("n_rows", "n_features"))
-    n_classifiers = require_int(data["n_classifiers"],
-                                "forest 'n_classifiers'", 2)
-    try:
-        config = CshcConfig(**data["config"])
-        truth = np.asarray(data["truth"], dtype=np.int64)
-    except (TypeError, ValueError):
-        raise DataError("forest 'config' or 'truth' is malformed") from None
-    if truth.shape != (n_rows,) or truth.min() < 0:
-        raise DataError("forest 'truth' is not %d class indices" % n_rows)
-    if not (isinstance(data["trees"], list) and data["trees"]):
+    trees = data.get("trees")
+    if not (isinstance(trees, list) and trees):
         raise DataError("forest 'trees' is not a non-empty list")
-    trees = []
-    for t, td in enumerate(data["trees"]):
-        if not isinstance(td, dict):
-            raise DataError("forest tree %d is not an object" % t)
+    out = []
+    for t, td in enumerate(trees):
         try:
-            trees.append(_tree_from_dict(td, n_rows, n_features,
-                                         n_classifiers))
+            if not isinstance(td, dict):
+                raise DataError("is not an object")
+            out.append(_tree_from_dict(td, cm.n_samples, n_features))
         except DataError as exc:
             raise DataError("forest tree %d %s" % (t, exc)) from None
-    return Forest(trees=trees, config=config, n_classifiers=n_classifiers,
-                  truth=truth, n_rows=n_rows, n_features=n_features)
+    return Forest(out, cm, n_features)
 
 
 def save_forest(forest, path):
@@ -423,10 +394,11 @@ def save_forest(forest, path):
         json.dump(forest_to_dict(forest), fh)
 
 
-def load_forest(path):
-    """A saved forest; a malformed file is a DataError naming the path."""
+def load_forest(path, cm, n_features):
+    """A saved forest over cm and n_features features; a malformed file
+    is a DataError naming the path."""
     data = load_json(path)
     try:
-        return forest_from_dict(data)
+        return forest_from_dict(data, cm, n_features)
     except DataError as exc:
         raise DataError("%s: %s" % (path, exc)) from None

@@ -8,6 +8,8 @@ per-dataset accuracies into the cross-benchmark comparison statistics.
 
 import csv
 import json
+import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +24,7 @@ from . import selection as sel
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
                    build_correctness_holdout, load_csv, load_json,
-                   make_split, require_int)
+                   make_split, read_array, require_int)
 from .forest import build_forest, query_batch
 from .selection import SELECTION_METHODS
 
@@ -440,7 +442,7 @@ def append_run_record(result, path):
 # model bundle persistence (used by the train/select commands)
 # ---------------------------------------------------------------------------
 
-BUNDLE_FORMAT = "cshc-bundle/1"
+BUNDLE_FORMAT = "cshc-bundle/2"
 
 
 def save_bundle(prep, cfg, outdir):
@@ -453,12 +455,8 @@ def save_bundle(prep, cfg, outdir):
                     "feature_names": prep.ds.feature_names,
                     "class_names": prep.ds.class_names},
         "config": cfg.asdict(),
-        "validation_accuracy": prep.val_acc.tolist(),
         "validation": {"predicted": prep.cm.predicted.tolist(),
-                       "truth": prep.cm.truth.tolist(),
-                       "sample_indices": prep.cm.sample_indices.tolist(),
-                       "n_classes": prep.ds.n_classes},
-        "seed": prep.seed,
+                       "truth": prep.cm.truth.tolist()},
     }
     os.makedirs(outdir, exist_ok=True)
     forest_mod.save_forest(prep.forest, os.path.join(outdir, "forest.json"))
@@ -470,33 +468,26 @@ def save_bundle(prep, cfg, outdir):
 
 # meta.json entries that select reads
 _META_KEYS = (("dataset", "feature_names"), ("dataset", "class_names"),
-              ("config", "gamma"), ("config", "rho"), ("seed",),
-              ("validation_accuracy",), ("validation", "predicted"),
-              ("validation", "truth"), ("validation", "sample_indices"),
-              ("validation", "n_classes"))
-
-
-def _meta_array(meta_path, meta, keys, dtype, ndim):
-    """A meta.json entry as an array of rank ndim, else a DataError."""
-    node = meta
-    for key in keys:
-        node = node[key]
-    try:
-        arr = np.asarray(node, dtype=dtype)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
-        raise DataError("%s: %r is not a %d-D array of numbers"
-                        % (meta_path, ".".join(keys), ndim))
-    return arr
+              ("config", "gamma"), ("config", "rho"), ("config", "seed"),
+              ("validation", "predicted"), ("validation", "truth"))
 
 
 def load_bundle(outdir):
+    """(meta, models, forest, cm) of a bundle that train wrote.
+
+    Each fact lives in one file: meta.json holds the names, the config
+    and the validation predictions and truth, models.json each model's
+    own parameters, forest.json the trees. The class and feature counts
+    come from the names, the row and classifier counts from the
+    validation predictions. Any entry that is missing, malformed or out
+    of range is a DataError naming the file and field.
+    """
     meta_path = os.path.join(outdir, "meta.json")
     meta = load_json(meta_path)
     fmt = meta.get("format") if isinstance(meta, dict) else None
     if fmt != BUNDLE_FORMAT:
-        raise DataError("unsupported bundle format %r" % fmt)
+        raise DataError("unsupported bundle format %r; this program reads %r"
+                        % (fmt, BUNDLE_FORMAT))
     for keys in _META_KEYS:
         node = meta
         for key in keys:
@@ -504,74 +495,63 @@ def load_bundle(outdir):
                 raise DataError("%s: missing key %r"
                                 % (meta_path, ".".join(keys)))
             node = node[key]
-    predicted, truth, sample_indices = (
-        _meta_array(meta_path, meta, ("validation", key), np.int64, ndim)
-        for key, ndim in (("predicted", 2), ("truth", 1),
-                          ("sample_indices", 1)))
+    names = meta["dataset"]
+    if not (all(isinstance(names[key], list)
+                and all(isinstance(x, str) for x in names[key])
+                for key in ("feature_names", "class_names"))
+            and names["feature_names"] and len(names["class_names"]) >= 2):
+        raise DataError("%s: 'dataset.feature_names' and "
+                        "'dataset.class_names' are not lists of names, at "
+                        "least one feature and two classes" % meta_path)
+    C, F = len(names["class_names"]), len(names["feature_names"])
+    predicted, truth = (
+        read_array(meta["validation"][key],
+                   "%s: 'validation.%s'" % (meta_path, key), np.int64, ndim)
+        for key, ndim in (("predicted", 2), ("truth", 1)))
     M, n = predicted.shape
-    for key, arr in (("truth", truth), ("sample_indices", sample_indices)):
-        if arr.size != M:
-            raise DataError("%s: 'validation.%s' has %d entries for %d "
-                            "validation rows" % (meta_path, key, arr.size, M))
-    val_acc = _meta_array(meta_path, meta, ("validation_accuracy",),
-                          np.float64, 1)
-    if val_acc.size != n:
-        raise DataError("%s: 'validation_accuracy' has %d entries for %d "
-                        "classifiers" % (meta_path, val_acc.size, n))
+    if truth.size != M:
+        raise DataError("%s: 'validation.truth' has %d entries for %d "
+                        "validation rows" % (meta_path, truth.size, M))
+    for key, arr in (("predicted", predicted), ("truth", truth)):
+        if not (arr.size and ((arr >= 0) & (arr < C)).all()):
+            raise DataError("%s: 'validation.%s' is not a non-empty array of "
+                            "classes in [0, %d)" % (meta_path, key, C))
+    config = meta["config"]
+    for key in ("gamma", "rho"):
+        value = config[key]
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise DataError("%s: 'config.%s' must be a finite number, got %r"
+                            % (meta_path, key, value))
+    require_int(config["seed"], "%s: 'config.seed'" % meta_path)
     models_path = os.path.join(outdir, "models.json")
     states = load_json(models_path)
     if not (isinstance(states, list) and len(states) == n
             and all(isinstance(state, dict) for state in states)):
         raise DataError("%s: expected a list of %d classifier objects"
                         % (models_path, n))
-    n_classes = require_int(meta["validation"]["n_classes"],
-                            "%s: 'validation.n_classes'" % meta_path, 2)
-    names = meta["dataset"]
-    if not (all(isinstance(names[key], list)
-                and all(isinstance(x, str) for x in names[key])
-                for key in ("feature_names", "class_names"))
-            and len(names["class_names"]) == n_classes):
-        raise DataError("%s: 'dataset.feature_names' and "
-                        "'dataset.class_names' are not lists of names, one "
-                        "per feature and one per class" % meta_path)
-    n_features = len(names["feature_names"])
     models = []
     for a, state in enumerate(states):
         try:
-            model = clf.model_from_state(state)
+            models.append(clf.model_from_state(state, C, F))
         except DataError as exc:
             raise DataError("%s: classifier %d: %s"
                             % (models_path, a, exc)) from None
-        if (model.n_classes, model.n_features) != (n_classes, n_features):
-            raise DataError("%s: classifier %d has %d classes and %d "
-                            "features, meta.json %d and %d"
-                            % (models_path, a, model.n_classes,
-                               model.n_features, n_classes, n_features))
-        models.append(model)
-    forest_path = os.path.join(outdir, "forest.json")
-    forest = forest_mod.load_forest(forest_path)
-    if (forest.n_rows, forest.n_classifiers, forest.n_features) != (
-            M, n, n_features):
-        raise DataError("%s: forest has %d rows, %d classifiers and %d "
-                        "features, meta.json %d, %d and %d"
-                        % (forest_path, forest.n_rows, forest.n_classifiers,
-                           forest.n_features, M, n, n_features))
-    cm = CorrectnessMatrix(predicted, truth, sample_indices,
-                           n_classes=n_classes)
+    cm = CorrectnessMatrix(predicted, truth, np.arange(M), n_classes=C)
+    forest = forest_mod.load_forest(os.path.join(outdir, "forest.json"), cm, F)
     return meta, models, forest, cm
 
 
 def select_rows(meta, models, forest, cm, X, method, gamma, rho, seed):
     """Classify feature rows using a deserialized bundle."""
-    C = len(meta["dataset"]["class_names"])
-    val_acc = np.asarray(meta["validation_accuracy"])
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     bundles = query_batch(forest, X)
     label_matrix = np.column_stack(
         [clf.predict_proba_batch(m, _FeatureRows(X)).argmax(axis=1) for m in models])
     return sel.select_batch(method, bundles, label_matrix,
-                            np.arange(X.shape[0]), cm, val_acc, C, gamma, rho,
-                            seed, {})
+                            np.arange(X.shape[0]), cm,
+                            cm.classifier_accuracies(), cm.n_classes, gamma,
+                            rho, seed, {})
 
 
 class _FeatureRows:

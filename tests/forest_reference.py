@@ -6,12 +6,14 @@ it replaced, a recursive CSHC grower and a stack-built Gini tree, each
 over the per-column scans of `kernels_reference`; the grower tests compare
 the program's trees with them array for array.
 
-The program gathers a query's cumulative rank and dominant class from
-per-leaf tables it builds once per forest, and builds the member union
-only when it is read. This module is the independent oracle the query
-tests compare it with: it walks each tree node by node and builds every
-bundle on its own from the hit leaves' members and counts, ranking the
-counts per query, the way the program did before the tables existed.
+The program derives per-leaf correct counts, ranks and class support
+from the leaf members in one pass per forest, gathers a query's
+cumulative rank and dominant class from those tables, and builds the
+member union only when it is read. This module is the independent oracle
+the query tests compare it with: `leaf_tables` sums each leaf's members
+on its own, the way the grower did before the tables existed, and
+`reference_bundle` walks each tree node by node and builds every bundle
+on its own from the hit leaves' members, ranking the counts per query.
 """
 
 from types import SimpleNamespace
@@ -35,21 +37,44 @@ def walk(tree, x):
     return int(tree.leaf_id[node])
 
 
+def member_counts(tree, lid, cm):
+    """Multiplicity-weighted correct counts (n,) of one leaf's members."""
+    rows, mult = tree.members(lid)
+    return (mult[:, None] * cm.correct[rows].astype(np.float64)).sum(axis=0)
+
+
+def leaf_tables(forest):
+    """(leaf_counts, leaf_rank, leaf_support) of every leaf of every tree,
+    one leaf at a time."""
+    cm = forest.cm
+    counts, support = [], []
+    for tree in forest.trees:
+        for lid in range(tree.leaf_ptr.size - 1):
+            rows, mult = tree.members(lid)
+            counts.append(member_counts(tree, lid, cm))
+            support.append(np.bincount(cm.truth[rows], weights=mult,
+                                       minlength=cm.class_count()))
+    counts = np.vstack(counts)
+    return counts, rankdata(counts, method="average", axis=1), \
+        np.vstack(support)
+
+
 def reference_bundle(forest, x):
     """Everything the program's bundle for x exposes, built eagerly."""
+    cm = forest.cm
     leaf_ids = [walk(tree, x) for tree in forest.trees]
     row_parts, mult_parts, leaf_counts = [], [], []
     for tree, lid in zip(forest.trees, leaf_ids):
         rows, mult = tree.members(lid)
         row_parts.append(rows)
         mult_parts.append(mult)
-        leaf_counts.append(tree.leaf_counts[lid])
+        leaf_counts.append(member_counts(tree, lid, cm))
     mult = np.bincount(np.concatenate(row_parts),
                        weights=np.concatenate(mult_parts),
-                       minlength=forest.n_rows)
+                       minlength=cm.n_samples)
     rows = np.flatnonzero(mult)
     mult = mult[rows]
-    class_support = np.bincount(forest.truth[rows], weights=mult)
+    class_support = np.bincount(cm.truth[rows], weights=mult)
     leaf_counts = np.array(leaf_counts)
     tree_ranks = rankdata(leaf_counts, method="average", axis=1)
     return SimpleNamespace(
@@ -73,7 +98,7 @@ def grow_tree(rows, mult, cfg, correct, features, allowed):
     rows = np.asarray(rows, dtype=np.int64)
     mult = np.asarray(mult, dtype=np.float64)
     nodes = []   # [feat, thr, left, right, leaf_id] per node, in preorder
-    leaves = []  # (rows, mult, counts) per leaf, in preorder
+    leaves = []  # (rows, mult) per leaf, in preorder
 
     def grow(rows, mult, depth):
         i = len(nodes)
@@ -94,24 +119,21 @@ def grow_tree(rows, mult, cfg, correct, features, allowed):
                 nodes[i][3] = grow(rows[~go_left], mult[~go_left], depth + 1)
                 return i
         nodes[i][4] = len(leaves)
-        leaves.append((rows, mult, counts))
+        leaves.append((rows, mult))
         return i
 
     grow(rows, mult, 0)
     feat, thr, left, right, leaf_id = zip(*nodes)
-    sizes = [r.size for r, _, _ in leaves]
+    sizes = [r.size for r, _ in leaves]
     return Tree(
-        feature_subset=np.asarray(allowed, dtype=np.int64),
-        bootstrap_rows=rows, bootstrap_mult=mult,
         feat=np.asarray(feat, dtype=np.int64),
         thr=np.asarray(thr, dtype=np.float64),
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         leaf_id=np.asarray(leaf_id, dtype=np.int64),
         leaf_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
-        leaf_rows=np.concatenate([r for r, _, _ in leaves]),
-        leaf_mult=np.concatenate([m for _, m, _ in leaves]),
-        leaf_counts=np.vstack([c for _, _, c in leaves]))
+        leaf_rows=np.concatenate([r for r, _ in leaves]),
+        leaf_mult=np.concatenate([m for _, m in leaves]))
 
 
 def gini_tree(Z, y, C):

@@ -154,7 +154,7 @@ class TestSharedContracts:
                                       "decision_tree_gini", "perceptron"])
     def test_state_round_trip(self, kind, two_blob_ds):
         m1 = train(ClassifierSpec(kind), two_blob_ds)
-        m2 = model_from_state(model_state(m1))
+        m2 = model_from_state(model_state(m1), m1.n_classes, m1.n_features)
         probes = np.random.default_rng(4).normal(scale=2.0, size=(20, 2))
         for x in probes:
             assert np.array_equal(predict_proba(m1, x), predict_proba(m2, x))

@@ -1,5 +1,7 @@
 """Command-line round trips over temporary datasets."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cshc
 from cshc.cli import main
@@ -136,19 +140,14 @@ class TestSelectFiles:
     @pytest.mark.parametrize("name,rewrite,message", [
         ("forest.json", lambda text: text[:1000], "forest.json: not valid JSON"),
         ("models.json", lambda text: "nope", "models.json: not valid JSON"),
-        ("meta.json", lambda text: '{"format": "cshc-bundle/1"}',
+        ("meta.json", lambda text: '{"format": "cshc-bundle/2"}',
          "meta.json: missing key 'dataset.feature_names'"),
+        ("meta.json", lambda text: _replaced(text, "cshc-bundle/1", "format"),
+         "unsupported bundle format 'cshc-bundle/1'"),
         ("meta.json", lambda text: _without(text, "validation", "truth"),
          "meta.json: missing key 'validation.truth'"),
-        ("forest.json", lambda text: _without(text, "truth"),
-         "forest lacks field 'truth'"),
         ("meta.json", lambda text: _truncated(text, 5, "validation", "truth"),
          "meta.json: 'validation.truth' has 5 entries for "),
-        ("meta.json",
-         lambda text: _truncated(text, 5, "validation", "sample_indices"),
-         "meta.json: 'validation.sample_indices' has 5 entries for "),
-        ("meta.json", lambda text: _truncated(text, 2, "validation_accuracy"),
-         "meta.json: 'validation_accuracy' has 2 entries for 4 classifiers"),
         ("meta.json", lambda text: _replaced(text, [[0, 1], [1]], "validation",
                                              "predicted"),
          "meta.json: 'validation.predicted' is not a 2-D array of numbers"),
@@ -158,34 +157,96 @@ class TestSelectFiles:
          "models.json: expected a list of 4 classifier objects"),
         ("models.json", lambda text: json.dumps([{}] * 4),
          "models.json: classifier 0: lacks key 'kind'"),
-        ("meta.json", lambda text: _replaced(text, "x", "validation",
-                                             "n_classes"),
-         "meta.json: 'validation.n_classes' must be an integer >= 2, "
-         "got 'x'"),
         ("models.json", lambda text: _truncated(text, 1, 0, "theta"),
          "models.json: classifier 0: 'theta' is not an array of shape "
          "(C, F) with C = 2 classes and F = 2 features"),
         ("forest.json", lambda text: _replaced(text, [0, 1], "trees", 0,
                                                "leaf_ptr"),
          "forest.json: forest tree 0 has 'leaf_ptr' other than "),
-        ("forest.json", lambda text: _truncated(text, 0, "trees", 0,
-                                                "leaf_counts"),
-         "forest.json: forest tree 0 has 'leaf_counts' of shape (0,), not ("),
-        ("forest.json", lambda text: _replaced(text, 3, "n_features"),
-         "forest.json: forest has 81 rows, 4 classifiers and 3 features, "
-         "meta.json 81, 4 and 2"),
+        ("forest.json", lambda text: _split_on_feature(text, 2),
+         "has 'feat' 2 at node 0"),
         ("meta.json", lambda text: _truncated(text, 1, "dataset",
                                               "class_names"),
          "meta.json: 'dataset.feature_names' and 'dataset.class_names' are "
          "not lists of names"),
+        # leaf multiplicities are whole numbers >= 1
+        ("forest.json", lambda text: _replaced(text, 0.3, "trees", 0,
+                                               "leaf_mult", 0),
+         "forest.json: forest tree 0 has 'leaf_rows' and 'leaf_mult' other "
+         "than equal lists of rows in [0, 81) and whole numbers >= 1"),
+        ("forest.json", lambda text: _replaced(text, 0, "trees", 0,
+                                               "leaf_mult", 0),
+         "forest.json: forest tree 0 has 'leaf_rows' and 'leaf_mult' other "
+         "than equal lists of rows in [0, 81) and whole numbers >= 1"),
+        ("forest.json", lambda text: _replaced(text, 2.0 ** 60, "trees", 0,
+                                               "leaf_mult", 0),
+         "forest.json: forest tree 0 has 'leaf_rows' and 'leaf_mult' other "
+         "than equal lists of rows in [0, 81) and whole numbers >= 1 with a "
+         "sum of at most 81"),
+        # meta.json values
+        ("meta.json", lambda text: _replaced(text, 99, "validation", "truth",
+                                             0),
+         "meta.json: 'validation.truth' is not a non-empty array of classes "
+         "in [0, 2)"),
+        ("meta.json", lambda text: _replaced(text, -1, "validation", "truth",
+                                             0),
+         "meta.json: 'validation.truth' is not a non-empty array of classes "
+         "in [0, 2)"),
+        ("meta.json", lambda text: _replaced(text, 99, "validation",
+                                             "predicted", 0, 1),
+         "meta.json: 'validation.predicted' is not a non-empty array of "
+         "classes in [0, 2)"),
+        ("meta.json", lambda text: _replaced(text, -1, "validation",
+                                             "predicted", 0, 1),
+         "meta.json: 'validation.predicted' is not a non-empty array of "
+         "classes in [0, 2)"),
+        ("meta.json", lambda text: _replaced(text, "x", "config", "gamma"),
+         "meta.json: 'config.gamma' must be a finite number, got 'x'"),
+        ("meta.json", lambda text: _replaced(text, "x", "config", "rho"),
+         "meta.json: 'config.rho' must be a finite number, got 'x'"),
+        ("meta.json", lambda text: _replaced(text, None, "config", "rho"),
+         "meta.json: 'config.rho' must be a finite number, got None"),
+        ("meta.json", lambda text: _replaced(text, "x", "config", "seed"),
+         "meta.json: 'config.seed' must be an integer, got 'x'"),
+        # models.json values
+        ("models.json", lambda text: _replaced(text, float("nan"), 3, "W", 0,
+                                               0),
+         "models.json: classifier 3: 'W' holds a value that is not a finite "
+         "number"),
+        ("models.json", lambda text: _replaced(text, 0.0, 0, "var", 0, 0),
+         "models.json: classifier 0: 'var' holds a variance <= 0"),
+        ("models.json", lambda text: _replaced(text, -1.0, 0, "var", 1, 1),
+         "models.json: classifier 0: 'var' holds a variance <= 0"),
+        ("models.json", lambda text: _replaced(text, float("inf"), 0,
+                                               "log_prior", 0),
+         "models.json: classifier 0: 'log_prior' holds a value that is not "
+         "a finite number"),
+        ("models.json", lambda text: _replaced(text, 0.0, 1, "scaler",
+                                               "scale", 0),
+         "models.json: classifier 1: scaler 'scale' holds a value <= 0"),
+        # integers beyond int64, one per file
+        ("forest.json", lambda text: _replaced(text, 10 ** 30, "trees", 0,
+                                               "leaf_rows", 0),
+         "forest.json: forest tree 0 field 'leaf_rows' is not a 1-D array "
+         "of numbers"),
+        ("meta.json", lambda text: _replaced(text, 10 ** 30, "validation",
+                                             "truth", 0),
+         "meta.json: 'validation.truth' is not a 1-D array of numbers"),
+        ("models.json", lambda text: _replaced(text, 10 ** 30, 1, "y", 0),
+         "models.json: classifier 1: 'y' is not a 1-D array of numbers"),
     ], ids=["forest-truncated", "models-not-json", "meta-format-only",
-            "meta-no-truth", "forest-no-truth", "meta-short-truth",
-            "meta-short-sample-indices", "meta-short-accuracy",
-            "meta-ragged-predicted", "models-not-objects", "models-short",
-            "models-empty-objects", "meta-n-classes-not-int",
+            "meta-old-format", "meta-no-truth", "meta-short-truth", "meta-ragged-predicted",
+            "models-not-objects", "models-short", "models-empty-objects",
             "models-short-theta", "forest-bad-leaf-ptr",
-            "forest-no-leaf-counts", "forest-feature-count",
-            "meta-short-class-names"])
+            "forest-feature-count", "meta-short-class-names",
+            "forest-fractional-mult", "forest-zero-mult", "forest-huge-mult",
+            "meta-truth-too-large", "meta-truth-negative",
+            "meta-predicted-too-large", "meta-predicted-negative",
+            "meta-gamma-not-number", "meta-rho-not-number", "meta-rho-null",
+            "meta-seed-not-int", "models-nan-weight", "models-zero-var",
+            "models-negative-var", "models-log-prior-inf",
+            "models-zero-scale", "forest-row-beyond-int64",
+            "meta-truth-beyond-int64", "models-label-beyond-int64"])
     def test_malformed_bundle_file_exits_2(self, trained_bundle, tmp_path,
                                            capsys, name, rewrite, message):
         bundle_dir = str(tmp_path / "malformed")
@@ -201,6 +262,21 @@ class TestSelectFiles:
                      str(query)]) == 2
         assert message in capsys.readouterr().err
 
+
+    def test_log_prior_may_hold_minus_inf(self, trained_bundle, tmp_path):
+        """A class absent from training gives gaussian_nb a log prior of
+        -inf, which loads and selects."""
+        bundle_dir = str(tmp_path / "absent-class")
+        shutil.copytree(trained_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "models.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(_replaced(text, float("-inf"), 0, "log_prior", 1))
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n")
+        assert main(["select", "--model", bundle_dir, "--input",
+                     str(query), "--output", str(tmp_path / "sel.csv")]) == 0
 
     @pytest.mark.parametrize("name,field,value,message", [
         ("forest.json", "left", 0, "has 'left' 0 at node 0"),
@@ -248,6 +324,17 @@ class TestSelectFiles:
         assert "%s: " % path in proc.stderr and message in proc.stderr
 
 
+def _split_on_feature(text, feature):
+    """forest.json text whose tree 0 is a root split on the given feature
+    into two leaves, the first holding one member row."""
+    data = json.loads(text)
+    tree = data["trees"][0]
+    tree.update(feat=[feature, -1, -1], thr=[0.0] * 3, left=[1, -1, -1],
+                right=[2, -1, -1], leaf_id=[-1, 0, 1],
+                leaf_ptr=[0, 1, len(tree["leaf_rows"])])
+    return json.dumps(data)
+
+
 def _without(text, *keys):
     """JSON text with the entry at the path of keys removed."""
     data = json.loads(text)
@@ -278,6 +365,98 @@ def _truncated(text, size, *keys):
     for key in keys[:-1]:
         node = node[key]
     return _replaced(text, node[keys[-1]][:size], *keys)
+
+
+def _json_paths(node, path=()):
+    """(path, value) of every entry of a loaded JSON document, the root
+    included, except that of a list of numbers only the first and the
+    last entry are visited."""
+    yield path, node
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = [(i, v) for i, v in enumerate(node)
+                    if i in (0, len(node) - 1) or isinstance(v, (dict, list))]
+    else:
+        children = []
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+# mutation kind -> whether it applies to a value
+_FUZZ_KINDS = {
+    "drop": lambda v: isinstance(v, dict) and bool(v),
+    "truncate": lambda v: isinstance(v, list) and bool(v),
+    "swap": lambda v: True,
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+
+
+def _set_path(doc, path, value):
+    """doc with the entry at path replaced by value."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(trained_bundle, tmp_path_factory):
+    """A scratch copy of the trained bundle, its files' texts, the paths
+    each mutation kind applies to, and a query file."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    bundle_dir = str(tmp / "bundle")
+    shutil.copytree(trained_bundle, bundle_dir)
+    texts, paths = {}, {}
+    for name in ("forest.json", "models.json", "meta.json"):
+        with open(os.path.join(bundle_dir, name)) as fh:
+            texts[name] = fh.read()
+        entries = list(_json_paths(json.loads(texts[name])))
+        paths[name] = {kind: [p for p, v in entries if applies(v)]
+                       for kind, applies in _FUZZ_KINDS.items()}
+    query = tmp / "query.csv"
+    query.write_text("x0,x1\n-2.0,0.1\n2.0,-0.2\n0.0,0.0\n")
+    return bundle_dir, str(query), str(tmp / "sel.csv"), texts, paths
+
+
+class TestBundleFuzz:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_mutated_bundle_selects_or_exits_2(self, fuzz_bundle, data):
+        """One mutation of one bundle file: select either works or exits 2
+        with an error line; it never raises."""
+        bundle_dir, query, out, texts, paths = fuzz_bundle
+        name = data.draw(st.sampled_from(sorted(texts)), label="file")
+        kind = data.draw(st.sampled_from(sorted(_FUZZ_KINDS)), label="kind")
+        path = data.draw(st.sampled_from(paths[name][kind]), label="path")
+        doc = json.loads(texts[name])
+        node = doc
+        for key in path:
+            node = node[key]
+        if kind == "drop":
+            del node[data.draw(st.sampled_from(sorted(node)), label="key")]
+        elif kind == "truncate":
+            del node[data.draw(st.integers(0, len(node) - 1), label="size"):]
+        else:
+            doc = _set_path(doc, path, data.draw(st.sampled_from(
+                ["x", {}, None] if kind == "swap" else [-1, 10 ** 30]),
+                label="value"))
+        target = os.path.join(bundle_dir, name)
+        with open(target, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = main(["select", "--model", bundle_dir, "--input", query,
+                           "--output", out, "--method", "lpr"])
+        finally:
+            with open(target, "w") as fh:
+                fh.write(texts[name])
+        assert rc == 0 or (rc == 2 and "error:" in err.getvalue()), (
+            rc, err.getvalue())
 
 
 class TestTrainExternal:

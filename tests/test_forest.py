@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import forest_reference
 from cshc.classifiers import ClassifierSpec, train
 from cshc.data import CorrectnessMatrix, Dataset
-from cshc.forest import (CshcConfig, LeafBundle, Tree, bootstrap_draws,
-                         build_forest, feature_subset_size, forest_from_dict,
-                         forest_to_dict, grow_tree, leaf_ranks, load_forest,
-                         query, query_batch, save_forest, split_gain)
+from cshc.forest import (CshcConfig, Forest, LeafBundle, Tree,
+                         bootstrap_draws, build_forest, feature_subset_size,
+                         forest_from_dict, forest_to_dict, grow_tree,
+                         leaf_ranks, load_forest, query, query_batch,
+                         save_forest, split_gain)
+from cshc.rng import substream
 
 
 def make_cm(predicted, truth):
@@ -103,9 +105,12 @@ class TestGrowTree:
         assert tree.left[0] == 1 and tree.right[0] == 2
         assert is_leaf(tree, 1) and is_leaf(tree, 2)
         assert tree.leaf_id.tolist() == [-1, 0, 1]
-        assert tree.leaf_counts[0].tolist() == [2.0, 0.0]
         rows, mult = tree.members(0)
         assert rows.tolist() == [0, 1] and mult.tolist() == [1.0, 1.0]
+        # the correct bits of TestSplitGain: A right on rows 0-1, B on 2-3
+        cm = make_cm([[0, 1], [0, 1], [1, 0], [1, 0]], [0, 0, 0, 0])
+        forest = Forest([tree], cm, 1)
+        assert forest.leaf_counts.tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
     def test_two_members_min_size_two_stays_leaf(self):
         cfg = CshcConfig(min_cluster_size=2)
@@ -150,15 +155,26 @@ def region_forest(seed=0, n_trees=10):
 
 class TestBuildForest:
     def test_leaves_partition_bootstrap_multiset(self):
-        forest, _, _, _ = region_forest()
-        for tree in forest.trees:
+        """Tree t's leaves hold the bootstrap multiset drawn from the
+        substream (seed, t) and split only on the features drawn after
+        it."""
+        forest, _, ds, cfg = region_forest()
+        M, F = ds.features.shape
+        for t, tree in enumerate(forest.trees):
+            rng = substream(cfg.seed, t)
+            picks = rng.integers(0, M, size=bootstrap_draws(
+                M, cfg.bootstrap_fraction))
+            allowed = rng.choice(F, size=feature_subset_size(F),
+                                 replace=False)
+            rows, mult = np.unique(picks, return_counts=True)
+            want = dict(zip(rows.tolist(), mult.tolist()))
             got = {}
-            for lid in range(tree.leaf_counts.shape[0]):
+            for lid in range(tree.leaf_ptr.size - 1):
                 for r, m in zip(*tree.members(lid)):
                     got[int(r)] = got.get(int(r), 0) + int(m)
-            want = dict(zip(tree.bootstrap_rows.tolist(),
-                            tree.bootstrap_mult.tolist()))
             assert got == want
+            assert set(tree.feat[tree.left >= 0].tolist()) <= set(
+                allowed.tolist())
 
     def test_internal_gains_honor_threshold(self):
         forest, cm, ds, cfg = region_forest()
@@ -257,15 +273,19 @@ class TestLeafRanks:
         forest, _, ds, _ = region_forest()
         for bundle in query_batch(forest, ds.features[:20]):
             _, cum = leaf_ranks(bundle)
-            n = forest.n_classifiers
+            n = forest.cm.n_classifiers
             assert cum.sum() == pytest.approx(forest.n_trees * n * (n + 1) / 2)
 
 
 class TestSerialization:
     def test_round_trip_identical(self, tmp_path):
-        forest, _, ds, _ = region_forest()
+        forest, cm, ds, _ = region_forest()
         d1 = forest_to_dict(forest)
-        restored = forest_from_dict(d1)
+        assert list(d1) == ["format", "trees"]
+        assert list(d1["trees"][0]) == [f.name for f in fields(Tree)] == [
+            "feat", "thr", "left", "right", "leaf_id", "leaf_ptr",
+            "leaf_rows", "leaf_mult"]
+        restored = forest_from_dict(d1, cm, ds.n_features)
         assert forest_to_dict(restored) == d1
         for x in ds.features[:10]:
             b1 = query(forest, x)
@@ -280,15 +300,15 @@ class TestSerialization:
 
         from cshc.forest import load_forest, save_forest
 
-        forest, _, _, _ = region_forest()
+        forest, cm, ds, _ = region_forest()
         path = tmp_path / "forest.json"
         save_forest(forest, str(path))
-        restored = load_forest(str(path))
+        restored = load_forest(str(path), cm, ds.n_features)
         assert forest_to_dict(restored) == forest_to_dict(forest)
         # thresholds survive the text round trip bit-exactly
         reloaded = json.loads(path.read_text())
-        assert forest_from_dict(reloaded).trees[0].thr.tolist() == \
-            forest.trees[0].thr.tolist()
+        assert forest_from_dict(reloaded, cm, ds.n_features).trees[0] \
+            .thr.tolist() == forest.trees[0].thr.tolist()
 
 
 @st.composite
@@ -344,15 +364,22 @@ class TestQueryOracle:
     @settings(max_examples=60)
     @given(small_forests())
     def test_save_load_round_trip(self, case):
+        """A reloaded forest derives the per-leaf tables of the built one,
+        bit for bit, and both equal the leaf-by-leaf reference."""
         forest, X = case
         with tempfile.TemporaryDirectory() as tmp:
             first = os.path.join(tmp, "first.json")
             second = os.path.join(tmp, "second.json")
             save_forest(forest, first)
-            restored = load_forest(first)
+            restored = load_forest(first, forest.cm, forest.n_features)
             save_forest(restored, second)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
+        tables = ("leaf_counts", "leaf_rank", "leaf_support")
+        for name, want in zip(tables, forest_reference.leaf_tables(forest)):
+            for got in (getattr(forest, name), getattr(restored, name)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
         for x, bundle in zip(X, query_batch(restored, X)):
             assert_same_bundle(
                 bundle, forest_reference.reference_bundle(forest, x))
