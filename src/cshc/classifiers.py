@@ -74,6 +74,18 @@ class TrainedClassifier:
         self.scaler = scaler
 
     def proba_from_features(self, X):
+        """(Q, C) class probabilities for rows of raw features. A value
+        that overflows or turns invalid while scoring (extreme model state
+        or query features) is a DataError naming the model, never a
+        silent inf- or NaN-driven prediction."""
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return self._proba(X)
+        except FloatingPointError as exc:
+            raise DataError("classifier %r: %s while scoring"
+                            % (self.spec.name, exc)) from None
+
+    def _proba(self, X):
         raise NotImplementedError
 
     def state(self):
@@ -106,7 +118,7 @@ class GaussianNBTrained(TrainedClassifier):
         self.theta = theta
         self.var = var
 
-    def proba_from_features(self, X):
+    def _proba(self, X):
         Z = self.scaler.transform(np.atleast_2d(X))
         # joint log-likelihood per class
         jll = np.full((Z.shape[0], self.n_classes), -np.inf)
@@ -135,7 +147,7 @@ class OneNNTrained(TrainedClassifier):
         self.X = X
         self.y = y
 
-    def proba_from_features(self, X):
+    def _proba(self, X):
         Z = self.scaler.transform(np.atleast_2d(X))
         p = np.zeros((Z.shape[0], self.n_classes))
         for i, z in enumerate(Z):
@@ -165,7 +177,7 @@ class GiniTreeTrained(TrainedClassifier):
         self.leaf_id = leaf_id
         self.leaf_proba = leaf_proba
 
-    def proba_from_features(self, X):
+    def _proba(self, X):
         Z = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
         leaves = kernels.route(self.feat, self.thr, self.left, self.right,
                                self.leaf_id, Z)
@@ -186,7 +198,7 @@ class PerceptronTrained(TrainedClassifier):
         super().__init__(spec, n_classes, n_features, scaler)
         self.W = W  # (C, F+1) averaged weights, bias last
 
-    def proba_from_features(self, X):
+    def _proba(self, X):
         Z = self.scaler.transform(np.atleast_2d(X))
         Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
         scores = Zb @ self.W.T
@@ -202,7 +214,7 @@ class ExternalTrained(TrainedClassifier):
         super().__init__(spec, n_classes, n_features=-1, scaler=None)
         self.table = table
 
-    def proba_from_features(self, X):
+    def _proba(self, X):
         raise DataError(
             "external classifier %r cannot score new feature vectors; "
             "its predictions are keyed by sample index" % self.spec.name

@@ -9,10 +9,12 @@ gamma) and f (shortfall below 1), minimizing sum_i m_i * (g_i + 2 f_i).
 Instances are shrunk before solving by merging samples with identical
 (truth, label row) and by collapsing the constraints of all classes no
 classifier votes for into one; both reductions preserve the optimum
-exactly. The merged LP goes to scipy's HiGHS as a sparse inequality
-model, solved by dual simplex so that a basic (vertex) solution comes
-back, the same one run to run. Degenerate instances have many optimal
-weight vectors; which vertex is returned is HiGHS's choice.
+exactly. The merged LP is built in numpy as one column-wise model and
+goes straight to HiGHS (the binding scipy ships), with the options
+scipy's ``linprog(method="highs-ds")`` uses: presolve, then dual
+simplex, so that a basic (vertex) solution comes back, the same one run
+to run. Degenerate instances have many optimal weight vectors; which
+vertex is returned is HiGHS's choice.
 
 Callers reuse solutions through a cache keyed by the query's leaf ids.
 """
@@ -20,8 +22,19 @@ Callers reuse solutions through a cache keyed by the query's leaf ids.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+# private module: the HiGHS binding that scipy's own linprog calls;
+# pyproject.toml bounds scipy to the versions known to ship it
+from scipy.optimize._highspy import _core
+
+
+# the options linprog(method="highs-ds") passes; everything else default
+_OPTIONS = _core.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.solver = "simplex"
+_OPTIONS.simplex_strategy = 1  # dual
+_OPTIONS.highs_debug_level = 0
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
 
 
 class LpSolverError(RuntimeError):
@@ -125,14 +138,16 @@ def _merge_equivalent(inst):
     return merged_m, inst.y[rows], inst.L[rows], group_of
 
 
-def _inequality_form(inst):
-    """Sparse HiGHS model over the merged samples.
+def _highs_model(inst):
+    """Column-wise HiGHS model over the merged samples.
 
     Columns: w (n), then g and f (one each per merged sample). Rows: a
     (g, f) pair per merged sample and constrained class, in sample order
     with voted wrong classes ascending and one row last covering every
     unvoted class:  -d.w - g_i <= -gamma  and  -d.w - f_i <= -1,  where
-    d = [L_i == y_i] - [L_i == c].  Returns (cost, A_ub, b_ub, kk, group_of).
+    d = [L_i == y_i] - [L_i == c]; then the weight-sum row  sum w = 100.
+    Each column lists its rows in ascending order, the order a CSC
+    conversion of the same matrix gives. Returns (HighsLp, kk, group_of).
     """
     m, y, L, group_of = _merge_equivalent(inst)
     kk, n, C = m.size, inst.n, inst.n_classes
@@ -147,18 +162,40 @@ def _inequality_form(inst):
     P = pair_i.size
     d = ((L[pair_i] == y[pair_i, None]).astype(np.float64)
          - (L[pair_i] == pair_c[:, None]))
-    nz_r, nz_a = np.nonzero(d)
-    neg_d = -d[nz_r, nz_a]
-    pen = np.full(P, -1.0)
-    pairs = np.arange(P)
-    A_ub = sparse.csr_matrix(
-        (np.concatenate([neg_d, neg_d, pen, pen]),
-         (np.concatenate([2 * nz_r, 2 * nz_r + 1, 2 * pairs, 2 * pairs + 1]),
-          np.concatenate([nz_a, nz_a, n + pair_i, n + kk + pair_i]))),
-        shape=(2 * P, n + 2 * kk))
-    b_ub = np.tile([-float(inst.gamma), -1.0], P)
-    cost = np.concatenate([np.zeros(n), m, 2.0 * m])
-    return cost, A_ub, b_ub, kk, group_of
+    # w column a: -d at rows 2r and 2r + 1 for each pair r with d[r, a]
+    # nonzero, then 1 at the weight-sum row 2P; a stable sort by column
+    # keeps that row order
+    nz_a, nz_r = np.nonzero(d.T)
+    w_col = np.concatenate([np.repeat(nz_a, 2), np.arange(n)])
+    order = np.argsort(w_col, kind="stable")
+    w_index = np.concatenate([np.column_stack([2 * nz_r, 2 * nz_r + 1]).ravel(),
+                              np.full(n, 2 * P)])[order]
+    w_value = np.concatenate([np.repeat(-d[nz_r, nz_a], 2), np.ones(n)])[order]
+    w_end = np.cumsum(np.bincount(w_col, minlength=n))
+    # g and f columns of merged sample i: -1 at rows 2p (g) and 2p + 1 (f)
+    # for each of its pairs p, which np.nonzero left grouped by sample
+    pen_end = np.cumsum(np.bincount(pair_i, minlength=kk))
+    pairs = 2 * np.arange(P)
+
+    model = _core.HighsLp()
+    model.num_col_ = n + 2 * kk
+    model.num_row_ = 2 * P + 1
+    model.col_cost_ = np.concatenate([np.zeros(n), m, 2.0 * m])
+    model.col_lower_ = np.zeros(n + 2 * kk)
+    model.col_upper_ = np.concatenate([np.full(n, 100.0),
+                                       np.full(2 * kk, np.inf)])
+    model.row_lower_ = np.concatenate([np.full(2 * P, -np.inf), [100.0]])
+    model.row_upper_ = np.concatenate([np.tile([-float(inst.gamma), -1.0], P),
+                                       [100.0]])
+    matrix = model.a_matrix_
+    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.num_col_ = n + 2 * kk
+    matrix.num_row_ = 2 * P + 1
+    matrix.start_ = np.concatenate([[0], w_end, w_end[-1] + pen_end,
+                                    w_end[-1] + P + pen_end])
+    matrix.index_ = np.concatenate([w_index, pairs, pairs + 1])
+    matrix.value_ = np.concatenate([w_value, np.full(2 * P, -1.0)])
+    return model, kk, group_of
 
 
 def solve(inst):
@@ -167,16 +204,19 @@ def solve(inst):
     Always feasible (uniform weights with large penalties), so failures
     are solver breakdowns and raise LpSolverError with the instance.
     """
-    cost, A_ub, b_ub, kk, group_of = _inequality_form(inst)
+    model, kk, group_of = _highs_model(inst)
+    highs = _core._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(model) == _core.HighsStatus.kError:
+        status = _core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        raise LpSolverError("HiGHS: %s\n%s" % (highs.modelStatusToString(status),
+                                                instance_dump(inst)))
+    x = np.array(highs.getSolution().col_value)
     n = inst.n
-    A_eq = np.zeros((1, cost.size))
-    A_eq[0, :n] = 1.0
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[100.0],
-                  bounds=[(0.0, 100.0)] * n + [(0.0, None)] * (2 * kk),
-                  method="highs-ds")
-    if res.status != 0:
-        raise LpSolverError("HiGHS: %s\n%s" % (res.message, instance_dump(inst)))
-    x = res.x
     w = np.clip(x[:n], 0.0, None)
     g_merged = np.clip(x[n:n + kk], 0.0, None)
     f_merged = np.clip(x[n + kk:n + 2 * kk], 0.0, None)

@@ -1,12 +1,20 @@
-"""Reference solver for the per-query weight LP: a dense two-phase simplex.
+"""Reference solvers for the per-query weight LP.
 
-The program solves the LP with HiGHS; this module is the independent
-oracle the LP tests compare it with. It shares no code with ``cshc.lp``
-beyond the ``LpInstance`` data: the tableau is built from the instance's
-raw rows (no merging of equivalent samples), and the simplex is the
-dense tableau method the program used before it moved to HiGHS. The
-loop forms of the program's sample merge and closed-form penalties are
-kept here as the references for their vectorized versions.
+The program solves the LP with HiGHS; this module holds the independent
+oracles the LP tests compare it with. They share no code with
+``cshc.lp`` beyond the ``LpInstance`` and ``LpSolution`` data:
+
+- ``reference_solve``: a dense two-phase simplex over a tableau built
+  from the instance's raw rows (no merging of equivalent samples), the
+  method the program used before it moved to HiGHS.
+- ``linprog_solve``: the merged sparse model solved through scipy's
+  public ``linprog(method="highs-ds")``, the path the program took
+  before it handed its column-wise model to HiGHS directly. Both reach
+  the same HiGHS with the same matrix and options, so they must return
+  the same vertex bit for bit.
+
+The loop forms of the program's sample merge and closed-form penalties
+are kept here as the references for their vectorized versions.
 
 Candidate columns follow the largest-reduced-cost rule and switch to
 Bland's rule after a fixed number of pivots so degenerate instances
@@ -14,6 +22,10 @@ cannot cycle.
 """
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
+
+from cshc.lp import LpSolution
 
 
 class ReferenceSolverError(RuntimeError):
@@ -218,3 +230,61 @@ def reference_solve(inst):
     g = np.clip(x[n:n + kk], 0.0, None)
     f = np.clip(x[n + kk:n + 2 * kk], 0.0, None)
     return float((inst.m * (g + 2.0 * f)).sum()), w, g, f
+
+
+def _inequality_form(inst):
+    """Sparse model over the merged samples, as ``linprog`` takes it.
+
+    Columns: w (n), then g and f (one each per merged sample). Rows: a
+    (g, f) pair per merged sample and constrained class, in sample order
+    with voted wrong classes ascending and one row last covering every
+    unvoted class:  -d.w - g_i <= -gamma  and  -d.w - f_i <= -1,  where
+    d = [L_i == y_i] - [L_i == c].  Returns (cost, A_ub, b_ub, kk, group_of).
+    """
+    m, y, L, group_of = merge_equivalent(inst)
+    kk, n, C = m.size, inst.n, inst.n_classes
+    rows = np.arange(kk)
+    voted = np.zeros((kk, C + 1), dtype=bool)
+    voted[np.repeat(rows, n), L.ravel()] = True
+    voted[rows, y] = False
+    # column C stands for all unvoted wrong classes: L never equals C, so
+    # its margin vector is the correct-vote indicator alone
+    voted[:, C] = voted[:, :C].sum(axis=1) < C - 1
+    pair_i, pair_c = np.nonzero(voted)
+    P = pair_i.size
+    d = ((L[pair_i] == y[pair_i, None]).astype(np.float64)
+         - (L[pair_i] == pair_c[:, None]))
+    nz_r, nz_a = np.nonzero(d)
+    neg_d = -d[nz_r, nz_a]
+    pen = np.full(P, -1.0)
+    pairs = np.arange(P)
+    A_ub = sparse.csr_matrix(
+        (np.concatenate([neg_d, neg_d, pen, pen]),
+         (np.concatenate([2 * nz_r, 2 * nz_r + 1, 2 * pairs, 2 * pairs + 1]),
+          np.concatenate([nz_a, nz_a, n + pair_i, n + kk + pair_i]))),
+        shape=(2 * P, n + 2 * kk))
+    b_ub = np.tile([-float(inst.gamma), -1.0], P)
+    cost = np.concatenate([np.zeros(n), m, 2.0 * m])
+    return cost, A_ub, b_ub, kk, group_of
+
+
+def linprog_solve(inst):
+    """``LpSolution`` of one instance through public ``linprog``, with
+    the program's clipping and per-raw-sample penalties."""
+    cost, A_ub, b_ub, kk, group_of = _inequality_form(inst)
+    n = inst.n
+    A_eq = np.zeros((1, cost.size))
+    A_eq[0, :n] = 1.0
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[100.0],
+                  bounds=[(0.0, 100.0)] * n + [(0.0, None)] * (2 * kk),
+                  method="highs-ds")
+    if res.status != 0:
+        raise ReferenceSolverError("HiGHS: %s" % res.message)
+    x = res.x
+    w = np.clip(x[:n], 0.0, None)
+    g_merged = np.clip(x[n:n + kk], 0.0, None)
+    f_merged = np.clip(x[n + kk:n + 2 * kk], 0.0, None)
+    g = g_merged[group_of]
+    f = f_merged[group_of]
+    return LpSolution(w=w, g=g, f=f,
+                      objective=float((inst.m * (g + 2.0 * f)).sum()))

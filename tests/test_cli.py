@@ -17,8 +17,8 @@ from cshc.cli import main
 from test_harness import tiny_experiment_config
 
 
-def write_tiny_csv(tmp_path, name="tiny.csv", rows=240, seed=11):
-    cfg = tiny_experiment_config(tmp_path, rows=rows, seed=seed)
+def write_tiny_csv(tmp_path, name="tiny.csv", rows=240, seed=11, **shape):
+    cfg = tiny_experiment_config(tmp_path, rows=rows, seed=seed, **shape)
     return cfg.datasets[0][1]
 
 
@@ -66,6 +66,22 @@ def trained_bundle(tmp_path_factory):
     return bundle_dir
 
 
+@pytest.fixture(scope="module")
+def split_bundle(tmp_path_factory):
+    """A bundle of the same shape as trained_bundle (2 classes, 2 features,
+    the default pool, 81 validation rows) over overlapping clusters, where
+    the classifiers disagree and the CSHC trees split; tree 0 splits at
+    its root."""
+    tmp = tmp_path_factory.mktemp("split")
+    bundle_dir = str(tmp / "bundle")
+    data = write_tiny_csv(tmp, seed=12, centre=1.0, spread=1.0)
+    assert main(["train", "--data", data, "--label", "label",
+                 "--out", bundle_dir, "--seed", "5"]) == 0
+    with open(os.path.join(bundle_dir, "forest.json")) as fh:
+        assert json.load(fh)["trees"][0]["left"][0] >= 0
+    return bundle_dir
+
+
 class TestSelectInput:
     @pytest.mark.parametrize("text,message", [
         ("x0,x1\n1.0,nan\n", "row 2, column 'x1': non-numeric value 'nan'"),
@@ -73,7 +89,11 @@ class TestSelectInput:
         ("x0,x1\n1.0,2.0\n3.0\n", "row 3 has 1 cells, expected 2"),
         ("x0,x1\n1.0,abc\n", "row 2, column 'x1': non-numeric value 'abc'"),
         ("x0,x1\n", "no data rows"),
-    ], ids=["nan", "inf", "ragged", "non-numeric", "header-only"])
+        ("x0,x1\n1e200,0.0\n",
+         "classifier 'gaussian_nb': overflow encountered in square while "
+         "scoring"),
+    ], ids=["nan", "inf", "ragged", "non-numeric", "header-only",
+            "feature-overflows"])
     def test_malformed_rows_exit_2(self, trained_bundle, tmp_path, capsys,
                                    text, message):
         bad = tmp_path / "rows.csv"
@@ -163,7 +183,7 @@ class TestSelectFiles:
         ("forest.json", lambda text: _replaced(text, [0, 1], "trees", 0,
                                                "leaf_ptr"),
          "forest.json: forest tree 0 has 'leaf_ptr' other than "),
-        ("forest.json", lambda text: _split_on_feature(text, 2),
+        ("forest.json", lambda text: _replaced(text, 2, "trees", 0, "feat", 0),
          "has 'feat' 2 at node 0"),
         ("meta.json", lambda text: _truncated(text, 1, "dataset",
                                               "class_names"),
@@ -224,6 +244,16 @@ class TestSelectFiles:
         ("models.json", lambda text: _replaced(text, 0.0, 1, "scaler",
                                                "scale", 0),
          "models.json: classifier 1: scaler 'scale' holds a value <= 0"),
+        # finite extremes that overflow once the model scores a row
+        ("models.json", lambda text: _replaced(text, 1e308, 0, "theta", 0, 0),
+         "classifier 'gaussian_nb': overflow encountered in square while "
+         "scoring"),
+        ("models.json", lambda text: _replaced(text, 1e-320, 0, "var", 0, 0),
+         "classifier 'gaussian_nb': overflow encountered in divide while "
+         "scoring"),
+        ("models.json", lambda text: _replaced(text, 1e308, 1, "X", 0, 0),
+         "classifier 'one_nn': overflow encountered in square while "
+         "scoring"),
         # integers beyond int64, one per file
         ("forest.json", lambda text: _replaced(text, 10 ** 30, "trees", 0,
                                                "leaf_rows", 0),
@@ -245,12 +275,13 @@ class TestSelectFiles:
             "meta-gamma-not-number", "meta-rho-not-number", "meta-rho-null",
             "meta-seed-not-int", "models-nan-weight", "models-zero-var",
             "models-negative-var", "models-log-prior-inf",
-            "models-zero-scale", "forest-row-beyond-int64",
+            "models-zero-scale", "models-huge-theta", "models-tiny-var",
+            "models-huge-1nn-point", "forest-row-beyond-int64",
             "meta-truth-beyond-int64", "models-label-beyond-int64"])
-    def test_malformed_bundle_file_exits_2(self, trained_bundle, tmp_path,
+    def test_malformed_bundle_file_exits_2(self, split_bundle, tmp_path,
                                            capsys, name, rewrite, message):
         bundle_dir = str(tmp_path / "malformed")
-        shutil.copytree(trained_bundle, bundle_dir)
+        shutil.copytree(split_bundle, bundle_dir)
         path = os.path.join(bundle_dir, name)
         with open(path) as fh:
             text = fh.read()
@@ -291,20 +322,19 @@ class TestSelectFiles:
     ], ids=["forest-cyclic", "forest-right-out-of-range",
             "forest-leaf-id-out-of-range",
             "gini-cyclic", "gini-feat-negative", "gini-leaf-id-out-of-range"])
-    def test_bad_tree_exits_2(self, trained_bundle, tmp_path, name, field,
+    def test_bad_tree_exits_2(self, split_bundle, tmp_path, name, field,
                               value, message):
         """A tree that route could loop in or index out of fails the load.
-        The root of the first tree that splits, else of the first tree, is
-        changed; select runs in a subprocess so that a hang fails the
-        test."""
+        The root of the first tree that splits is changed; select runs in
+        a subprocess so that a hang fails the test."""
         bundle_dir = str(tmp_path / "bad-tree")
-        shutil.copytree(trained_bundle, bundle_dir)
+        shutil.copytree(split_bundle, bundle_dir)
         path = os.path.join(bundle_dir, name)
         with open(path) as fh:
             data = json.load(fh)
         trees = (data["trees"] if name == "forest.json" else
                  [m for m in data if m["kind"] == "decision_tree_gini"])
-        tree = next((t for t in trees if t["left"][0] >= 0), trees[0])
+        tree = next(t for t in trees if t["left"][0] >= 0)
         if field == "leaf_id":
             tree[field] = [value if i >= 0 else i for i in tree[field]]
         else:
@@ -322,17 +352,6 @@ class TestSelectFiles:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "%s: " % path in proc.stderr and message in proc.stderr
-
-
-def _split_on_feature(text, feature):
-    """forest.json text whose tree 0 is a root split on the given feature
-    into two leaves, the first holding one member row."""
-    data = json.loads(text)
-    tree = data["trees"][0]
-    tree.update(feat=[feature, -1, -1], thr=[0.0] * 3, left=[1, -1, -1],
-                right=[2, -1, -1], leaf_id=[-1, 0, 1],
-                leaf_ptr=[0, 1, len(tree["leaf_rows"])])
-    return json.dumps(data)
 
 
 def _without(text, *keys):
@@ -403,13 +422,11 @@ def _set_path(doc, path, value):
     return doc
 
 
-@pytest.fixture(scope="module")
-def fuzz_bundle(trained_bundle, tmp_path_factory):
-    """A scratch copy of the trained bundle, its files' texts, the paths
+def _fuzz_bundle(bundle, tmp):
+    """A scratch copy of a trained bundle, its files' texts, the paths
     each mutation kind applies to, and a query file."""
-    tmp = tmp_path_factory.mktemp("fuzz")
     bundle_dir = str(tmp / "bundle")
-    shutil.copytree(trained_bundle, bundle_dir)
+    shutil.copytree(bundle, bundle_dir)
     texts, paths = {}, {}
     for name in ("forest.json", "models.json", "meta.json"):
         with open(os.path.join(bundle_dir, name)) as fh:
@@ -422,41 +439,67 @@ def fuzz_bundle(trained_bundle, tmp_path_factory):
     return bundle_dir, str(query), str(tmp / "sel.csv"), texts, paths
 
 
+@pytest.fixture(scope="module")
+def fuzz_bundle(trained_bundle, tmp_path_factory):
+    return _fuzz_bundle(trained_bundle, tmp_path_factory.mktemp("fuzz"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_split_bundle(split_bundle, tmp_path_factory):
+    return _fuzz_bundle(split_bundle, tmp_path_factory.mktemp("fuzz-split"))
+
+
+def _select_mutated(fuzz, data):
+    """Apply one drawn mutation to one bundle file and run select; the
+    file is restored afterwards. Returns (exit code, stderr)."""
+    bundle_dir, query, out, texts, paths = fuzz
+    name = data.draw(st.sampled_from(sorted(texts)), label="file")
+    kind = data.draw(st.sampled_from(sorted(_FUZZ_KINDS)), label="kind")
+    path = data.draw(st.sampled_from(paths[name][kind]), label="path")
+    doc = json.loads(texts[name])
+    node = doc
+    for key in path:
+        node = node[key]
+    if kind == "drop":
+        del node[data.draw(st.sampled_from(sorted(node)), label="key")]
+    elif kind == "truncate":
+        del node[data.draw(st.integers(0, len(node) - 1), label="size"):]
+    else:
+        doc = _set_path(doc, path, data.draw(st.sampled_from(
+            ["x", {}, None] if kind == "swap" else [-1, 10 ** 30]),
+            label="value"))
+    target = os.path.join(bundle_dir, name)
+    with open(target, "w") as fh:
+        json.dump(doc, fh)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            rc = main(["select", "--model", bundle_dir, "--input", query,
+                       "--output", out, "--method", "lpr"])
+    finally:
+        with open(target, "w") as fh:
+            fh.write(texts[name])
+    return rc, err.getvalue()
+
+
 class TestBundleFuzz:
+    """One mutation of one bundle file: select either works or exits 2
+    with an error line; it never raises."""
+
     @settings(max_examples=200)
     @given(data=st.data())
     def test_mutated_bundle_selects_or_exits_2(self, fuzz_bundle, data):
-        """One mutation of one bundle file: select either works or exits 2
-        with an error line; it never raises."""
-        bundle_dir, query, out, texts, paths = fuzz_bundle
-        name = data.draw(st.sampled_from(sorted(texts)), label="file")
-        kind = data.draw(st.sampled_from(sorted(_FUZZ_KINDS)), label="kind")
-        path = data.draw(st.sampled_from(paths[name][kind]), label="path")
-        doc = json.loads(texts[name])
-        node = doc
-        for key in path:
-            node = node[key]
-        if kind == "drop":
-            del node[data.draw(st.sampled_from(sorted(node)), label="key")]
-        elif kind == "truncate":
-            del node[data.draw(st.integers(0, len(node) - 1), label="size"):]
-        else:
-            doc = _set_path(doc, path, data.draw(st.sampled_from(
-                ["x", {}, None] if kind == "swap" else [-1, 10 ** 30]),
-                label="value"))
-        target = os.path.join(bundle_dir, name)
-        with open(target, "w") as fh:
-            json.dump(doc, fh)
-        err = io.StringIO()
-        try:
-            with contextlib.redirect_stderr(err):
-                rc = main(["select", "--model", bundle_dir, "--input", query,
-                           "--output", out, "--method", "lpr"])
-        finally:
-            with open(target, "w") as fh:
-                fh.write(texts[name])
-        assert rc == 0 or (rc == 2 and "error:" in err.getvalue()), (
-            rc, err.getvalue())
+        rc, err = _select_mutated(fuzz_bundle, data)
+        assert rc == 0 or (rc == 2 and "error:" in err), (rc, err)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_mutated_split_bundle_selects_or_exits_2(self, fuzz_split_bundle,
+                                                     data):
+        """The same over a bundle whose trees split, so that mutations
+        reach internal nodes."""
+        rc, err = _select_mutated(fuzz_split_bundle, data)
+        assert rc == 0 or (rc == 2 and "error:" in err), (rc, err)
 
 
 class TestTrainExternal:

@@ -131,11 +131,14 @@ class TestPcaProjection:
         assert np.allclose(coords, 0.0)
 
 
-def tiny_experiment_config(tmp_path, rows=240, seed=11):
-    """Small learnable dataset exercising the native classifier pool."""
+def tiny_experiment_config(tmp_path, rows=240, seed=11, centre=2.0,
+                           spread=0.7):
+    """Small learnable dataset exercising the native classifier pool: two
+    classes around (-centre, 0) and (centre, 0). The default clusters
+    barely touch; closer, wider ones make the classifiers disagree."""
     rng = np.random.default_rng(seed)
-    X = np.vstack([rng.normal((-2, 0), 0.7, size=(rows // 2, 2)),
-                   rng.normal((2, 0), 0.7, size=(rows // 2, 2))])
+    X = np.vstack([rng.normal((-centre, 0), spread, size=(rows // 2, 2)),
+                   rng.normal((centre, 0), spread, size=(rows // 2, 2))])
     y = ["a"] * (rows // 2) + ["b"] * (rows // 2)
     path = tmp_path / "tiny.csv"
     with open(path, "w") as fh:

@@ -1,16 +1,17 @@
 """LP construction, the HiGHS solve, and its oracles: the reference dense
-simplex and the discrete weight grid."""
+simplex, the discrete weight grid, and scipy's public linprog."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cshc import lp
 from cshc.data import CorrectnessMatrix
 from cshc.lp import (LpInstance, _merge_equivalent, build_instance,
                      instance_dump, penalties_given_weights, solve)
 import lp_reference
-from lp_reference import merge_equivalent, reference_solve
+from lp_reference import linprog_solve, merge_equivalent, reference_solve
 from test_forest import simple_bundle
 
 
@@ -203,6 +204,86 @@ class TestProperties:
         for have, want in zip(got, merge_equivalent(inst)):
             assert have.dtype == want.dtype
             assert np.array_equal(have, want)
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Edge shapes of the merged model: duplicate rows, samples that every
+    classifier gets right or wrong, one classifier, two classes, and
+    samples whose unvoted wrong classes need the shared row."""
+    n = draw(st.integers(1, 5))
+    C = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 12))
+    label = st.integers(0, C - 1)
+    y = draw(st.lists(label, min_size=k, max_size=k))
+    shape = st.sampled_from(["random", "all-correct", "all-wrong", "one-vote"])
+    L = []
+    for i in range(k):
+        kind = draw(shape)
+        if kind == "all-correct":
+            L.append([y[i]] * n)
+        elif kind == "all-wrong":
+            L.append([(y[i] + 1 + v) % C if C > 2 else 1 - y[i]
+                      for v in draw(st.lists(st.integers(0, C - 2),
+                                             min_size=n, max_size=n))])
+        elif kind == "one-vote":  # at most one wrong class voted
+            L.append([(y[i] + 1) % C] * n)
+        else:
+            L.append(draw(st.lists(label, min_size=n, max_size=n)))
+    repeat = draw(st.integers(1, 3))  # duplicate every row
+    m = draw(st.lists(st.integers(1, 5), min_size=k * repeat,
+                      max_size=k * repeat))
+    gamma = draw(st.sampled_from([0.5, 1.0, 50.0, 80.0]))
+    return LpInstance(n=n, n_classes=C, m=m, y=y * repeat, L=L * repeat,
+                      gamma=gamma)
+
+
+def assert_same_solution(inst):
+    got, want = solve(inst), linprog_solve(inst)
+    assert np.array_equal(got.w, want.w)
+    assert np.array_equal(got.g, want.g)
+    assert np.array_equal(got.f, want.f)
+    assert got.objective == want.objective
+
+
+class TestLinprogOracle:
+    """The direct HiGHS call must return public linprog's vertex bit for
+    bit: same matrix, same options, same solver."""
+
+    @settings(max_examples=80)
+    @given(lp_instances())
+    def test_matches_linprog(self, inst):
+        assert_same_solution(inst)
+
+    @settings(max_examples=80)
+    @given(degenerate_instances())
+    def test_matches_linprog_on_degenerate_shapes(self, inst):
+        assert_same_solution(inst)
+
+    def test_matches_linprog_on_regions_sized_instance(self):
+        # about as many raw rows as one regions query's leaves return
+        rng = np.random.default_rng(31)
+        k, n, C = 1700, 3, 3
+        y = rng.integers(0, C, size=k)
+        right = rng.random((k, n)) < [0.9, 0.6, 0.3]
+        L = np.where(right, y[:, None], (y[:, None] + 1) % C)
+        inst = LpInstance(n=n, n_classes=C, m=rng.integers(1, 4, size=k),
+                          y=y, L=L, gamma=80.0)
+        assert_same_solution(inst)
+
+
+class TestSolverFailure:
+    def test_non_optimal_status_raises_with_dump(self, monkeypatch):
+        options = lp._core.HighsOptions()
+        options.output_flag = False
+        options.simplex_iteration_limit = 0
+        monkeypatch.setattr(lp, "_OPTIONS", options)
+        inst = LpInstance(n=2, n_classes=2, m=[1, 1], y=[0, 0],
+                          L=[[0, 1], [1, 0]], gamma=80.0)
+        with pytest.raises(lp.LpSolverError) as info:
+            solve(inst)
+        assert "HiGHS: Iteration limit reached" in str(info.value)
+        assert instance_dump(inst) in str(info.value)
 
 
 class TestDumps:
