@@ -6,9 +6,9 @@ from .config import ExperimentConfig, load_config
 from .data import (CorrectnessMatrix, DataError, Dataset, SplitPlan,
                    build_correctness_cv3, build_correctness_holdout, load_csv,
                    make_split)
-from .forest import (CshcConfig, Forest, LeafBundle, build_forest,
-                     grow_tree, leaf_ranks, load_forest, query, query_batch,
-                     save_forest, split_gain)
+from .forest import (Forest, LeafBundle, build_forest, grow_tree,
+                     leaf_ranks, load_forest, query, query_batch, save_forest,
+                     split_gain)
 from .harness import (average_ranks, mgi, oracle_accuracy, paired_sign_ttest,
                       run_experiment, wins_losses)
 from .lp import LpInstance, LpSolution, LpSolverError, build_instance, solve

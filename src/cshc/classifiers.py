@@ -186,9 +186,14 @@ class GiniTreeTrained(TrainedClassifier):
     def check_state(self):
         L = kernels.check_tree(self.feat, self.thr, self.left, self.right,
                                self.leaf_id, self.n_features)
-        if self.leaf_proba.shape[0] != L:
+        p = self.leaf_proba
+        if p.shape[0] != L:
             raise DataError("'leaf_proba' has %d rows for %d leaves"
-                            % (self.leaf_proba.shape[0], L))
+                            % (p.shape[0], L))
+        # the tolerance load_external_predictions allows
+        if not ((p >= 0).all() and (abs(p.sum(axis=1) - 1.0) <= 1e-6).all()):
+            raise DataError("'leaf_proba' holds a row that is not "
+                            "probabilities: entries >= 0 summing to 1")
 
 
 class PerceptronTrained(TrainedClassifier):

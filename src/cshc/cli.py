@@ -8,7 +8,7 @@ import sys
 from . import harness
 from .config import load_config
 from .data import (DataError, export_assignments_csv, load_csv,
-                   load_feature_rows)
+                   load_feature_rows, require_finite)
 
 
 def _apply_overrides(cfg, args):
@@ -63,6 +63,9 @@ def cmd_train(args):
 
 
 def cmd_select(args):
+    for flag in ("gamma", "rho"):
+        if getattr(args, flag) is not None:
+            require_finite(getattr(args, flag), "--" + flag)
     meta, models, forest, cm = harness.load_bundle(args.model)
     X = load_feature_rows(args.input, meta["dataset"]["feature_names"])
     mcfg = meta["config"]
@@ -91,7 +94,7 @@ def cmd_select(args):
 
 
 def _run_and_report(cfg):
-    result = harness.run_experiment(cfg, keep_preps=True)
+    result = harness.run_experiment(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
     harness.write_results_csv(result, os.path.join(cfg.outdir, "results.csv"))
     for name in result.dataset_names:
@@ -148,7 +151,7 @@ def cmd_export_viz(args):
     cfg = _single_dataset_config(args)
     cfg.methods = [args.method]
     cfg.reference = args.method
-    result = harness.run_experiment(cfg, keep_preps=True)
+    result = harness.run_experiment(cfg)
     name = result.dataset_names[0]
     if name in result.errors or (name, args.method) in result.errors:
         msg = result.errors.get(name) or result.errors.get((name, args.method))

@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .classifiers import ClassifierSpec
-from .data import DataError
-from .forest import CshcConfig
+from .data import DataError, require_finite
 
 ALL_METHODS = ("cshc", "rr", "lp", "lpr", "ola", "lca", "apr", "apo",
                "mcb", "knora_e", "knora_u", "mv")
@@ -61,17 +60,20 @@ class ExperimentConfig:
         if self.knn_k < 1:
             raise DataError("[baselines] k must be at least 1, got %d"
                             % self.knn_k)
-        self.forest_config()
+        if self.n_trees < 1:
+            raise DataError("n_trees must be >= 1")
+        if not 0.0 < self.bootstrap_fraction <= 1.0:
+            raise DataError("bootstrap_fraction must be in (0, 1]")
+        if self.min_cluster_size < 1:
+            raise DataError("min_cluster_size must be >= 1")
+        if self.max_depth < 1:
+            raise DataError("max_depth must be >= 1")
+        if not 0.0 <= self.min_improvement < 1.0:
+            raise DataError("min_improvement must be in [0, 1)")
+        require_finite(self.gamma, "[lp] gamma")
+        require_finite(self.rho, "[selection] rho")
+        require_finite(self.mcb_similarity, "[baselines] mcb_similarity")
         return self
-
-    def forest_config(self):
-        """The [cshc] settings as a CshcConfig; DataError when out of range."""
-        return CshcConfig(n_trees=self.n_trees,
-                          bootstrap_fraction=self.bootstrap_fraction,
-                          min_cluster_size=self.min_cluster_size,
-                          max_depth=self.max_depth,
-                          min_improvement=self.min_improvement,
-                          seed=self.seed)
 
     def classifier_specs(self):
         specs = [ClassifierSpec(kind) for kind in self.pool]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -75,8 +76,6 @@ class Dataset:
 class SplitPlan:
     train_indices: np.ndarray
     test_indices: np.ndarray
-    protocol: str = "split50"
-    seed: int = 0
 
     def __post_init__(self):
         self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
@@ -93,27 +92,22 @@ class CorrectnessMatrix:
     """Per-sample, per-classifier validation outcome.
 
     predicted[i, a] is classifier a's label for row i, truth[i] the real
-    class and correct[i, a] the 0/1 agreement bit. ``proba`` optionally
-    keeps the class-probability outputs of the same validation-time
-    models (needed by the probability-based neighborhood baselines).
+    class of n_classes and correct[i, a] the 0/1 agreement bit.
+    ``proba`` optionally keeps the class-probability outputs of the same
+    validation-time models (needed by the probability-based neighborhood
+    baselines).
     """
 
     predicted: np.ndarray
     truth: np.ndarray
-    sample_indices: np.ndarray
+    n_classes: int
     proba: np.ndarray = None
-    correct: np.ndarray = field(default=None)
-    n_classes: int = None
+    correct: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.predicted = np.asarray(self.predicted, dtype=np.int64)
         self.truth = np.asarray(self.truth, dtype=np.int64)
-        self.sample_indices = np.asarray(self.sample_indices, dtype=np.int64)
-        recomputed = (self.predicted == self.truth[:, None]).astype(np.int64)
-        if self.correct is None:
-            self.correct = recomputed
-        elif not np.array_equal(np.asarray(self.correct), recomputed):
-            raise DataError("stored correctness bits disagree with predicted/truth")
+        self.correct = (self.predicted == self.truth[:, None]).astype(np.int64)
 
     @property
     def n_samples(self):
@@ -122,11 +116,6 @@ class CorrectnessMatrix:
     @property
     def n_classifiers(self):
         return self.predicted.shape[1]
-
-    def class_count(self):
-        if self.n_classes is not None:
-            return self.n_classes
-        return int(max(self.predicted.max(), self.truth.max())) + 1
 
     def classifier_accuracies(self):
         return self.correct.mean(axis=0)
@@ -156,6 +145,14 @@ def require_int(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DataError("%s must be an integer, got %r" % (name, value))
     return int(value)
+
+
+def require_finite(value, name):
+    """value, a finite number, else a DataError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise DataError("%s must be a finite number, got %r" % (name, value))
+    return value
 
 
 def read_array(value, name, dtype, ndim):
@@ -303,7 +300,7 @@ def _stratified_take(labels, n_classes, fraction, rng):
     return np.sort(np.concatenate(picked))
 
 
-def make_split(ds, test_fraction, seed, protocol="split50"):
+def make_split(ds, test_fraction, seed):
     """Stratified train/test split, deterministic under seed."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must be in (0, 1)")
@@ -312,7 +309,7 @@ def make_split(ds, test_fraction, seed, protocol="split50"):
     mask = np.ones(ds.n_samples, dtype=bool)
     mask[test] = False
     train = np.nonzero(mask)[0]
-    return SplitPlan(train, test, protocol=protocol, seed=int(seed))
+    return SplitPlan(train, test)
 
 
 def stratified_folds(labels, n_classes, n_folds, seed):
@@ -364,8 +361,7 @@ def build_correctness_cv3(ds_train, specs, seed):
             predicted[held, a] = p.argmax(axis=1)
     final_models = [clf.train(spec, ds_train) for spec in specs]
     cm = CorrectnessMatrix(predicted, ds_train.labels.copy(),
-                           np.arange(M, dtype=np.int64), proba=proba,
-                           n_classes=ds_train.n_classes)
+                           ds_train.n_classes, proba=proba)
     return cm, final_models, fold
 
 
@@ -385,9 +381,8 @@ def build_correctness_holdout(ds_a, ds_b, specs):
         proba[:, a] = p
         predicted[:, a] = p.argmax(axis=1)
         models.append(model)
-    cm = CorrectnessMatrix(predicted, ds_b.labels.copy(),
-                           np.arange(ds_b.n_samples, dtype=np.int64), proba=proba,
-                           n_classes=ds_a.n_classes)
+    cm = CorrectnessMatrix(predicted, ds_b.labels.copy(), ds_a.n_classes,
+                           proba=proba)
     return cm, models
 
 

@@ -22,28 +22,6 @@ from .rng import substream
 FOREST_FORMAT = "cshc-forest/3"
 
 
-@dataclass
-class CshcConfig:
-    n_trees: int = 50
-    bootstrap_fraction: float = 0.8
-    min_cluster_size: int = 2
-    max_depth: int = 15
-    min_improvement: float = 0.02
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise DataError("n_trees must be >= 1")
-        if not 0.0 < self.bootstrap_fraction <= 1.0:
-            raise DataError("bootstrap_fraction must be in (0, 1]")
-        if self.min_cluster_size < 1:
-            raise DataError("min_cluster_size must be >= 1")
-        if self.max_depth < 1:
-            raise DataError("max_depth must be >= 1")
-        if not 0.0 <= self.min_improvement < 1.0:
-            raise DataError("min_improvement must be in [0, 1)")
-
-
 def feature_subset_size(n_features):
     """round(2 * sqrt(F)), half rounded up, capped at F."""
     return min(n_features, int(math.floor(2.0 * math.sqrt(n_features) + 0.5)))
@@ -123,7 +101,7 @@ class Forest:
             [np.bincount(leaf_of, weights=wc[:, a], minlength=L)
              for a in range(cm.n_classifiers)])
         self.leaf_rank = _within_leaf_ranks(self.leaf_counts)
-        C = cm.class_count()
+        C = cm.n_classes
         self.leaf_support = np.bincount(
             leaf_of * C + cm.truth[rows], weights=mult,
             minlength=L * C).reshape(-1, C)
@@ -229,7 +207,8 @@ def split_gain(member_rows, member_mult, feature, threshold, correct, features):
 
 
 def grow_tree(rows, mult, cfg, correct, features, allowed):
-    """Grow a Tree over the weighted cluster (rows, mult) with `kernels.grow`.
+    """Grow a Tree over the weighted cluster (rows, mult) with `kernels.grow`
+    under the [cshc] limits of the ExperimentConfig cfg.
 
     A node becomes a leaf when the depth limit is reached, no candidate
     split keeps both children at min_cluster_size, the parent's best
@@ -262,14 +241,15 @@ def grow_tree(rows, mult, cfg, correct, features, allowed):
 
 
 def build_forest(cm, ds, cfg):
-    """Build the tree ensemble from a correctness matrix.
+    """Build the tree ensemble from a correctness matrix over the rows of
+    ds, with the [cshc] settings and the seed of the ExperimentConfig cfg.
 
     Tree t draws ceil(fraction * M) bootstrap rows and a feature subset
     of size round(2*sqrt(F)) from the substream keyed by (seed, t).
     """
     if cm.n_classifiers < 2:
         raise ValueError("need at least 2 classifiers, got %d" % cm.n_classifiers)
-    features = ds.features[cm.sample_indices]
+    features = ds.features
     correct = cm.correct.astype(np.float64)
     M, F = features.shape
     k_feat = feature_subset_size(F)

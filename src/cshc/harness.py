@@ -8,8 +8,6 @@ per-dataset accuracies into the cross-benchmark comparison statistics.
 
 import csv
 import json
-import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +22,7 @@ from . import selection as sel
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
                    build_correctness_holdout, load_csv, load_json,
-                   make_split, read_array, require_int)
+                   make_split, read_array, require_finite, require_int)
 from .forest import build_forest, query_batch
 from .selection import SELECTION_METHODS
 
@@ -125,12 +123,9 @@ class PreparedDataset:
     forest: object
     test_ds: object
     test_labels: np.ndarray       # (Q, n)
-    test_proba: np.ndarray        # (Q, n, C)
     test_cm: CorrectnessMatrix
-    val_acc: np.ndarray
     dsel_std: np.ndarray
     test_std: np.ndarray
-    seed: int
     fold: np.ndarray = None
     bundles: list = None
     regions: tuple = None         # (Q, k) neighbours and distances
@@ -149,7 +144,7 @@ class PreparedDataset:
 
 def prepare_dataset(name, ds, cfg):
     """Build every artifact shared by the methods on one dataset."""
-    plan = make_split(ds, cfg.test_fraction, cfg.seed, protocol=cfg.protocol)
+    plan = make_split(ds, cfg.test_fraction, cfg.seed)
     train_ds = ds.subset(plan.train_indices)
     test_ds = ds.subset(plan.test_indices)
     specs = []
@@ -169,26 +164,25 @@ def prepare_dataset(name, ds, cfg):
     else:
         cm, models, fold = build_correctness_cv3(train_ds, specs, cfg.seed)
         dsel_ds = train_ds
-    forest = build_forest(cm, dsel_ds, cfg.forest_config())
-    Q, n, C = test_ds.n_samples, len(specs), ds.n_classes
-    test_proba = np.empty((Q, n, C))
-    for a, model in enumerate(models):
-        test_proba[:, a] = clf.predict_proba_batch(model, test_ds)
-    test_labels = test_proba.argmax(axis=2)
+    forest = build_forest(cm, dsel_ds, cfg)
+    test_labels = label_matrix(models, test_ds)
     test_cm = CorrectnessMatrix(test_labels, test_ds.labels.copy(),
-                                test_ds.row_ids.copy(), n_classes=C)
+                                ds.n_classes)
     mean = dsel_ds.features.mean(axis=0)
     std = dsel_ds.features.std(axis=0)
     std = np.where(std > 0, std, 1.0)
     return PreparedDataset(
         name=name, ds=ds, plan=plan, specs=specs, models=models, cm=cm,
         dsel_ds=dsel_ds, forest=forest, test_ds=test_ds,
-        test_labels=test_labels, test_proba=test_proba, test_cm=test_cm,
-        val_acc=cm.classifier_accuracies(),
+        test_labels=test_labels, test_cm=test_cm,
         dsel_std=(dsel_ds.features - mean) / std,
-        test_std=(test_ds.features - mean) / std,
-        seed=cfg.seed, fold=fold,
+        test_std=(test_ds.features - mean) / std, fold=fold,
     )
+
+
+def label_matrix(models, ds):
+    """(Q, n) class each model gives each row of ds."""
+    return np.column_stack([clf.predict_batch(model, ds) for model in models])
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +241,7 @@ def evaluate_method(prep, method, cfg):
     if method in SELECTION_METHODS:
         outcomes = sel.select_batch(
             method, prep.get_bundles(), prep.test_labels, prep.test_ds.row_ids,
-            prep.cm, prep.val_acc, prep.ds.n_classes, cfg.gamma, cfg.rho,
-            prep.seed, prep.lp_cache)
+            prep.cm, cfg.gamma, cfg.rho, cfg.seed, prep.lp_cache)
         predicted = np.array([o.predicted_class for o in outcomes])
         chosen = np.array([o.chosen_classifier for o in outcomes])
         if method == "lpr":
@@ -271,7 +264,7 @@ class ExperimentResult:
     cells: dict        # (dataset, method) -> MethodResult
     errors: dict       # (dataset, method) or dataset -> message
     static: dict       # (dataset, classifier name) -> accuracy
-    preps: dict = None
+    preps: dict        # dataset -> PreparedDataset
 
     def accuracy_matrix(self, methods=None, datasets=None):
         """(methods x datasets) array over cells that all succeeded."""
@@ -284,15 +277,14 @@ class ExperimentResult:
         return arr, keep
 
 
-def run_experiment(cfg, keep_preps=False):
+def run_experiment(cfg):
     """Evaluate every configured method on every configured dataset.
 
     A failing (dataset, method) cell is recorded as a diagnostic and
     does not abort the sweep.
     """
     cfg.validate()
-    result = ExperimentResult(cfg, [], {}, {}, {}, {},
-                              preps={} if keep_preps else None)
+    result = ExperimentResult(cfg, [], {}, {}, {}, {}, {})
     for name, path, label_column in cfg.datasets:
         result.dataset_names.append(name)
         try:
@@ -301,8 +293,7 @@ def run_experiment(cfg, keep_preps=False):
         except Exception as exc:
             result.errors[name] = "%s: %s" % (type(exc).__name__, exc)
             continue
-        if keep_preps:
-            result.preps[name] = prep
+        result.preps[name] = prep
         result.oracle[name] = oracle_accuracy(prep.test_cm)
         for a, spec in enumerate(prep.specs):
             acc = float(prep.test_cm.correct[:, a].mean() * 100.0)
@@ -518,11 +509,7 @@ def load_bundle(outdir):
                             "classes in [0, %d)" % (meta_path, key, C))
     config = meta["config"]
     for key in ("gamma", "rho"):
-        value = config[key]
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
-            raise DataError("%s: 'config.%s' must be a finite number, got %r"
-                            % (meta_path, key, value))
+        require_finite(config[key], "%s: 'config.%s'" % (meta_path, key))
     require_int(config["seed"], "%s: 'config.seed'" % meta_path)
     models_path = os.path.join(outdir, "models.json")
     states = load_json(models_path)
@@ -537,7 +524,7 @@ def load_bundle(outdir):
         except DataError as exc:
             raise DataError("%s: classifier %d: %s"
                             % (models_path, a, exc)) from None
-    cm = CorrectnessMatrix(predicted, truth, np.arange(M), n_classes=C)
+    cm = CorrectnessMatrix(predicted, truth, C)
     forest = forest_mod.load_forest(os.path.join(outdir, "forest.json"), cm, F)
     return meta, models, forest, cm
 
@@ -545,13 +532,9 @@ def load_bundle(outdir):
 def select_rows(meta, models, forest, cm, X, method, gamma, rho, seed):
     """Classify feature rows using a deserialized bundle."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    bundles = query_batch(forest, X)
-    label_matrix = np.column_stack(
-        [clf.predict_proba_batch(m, _FeatureRows(X)).argmax(axis=1) for m in models])
-    return sel.select_batch(method, bundles, label_matrix,
-                            np.arange(X.shape[0]), cm,
-                            cm.classifier_accuracies(), cm.n_classes, gamma,
-                            rho, seed, {})
+    return sel.select_batch(method, query_batch(forest, X),
+                            label_matrix(models, _FeatureRows(X)),
+                            np.arange(X.shape[0]), cm, gamma, rho, seed, {})
 
 
 class _FeatureRows:

@@ -82,7 +82,7 @@ def build_instance(bundle, cm, gamma):
     labels taken from the validation-time prediction matrix."""
     return LpInstance(
         n=cm.n_classifiers,
-        n_classes=cm.class_count(),
+        n_classes=cm.n_classes,
         m=np.rint(bundle.mult).astype(np.int64),
         y=cm.truth[bundle.rows],
         L=cm.predicted[bundle.rows],

@@ -151,9 +151,10 @@ def select_lpr(bundle, cm, test_labels, rho, gamma, n_classes,
                             "lpr-fallback", low, True, **ratios)
 
 
-def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
-                 n_classes, gamma, rho, seed, cache):
-    """Outcome of one selection method for every query of a batch.
+def select_batch(method, bundles, label_matrix, sample_ids, cm, gamma, rho,
+                 seed, cache):
+    """Outcome of one selection method for every query of a batch, over
+    the validation rows of the correctness matrix cm.
 
     Query q's tie-break draws come from streams keyed by (seed, stage,
     sample_ids[q]), so its outcome does not depend on the rest of the
@@ -165,6 +166,7 @@ def select_batch(method, bundles, label_matrix, sample_ids, cm, val_acc,
     if method not in SELECTION_METHODS:
         raise DataError("selection methods are %s; got %r"
                         % ("/".join(SELECTION_METHODS), method))
+    val_acc, n_classes = cm.classifier_accuracies(), cm.n_classes
     outcomes = []
     for bundle, labels_row, sid in zip(bundles, label_matrix, sample_ids):
         sid = int(sid)

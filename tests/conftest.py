@@ -113,7 +113,7 @@ def region_result(region_benchmark):
     data_path, ext_paths, info = region_benchmark
     cfg = region_benchmark_config(data_path, ext_paths)
     t0 = time.perf_counter()
-    result = run_experiment(cfg, keep_preps=True)
+    result = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     return cfg, result, info, elapsed
 

@@ -53,7 +53,7 @@ def leaf_tables(forest):
             rows, mult = tree.members(lid)
             counts.append(member_counts(tree, lid, cm))
             support.append(np.bincount(cm.truth[rows], weights=mult,
-                                       minlength=cm.class_count()))
+                                       minlength=cm.n_classes))
     counts = np.vstack(counts)
     return counts, rankdata(counts, method="average", axis=1), \
         np.vstack(support)

@@ -428,7 +428,7 @@ class TestCriterion3d:
                                       methods=["cshc", "rr", "lp", "lpr"])
         cfg.reference = "lpr"
         cfg.datasets = [("abs", data, "label")]
-        result = run_experiment(cfg, keep_preps=True)
+        result = run_experiment(cfg)
         assert not result.errors
         prep = result.preps["abs"]
         # fixture premise: classifier 0 is perfect on validation and test
@@ -532,7 +532,7 @@ class TestCriterion3f:
             k = int(rng.integers(1, 4))
             cm = CorrectnessMatrix(rng.integers(0, C, size=(k, n)),
                                    rng.integers(0, C, size=k),
-                                   np.arange(k), n_classes=C)
+                                   C)
             bundle = simple_bundle(counts, rows=np.arange(k), mult=np.ones(k))
             labels = rng.integers(0, C, size=n)
             rr = select_rr(bundle, labels, C, substream(5, 1, trial))
@@ -572,27 +572,27 @@ class TestCriterion3g:
         # same exit, so the exit does not hang on the vertex a solver picks
         fixtures = []
         cm1 = CorrectnessMatrix(np.array([[0, 1, 1], [0, 1, 0]]),
-                                np.array([0, 1]), np.arange(2), n_classes=2)
+                                np.array([0, 1]), 2)
         b1 = simple_bundle([[3.0, 2.0, 1.0]], rows=np.array([0, 1]),
                            mult=np.array([2.0, 1.0]))
         fixtures.append((b1, cm1, np.array([1, 0, 0]), 0.1, 2,
                          [0.9, 0.5, 0.4]))
         cm2 = CorrectnessMatrix(np.array([[0, 1, 1, 2], [0, 2, 2, 1],
                                           [1, 0, 0, 2]]),
-                                np.array([2, 0, 2]), np.arange(3), n_classes=3)
+                                np.array([2, 0, 2]), 3)
         b2 = simple_bundle([[5.0, 3.0, 3.0, 0.0]], rows=np.arange(3),
                            mult=np.array([3.0, 1.0, 3.0]), dominant=2)
         fixtures.append((b2, cm2, np.array([0, 1, 1, 2]), 0.05, 3,
                          [0.9, 0.2, 0.2, 0.1]))
         cm3 = CorrectnessMatrix(np.array([[0, 1, 1, 2], [0, 2, 2, 1],
                                           [1, 0, 0, 2]]),
-                                np.array([2, 0, 2]), np.arange(3), n_classes=4)
+                                np.array([2, 0, 2]), 4)
         b3 = simple_bundle([[5.0, 3.0, 3.0, 0.0]], rows=np.arange(3),
                            mult=np.array([3.0, 1.0, 3.0]), dominant=3)
         fixtures.append((b3, cm3, np.array([0, 1, 1, 2]), 0.05, 4,
                          [0.9, 0.2, 0.2, 0.1]))
         cm4 = CorrectnessMatrix(np.array([[0, 1], [0, 1]]),
-                                np.array([0, 1]), np.arange(2), n_classes=2)
+                                np.array([0, 1]), 2)
         b4 = simple_bundle([[2.0, 1.0]], rows=np.arange(2),
                            mult=np.array([2.0, 1.0]))
         fixtures.append((b4, cm4, np.array([0, 1]), 0.01, 2, None))

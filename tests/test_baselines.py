@@ -30,8 +30,8 @@ def cm_with_proba(predicted, truth, n_classes, proba=None):
         for i in range(M):
             for a in range(n):
                 proba[i, a, predicted[i, a]] = 1.0
-    cm = CorrectnessMatrix(predicted, truth, np.arange(len(truth)),
-                           proba=np.asarray(proba), n_classes=n_classes)
+    cm = CorrectnessMatrix(predicted, truth, n_classes,
+                           proba=np.asarray(proba))
     return cm
 
 
@@ -347,8 +347,7 @@ def scorer_cases(draw):
     proba = rng.dirichlet(np.ones(C), size=(M, n))
     hard = rng.random(n) < 0.3
     proba[:, hard] = np.eye(C)[predicted[:, hard]]
-    cm = CorrectnessMatrix(predicted, truth, np.arange(M), proba=proba,
-                           n_classes=C)
+    cm = CorrectnessMatrix(predicted, truth, C, proba=proba)
     neighbors = np.argsort(rng.random((Q, M)), axis=1)[:, :k]
     # sorted distances with ties and exact zeros
     distances = np.sort(rng.integers(0, 4, size=(Q, k)) * 0.5, axis=1)

@@ -244,6 +244,14 @@ class TestSelectFiles:
         ("models.json", lambda text: _replaced(text, 0.0, 1, "scaler",
                                                "scale", 0),
          "models.json: classifier 1: scaler 'scale' holds a value <= 0"),
+        ("models.json", lambda text: _replaced(text, [-3.0, 0.0], 2,
+                                               "leaf_proba", 0),
+         "models.json: classifier 2: 'leaf_proba' holds a row that is not "
+         "probabilities"),
+        ("models.json", lambda text: _replaced(text, [0.5, 0.5 + 2e-6], 2,
+                                               "leaf_proba", 0),
+         "models.json: classifier 2: 'leaf_proba' holds a row that is not "
+         "probabilities"),
         # finite extremes that overflow once the model scores a row
         ("models.json", lambda text: _replaced(text, 1e308, 0, "theta", 0, 0),
          "classifier 'gaussian_nb': overflow encountered in square while "
@@ -275,7 +283,8 @@ class TestSelectFiles:
             "meta-gamma-not-number", "meta-rho-not-number", "meta-rho-null",
             "meta-seed-not-int", "models-nan-weight", "models-zero-var",
             "models-negative-var", "models-log-prior-inf",
-            "models-zero-scale", "models-huge-theta", "models-tiny-var",
+            "models-zero-scale", "models-negative-leaf-proba",
+            "models-leaf-proba-sum", "models-huge-theta", "models-tiny-var",
             "models-huge-1nn-point", "forest-row-beyond-int64",
             "meta-truth-beyond-int64", "models-label-beyond-int64"])
     def test_malformed_bundle_file_exits_2(self, split_bundle, tmp_path,
@@ -293,6 +302,16 @@ class TestSelectFiles:
                      str(query)]) == 2
         assert message in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--rho"])
+    def test_non_finite_override_exits_2(self, trained_bundle, tmp_path,
+                                         capsys, flag):
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n0.0,0.0\n")
+        assert main(["select", "--model", trained_bundle, "--input",
+                     str(query), flag, "nan"]) == 2
+        assert "%s must be a finite number, got nan" % flag in \
+            capsys.readouterr().err
 
     def test_log_prior_may_hold_minus_inf(self, trained_bundle, tmp_path):
         """A class absent from training gives gaussian_nb a log prior of
@@ -564,10 +583,27 @@ class TestConfigErrors:
          "[cshc] min_improvement must be a number, got 'lots'"),
         ("compare", "[cshc]\nn_trees = abc\n",
          "[cshc] n_trees must be an integer, got 'abc'"),
+        ("train", "[cshc]\nmax_depth = 0\n", "max_depth must be >= 1"),
+        ("evaluate", "[cshc]\nmin_cluster_size = 0\n",
+         "min_cluster_size must be >= 1"),
+        ("compare", "[cshc]\nbootstrap_fraction = 1.5\n",
+         "bootstrap_fraction must be in (0, 1]"),
+        ("train", "[cshc]\nmin_improvement = 1\n",
+         "min_improvement must be in [0, 1)"),
+        ("train", "[lp]\ngamma = nan\n",
+         "[lp] gamma must be a finite number, got nan"),
+        ("evaluate", "[selection]\nrho = inf\n",
+         "[selection] rho must be a finite number, got inf"),
+        ("compare", "[baselines]\nmcb_similarity = nan\n",
+         "[baselines] mcb_similarity must be a finite number, got nan"),
     ], ids=["train-protocol", "train-method", "train-k-zero",
             "train-one-classifier", "train-no-trees", "evaluate-no-trees",
             "compare-no-trees", "train-trees-not-int",
-            "evaluate-improvement-not-number", "compare-trees-not-int"])
+            "evaluate-improvement-not-number", "compare-trees-not-int",
+            "train-depth-zero", "evaluate-cluster-size-zero",
+            "compare-bootstrap-above-one", "train-improvement-one",
+            "train-gamma-nan", "evaluate-rho-inf",
+            "compare-mcb-similarity-nan"])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, ini,
                                 message):
         data = write_tiny_csv(tmp_path)

@@ -110,11 +110,8 @@ class TestCorrectnessMatrix:
     def test_recompute_matches_stored(self):
         pred = np.array([[0, 1], [1, 1], [0, 0]])
         truth = np.array([0, 1, 1])
-        cm = CorrectnessMatrix(pred, truth, np.arange(3))
+        cm = CorrectnessMatrix(pred, truth, 2)
         assert cm.correct.tolist() == [[1, 0], [1, 1], [0, 0]]
-        with pytest.raises(DataError):
-            CorrectnessMatrix(pred, truth, np.arange(3),
-                              correct=np.zeros((3, 2), dtype=int))
 
 
 class TestCv3:

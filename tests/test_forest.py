@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 import forest_reference
 from cshc.classifiers import ClassifierSpec, train
+from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, Dataset
-from cshc.forest import (CshcConfig, Forest, LeafBundle, Tree,
-                         bootstrap_draws, build_forest, feature_subset_size,
-                         forest_from_dict, forest_to_dict, grow_tree,
-                         leaf_ranks, load_forest, query, query_batch,
-                         save_forest, split_gain)
+from cshc.forest import (Forest, LeafBundle, Tree, bootstrap_draws,
+                         build_forest, feature_subset_size, forest_from_dict,
+                         forest_to_dict, grow_tree, leaf_ranks, load_forest,
+                         query, query_batch, save_forest, split_gain)
 from cshc.rng import substream
 
 
 def make_cm(predicted, truth):
-    return CorrectnessMatrix(np.asarray(predicted), np.asarray(truth),
-                             np.arange(len(truth)))
+    predicted, truth = np.asarray(predicted), np.asarray(truth)
+    return CorrectnessMatrix(predicted, truth,
+                             int(max(predicted.max(), truth.max())) + 1)
 
 
 def simple_bundle(leaf_counts, rows=None, mult=None, dominant=0):
@@ -57,11 +58,11 @@ class TestConfigArithmetic:
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
-            CshcConfig(n_trees=0)
+            ExperimentConfig(n_trees=0).validate()
         with pytest.raises(ValueError):
-            CshcConfig(bootstrap_fraction=0.0)
+            ExperimentConfig(bootstrap_fraction=0.0).validate()
         with pytest.raises(ValueError):
-            CshcConfig(min_improvement=1.0)
+            ExperimentConfig(min_improvement=1.0).validate()
 
 
 class TestSplitGain:
@@ -94,7 +95,8 @@ class TestSplitGain:
 
 class TestGrowTree:
     def test_hand_example_splits_at_midpoint(self):
-        cfg = CshcConfig(min_cluster_size=2, max_depth=5, min_improvement=0.02)
+        cfg = ExperimentConfig(min_cluster_size=2, max_depth=5,
+                               min_improvement=0.02)
         tree = grow_tree(np.arange(4), np.ones(4), cfg,
                          TestSplitGain.correct, TestSplitGain.features,
                          np.array([0]))
@@ -113,21 +115,22 @@ class TestGrowTree:
         assert forest.leaf_counts.tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
     def test_two_members_min_size_two_stays_leaf(self):
-        cfg = CshcConfig(min_cluster_size=2)
+        cfg = ExperimentConfig(min_cluster_size=2)
         tree = grow_tree(np.arange(2), np.ones(2), cfg,
                          TestSplitGain.correct[:2], TestSplitGain.features[:2],
                          np.array([0]))
         assert is_leaf(tree, 0)
 
     def test_optimal_parent_stays_leaf(self):
-        cfg = CshcConfig()
+        cfg = ExperimentConfig()
         correct = np.array([[1.0, 0.0]] * 4)
         tree = grow_tree(np.arange(4), np.ones(4), cfg, correct,
                          TestSplitGain.features, np.array([0]))
         assert is_leaf(tree, 0)
 
     def test_depth_limit(self):
-        cfg = CshcConfig(max_depth=1, min_cluster_size=1, min_improvement=0.0)
+        cfg = ExperimentConfig(max_depth=1, min_cluster_size=1,
+                               min_improvement=0.0)
         rng = np.random.default_rng(0)
         features = rng.uniform(size=(16, 1))
         correct = rng.integers(0, 2, size=(16, 2)).astype(float)
@@ -147,9 +150,9 @@ def region_forest(seed=0, n_trees=10):
     for i in range(M):
         predicted[i, 0] = truth[i] if left[i] else 1 - truth[i]
         predicted[i, 1] = 1 - truth[i] if left[i] else truth[i]
-    cm = CorrectnessMatrix(predicted, truth, np.arange(M))
+    cm = CorrectnessMatrix(predicted, truth, 2)
     ds = Dataset(x, truth, ["a", "b"], ["x", "y"])
-    cfg = CshcConfig(n_trees=n_trees, seed=seed)
+    cfg = ExperimentConfig(n_trees=n_trees, seed=seed)
     return build_forest(cm, ds, cfg), cm, ds, cfg
 
 
@@ -208,7 +211,7 @@ class TestBuildForest:
         ds = Dataset(np.zeros((2, 1)) + [[0.0], [1.0]], np.array([0, 1]),
                      ["a"], ["x", "y"])
         with pytest.raises(ValueError, match="2 classifiers"):
-            build_forest(cm, ds, CshcConfig())
+            build_forest(cm, ds, ExperimentConfig())
 
 
 class TestQuery:
@@ -229,7 +232,7 @@ class TestQuery:
         cm = make_cm([[0, 1], [1, 0]], [0, 1])
         ds = Dataset(np.array([[0.0], [0.0]]), np.array([0, 1]), ["a"],
                      ["x", "y"])
-        cfg = CshcConfig(n_trees=1, bootstrap_fraction=1.0, seed=1)
+        cfg = ExperimentConfig(n_trees=1, bootstrap_fraction=1.0, seed=1)
         forest = build_forest(cm, ds, cfg)
         bundle = query(forest, [0.0])
         _, mult = forest.trees[0].members(0)
@@ -321,17 +324,17 @@ def small_forests(draw):
     F = draw(st.integers(1, 3))
     n = draw(st.integers(2, 4))
     C = draw(st.integers(2, 3))
-    cfg = CshcConfig(n_trees=draw(st.integers(1, 6)),
-                     min_cluster_size=draw(st.integers(1, 3)),
-                     min_improvement=draw(st.sampled_from([0.0, 0.02])),
-                     seed=draw(st.integers(0, 99)))
+    cfg = ExperimentConfig(n_trees=draw(st.integers(1, 6)),
+                           min_cluster_size=draw(st.integers(1, 3)),
+                           min_improvement=draw(st.sampled_from([0.0, 0.02])),
+                           seed=draw(st.integers(0, 99)))
     rng = np.random.default_rng(seed)
     # coarse feature values, so that rows tie and queries hit thresholds
     features = rng.integers(0, 5, size=(M, F)).astype(float)
     truth = rng.integers(0, C, size=M)
     predicted = np.where(rng.random((M, n)) < 0.6, truth[:, None],
                          rng.integers(0, C, size=(M, n)))
-    cm = CorrectnessMatrix(predicted, truth, np.arange(M))
+    cm = CorrectnessMatrix(predicted, truth, C)
     ds = Dataset(features, truth, ["f%d" % j for j in range(F)],
                  ["c%d" % c for c in range(C)])
     queries = np.vstack([features, rng.uniform(-1.0, 5.0, size=(8, F))])
@@ -398,9 +401,10 @@ def grow_cases(draw):
         features = rng.normal(size=(M, F))
     counts = np.bincount(rng.integers(0, M, size=M), minlength=M)
     rows = np.flatnonzero(counts)
-    cfg = CshcConfig(max_depth=draw(st.sampled_from([1, 2, 3, 15])),
-                     min_cluster_size=draw(st.integers(1, 3)),
-                     min_improvement=draw(st.sampled_from([0.0, 0.02, 0.3])))
+    cfg = ExperimentConfig(
+        max_depth=draw(st.sampled_from([1, 2, 3, 15])),
+        min_cluster_size=draw(st.integers(1, 3)),
+        min_improvement=draw(st.sampled_from([0.0, 0.02, 0.3])))
     allowed = np.sort(rng.choice(F, size=draw(st.integers(1, F)),
                                  replace=False))
     correct = (rng.random((M, n)) < 0.6).astype(float)

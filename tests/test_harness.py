@@ -87,12 +87,12 @@ class TestPairedSignTtest:
 class TestOracleAccuracy:
     def test_full_coverage(self):
         cm = CorrectnessMatrix(np.array([[0, 1], [1, 1]]), np.array([0, 1]),
-                               np.arange(2))
+                               2)
         assert oracle_accuracy(cm) == 100.0
 
     def test_uncovered_sample_counts_against(self):
         cm = CorrectnessMatrix(np.array([[1, 1], [1, 1]]), np.array([0, 1]),
-                               np.arange(2))
+                               2)
         assert oracle_accuracy(cm) == 50.0
 
     def test_complementary_pair(self):
@@ -242,7 +242,7 @@ class TestExportViz:
         cfg = tiny_experiment_config(tmp_path)
         cfg.methods = ["cshc"]
         cfg.reference = "cshc"
-        result = run_experiment(cfg, keep_preps=True)
+        result = run_experiment(cfg)
         prep = result.preps["tiny"]
         out = tmp_path / "viz.csv"
         cell = result.cells[("tiny", "cshc")]
@@ -255,7 +255,7 @@ class TestExportViz:
         cfg = tiny_experiment_config(tmp_path)
         cfg.methods = ["ola"]
         cfg.reference = "ola"
-        result = run_experiment(cfg, keep_preps=True)
+        result = run_experiment(cfg)
         prep = result.preps["tiny"]
         cell = result.cells[("tiny", "ola")]
         out = tmp_path / "viz.csv"

@@ -102,7 +102,7 @@ class TestExamples:
 class TestBuildInstance:
     def test_multiplicities_from_bundle(self):
         cm = CorrectnessMatrix(np.array([[0, 1], [1, 0], [0, 0]]),
-                               np.array([0, 1, 1]), np.arange(3), n_classes=2)
+                               np.array([0, 1, 1]), 2)
         bundle = simple_bundle([[1.0, 1.0]], rows=np.array([0, 2]),
                                mult=np.array([4.0, 1.0]))
         inst = build_instance(bundle, cm, gamma=80.0)

@@ -5,7 +5,8 @@ import pytest
 
 from cshc import lp
 from cshc.data import CorrectnessMatrix, Dataset
-from cshc.forest import CshcConfig, build_forest, query_batch
+from cshc.config import ExperimentConfig
+from cshc.forest import build_forest, query_batch
 from cshc.rng import substream
 from cshc.selection import (_STREAM, select_batch, select_cshc, select_lp,
                             select_lpr, select_rr, vote)
@@ -107,7 +108,7 @@ class TestSelectRr:
 
 def cm_for(labels_matrix, truth, n_classes):
     return CorrectnessMatrix(np.asarray(labels_matrix), np.asarray(truth),
-                             np.arange(len(truth)), n_classes=n_classes)
+                             n_classes)
 
 
 class TestSelectLp:
@@ -310,7 +311,7 @@ class TestSelectBatch:
                                mult=np.array([2.0, 1.0]))
         with pytest.raises(lp.LpSolverError) as info:
             select_batch(method, [bundle], np.array([[0, 1]]), [7], cm,
-                         None, 2, 80.0, 0.0, 0, {})
+                         80.0, 0.0, 0, {})
         text = str(info.value)
         assert text.startswith("sample 7: HiGHS: broken\n")
         assert "m=2 y=0 labels=[0, 1]" in text
@@ -329,8 +330,8 @@ class TestBatchEqualsSingle:
                              rng.integers(0, 3, size=(M, 3)))
         cm = cm_for(predicted, truth, 3)
         ds = Dataset(features, truth, ["x", "y"], ["a", "b", "c"])
-        forest = build_forest(cm, ds, CshcConfig(n_trees=6,
-                                                 min_improvement=0.0))
+        forest = build_forest(cm, ds, ExperimentConfig(
+            n_trees=6, min_improvement=0.0, seed=0))
         # validation points plus repeats of some: shared leaf-id tuples
         X = np.vstack([features[:30], features[:10]])
         labels = rng.integers(0, 3, size=(X.shape[0], 3))
@@ -339,7 +340,7 @@ class TestBatchEqualsSingle:
 
     def run(self, method, bundles, labels, sample_ids, cm, cache):
         return select_batch(method, bundles, labels, sample_ids, cm,
-                            [0.6, 0.5, 0.6], 3, 80.0, 0.3, 5, cache)
+                            80.0, 0.3, 5, cache)
 
     @pytest.mark.parametrize("method", ["cshc", "rr", "lp", "lpr"])
     def test_shuffled_batch_equals_queries_alone(self, method):
@@ -361,15 +362,15 @@ class TestBatchEqualsSingle:
         labels = np.array([0, 0, 1])
         sample_ids = np.arange(40)
         batch = select_batch(method, [bundle] * 40, np.tile(labels, (40, 1)),
-                             sample_ids, cm, None, 2, 80.0, 0.3, 5, {})
+                             sample_ids, cm, 80.0, 0.3, 5, {})
         for out, sid in zip(batch, sample_ids):
             r_rr = substream(5, _STREAM["rr"], sid)
             r_lp = substream(5, _STREAM["lp"], sid)
             if method == "rr":
                 alone = select_rr(bundle, labels, 2, r_rr)
             else:
-                alone = select_lpr(bundle, cm, labels, 0.3, 80.0, 2, None,
-                                   r_rr, r_lp)
+                alone = select_lpr(bundle, cm, labels, 0.3, 80.0, 2,
+                                   cm.classifier_accuracies(), r_rr, r_lp)
             assert alone.method_used == "rr"
             assert out == alone
         assert {o.chosen_classifier for o in batch} == {0, 1}
