@@ -49,13 +49,15 @@ class ExperimentConfig:
     def validate(self):
         if self.protocol not in ("split50", "cv3"):
             raise DataError("protocol must be split50 or cv3, got %r" % self.protocol)
+        if not 0.0 < self.test_fraction < 1.0:
+            raise DataError("test_fraction must be in (0, 1)")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise DataError("unknown method %r (known: %s)"
                                 % (m, ", ".join(ALL_METHODS)))
         if self.reference not in self.methods:
             raise DataError("reference method %r not in method list" % self.reference)
-        if not (len(self.pool) + len(self.external)) >= 2:
+        if len(self.classifier_specs()) < 2:  # checks each kind too
             raise DataError("need at least 2 classifiers in the pool")
         if self.knn_k < 1:
             raise DataError("[baselines] k must be at least 1, got %d"
@@ -76,11 +78,9 @@ class ExperimentConfig:
         return self
 
     def classifier_specs(self):
-        specs = [ClassifierSpec(kind) for kind in self.pool]
-        for name, path in self.external:
-            specs.append(ClassifierSpec("external", name=name,
-                                        hyperparams={"path": path}))
-        return specs
+        return [ClassifierSpec(kind) for kind in self.pool] + [
+            ClassifierSpec("external", name=name, hyperparams={"path": path})
+            for name, path in self.external]
 
     def asdict(self):
         d = dict(self.__dict__)
@@ -96,65 +96,65 @@ class ExperimentConfig:
         ).hexdigest()[:16]
 
 
-def _split_list(raw):
-    return [t.strip() for t in raw.replace(",", " ").split() if t.strip()]
+# INI section -> its keys. Each key sets the ExperimentConfig field of its
+# own name ([baselines] k sets knn_k), cast to that field's type. [data] and
+# [data.labels] take free dataset names, and [classifiers] also takes
+# "external <name> = predictions.csv" keys.
+SCHEMA = {
+    "experiment": ("protocol", "test_fraction", "seed", "label_column",
+                   "methods", "reference", "outdir"),
+    "data": (), "data.labels": (),
+    "classifiers": ("pool",),
+    "cshc": ("n_trees", "bootstrap_fraction", "min_cluster_size",
+             "max_depth", "min_improvement"),
+    "lp": ("gamma",),
+    "selection": ("rho",),
+    "baselines": ("k", "mcb_similarity", "apr_distance_weighting"),
+}
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
 def load_config(path=None):
-    """Parse an INI experiment file into an ExperimentConfig."""
+    """Parse an INI experiment file into an ExperimentConfig. An unknown
+    section or key, or a file configparser cannot read, is a DataError."""
     cfg = ExperimentConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    # no file can name a section "", so [DEFAULT] is an unknown section
+    # instead of defaults that leak into every other one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keep case in dataset names and paths
-    read = parser.read(path)
-    if not read:
-        raise DataError("config file %r not found or unreadable" % path)
-
-    def get(section, key, cast, current):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            try:
-                return cast(raw)
-            except ValueError:
-                raise DataError("[%s] %s must be %s, got %r" % (
-                    section, key, "an integer" if cast is int else "a number",
-                    raw)) from None
-        return current
-
-    cfg.protocol = get("experiment", "protocol", str, cfg.protocol)
-    cfg.test_fraction = get("experiment", "test_fraction", float, cfg.test_fraction)
-    cfg.seed = get("experiment", "seed", int, cfg.seed)
-    cfg.label_column = get("experiment", "label_column", str, cfg.label_column)
-    cfg.reference = get("experiment", "reference", str, cfg.reference)
-    cfg.outdir = get("experiment", "outdir", str, cfg.outdir)
-    if parser.has_option("experiment", "methods"):
-        cfg.methods = _split_list(parser.get("experiment", "methods"))
-
-    if parser.has_section("data"):
-        labels = dict(parser.items("data.labels")) if parser.has_section("data.labels") else {}
-        cfg.datasets = [(name, p, labels.get(name, cfg.label_column))
-                        for name, p in parser.items("data")]
-
-    if parser.has_option("classifiers", "pool"):
-        cfg.pool = _split_list(parser.get("classifiers", "pool"))
-    if parser.has_section("classifiers"):
-        for key, value in parser.items("classifiers"):
-            if key.startswith("external "):
-                cfg.external.append((key.split(None, 1)[1], value))
-
-    cfg.n_trees = get("cshc", "n_trees", int, cfg.n_trees)
-    cfg.bootstrap_fraction = get("cshc", "bootstrap_fraction", float,
-                                 cfg.bootstrap_fraction)
-    cfg.min_cluster_size = get("cshc", "min_cluster_size", int, cfg.min_cluster_size)
-    cfg.max_depth = get("cshc", "max_depth", int, cfg.max_depth)
-    cfg.min_improvement = get("cshc", "min_improvement", float, cfg.min_improvement)
-    cfg.gamma = get("lp", "gamma", float, cfg.gamma)
-    cfg.rho = get("selection", "rho", float, cfg.rho)
-    cfg.knn_k = get("baselines", "k", int, cfg.knn_k)
-    cfg.mcb_similarity = get("baselines", "mcb_similarity", float, cfg.mcb_similarity)
-    cfg.apr_distance_weighting = get("baselines", "apr_distance_weighting", bool,
-                                     cfg.apr_distance_weighting)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError:
+        raise DataError("config file %r not found or unreadable" % path) from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DataError("config file %r: %s" % (path, exc)) from None
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise DataError("unknown section [%s] (known: %s)"
+                            % (section, ", ".join(SCHEMA)))
+        for key, raw in parser.items(section) if SCHEMA[section] else ():
+            name = "knn_k" if key == "k" else key
+            kind = type(getattr(cfg, name, None))
+            if section == "classifiers" and key.startswith("external "):
+                cfg.external.append((key.split(None, 1)[1], raw))
+            elif key not in SCHEMA[section]:
+                raise DataError("unknown key %r in [%s] (known: %s)"
+                                % (key, section, ", ".join(SCHEMA[section])))
+            else:
+                try:
+                    setattr(cfg, name, parser.getboolean(section, key)
+                            if kind is bool else raw.replace(",", " ").split()
+                            if kind is list else kind(raw))
+                except ValueError:
+                    raise DataError("[%s] %s must be %s, got %r" % (
+                        section, key, _EXPECTED[kind], raw)) from None
+    data, labels = (dict(parser.items(s)) if parser.has_section(s) else {}
+                    for s in ("data", "data.labels"))
+    for name in sorted(labels.keys() - data.keys()):
+        raise DataError("[data.labels] %r names no [data] dataset" % name)
+    cfg.datasets = [(name, p, labels.get(name, cfg.label_column))
+                    for name, p in data.items()]
     return cfg

@@ -562,6 +562,32 @@ class TestEvaluate:
         assert not out.exists()
 
 
+_COMMANDS = ("train", "evaluate", "compare")
+# case name -> (INI text, error message), each run under every command
+_MALFORMED_INI = {
+    "misspelled-key": ("[cshc]\nn_tree = 3\n",
+                       "unknown key 'n_tree' in [cshc]"),
+    "misspelled-section": ("[lpp]\ngamma = 5\n", "unknown section [lpp]"),
+    "bad-boolean": (
+        "[baselines]\napr_distance_weighting = ture\n",
+        "[baselines] apr_distance_weighting must be a boolean, got 'ture'"),
+    "test-fraction-above-one": ("[experiment]\ntest_fraction = 1.5\n",
+                                "test_fraction must be in (0, 1)"),
+    "unknown-pool-kind": ("[classifiers]\npool = gausian_nb, one_nn\n",
+                          "unknown classifier kind 'gausian_nb'"),
+    "no-section-header": ("seed = 3\n", "File contains no section headers"),
+    "duplicate-key": ("[cshc]\nn_trees = 5\nn_trees = 6\n",
+                      "option 'n_trees' in section 'cshc' already exists"),
+    "duplicate-section": ("[data]\nother = x.csv\n",
+                          "section 'data' already exists"),
+    "not-utf8": ("[experiment]\nlabel_column = \udcff\n",
+                 "'utf-8' codec can't decode byte 0xff"),
+    "default-section": ("[DEFAULT]\nx = 1\n", "unknown section [DEFAULT]"),
+    "orphan-label": ("[data.labels]\nnope = klass\n",
+                     "[data.labels] 'nope' names no [data] dataset"),
+}
+
+
 class TestConfigErrors:
     """A bad configuration exits 2 before any work on every command."""
 
@@ -596,25 +622,33 @@ class TestConfigErrors:
          "[selection] rho must be a finite number, got inf"),
         ("compare", "[baselines]\nmcb_similarity = nan\n",
          "[baselines] mcb_similarity must be a finite number, got nan"),
-    ], ids=["train-protocol", "train-method", "train-k-zero",
+    ] + [(command, ini, message) for command in _COMMANDS
+         for ini, message in _MALFORMED_INI.values()],
+        ids=["train-protocol", "train-method", "train-k-zero",
             "train-one-classifier", "train-no-trees", "evaluate-no-trees",
             "compare-no-trees", "train-trees-not-int",
             "evaluate-improvement-not-number", "compare-trees-not-int",
             "train-depth-zero", "evaluate-cluster-size-zero",
             "compare-bootstrap-above-one", "train-improvement-one",
             "train-gamma-nan", "evaluate-rho-inf",
-            "compare-mcb-similarity-nan"])
+            "compare-mcb-similarity-nan"]
+        + ["%s-%s" % (command, name) for command in _COMMANDS
+           for name in _MALFORMED_INI])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, ini,
                                 message):
         data = write_tiny_csv(tmp_path)
         path = tmp_path / "bad.ini"
-        path.write_text(ini + "[data]\ntiny = %s\n" % data)
+        # surrogateescape lets a case carry bytes that are not UTF-8
+        path.write_bytes((ini + "[data]\ntiny = %s\n" % data).encode(
+            "utf-8", "surrogateescape"))
         out = tmp_path / "out"
         args = [command, "--config", str(path), "--out", str(out)]
         if command != "compare":
             args += ["--data", data, "--label", "label"]
         assert main(args) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert "Traceback" not in err
         assert not out.exists()
 
 
