@@ -6,13 +6,11 @@ from .config import ExperimentConfig, load_config
 from .data import (CorrectnessMatrix, DataError, Dataset, SplitPlan,
                    build_correctness_cv3, build_correctness_holdout, load_csv,
                    make_split)
-from .forest import (Forest, LeafBundle, build_forest, grow_tree,
-                     leaf_ranks, load_forest, query, query_batch, save_forest,
-                     split_gain)
+from .forest import (Forest, build_forest, grow_tree, load_forest,
+                     query_batch, save_forest)
 from .harness import (average_ranks, mgi, oracle_accuracy, paired_sign_ttest,
                       run_experiment, wins_losses)
 from .lp import LpInstance, LpSolution, LpSolverError, build_instance, solve
-from .selection import (SelectionOutcome, SupportProfile, select_cshc,
-                        select_lp, select_lpr, select_rr, vote)
+from .selection import Selection, select_batch
 
 __version__ = "0.1.0"

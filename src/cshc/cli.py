@@ -66,11 +66,11 @@ def cmd_select(args):
     for flag in ("gamma", "rho"):
         if getattr(args, flag) is not None:
             require_finite(getattr(args, flag), "--" + flag)
-    meta, models, forest, cm = harness.load_bundle(args.model)
+    meta, models, forest, _ = harness.load_bundle(args.model)
     X = load_feature_rows(args.input, meta["dataset"]["feature_names"])
     mcfg = meta["config"]
-    outcomes = harness.select_rows(
-        meta, models, forest, cm, X, args.method,
+    out = harness.select_rows(
+        models, forest, X, args.method,
         gamma=args.gamma if args.gamma is not None else mcfg["gamma"],
         rho=args.rho if args.rho is not None else mcfg["rho"],
         seed=args.seed if args.seed is not None else mcfg["seed"])
@@ -80,9 +80,11 @@ def cmd_select(args):
         writer = csv.writer(fh)
         writer.writerow(["row", "chosen_classifier", "predicted_class",
                          "predicted_class_name", "method_used"])
-        for q, out in enumerate(outcomes):
-            writer.writerow([q, out.chosen_classifier, out.predicted_class,
-                             class_names[out.predicted_class], out.method_used])
+        columns = (out.chosen, out.predicted, out.exit)
+        for q, (chosen, predicted, used) in enumerate(
+                zip(*(c.tolist() for c in columns))):
+            writer.writerow([q, chosen, predicted, class_names[predicted],
+                             used])
 
     if args.output is None:
         emit(sys.stdout)
@@ -143,7 +145,10 @@ def cmd_compare(args):
     print("%-10s %5s %7s %5s %9s %9s %9s"
           % ("method", "wins", "losses", "ties", "MGI%", "rank", "p"))
     for row in rows:
-        print("%-10s %5s %7s %5s %9s %9s %9s" % tuple(row))
+        if len(row) == 2:  # a note instead of statistics
+            print("%s: %s" % tuple(row))
+        else:
+            print("%-10s %5s %7s %5s %9s %9s %9s" % tuple(row))
     return 0
 
 

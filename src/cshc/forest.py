@@ -10,7 +10,6 @@ derived from keyed substreams of one seed.
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 from scipy.stats import rankdata
@@ -100,7 +99,7 @@ class Forest:
         self.leaf_counts = np.column_stack(
             [np.bincount(leaf_of, weights=wc[:, a], minlength=L)
              for a in range(cm.n_classifiers)])
-        self.leaf_rank = _within_leaf_ranks(self.leaf_counts)
+        self.leaf_rank = _rank_within_leaves(self.leaf_counts)
         C = cm.n_classes
         self.leaf_support = np.bincount(
             leaf_of * C + cm.truth[rows], weights=mult,
@@ -110,100 +109,26 @@ class Forest:
     def n_trees(self):
         return len(self.trees)
 
+    def member_union(self, leaf_ids):
+        """(rows, mult) of the leaves leaf_ids (T,), one per tree: their
+        distinct member rows, ascending, and the multiplicities summed
+        over the trees."""
+        # one bincount over the validation rows adds the multiplicities
+        # tree by tree
+        parts = [tree.members(lid)
+                 for tree, lid in zip(self.trees, leaf_ids.tolist())]
+        mult = np.bincount(np.concatenate([r for r, _ in parts]),
+                           weights=np.concatenate([m for _, m in parts]),
+                           minlength=self.cm.n_samples)
+        rows = np.flatnonzero(mult)
+        return rows, mult[rows]
 
-def _within_leaf_ranks(counts):
+
+def _rank_within_leaves(counts):
     """Classifier ranks within each row of leaf correct counts: the best
     classifier gets rank n, the worst rank 1, and tied counts share the
     average of the ranks they span."""
     return rankdata(counts, method="average", axis=1)
-
-
-@dataclass
-class LeafBundle:
-    """The leaves one query point hits, one per tree, and what selection
-    reads of them.
-
-    query_batch fills in the cumulative rank and the dominant true class.
-    The member union (rows, mult) and the per-tree correct counts and
-    ranks are built from the forest when first read.
-    """
-
-    tree_leaf_ids: np.ndarray    # (T,) leaf hit in each tree
-    cumulative_rank: np.ndarray  # (n,) within-leaf ranks summed over trees
-    dominant_true_class: int     # class with the most member multiplicity
-    forest: Forest = field(default=None, repr=False)
-
-    @classmethod
-    def from_counts(cls, leaf_counts, rows, mult, dominant_true_class=0,
-                    tree_leaf_ids=None):
-        """A bundle given directly by its hit leaves' correct counts
-        (T, n) and its member union, without a forest.
-
-        An LP cache keys bundles by tree_leaf_ids (zeros by default), so
-        bundles sharing one cache need distinct ids.
-        """
-        leaf_counts = np.atleast_2d(np.asarray(leaf_counts, dtype=np.float64))
-        ranks = _within_leaf_ranks(leaf_counts)
-        if tree_leaf_ids is None:
-            tree_leaf_ids = np.zeros(leaf_counts.shape[0], dtype=np.int64)
-        bundle = cls(np.asarray(tree_leaf_ids, dtype=np.int64),
-                     ranks.sum(axis=0), int(dominant_true_class))
-        vars(bundle).update(
-            leaf_counts=leaf_counts, tree_ranks=ranks,
-            _union=(np.asarray(rows, dtype=np.int64),
-                    np.asarray(mult, dtype=np.float64)))
-        return bundle
-
-    def _hit_leaves(self):
-        return zip(self.forest.trees, self.tree_leaf_ids.tolist())
-
-    @cached_property
-    def _union(self):
-        # one bincount over the validation rows adds the multiplicities
-        # tree by tree; the rows come out ascending
-        parts = [tree.members(lid) for tree, lid in self._hit_leaves()]
-        mult = np.bincount(np.concatenate([r for r, _ in parts]),
-                           weights=np.concatenate([m for _, m in parts]),
-                           minlength=self.forest.cm.n_samples)
-        rows = np.flatnonzero(mult)
-        return rows, mult[rows]
-
-    @property
-    def rows(self):
-        """(k,) distinct member rows of the hit leaves, ascending."""
-        return self._union[0]
-
-    @property
-    def mult(self):
-        """(k,) their multiplicities summed over trees."""
-        return self._union[1]
-
-    @cached_property
-    def leaf_counts(self):
-        """(T, n) correct counts in each hit leaf."""
-        return self.forest.leaf_counts[self.tree_leaf_ids
-                                       + self.forest.leaf_base]
-
-    @cached_property
-    def tree_ranks(self):
-        """(T, n) within-leaf ranks in each hit leaf."""
-        return self.forest.leaf_rank[self.tree_leaf_ids + self.forest.leaf_base]
-
-
-def split_gain(member_rows, member_mult, feature, threshold, correct, features):
-    """Gain of splitting a weighted cluster at (feature, threshold).
-
-    Returns None for one-sided splits. Counts are multiplicity-weighted.
-    """
-    member_rows = np.asarray(member_rows, dtype=np.int64)
-    mult = np.asarray(member_mult, dtype=np.float64)
-    go_left = features[member_rows, feature] <= threshold
-    if go_left.all() or not go_left.any():
-        return None
-    wc = mult[:, None] * correct[member_rows]
-    total = wc.sum(axis=0)
-    left = wc[go_left].sum(axis=0)
-    return float(left.max() + (total - left).max() - total.max())
 
 
 def grow_tree(rows, mult, cfg, correct, features, allowed):
@@ -266,18 +191,15 @@ def build_forest(cm, ds, cfg):
     return Forest(trees, cm, F)
 
 
-def query(forest, x):
-    """LeafBundle for one feature vector (boundary values route left)."""
-    x = np.asarray(x, dtype=np.float64)
-    return query_batch(forest, x[None, :])[0]
-
-
 def query_batch(forest, X):
-    """LeafBundles for the rows of X.
+    """(leaf_ids, cumulative, dominant) of the rows of X: the (Q, T) leaf
+    each row hits in each tree (boundary values route left), the (Q, n)
+    within-leaf ranks of the classifiers summed over those leaves and the
+    (Q,) class with the most member multiplicity in them.
 
-    Each query's cumulative rank and class support are gathered from the
-    forest's per-leaf tables and summed tree by tree. Ranks are multiples
-    of 0.5 and supports whole numbers, so the sums are exact in any order.
+    The ranks and class supports are gathered from the forest's per-leaf
+    tables and summed tree by tree. Ranks are multiples of 0.5 and
+    supports whole numbers, so the sums are exact in any order.
     """
     X = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
     if X.shape[1] != forest.n_features:
@@ -294,18 +216,7 @@ def query_batch(forest, X):
     for t in range(forest.n_trees):
         cumulative += forest.leaf_rank[hit[:, t]]
         support += forest.leaf_support[hit[:, t]]
-    dominant = support.argmax(axis=1).tolist()
-    return [LeafBundle(leaf_ids[q], cumulative[q], dominant[q], forest)
-            for q in range(Q)]
-
-
-def leaf_ranks(bundle):
-    """Per-tree within-leaf ranks (T, n) and their sum over trees (n,).
-
-    The best classifier in a leaf gets rank n, the worst rank 1; tied
-    correct counts share the average of the ranks they span.
-    """
-    return bundle.tree_ranks, bundle.cumulative_rank
+    return leaf_ids, cumulative, support.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,14 @@ class PreparedDataset:
     dsel_std: np.ndarray
     test_std: np.ndarray
     fold: np.ndarray = None
-    bundles: list = None
+    query: tuple = None           # (leaf_ids, cumulative, dominant)
     regions: tuple = None         # (Q, k) neighbours and distances
     lp_cache: dict = field(default_factory=dict)
 
-    def get_bundles(self):
-        if self.bundles is None:
-            self.bundles = query_batch(self.forest, self.test_ds.features)
-        return self.bundles
+    def get_query(self):
+        if self.query is None:
+            self.query = query_batch(self.forest, self.test_ds.features)
+        return self.query
 
     def get_regions(self, k):
         if self.regions is None:
@@ -195,7 +195,7 @@ class MethodResult:
     accuracy: float
     predicted: np.ndarray
     chosen: np.ndarray
-    outcomes: list = None         # selection methods only
+    outcomes: sel.Selection = None  # selection methods only
     recourse_rate: float = None
 
 
@@ -240,12 +240,11 @@ def evaluate_method(prep, method, cfg):
     outcomes = recourse = None
     if method in SELECTION_METHODS:
         outcomes = sel.select_batch(
-            method, prep.get_bundles(), prep.test_labels, prep.test_ds.row_ids,
-            prep.cm, cfg.gamma, cfg.rho, cfg.seed, prep.lp_cache)
-        predicted = np.array([o.predicted_class for o in outcomes])
-        chosen = np.array([o.chosen_classifier for o in outcomes])
+            method, prep.forest, *prep.get_query(), prep.test_labels,
+            prep.test_ds.row_ids, cfg.gamma, cfg.rho, cfg.seed, prep.lp_cache)
+        chosen, predicted = outcomes.chosen, outcomes.predicted
         if method == "lpr":
-            recourse = float(np.mean([o.recourse_invoked for o in outcomes]))
+            recourse = float(outcomes.recourse.mean())
     else:
         chosen, predicted = _baseline_choice(prep, method, cfg)
     accuracy = float((predicted == prep.test_ds.labels).mean() * 100.0)
@@ -383,15 +382,15 @@ def write_trace_csv(prep, method_result, path):
         w.writerow(["sample_index", "method_used", "chosen_classifier",
                     "predicted_class", "confidence_ratio", "rr_ratio",
                     "lp_ratio", "recourse_invoked"])
-        for q, out in enumerate(method_result.outcomes):
-            w.writerow([
-                int(prep.test_ds.row_ids[q]), out.method_used,
-                out.chosen_classifier, out.predicted_class,
-                _fmt(out.confidence_ratio),
-                _fmt(out.rr_ratio) if out.rr_ratio is not None else "",
-                _fmt(out.lp_ratio) if out.lp_ratio is not None else "",
-                int(out.recourse_invoked),
-            ])
+        out = method_result.outcomes
+        columns = (prep.test_ds.row_ids, out.exit, out.chosen, out.predicted,
+                   out.confidence, out.rr_ratio, out.lp_ratio,
+                   out.recourse.astype(int))
+        for sid, used, chosen, predicted, conf, rr, lp, recourse in zip(
+                *(c.tolist() for c in columns)):
+            w.writerow([sid, used, chosen, predicted, _fmt(conf),
+                        "" if np.isnan(rr) else _fmt(rr),
+                        "" if np.isnan(lp) else _fmt(lp), recourse])
 
 
 def export_viz(ds, plan, chosen, predicted, path):
@@ -529,12 +528,12 @@ def load_bundle(outdir):
     return meta, models, forest, cm
 
 
-def select_rows(meta, models, forest, cm, X, method, gamma, rho, seed):
-    """Classify feature rows using a deserialized bundle."""
+def select_rows(models, forest, X, method, gamma, rho, seed):
+    """Selection over feature rows using a deserialized bundle."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return sel.select_batch(method, query_batch(forest, X),
+    return sel.select_batch(method, forest, *query_batch(forest, X),
                             label_matrix(models, _FeatureRows(X)),
-                            np.arange(X.shape[0]), cm, gamma, rho, seed, {})
+                            np.arange(X.shape[0]), gamma, rho, seed, {})
 
 
 class _FeatureRows:

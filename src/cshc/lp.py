@@ -77,15 +77,16 @@ class LpSolution:
     objective: float
 
 
-def build_instance(bundle, cm, gamma):
-    """LP data for one query: the bundle's unique rows with multiplicities,
-    labels taken from the validation-time prediction matrix."""
+def build_instance(rows, mult, cm, gamma):
+    """LP data for one query: the distinct member rows of its leaves with
+    their multiplicities, labels taken from the validation-time prediction
+    matrix."""
     return LpInstance(
         n=cm.n_classifiers,
         n_classes=cm.n_classes,
-        m=np.rint(bundle.mult).astype(np.int64),
-        y=cm.truth[bundle.rows],
-        L=cm.predicted[bundle.rows],
+        m=np.rint(mult).astype(np.int64),
+        y=cm.truth[rows],
+        L=cm.predicted[rows],
         gamma=gamma,
     )
 

@@ -1,18 +1,18 @@
-"""Turning a query's leaf bundle into a classifier choice.
+"""Turning the leaves a batch of queries hits into classifier choices.
 
 Four strategies: the vanilla cumulative-rank pick (cshc), rank-weighted
 voting over the classifiers' test-time labels (rr), voting with
 LP-optimized weights (lp), and the confidence-gated recourse chain
 (lpr). Confidence is the ratio of the second-largest to the largest
-class support; lower means more confident.
+class support; lower means more confident. Each strategy runs over the
+whole batch as arrays, and a query's outcome depends on its own row
+alone.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import forest as forest_mod
 from . import lp as lp_mod
 from .data import DataError
 from .rng import substream
@@ -23,167 +23,157 @@ SELECTION_METHODS = ("cshc", "rr", "lp", "lpr")
 # its first two stages replay the standalone methods draw for draw
 _STREAM = {"rr": 0x11, "lp": 0x12}
 
-
-@dataclass
-class SupportProfile:
-    support: np.ndarray
-    top_class: int
-    second_class: int
-    ratio: float
+# the exit a query takes: the vanilla pick, then the recourse chain's
+# exits in the order it tries them
+EXITS = ("cshc", "rr", "lp", "lpr-agree", "lpr-cshc-match", "lpr-dominant",
+         "lpr-fallback")
 
 
 @dataclass
-class SelectionOutcome:
-    chosen_classifier: int
-    predicted_class: int
-    method_used: str
-    confidence_ratio: float
-    recourse_invoked: bool
-    rr_ratio: float = None
-    lp_ratio: float = None
+class Selection:
+    """One method's outcome for every query of a batch, as (Q,) columns."""
+
+    method: str
+    chosen: np.ndarray      # chosen classifier
+    predicted: np.ndarray   # its test-time label
+    exit: np.ndarray        # name of the exit taken, one of EXITS
+    confidence: np.ndarray  # confidence ratio of that exit
+    rr_ratio: np.ndarray    # rank vote's ratio, NaN where it did not run
+    lp_ratio: np.ndarray    # LP vote's ratio, NaN where it did not run
+
+    @property
+    def recourse(self):
+        """(Q,) whether the recourse chain went past its rr stage."""
+        return np.logical_and(self.method == "lpr", self.exit != "rr")
 
 
-def vote(weights, test_labels, n_classes, rng):
-    """Weighted class vote; returns (profile, chosen classifier).
+def _vote(weights, labels, n_classes, seed, stage, sample_ids):
+    """(chosen, ratio) of each row's weighted class vote.
 
     Each classifier adds its weight to the class it labels the query
-    with. Class ties go to the lower class index; among the winning
-    class's voters the heaviest wins, weight ties broken by a draw from
-    the caller's stream. ``rng`` is a Generator or a callable that makes
-    one, called only when a weight tie needs the draw.
+    with, in classifier order. Class ties go to the lower class index;
+    among the winning class's voters the heaviest wins, and a weight tie
+    draws from the stream (seed, stage, sample id) of that row alone.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
-    if weights.min() < 0:
-        raise ValueError("vote weights must be non-negative")
-    if not weights.any():
-        raise ValueError("vote weights are all zero")
-    support = np.bincount(test_labels, weights=weights, minlength=n_classes)
-    top = int(np.argmax(support))
+    bad = (weights < 0).any(axis=1) | ~weights.any(axis=1)
+    if bad.any():
+        raise ValueError("vote weights must be non-negative"
+                         if weights[bad.argmax()].min() < 0
+                         else "vote weights are all zero")
+    rows = np.arange(labels.shape[0])
+    support = np.zeros((rows.size, n_classes))
+    for a in range(labels.shape[1]):
+        support[rows, labels[:, a]] += weights[:, a]
+    top = support.argmax(axis=1)
     rest = support.copy()
-    rest[top] = -np.inf
-    second = int(np.argmax(rest))
-    ratio = float(support[second] / support[top]) if support[second] > 0 else 0.0
-    voters = np.nonzero(test_labels == top)[0]
-    heaviest = voters[weights[voters] == weights[voters].max()]
-    if heaviest.size == 1:
-        chosen = int(heaviest[0])
-    else:
-        chosen = int((rng() if callable(rng) else rng).choice(heaviest))
-    return SupportProfile(support, top, second, ratio), chosen
+    rest[rows, top] = -np.inf
+    second = support[rows, rest.argmax(axis=1)]
+    ratio = np.where(second > 0, second / support[rows, top], 0.0)
+    voters = np.where(labels == top[:, None], weights, -np.inf)
+    heaviest = voters == voters.max(axis=1, keepdims=True)
+    chosen = heaviest.argmax(axis=1)
+    for q in np.flatnonzero(heaviest.sum(axis=1) > 1):
+        rng = substream(seed, _STREAM[stage], int(sample_ids[q]))
+        chosen[q] = rng.choice(np.flatnonzero(heaviest[q]))
+    return chosen, ratio
 
 
-def select_cshc(bundle, validation_accuracy=None, test_labels=None):
-    """Classifier with the best cumulative rank over all trees.
+def _cshc(cumulative, validation_accuracy):
+    """Each row's classifier with the best cumulative rank; rank ties go
+    to the higher validation accuracy, then to the lower index."""
+    best = cumulative == cumulative.max(axis=1, keepdims=True)
+    return np.where(best, validation_accuracy, -np.inf).argmax(axis=1)
 
-    Rank ties go to the higher overall validation accuracy, then to
-    the lower classifier index. Only this classifier would need to run
-    at test time; predicted_class is filled when its label is known.
+
+def _lp_weights(forest, leaf_ids, sample_ids, gamma, cache):
+    """(Q, n) LP-optimal weights over each row's leaf members.
+
+    The LP is solved once per distinct row of leaf ids, in order of first
+    appearance, and the solution kept in cache under (leaf ids, gamma).
     """
-    _, cumulative = forest_mod.leaf_ranks(bundle)
-    best = np.nonzero(cumulative == cumulative.max())[0]
-    if best.size > 1 and validation_accuracy is not None:
-        acc = np.asarray(validation_accuracy)[best]
-        best = best[acc == acc.max()]
-    chosen = int(best[0])
-    predicted = int(test_labels[chosen]) if test_labels is not None else -1
-    return SelectionOutcome(chosen, predicted, "cshc", 0.0, False)
+    cm = forest.cm
+    weights = np.empty((leaf_ids.shape[0], cm.n_classifiers))
+    for q, ids in enumerate(leaf_ids):
+        key = (ids.tobytes(), float(gamma))
+        if key not in cache:
+            rows, mult = forest.member_union(ids)
+            try:
+                cache[key] = lp_mod.solve(
+                    lp_mod.build_instance(rows, mult, cm, gamma))
+            except lp_mod.LpSolverError as exc:
+                raise lp_mod.LpSolverError(
+                    "sample %d: %s" % (sample_ids[q], exc)) from exc
+        weights[q] = cache[key].w
+    return weights
 
 
-def select_rr(bundle, test_labels, n_classes, rng):
-    """Vote with cumulative ranks as weights."""
-    _, cumulative = forest_mod.leaf_ranks(bundle)
-    profile, chosen = vote(cumulative, test_labels, n_classes, rng)
-    return SelectionOutcome(chosen, int(test_labels[chosen]), "rr",
-                            profile.ratio, False, rr_ratio=profile.ratio)
+def select_batch(method, forest, leaf_ids, cumulative, dominant, labels,
+                 sample_ids, gamma, rho, seed, cache):
+    """Outcome of one selection method for every query of a batch.
 
+    Query q hits the leaves leaf_ids[q] of the forest, whose within-leaf
+    ranks sum to cumulative[q] and whose members' most common true class
+    is dominant[q] (the arrays of `forest.query_batch`); the classifiers
+    label it labels[q]. Its tie-break draws come from streams keyed by
+    (seed, stage, sample_ids[q]), created only for rows whose vote ties.
+    ``cache`` memoizes LP solutions keyed by leaf ids, so it serves one
+    forest only. A failing LP aborts the batch with an LpSolverError that
+    names the first sample it was solved for.
 
-def select_lp(bundle, cm, test_labels, gamma, n_classes, rng, cache=None):
-    """Vote with LP-optimal weights."""
-    solution = _solve_cached(bundle, cm, gamma, cache)
-    profile, chosen = vote(solution.w, test_labels, n_classes, rng)
-    return SelectionOutcome(chosen, int(test_labels[chosen]), "lp",
-                            profile.ratio, False, lp_ratio=profile.ratio)
-
-
-def _solve_cached(bundle, cm, gamma, cache):
-    if cache is None:
-        return lp_mod.solve(lp_mod.build_instance(bundle, cm, gamma))
-    key = (bundle.tree_leaf_ids.tobytes(), float(gamma))
-    if key not in cache:
-        cache[key] = lp_mod.solve(lp_mod.build_instance(bundle, cm, gamma))
-    return cache[key]
-
-
-def select_lpr(bundle, cm, test_labels, rho, gamma, n_classes,
-               validation_accuracy, rng_rr, rng_lp, cache=None):
-    """Confidence-gated recourse chain.
-
-    Trust rank regression when its support ratio is at most rho;
-    otherwise fall through to the LP vote, then to agreement checks,
-    the vanilla pick's class, the bundle's dominant true class, and
-    finally the LP choice. method_used records the exit taken.
-    """
-    rr = select_rr(bundle, test_labels, n_classes, rng_rr)
-    if rr.confidence_ratio <= rho:
-        return rr
-    lp = select_lp(bundle, cm, test_labels, gamma, n_classes, rng_lp, cache)
-    ratios = {"rr_ratio": rr.confidence_ratio, "lp_ratio": lp.confidence_ratio}
-    if lp.confidence_ratio <= rho:
-        return SelectionOutcome(lp.chosen_classifier, lp.predicted_class, "lp",
-                                lp.confidence_ratio, True, **ratios)
-    low = min(rr.confidence_ratio, lp.confidence_ratio)
-    if rr.predicted_class == lp.predicted_class:
-        # same class: keep the more confident stage, ties favor the LP
-        pick = rr if rr.confidence_ratio < lp.confidence_ratio else lp
-        return SelectionOutcome(pick.chosen_classifier, pick.predicted_class,
-                                "lpr-agree", low, True, **ratios)
-    vanilla = select_cshc(bundle, validation_accuracy, test_labels)
-    if vanilla.predicted_class in (rr.predicted_class, lp.predicted_class):
-        return SelectionOutcome(vanilla.chosen_classifier, vanilla.predicted_class,
-                                "lpr-cshc-match", low, True, **ratios)
-    dominant = bundle.dominant_true_class
-    for stage in (rr, lp, vanilla):
-        if stage.predicted_class == dominant:
-            return SelectionOutcome(stage.chosen_classifier, stage.predicted_class,
-                                    "lpr-dominant", low, True, **ratios)
-    return SelectionOutcome(lp.chosen_classifier, lp.predicted_class,
-                            "lpr-fallback", low, True, **ratios)
-
-
-def select_batch(method, bundles, label_matrix, sample_ids, cm, gamma, rho,
-                 seed, cache):
-    """Outcome of one selection method for every query of a batch, over
-    the validation rows of the correctness matrix cm.
-
-    Query q's tie-break draws come from streams keyed by (seed, stage,
-    sample_ids[q]), so its outcome does not depend on the rest of the
-    batch; a stream is created only when a vote ties. ``cache`` memoizes
-    LP solutions across the batch, keyed by the bundles' leaf ids, so it
-    serves bundles of one forest only. A failing
-    LP aborts the batch with an LpSolverError that names the sample.
+    The recourse chain (lpr) trusts the rank vote where its ratio is at
+    most rho; elsewhere it falls through to the LP vote, then to agreement
+    of the two, the vanilla pick's class, the dominant true class, and
+    finally the LP choice.
     """
     if method not in SELECTION_METHODS:
         raise DataError("selection methods are %s; got %r"
                         % ("/".join(SELECTION_METHODS), method))
-    val_acc, n_classes = cm.classifier_accuracies(), cm.n_classes
-    outcomes = []
-    for bundle, labels_row, sid in zip(bundles, label_matrix, sample_ids):
-        sid = int(sid)
-        rng_rr = functools.partial(substream, seed, _STREAM["rr"], sid)
-        rng_lp = functools.partial(substream, seed, _STREAM["lp"], sid)
-        try:
-            if method == "cshc":
-                out = select_cshc(bundle, val_acc, labels_row)
-            elif method == "rr":
-                out = select_rr(bundle, labels_row, n_classes, rng_rr)
-            elif method == "lp":
-                out = select_lp(bundle, cm, labels_row, gamma, n_classes,
-                                rng_lp, cache=cache)
-            else:
-                out = select_lpr(bundle, cm, labels_row, rho, gamma, n_classes,
-                                 val_acc, rng_rr, rng_lp, cache=cache)
-        except lp_mod.LpSolverError as exc:
-            raise lp_mod.LpSolverError("sample %d: %s" % (sid, exc)) from exc
-        outcomes.append(out)
-    return outcomes
+    cm = forest.cm
+    leaf_ids = np.asarray(leaf_ids, dtype=np.int64)
+    cumulative = np.asarray(cumulative, dtype=np.float64)
+    dominant = np.asarray(dominant, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    sample_ids = np.asarray(sample_ids, dtype=np.int64)
+    rows = np.arange(labels.shape[0])
+    nan = np.full(rows.size, np.nan)
+
+    def result(code, chosen, confidence, rr_ratio, lp_ratio):
+        return Selection(method, chosen, labels[rows, chosen],
+                         np.asarray(EXITS)[np.broadcast_to(code, rows.shape)],
+                         confidence, rr_ratio, lp_ratio)
+
+    if method == "cshc":
+        chosen = _cshc(cumulative, cm.classifier_accuracies())
+        return result(0, chosen, np.zeros(rows.size), nan, nan)
+    if method == "lp":
+        chosen, ratio = _vote(
+            _lp_weights(forest, leaf_ids, sample_ids, gamma, cache), labels,
+            cm.n_classes, seed, "lp", sample_ids)
+        return result(2, chosen, ratio, nan, ratio)
+    rr_c, rr_r = _vote(cumulative, labels, cm.n_classes, seed, "rr",
+                       sample_ids)
+    if method == "rr":
+        return result(1, rr_c, rr_r, rr_r, nan)
+    # the LP runs only where the rank vote is unsure
+    gate = rr_r > rho
+    lp_c, lp_r = rr_c.copy(), nan.copy()
+    lp_c[gate], lp_r[gate] = _vote(
+        _lp_weights(forest, leaf_ids[gate], sample_ids[gate], gamma, cache),
+        labels[gate], cm.n_classes, seed, "lp", sample_ids[gate])
+    cshc_c = _cshc(cumulative, cm.classifier_accuracies())
+    rr_p, lp_p, cshc_p = (labels[rows, c] for c in (rr_c, lp_c, cshc_c))
+    code = np.select(
+        [~gate, lp_r <= rho, rr_p == lp_p,
+         (cshc_p == rr_p) | (cshc_p == lp_p),
+         (rr_p == dominant) | (lp_p == dominant) | (cshc_p == dominant)],
+        [1, 2, 3, 4, 5], 6)
+    # agreeing stages: the more confident one, ties favour the LP; the
+    # dominant class: the first of rr, lp and cshc that predicts it
+    chosen = np.choose(code - 1, [
+        rr_c, lp_c, np.where(rr_r < lp_r, rr_c, lp_c), cshc_c,
+        np.where(rr_p == dominant, rr_c,
+                 np.where(lp_p == dominant, lp_c, cshc_c)),
+        lp_c])
+    confidence = np.where(code == 1, rr_r,
+                          np.where(code == 2, lp_r, np.fmin(rr_r, lp_r)))
+    return result(code, chosen, confidence, rr_r, lp_r)

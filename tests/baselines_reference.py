@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cshc.selection import SelectionOutcome
+from selection_reference import SelectionOutcome
 
 
 @dataclass

@@ -7,13 +7,15 @@ over the per-column scans of `kernels_reference`; the grower tests compare
 the program's trees with them array for array.
 
 The program derives per-leaf correct counts, ranks and class support
-from the leaf members in one pass per forest, gathers a query's
-cumulative rank and dominant class from those tables, and builds the
-member union only when it is read. This module is the independent oracle
-the query tests compare it with: `leaf_tables` sums each leaf's members
-on its own, the way the grower did before the tables existed, and
-`reference_bundle` walks each tree node by node and builds every bundle
-on its own from the hit leaves' members, ranking the counts per query.
+from the leaf members in one pass per forest, gathers a query batch's
+cumulative ranks and dominant classes from those tables as arrays, and
+builds a query's member union only when its LP is solved. This module is
+the independent oracle the query tests compare it with: `leaf_tables`
+sums each leaf's members on its own, the way the grower did before the
+tables existed, and `reference_bundle` walks each tree node by node and
+builds every bundle on its own from the hit leaves' members, ranking the
+counts per query. `split_gain` scores one split of a weighted cluster
+from its definition.
 """
 
 from types import SimpleNamespace
@@ -85,6 +87,22 @@ def reference_bundle(forest, x):
         rows=rows,
         mult=mult,
         dominant_true_class=int(np.argmax(class_support)))
+
+
+def split_gain(member_rows, member_mult, feature, threshold, correct, features):
+    """Gain of splitting a weighted cluster at (feature, threshold).
+
+    Returns None for one-sided splits. Counts are multiplicity-weighted.
+    """
+    member_rows = np.asarray(member_rows, dtype=np.int64)
+    mult = np.asarray(member_mult, dtype=np.float64)
+    go_left = features[member_rows, feature] <= threshold
+    if go_left.all() or not go_left.any():
+        return None
+    wc = mult[:, None] * correct[member_rows]
+    total = wc.sum(axis=0)
+    left = wc[go_left].sum(axis=0)
+    return float(left.max() + (total - left).max() - total.max())
 
 
 def grow_tree(rows, mult, cfg, correct, features, allowed):

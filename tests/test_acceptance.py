@@ -21,10 +21,9 @@ from cshc.data import CorrectnessMatrix
 from cshc.harness import (average_ranks, mgi, run_experiment, wins_losses,
                           write_trace_csv)
 from cshc.lp import LpInstance, solve
-from cshc.rng import substream
-from cshc.selection import select_lpr, select_rr
 from test_baselines import cm_with_proba
 from test_forest import simple_bundle
+from test_selection import select_bundle
 from test_kernels import brute_best_split
 
 # ---------------------------------------------------------------------------
@@ -535,11 +534,11 @@ class TestCriterion3f:
                                    C)
             bundle = simple_bundle(counts, rows=np.arange(k), mult=np.ones(k))
             labels = rng.integers(0, C, size=n)
-            rr = select_rr(bundle, labels, C, substream(5, 1, trial))
-            lpr = select_lpr(bundle, cm, labels, 1.0, 80.0, C, None,
-                             substream(5, 1, trial), substream(5, 2, trial))
-            assert (lpr.chosen_classifier, lpr.predicted_class) \
-                == (rr.chosen_classifier, rr.predicted_class)
+            rr = select_bundle("rr", bundle, cm, labels, [trial], seed=5)
+            lpr = select_bundle("lpr", bundle, cm, labels, [trial], rho=1.0,
+                                seed=5)
+            assert (lpr.chosen[0], lpr.predicted[0]) \
+                == (rr.chosen[0], rr.predicted[0])
         record_acceptance("3f: lpr(rho=1) == rr (200 queries)", "PASS")
 
 
@@ -565,8 +564,7 @@ class TestCriterion3g:
 
     def test_every_exit_point_exercised(self, region_result):
         cfg, result, _, _ = region_result
-        seen = {o.method_used
-                for o in result.cells[("regions", "lpr")].outcomes}
+        seen = set(result.cells[("regions", "lpr")].outcomes.exit.tolist())
         # the crafted chain fixtures cover the deep exits; each LP in them
         # has a unique optimum or one whose whole optimal face takes the
         # same exit, so the exit does not hang on the vertex a solver picks
@@ -575,31 +573,28 @@ class TestCriterion3g:
                                 np.array([0, 1]), 2)
         b1 = simple_bundle([[3.0, 2.0, 1.0]], rows=np.array([0, 1]),
                            mult=np.array([2.0, 1.0]))
-        fixtures.append((b1, cm1, np.array([1, 0, 0]), 0.1, 2,
-                         [0.9, 0.5, 0.4]))
+        fixtures.append((b1, cm1, np.array([1, 0, 0]), 0.1))
         cm2 = CorrectnessMatrix(np.array([[0, 1, 1, 2], [0, 2, 2, 1],
                                           [1, 0, 0, 2]]),
                                 np.array([2, 0, 2]), 3)
         b2 = simple_bundle([[5.0, 3.0, 3.0, 0.0]], rows=np.arange(3),
                            mult=np.array([3.0, 1.0, 3.0]), dominant=2)
-        fixtures.append((b2, cm2, np.array([0, 1, 1, 2]), 0.05, 3,
-                         [0.9, 0.2, 0.2, 0.1]))
+        fixtures.append((b2, cm2, np.array([0, 1, 1, 2]), 0.05))
         cm3 = CorrectnessMatrix(np.array([[0, 1, 1, 2], [0, 2, 2, 1],
                                           [1, 0, 0, 2]]),
                                 np.array([2, 0, 2]), 4)
         b3 = simple_bundle([[5.0, 3.0, 3.0, 0.0]], rows=np.arange(3),
                            mult=np.array([3.0, 1.0, 3.0]), dominant=3)
-        fixtures.append((b3, cm3, np.array([0, 1, 1, 2]), 0.05, 4,
-                         [0.9, 0.2, 0.2, 0.1]))
+        fixtures.append((b3, cm3, np.array([0, 1, 1, 2]), 0.05))
         cm4 = CorrectnessMatrix(np.array([[0, 1], [0, 1]]),
                                 np.array([0, 1]), 2)
         b4 = simple_bundle([[2.0, 1.0]], rows=np.arange(2),
                            mult=np.array([2.0, 1.0]))
-        fixtures.append((b4, cm4, np.array([0, 1]), 0.01, 2, None))
-        for i, (bundle, cm, labels, rho, C, val_acc) in enumerate(fixtures):
-            out = select_lpr(bundle, cm, labels, rho, 80.0, C, val_acc,
-                             substream(6, 1, i), substream(6, 2, i))
-            seen.add(out.method_used)
+        fixtures.append((b4, cm4, np.array([0, 1]), 0.01))
+        for i, (bundle, cm, labels, rho) in enumerate(fixtures):
+            out = select_bundle("lpr", bundle, cm, labels, [i], rho=rho,
+                                seed=6)
+            seen.add(str(out.exit[0]))
         want = {"rr", "lp", "lpr-agree", "lpr-cshc-match", "lpr-dominant",
                 "lpr-fallback"}
         ok = want <= seen

@@ -675,6 +675,25 @@ class TestCompare:
         results = open(os.path.join(out, "results.csv")).read()
         assert results.count("d0") >= 1 and results.count("d2") >= 1
 
+    def test_no_dataset_completed_prints_a_note(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,x1,label\n1.0,oops,a\n2.0,3.0,b\n")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[data]\nbad = %s\n" % bad)
+        out = tmp_path / "cmp"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cshc.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cshc.cli", "compare", "--config",
+             str(cfg), "--out", str(out)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert "warning: bad failed: DataError" in proc.stderr
+        assert proc.stdout.splitlines()[-1] == \
+            "note: no dataset completed every method"
+        assert (out / "results.csv").exists() and (out / "runs.jsonl").exists()
+
 
 class TestExportViz:
     def test_writes_projection(self, tmp_path, capsys):

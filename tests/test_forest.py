@@ -3,20 +3,23 @@
 import os
 import tempfile
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import forest_reference
 from cshc.classifiers import ClassifierSpec, train
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, Dataset
-from cshc.forest import (Forest, LeafBundle, Tree, bootstrap_draws,
+from cshc.forest import (Forest, Tree, _rank_within_leaves, bootstrap_draws,
                          build_forest, feature_subset_size, forest_from_dict,
-                         forest_to_dict, grow_tree, leaf_ranks, load_forest,
-                         query, query_batch, save_forest, split_gain)
+                         forest_to_dict, grow_tree, load_forest, query_batch,
+                         save_forest)
+from forest_reference import split_gain
 from cshc.rng import substream
 
 
@@ -27,10 +30,30 @@ def make_cm(predicted, truth):
 
 
 def simple_bundle(leaf_counts, rows=None, mult=None, dominant=0):
+    """A hand-built bundle shaped like `forest_reference.reference_bundle`:
+    hit leaves with correct counts leaf_counts (T, n), one per tree, and
+    the member union (rows, mult), n rows of multiplicity 1 by default."""
     leaf_counts = np.atleast_2d(np.asarray(leaf_counts, dtype=float))
     rows = np.arange(leaf_counts.shape[1]) if rows is None else np.asarray(rows)
     mult = np.ones(rows.size) if mult is None else np.asarray(mult, dtype=float)
-    return LeafBundle.from_counts(leaf_counts, rows, mult, dominant)
+    tree_ranks = rankdata(leaf_counts, method="average", axis=1)
+    return SimpleNamespace(
+        tree_leaf_ids=np.zeros(leaf_counts.shape[0], dtype=np.int64),
+        leaf_counts=leaf_counts, tree_ranks=tree_ranks,
+        cumulative_rank=tree_ranks.sum(axis=0),
+        rows=rows.astype(np.int64), mult=mult,
+        dominant_true_class=int(dominant))
+
+
+def program_bundle(forest, leaf_ids, cumulative, dominant, q):
+    """Query q of a `query_batch` result, read from the forest's tables
+    and member union into the fields of `reference_bundle`."""
+    hit = leaf_ids[q] + forest.leaf_base
+    rows, mult = forest.member_union(leaf_ids[q])
+    return SimpleNamespace(
+        tree_leaf_ids=leaf_ids[q], leaf_counts=forest.leaf_counts[hit],
+        tree_ranks=forest.leaf_rank[hit], cumulative_rank=cumulative[q],
+        rows=rows, mult=mult, dominant_true_class=dominant[q])
 
 
 def is_leaf(tree, node):
@@ -222,11 +245,12 @@ class TestQuery:
             pytest.skip("degenerate tree")
         x = np.zeros(2)
         x[tree.feat[0]] = tree.thr[0]
-        bundle = query(forest, x)
-        assert bundle.tree_leaf_ids.shape == (forest.n_trees,)
+        leaf_ids, cumulative, dominant = query_batch(forest, x)
+        assert leaf_ids.shape == (1, forest.n_trees)
+        assert cumulative.shape == (1, 2) and dominant.shape == (1,)
         # in preorder the root's left subtree is nodes 1 .. right[0] - 1
         left_leaves = tree.leaf_id[1:tree.right[0]]
-        assert bundle.tree_leaf_ids[0] in left_leaves[left_leaves >= 0]
+        assert leaf_ids[0, 0] in left_leaves[left_leaves >= 0]
 
     def test_single_leaf_forest_bundle(self):
         cm = make_cm([[0, 1], [1, 0]], [0, 1])
@@ -234,34 +258,35 @@ class TestQuery:
                      ["x", "y"])
         cfg = ExperimentConfig(n_trees=1, bootstrap_fraction=1.0, seed=1)
         forest = build_forest(cm, ds, cfg)
-        bundle = query(forest, [0.0])
+        leaf_ids, _, _ = query_batch(forest, [0.0])
         _, mult = forest.trees[0].members(0)
-        assert bundle.mult.sum() == mult.sum()
+        assert forest.member_union(leaf_ids[0])[1].sum() == mult.sum()
 
     def test_multiset_union_adds_multiplicities(self):
         # two single-leaf trees sharing sample 0 with multiplicities 1 and 2
         forest, _, _, _ = region_forest(n_trees=2)
-        bundle = query(forest, [0.5, 0.5])
+        leaf_ids, _, _ = query_batch(forest, [0.5, 0.5])
         by_hand = {}
-        for t, lid in enumerate(bundle.tree_leaf_ids):
+        for t, lid in enumerate(leaf_ids[0]):
             for r, m in zip(*forest.trees[t].members(lid)):
                 by_hand[int(r)] = by_hand.get(int(r), 0) + m
-        assert {int(r): m for r, m in zip(bundle.rows, bundle.mult)} == by_hand
+        rows, mult = forest.member_union(leaf_ids[0])
+        assert {int(r): m for r, m in zip(rows, mult)} == by_hand
 
     def test_dimension_mismatch(self):
         forest, _, _, _ = region_forest()
         with pytest.raises(ValueError, match="features"):
-            query(forest, [1.0, 2.0, 3.0])
+            query_batch(forest, [1.0, 2.0, 3.0])
 
 
 class TestLeafRanks:
     def test_examples(self):
-        per_tree, cum = leaf_ranks(simple_bundle([[3, 1, 2]]))
-        assert per_tree[0].tolist() == [3.0, 1.0, 2.0]
-        per_tree, _ = leaf_ranks(simple_bundle([[2, 2, 0]]))
-        assert per_tree[0].tolist() == [2.5, 2.5, 1.0]
-        _, cum = leaf_ranks(simple_bundle([[3, 1, 2], [2, 1, 3]]))
-        assert cum.tolist() == [5.0, 2.0, 5.0]
+        assert _rank_within_leaves(np.array([[3, 1, 2]])).tolist() == [
+            [3.0, 1.0, 2.0]]
+        assert _rank_within_leaves(np.array([[2, 2, 0]])).tolist() == [
+            [2.5, 2.5, 1.0]]
+        per_tree = _rank_within_leaves(np.array([[3, 1, 2], [2, 1, 3]]))
+        assert per_tree.sum(axis=0).tolist() == [5.0, 2.0, 5.0]
 
     def test_rank_sum_invariant(self):
         rng = np.random.default_rng(9)
@@ -269,13 +294,13 @@ class TestLeafRanks:
             T = rng.integers(1, 8)
             n = rng.integers(2, 6)
             counts = rng.integers(0, 5, size=(T, n)).astype(float)
-            _, cum = leaf_ranks(simple_bundle(counts))
+            cum = _rank_within_leaves(counts).sum(axis=0)
             assert cum.sum() == pytest.approx(T * n * (n + 1) / 2)
 
     def test_forest_rank_sum(self):
         forest, _, ds, _ = region_forest()
-        for bundle in query_batch(forest, ds.features[:20]):
-            _, cum = leaf_ranks(bundle)
+        _, cumulative, _ = query_batch(forest, ds.features[:20])
+        for cum in cumulative:
             n = forest.cm.n_classifiers
             assert cum.sum() == pytest.approx(forest.n_trees * n * (n + 1) / 2)
 
@@ -290,9 +315,11 @@ class TestSerialization:
             "leaf_rows", "leaf_mult"]
         restored = forest_from_dict(d1, cm, ds.n_features)
         assert forest_to_dict(restored) == d1
-        for x in ds.features[:10]:
-            b1 = query(forest, x)
-            b2 = query(restored, x)
+        q1 = query_batch(forest, ds.features[:10])
+        q2 = query_batch(restored, ds.features[:10])
+        for q in range(10):
+            b1 = program_bundle(forest, *q1, q)
+            b2 = program_bundle(restored, *q2, q)
             assert np.array_equal(b1.rows, b2.rows)
             assert np.array_equal(b1.mult, b2.mult)
             assert np.array_equal(b1.leaf_counts, b2.leaf_counts)
@@ -343,10 +370,9 @@ def small_forests(draw):
 
 def assert_same_bundle(bundle, ref):
     """Every part of a program bundle equals the reference, bit for bit."""
-    per_tree, cumulative = leaf_ranks(bundle)
     assert bundle.tree_leaf_ids.tobytes() == ref.tree_leaf_ids.tobytes()
-    assert cumulative.tobytes() == ref.cumulative_rank.tobytes()
-    assert per_tree.tobytes() == ref.tree_ranks.tobytes()
+    assert bundle.cumulative_rank.tobytes() == ref.cumulative_rank.tobytes()
+    assert bundle.tree_ranks.tobytes() == ref.tree_ranks.tobytes()
     assert bundle.leaf_counts.tobytes() == ref.leaf_counts.tobytes()
     assert bundle.dominant_true_class == ref.dominant_true_class
     assert bundle.rows.tobytes() == ref.rows.tobytes()
@@ -358,11 +384,11 @@ class TestQueryOracle:
     @given(small_forests())
     def test_query_matches_eager_reference(self, case):
         forest, X = case
-        bundles = query_batch(forest, X)
-        assert len(bundles) == X.shape[0]
-        for x, bundle in zip(X, bundles):
-            assert_same_bundle(
-                bundle, forest_reference.reference_bundle(forest, x))
+        batch = query_batch(forest, X)
+        assert [a.shape[0] for a in batch] == [X.shape[0]] * 3
+        for q, x in enumerate(X):
+            assert_same_bundle(program_bundle(forest, *batch, q),
+                               forest_reference.reference_bundle(forest, x))
 
     @settings(max_examples=60)
     @given(small_forests())
@@ -383,9 +409,10 @@ class TestQueryOracle:
             for got in (getattr(forest, name), getattr(restored, name)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), name
-        for x, bundle in zip(X, query_batch(restored, X)):
-            assert_same_bundle(
-                bundle, forest_reference.reference_bundle(forest, x))
+        batch = query_batch(restored, X)
+        for q, x in enumerate(X):
+            assert_same_bundle(program_bundle(restored, *batch, q),
+                               forest_reference.reference_bundle(forest, x))
 
 
 @st.composite

@@ -212,9 +212,9 @@ class TestRunExperiment:
         prep = result.preps["regions"]
         for method in ("cshc", "rr", "lp", "lpr"):
             cell = result.cells[("regions", method)]
-            for q, out in enumerate(cell.outcomes):
-                assert out.predicted_class == \
-                    prep.test_labels[q, out.chosen_classifier]
+            q = np.arange(prep.test_ds.n_samples)
+            assert np.array_equal(cell.outcomes.predicted,
+                                  prep.test_labels[q, cell.outcomes.chosen])
 
     def test_recourse_rate_matches_outcomes(self, tmp_path):
         cfg = tiny_experiment_config(tmp_path)
@@ -222,8 +222,8 @@ class TestRunExperiment:
         cfg.reference = "lpr"
         result = run_experiment(cfg)
         cell = result.cells[("tiny", "lpr")]
-        count = sum(o.recourse_invoked for o in cell.outcomes)
-        assert cell.recourse_rate == count / len(cell.outcomes)
+        recourse = cell.outcomes.recourse
+        assert cell.recourse_rate == recourse.sum() / recourse.size
 
     def test_results_csv_written(self, tmp_path):
         cfg = tiny_experiment_config(tmp_path)

@@ -12,7 +12,6 @@ from cshc.lp import (LpInstance, _merge_equivalent, build_instance,
                      instance_dump, penalties_given_weights, solve)
 import lp_reference
 from lp_reference import linprog_solve, merge_equivalent, reference_solve
-from test_forest import simple_bundle
 
 
 def grid_oracle(inst, step=1):
@@ -103,9 +102,8 @@ class TestBuildInstance:
     def test_multiplicities_from_bundle(self):
         cm = CorrectnessMatrix(np.array([[0, 1], [1, 0], [0, 0]]),
                                np.array([0, 1, 1]), 2)
-        bundle = simple_bundle([[1.0, 1.0]], rows=np.array([0, 2]),
-                               mult=np.array([4.0, 1.0]))
-        inst = build_instance(bundle, cm, gamma=80.0)
+        inst = build_instance(np.array([0, 2]), np.array([4.0, 1.0]), cm,
+                              gamma=80.0)
         assert inst.m.tolist() == [4, 1]
         assert inst.y.tolist() == [0, 1]
         assert inst.L.tolist() == [[0, 1], [0, 0]]
