@@ -349,22 +349,12 @@ def _train_one_nn(spec, ds, scaler):
 def _train_gini_tree(spec, ds, scaler):
     """Unpruned tree: every impure node takes its best Gini split."""
     Z = np.ascontiguousarray(scaler.transform(ds.features))
-    y = ds.labels
-    C = ds.n_classes
-
-    def split(rows, depth):
-        if np.bincount(y[rows], minlength=C).max() == rows.size:
-            return None
-        gain, col, t = kernels.gini_split(Z[rows], y[rows], C)
-        if col < 0:
-            return None
-        mask = Z[rows, col] <= t
-        return int(col), float(t), rows[mask], rows[~mask]
-
-    nodes, leaves = kernels.grow(np.arange(ds.n_samples), split)
-    counts = [np.bincount(y[r], minlength=C).astype(float) for r in leaves]
-    return GiniTreeTrained(spec, C, ds.n_features, scaler, *nodes,
-                           np.vstack([c / c.sum() for c in counts]))
+    onehot = (ds.labels[:, None] == np.arange(ds.n_classes)).astype(float)
+    (*nodes, ptr, members), = kernels.grow(Z, [ds.n_samples], onehot,
+                                           np.ones(ds.n_samples))
+    counts = np.add.reduceat(onehot[members], ptr[:-1])
+    return GiniTreeTrained(spec, ds.n_classes, ds.n_features, scaler, *nodes,
+                           counts / counts.sum(axis=1, keepdims=True))
 
 
 def _train_perceptron(spec, ds, scaler):

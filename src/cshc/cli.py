@@ -149,7 +149,7 @@ def cmd_compare(args):
             print("%s: %s" % tuple(row))
         else:
             print("%-10s %5s %7s %5s %9s %9s %9s" % tuple(row))
-    return 0
+    return 0 if kept else 1
 
 
 def cmd_export_viz(args):

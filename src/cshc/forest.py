@@ -20,6 +20,11 @@ from .rng import substream
 
 FOREST_FORMAT = "cshc-forest/3"
 
+# the most bytes of one float64 level array (members x classifiers x
+# feature subset) of a group of trees grown together; the arrays of a
+# level pass are a few times this
+GROUP_BYTES = 1 << 20
+
 
 def feature_subset_size(n_features):
     """round(2 * sqrt(F)), half rounded up, capped at F."""
@@ -132,37 +137,32 @@ def _rank_within_leaves(counts):
 
 
 def grow_tree(rows, mult, cfg, correct, features, allowed):
-    """Grow a Tree over the weighted cluster (rows, mult) with `kernels.grow`
-    under the [cshc] limits of the ExperimentConfig cfg.
+    """Grow a Tree over the weighted cluster (rows, mult), splitting on the
+    feature columns allowed, under the [cshc] limits of the
+    ExperimentConfig cfg: a group of one tree for `grow_group`."""
+    return grow_group([(rows, mult, allowed)], cfg, correct, features)[0]
+
+
+def grow_group(draws, cfg, correct, features):
+    """Grow one Tree per draw (rows, mult, allowed), all together, with
+    `kernels.grow` under the [cshc] limits of the ExperimentConfig cfg.
 
     A node becomes a leaf when the depth limit is reached, no candidate
     split keeps both children at min_cluster_size, the parent's best
     count is already unbeatable (zero), or the best gain falls below
-    min_improvement * parent best count.
+    min_improvement * parent best count. Each tree's rows are ascending,
+    so its leaves list their members in ascending row order.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    mult = np.asarray(mult, dtype=np.float64)
-
-    def split(item, depth):
-        rows, mult = item
-        wc = mult[:, None] * correct[rows]
-        parent_best = wc.sum(axis=0).max()
-        if depth >= cfg.max_depth or parent_best == 0.0:
-            return None
-        gain, col, thr = kernels.best_split(
-            np.ascontiguousarray(features[rows][:, allowed]), wc, mult,
-            float(cfg.min_cluster_size))
-        if col < 0 or gain < cfg.min_improvement * parent_best:
-            return None
-        go_left = features[rows, allowed[col]] <= thr
-        return (int(allowed[col]), float(thr), (rows[go_left], mult[go_left]),
-                (rows[~go_left], mult[~go_left]))
-
-    nodes, leaves = kernels.grow((rows, mult), split)
-    return Tree(*nodes,
-                leaf_ptr=np.cumsum([0] + [r.size for r, _ in leaves]),
-                leaf_rows=np.concatenate([r for r, _ in leaves]),
-                leaf_mult=np.concatenate([m for _, m in leaves]))
+    rows = np.concatenate([r for r, _, _ in draws])
+    mult = np.concatenate([m for _, m, _ in draws])
+    grown = kernels.grow(
+        np.concatenate([features[r][:, a] for r, _, a in draws]),
+        [r.size for r, _, _ in draws], mult[:, None] * correct[rows], mult,
+        (cfg.max_depth, float(cfg.min_cluster_size), cfg.min_improvement))
+    return [Tree(np.where(feat >= 0, allowed[feat], -1), thr, left, right,
+                 leaf_id, ptr, rows[members], mult[members])
+            for (_, _, allowed), (feat, thr, left, right, leaf_id, ptr,
+                                  members) in zip(draws, grown)]
 
 
 def build_forest(cm, ds, cfg):
@@ -171,6 +171,9 @@ def build_forest(cm, ds, cfg):
 
     Tree t draws ceil(fraction * M) bootstrap rows and a feature subset
     of size round(2*sqrt(F)) from the substream keyed by (seed, t).
+    Consecutive trees grow together while their level array (members x
+    classifiers x feature subset, float64) stays within GROUP_BYTES; a
+    tree larger than that grows alone.
     """
     if cm.n_classifiers < 2:
         raise ValueError("need at least 2 classifiers, got %d" % cm.n_classifiers)
@@ -179,7 +182,7 @@ def build_forest(cm, ds, cfg):
     M, F = features.shape
     k_feat = feature_subset_size(F)
     draws = bootstrap_draws(M, cfg.bootstrap_fraction)
-    trees = []
+    groups, size = [[]], 0
     for t in range(cfg.n_trees):
         rng = substream(cfg.seed, t)
         picks = rng.integers(0, M, size=draws)
@@ -187,7 +190,14 @@ def build_forest(cm, ds, cfg):
         rows = np.nonzero(counts)[0]
         mult = counts[rows].astype(np.float64)
         allowed = np.sort(rng.choice(F, size=k_feat, replace=False))
-        trees.append(grow_tree(rows, mult, cfg, correct, features, allowed))
+        nbytes = 8 * rows.size * cm.n_classifiers * k_feat
+        if groups[-1] and size + nbytes > GROUP_BYTES:
+            groups.append([])
+            size = 0
+        groups[-1].append((rows, mult, allowed))
+        size += nbytes
+    trees = [tree for group in groups
+             for tree in grow_group(group, cfg, correct, features)]
     return Forest(trees, cm, F)
 
 

@@ -1,16 +1,32 @@
 """Hot numeric kernels and the tree layout they share.
 
-The split search scores every candidate cut of every column of a node in
-one vectorized scan. Its conventions:
+Both kinds of tree, the CSHC forest's and the Gini base classifier's, are
+grown by one level-wise grower, `grow`, which grows a group of trees in
+lockstep, one depth at a time:
+  - presort: each tree's columns are stable-argsorted once, at its root;
+    a split partitions every column's order stably into the two children,
+    so a node's orders always equal a stable argsort of its own members
+  - segments: the nodes of one depth, across the whole group, are
+    contiguous segments of those orders, and one segmented scan
+    (`best_split` for CSHC, `gini_split` for Gini) scores every candidate
+    cut of every segment at once, over class-major targets (m, N, F)
+  - groups: the caller picks which trees grow together; the level arrays
+    hold the members of the whole group
+The targets are whole numbers (weighted correct indicators, class
+counts), so every segment sum is exact in any order, and each node gets
+the bits a scan of that node alone would give it.
+
+The split search's conventions:
   - a sample is routed left iff its feature value <= threshold
   - candidate thresholds are midpoints between consecutive distinct values
   - ties are broken by lowest feature column, then lowest threshold
 
-Both kinds of tree, the CSHC forest's and the Gini base classifier's, are
-flat node arrays (feat, thr, left, right, leaf_id) in preorder: node,
-left subtree, right subtree. This module owns that layout: `grow` writes
-it, `route` reads it and `check_tree` validates it on load.
+Trees are flat node arrays (feat, thr, left, right, leaf_id) in preorder:
+node, left subtree, right subtree. This module owns that layout: `grow`
+writes it, `route` reads it and `check_tree` validates it on load.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -19,30 +35,74 @@ from .data import DataError
 NO_SPLIT = (-1.0, -1, np.nan)
 
 
-def _scan(vals, Y, mult, min_size, gain):
-    """Best cut over all columns of a cluster: (gain, column, threshold)
-    of the first maximum in column-major order, or ``NO_SPLIT``.
+def _scan(vals, Y, mult, min_size, gain, order, starts):
+    """Best cut of every segment of a level: (K,) arrays (gain, column,
+    threshold) of each segment's first maximum in column-major order,
+    with column -1 where a segment has no valid cut. Without order, scans
+    vals as one segment and returns one (gain, column, threshold) or
+    ``NO_SPLIT``.
 
-    A cut after a sorted position must separate distinct values and leave
-    both children at least min_size of the weights mult (S,).
-    gain(cum, cum_m) scores every cut from the left child's sums of Y
-    (S, m), cum (S - 1, F, m), and of mult, cum_m (S - 1, F).
+    order (N, F) holds indices into the members' values vals (S, F),
+    class-major targets Y (m, S) and multiplicities mult (S,); segment k
+    runs from position starts[k] to the next start, each column sorted
+    stably by value within it. A cut after a position must separate
+    distinct values of one segment and leave both sides at least min_size
+    of mult. gain(left, right, n_left, total, total_m, seg) scores every
+    cut from the sums of Y on either side, (m, N, F), the left sums of
+    mult, (N, F), the segment totals of Y and mult, (m, K) and (K,), and
+    the segment of each position, (N,).
     """
-    S = vals.shape[0]
-    order = np.argsort(vals, axis=0, kind="stable")
-    v = np.take_along_axis(vals, order, axis=0)
-    cum = np.cumsum(Y[order], axis=0)[:-1]
-    cum_m = np.cumsum(mult[order], axis=0)[:-1]
-    total_m = float(mult.sum())
-    ok = (v[:-1] < v[1:]) & (cum_m >= min_size) & (total_m - cum_m >= min_size)
-    if not ok.any():
-        return NO_SPLIT
-    gains = np.where(ok, gain(cum, cum_m), -np.inf).T
-    col, cut = divmod(int(np.argmax(gains)), S - 1)
-    return float(gains[col, cut]), col, 0.5 * (v[cut, col] + v[cut + 1, col])
+    one = order is None
+    if one:
+        order = np.argsort(vals, axis=0, kind="stable")
+        starts = np.zeros(1, dtype=np.int64)
+    N, F = order.shape
+    K = starts.size
+    m = Y.shape[0]
+    sizes = np.diff(starts, append=N)
+    seg = np.repeat(np.arange(K), sizes)
+    last = starts + sizes - 1
+    v = np.take(vals, order * F + np.arange(F))
+    # Running sums restart at each segment: its first entry has the total
+    # of the segment before it taken off, so one cumsum covers them all,
+    # the m classes' segments too. The sums are of whole numbers, so they
+    # are exact and equal each segment's own running sums.
+    left = np.take(Y, order, axis=1)
+    total = np.add.reduceat(left, starts, axis=1)
+    left.reshape(m * N, F)[(starts + N * np.arange(m)[:, None]).ravel()[1:]] \
+        -= total.reshape(m * K, F)[:-1]
+    left = np.cumsum(left.reshape(m * N, F), axis=0).reshape(m, N, F)
+    n_left = np.take(mult, order)
+    total_m = np.add.reduceat(n_left, starts)
+    n_left[starts[1:]] -= total_m[:-1]
+    n_left = np.cumsum(n_left, axis=0)
+    total, total_m = total[:, :, 0], total_m[:, 0]
+    right = total[:, seg, None] - left
+    ok = np.zeros((N, F), dtype=bool)
+    ok[:-1] = v[:-1] < v[1:]
+    ok[last] = False  # a segment's last position cuts nothing
+    ok &= (n_left >= min_size) & (total_m[seg, None] - n_left >= min_size)
+    gains = np.where(ok, gain(left, right, n_left, total, total_m, seg),
+                     -np.inf)
+    # the first maximum in column-major order: the first column holding
+    # the segment's best gain, then the first cut in that column
+    col_best = np.maximum.reduceat(gains, starts, axis=0)
+    col = col_best.argmax(axis=1)
+    best = col_best[np.arange(K), col]
+    hit = gains[np.arange(N), col[seg]] == best[seg]
+    cut = np.minimum.reduceat(np.where(hit, np.arange(N), N), starts)
+    found = best > -np.inf
+    col = np.where(found, col, -1)
+    thr = np.full(K, np.nan)
+    i = np.flatnonzero(found)
+    thr[i] = 0.5 * (v[cut[i], col[i]] + v[cut[i] + 1, col[i]])
+    if not one:
+        return np.where(found, best, -1.0), col, thr
+    return (float(best[0]), int(col[0]), float(thr[0])) if found[0] \
+        else NO_SPLIT
 
 
-def best_split(vals, wcorrect, mult, min_size):
+def best_split(vals, wcorrect, mult, min_size, order=None, starts=None):
     """Best cost-sensitive split of a weighted cluster.
 
     vals     : (S, F) feature values of the cluster members
@@ -53,56 +113,191 @@ def best_split(vals, wcorrect, mult, min_size):
     Returns (gain, column, threshold); gain is the increase of
     max-per-child correct counts over the parent's single best count.
     Returns ``NO_SPLIT`` when no candidate leaves both children valid.
+    With a level's orders (N, F) and segment starts (K,), as `grow`
+    passes them, scores every segment and returns the three as (K,)
+    arrays, with column -1 where a segment has no valid cut.
     """
-    total = wcorrect.sum(axis=0)
-    parent_best = total.max()
-    return _scan(vals, wcorrect, mult, min_size, lambda cum, _: (
-        cum.max(axis=2) + (total - cum).max(axis=2) - parent_best))
+    def gain(left, right, n_left, total, total_m, seg):
+        # np.maximum over the m class slabs: the same exact maxima as
+        # .max(axis=0), which numpy computes many times slower
+        return (reduce(np.maximum, left) + reduce(np.maximum, right)
+                - total.max(axis=0)[seg, None])
+
+    return _scan(vals, np.ascontiguousarray(wcorrect.T), mult, min_size,
+                 gain, order, starts)
 
 
-def gini_split(vals, labels, n_classes):
+def gini_split(vals, labels, n_classes, order=None, starts=None):
     """Best Gini split of an unweighted cluster.
 
     Maximizes sum over children of (sum_k count_k^2) / child_size, which
     is equivalent to minimizing the size-weighted Gini impurity. Returns
     (score_gain, column, threshold) with score_gain relative to the
-    unsplit node, or ``NO_SPLIT``.
+    unsplit node, or ``NO_SPLIT``. order and starts score the segments of
+    a level as in `best_split`.
     """
-    S = vals.shape[0]
-    onehot = np.zeros((S, n_classes))
-    onehot[np.arange(S), labels] = 1.0
-    total = onehot.sum(axis=0)
-    parent_score = float((total ** 2).sum()) / S
-    return _scan(vals, onehot, np.ones(S), 0.0, lambda cum, nl: (
-        (cum ** 2).sum(axis=2) / nl
-        + ((total - cum) ** 2).sum(axis=2) / (S - nl) - parent_score))
+    onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
+
+    def gain(left, right, n_left, total, total_m, seg):
+        # the right side is empty only at a segment's last position,
+        # which is no cut
+        n_right = np.maximum(total_m[seg, None] - n_left, 1.0)
+        return (reduce(np.add, left ** 2) / n_left
+                + reduce(np.add, right ** 2) / n_right
+                - ((total ** 2).sum(axis=0) / total_m)[seg, None])
+
+    return _scan(vals, onehot, np.ones(labels.size), 0.0, gain, order, starts)
 
 
-def grow(root, split):
-    """Grow a tree depth first from the item root into flat node arrays.
+def grow(vals, sizes, targets, mult, limits=None):
+    """Grow a group of trees level by level into flat node arrays.
 
-    split(item, depth) returns None to make the item a leaf, else
-    (feature, threshold, left_item, right_item). Returns the arrays
-    (feat, thr, left, right, leaf_id) in preorder and the leaf items in
-    leaf order. The stack pops a left child right after its parent.
+    Tree t's members are the next sizes[t] rows of vals (S, F), whole
+    number targets (S, m) and multiplicities mult (S,).
+    - limits = (max_depth, min_size, min_improvement) grows CSHC trees,
+      targets being the multiplicity-weighted correct indicators. A node
+      is a leaf at max_depth, when its best count (its largest target
+      sum) is 0, when no cut leaves both children min_size of mult, or
+      when the best gain is below min_improvement times its best count.
+    - limits None grows unpruned Gini trees, targets being one-hot class
+      rows and mult ones. A node is a leaf when it is pure or no cut is
+      valid.
+
+    Each level makes one call of `best_split` or `gini_split` for all
+    the nodes it scans. Returns one (feat, thr, left, right, leaf_id,
+    leaf_ptr, members) per tree: the node arrays in preorder, feat
+    indexing the columns of vals, and the leaves' members, row indices
+    of vals, grouped by leaf in leaf order and ascending within a leaf:
+    leaf l holds members[leaf_ptr[l]:leaf_ptr[l + 1]].
     """
-    nodes, leaves = [], []  # [feat, thr, left, right, leaf_id] per node
-    stack = [(root, 0, -1)]  # (item, depth, parent if a right child)
-    while stack:
-        item, depth, parent = stack.pop()
-        i = len(nodes)
-        if parent >= 0:
-            nodes[parent][3] = i
-        cut = split(item, depth)
-        if cut is None:
-            nodes.append([-1, 0.0, -1, -1, len(leaves)])
-            leaves.append(item)
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    order = np.concatenate([np.argsort(vals[a:b], axis=0, kind="stable") + a
+                            for a, b in zip(bounds[:-1], bounds[1:])])
+    starts = bounds[:-1]
+    if limits is None:
+        labels = targets.argmax(axis=1)
+    else:
+        max_depth, min_size, min_improvement = limits
+    leaf_node = np.empty(bounds[-1], dtype=np.int64)  # each member's leaf
+    # Node ids count the nodes level by level, and a split node's
+    # children take the next two ids of the next level, left then right.
+    # Per level: (tree, feat, thr, first child) of each node, child -1
+    # for a leaf.
+    levels = []
+    tree = np.arange(len(sizes))
+    base = depth = 0
+    while starts.size:
+        K = starts.size
+        node = base + np.arange(K)
+        feat = np.full(K, -1, dtype=np.int64)
+        thr = np.zeros(K)
+        child = np.full(K, -1, dtype=np.int64)
+        levels.append((tree, feat, thr, child))
+        first = order[:, 0]
+        best = np.add.reduceat(targets[first], starts).max(axis=1)
+        if limits is None:
+            scan = best < np.add.reduceat(mult[first], starts)  # impure
         else:
-            nodes.append([cut[0], cut[1], i + 1, -1, -1])
-            stack += [(cut[3], depth + 1, i), (cut[2], depth + 1, -1)]
-    feat, thr, left, right, leaf_id = zip(*nodes)
-    return (np.array(feat), np.array(thr, dtype=np.float64), np.array(left),
-            np.array(right), np.array(leaf_id)), leaves
+            scan = (best != 0.0) & (depth < max_depth)
+        order, starts, node = _keep(order, starts, node, scan, leaf_node)
+        if starts.size:
+            if limits is None:
+                _, col, cut = gini_split(vals, labels, targets.shape[1],
+                                         order, starts)
+            else:
+                gain, col, cut = best_split(vals, targets, mult, min_size,
+                                            order, starts)
+                col[gain < min_improvement * best[scan]] = -1
+            split = col >= 0
+            order, starts, node = _keep(order, starts, node, split,
+                                        leaf_node)
+            col, cut = col[split], cut[split]
+            i = node - base
+            feat[i], thr[i] = col, cut
+            child[i] = base + K + 2 * np.arange(i.size)
+            order, starts = _partition(order, starts, vals, col, cut)
+            tree = np.repeat(tree[i], 2)
+        base += K
+        depth += 1
+    return _preorder(levels, leaf_node, len(sizes))
+
+
+def _keep(order, starts, node, keep, leaf_node):
+    """The orders, starts and node ids of the segments keep selects; each
+    member of the others gets leaf_node[member] = its segment's node."""
+    if keep.all():
+        return order, starts, node
+    sizes = np.diff(starts, append=order.shape[0])
+    rows = np.repeat(keep, sizes)
+    leaf_node[order[~rows, 0]] = np.repeat(node[~keep], sizes[~keep])
+    sizes = sizes[keep]
+    return order[rows], np.cumsum(sizes) - sizes, node[keep]
+
+
+def _partition(order, starts, vals, col, cut):
+    """The children's orders and starts: in each column, segment k's
+    positions stably split into its members with vals[:, col[k]] <=
+    cut[k], which take the segment's start, then the others."""
+    N = order.shape[0]
+    sizes = np.diff(starts, append=N)
+    seg = np.repeat(np.arange(starts.size), sizes)
+    go_left = np.zeros(vals.shape[0], dtype=bool)
+    go_left[order[:, 0]] = vals[order[:, 0], col[seg]] <= cut[seg]
+    is_left = go_left[order]
+    n_left = np.cumsum(is_left, axis=0)
+    before = np.zeros((starts.size, order.shape[1]), dtype=np.int64)
+    before[1:] = n_left[starts[1:] - 1]
+    n_left -= before[seg]  # left members of its segment up to a position
+    seg_left = n_left[starts + sizes - 1, 0]
+    # a right member follows its segment's left members and the right
+    # members before it
+    dest = np.where(is_left, starts[seg, None] + n_left - 1,
+                    np.arange(N)[:, None] + seg_left[seg, None] - n_left)
+    out = np.empty_like(order)
+    np.put_along_axis(out, dest, order, axis=0)
+    return out, np.column_stack([starts, starts + seg_left]).ravel()
+
+
+def _preorder(levels, leaf_node, T):
+    """Per tree, the level-numbered nodes renumbered in preorder (node,
+    left subtree, right subtree), as `grow` returns them."""
+    tree, feat, thr, child = (np.concatenate(a) for a in zip(*levels))
+    lo = np.cumsum([0] + [len(level[0]) for level in levels])
+    spans = [np.arange(a, b)[child[a:b] >= 0]  # the split nodes per level
+             for a, b in zip(lo[:-1], lo[1:])]
+    size = np.ones(child.size, dtype=np.int64)  # nodes in each subtree
+    for i in reversed(spans):
+        size[i] += size[child[i]] + size[child[i] + 1]
+    pre = np.zeros(child.size, dtype=np.int64)  # preorder index in its tree
+    for i in spans:
+        pre[child[i]] = pre[i] + 1
+        pre[child[i] + 1] = pre[i] + 1 + size[child[i]]
+    node_base = np.concatenate([[0], np.cumsum(size[:T])])
+    perm = np.empty(child.size, dtype=np.int64)  # node at each position
+    perm[node_base[tree] + pre] = np.arange(child.size)
+    tree, feat, thr, child = tree[perm], feat[perm], thr[perm], child[perm]
+    internal = child >= 0
+    left = np.where(internal, pre[child], -1)
+    right = np.where(internal, pre[child + 1], -1)
+    leaf = np.flatnonzero(~internal)
+    leaf_base = np.concatenate([[0], np.cumsum(np.bincount(
+        tree[leaf], minlength=T))])
+    leaf_id = np.full(child.size, -1, dtype=np.int64)
+    leaf_id[leaf] = np.arange(leaf.size) - leaf_base[tree[leaf]]
+    leaf_of = np.empty(child.size, dtype=np.int64)
+    leaf_of[perm[leaf]] = np.arange(leaf.size)
+    leaf_of = leaf_of[leaf_node]
+    members = np.argsort(leaf_of, kind="stable")
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(
+        leaf_of, minlength=leaf.size))])
+    out = []
+    for t in range(T):
+        a, b = node_base[t], node_base[t + 1]
+        la, lb = leaf_base[t], leaf_base[t + 1]
+        out.append((feat[a:b], thr[a:b], left[a:b], right[a:b],
+                    leaf_id[a:b], ptr[la:lb + 1] - ptr[la],
+                    members[ptr[la]:ptr[lb]]))
+    return out
 
 
 def check_tree(feat, thr, left, right, leaf_id, n_features):

@@ -1,10 +1,11 @@
 """Eager references for the forest query and the tree growers.
 
-The program grows both kinds of tree with one preorder grower over one
-vectorized split scan. `grow_tree` and `gini_tree` below are the growers
-it replaced, a recursive CSHC grower and a stack-built Gini tree, each
-over the per-column scans of `kernels_reference`; the grower tests compare
-the program's trees with them array for array.
+The program grows both kinds of tree level by level, a group of trees at
+a time, with one segmented split scan per level. `grow_tree` and
+`gini_tree` below grow one tree node by node instead, a recursive CSHC
+grower and a stack-built Gini tree, each over the per-column scans of
+`kernels_reference`; the grower tests compare the program's trees with
+them array for array.
 
 The program derives per-leaf correct counts, ranks and class support
 from the leaf members in one pass per forest, gathers a query batch's

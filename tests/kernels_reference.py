@@ -1,8 +1,9 @@
 """Per-column reference for the split search.
 
-The program scores every column of a node in one vectorized scan. This
-module keeps the plain scan it replaced, one column at a time, as the
-oracle the kernel tests compare it with bit for bit.
+The program scores every column of every node of a level in one
+segmented scan. This module keeps the plain scan of one node, one column
+at a time, as the oracle the kernel tests compare each segment of a
+level, and a lone cluster, with bit for bit.
 """
 
 import numpy as np

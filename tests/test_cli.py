@@ -688,7 +688,7 @@ class TestCompare:
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert "Traceback" not in proc.stderr
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 1, proc.stderr
         assert "warning: bad failed: DataError" in proc.stderr
         assert proc.stdout.splitlines()[-1] == \
             "note: no dataset completed every method"

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from unittest import mock
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import cshc.forest as forest_module
 import forest_reference
 from cshc.classifiers import ClassifierSpec, train
 from cshc.config import ExperimentConfig
@@ -417,9 +419,10 @@ class TestQueryOracle:
 
 @st.composite
 def grow_cases(draw):
-    """Features with ties, a bootstrap multiset and the growth limits."""
+    """Features with ties, a bootstrap multiset and the growth limits; up
+    to 300 rows, so that a level holds many nodes."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    M = draw(st.integers(1, 60))
+    M = draw(st.integers(1, 300))
     F = draw(st.integers(1, 6))
     n = draw(st.integers(2, 5))
     if draw(st.booleans()):  # coarse grid: many tied values
@@ -440,19 +443,33 @@ def grow_cases(draw):
             allowed, labels, n)
 
 
+def assert_same_tree(got, want):
+    """Every field of two Trees is equal, dtype included."""
+    for f in fields(Tree):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+def assert_same_gini_tree(model, Z, labels, n):
+    """A trained Gini tree equals the stack-built reference over Z."""
+    want = forest_reference.gini_tree(Z, labels, n)
+    got = (model.feat, model.thr, model.left, model.right, model.leaf_id,
+           model.leaf_proba)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestGrowOracle:
-    """The preorder grower builds the trees its replaced growers built."""
+    """The level-wise grower builds the trees its replaced growers built."""
 
     @settings(max_examples=150)
     @given(grow_cases())
     def test_grow_tree_matches_recursive_reference(self, case):
         rows, mult, cfg, correct, features, allowed, _, _ = case
-        got = grow_tree(rows, mult, cfg, correct, features, allowed)
-        want = forest_reference.grow_tree(rows, mult, cfg, correct, features,
-                                          allowed)
-        for f in fields(Tree):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        assert_same_tree(
+            grow_tree(rows, mult, cfg, correct, features, allowed),
+            forest_reference.grow_tree(rows, mult, cfg, correct, features,
+                                       allowed))
 
     @settings(max_examples=150)
     @given(grow_cases())
@@ -460,9 +477,75 @@ class TestGrowOracle:
         _, _, _, _, features, _, labels, n = case
         ds = Dataset(features, labels, ["f%d" % j for j in range(
             features.shape[1])], ["c%d" % c for c in range(n)])
+        assert_same_gini_tree(train(ClassifierSpec("decision_tree_gini"), ds),
+                              features, labels, n)
+
+    @pytest.mark.parametrize("M,F,C,seed", [(400, 1, 2, 0), (300, 3, 3, 1),
+                                            (250, 6, 5, 2)])
+    def test_deep_gini_tree_matches_stack_reference(self, M, F, C, seed):
+        """Labels that ignore the features leave an unpruned tree many
+        levels deep, with wide levels."""
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(M, F))
+        labels = rng.integers(0, C, size=M)
+        ds = Dataset(features, labels, ["f%d" % j for j in range(F)],
+                     ["c%d" % c for c in range(C)])
         model = train(ClassifierSpec("decision_tree_gini"), ds)
-        want = forest_reference.gini_tree(features, labels, n)
-        got = (model.feat, model.thr, model.left, model.right, model.leaf_id,
-               model.leaf_proba)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert tree_depth(model) >= 20
+        assert_same_gini_tree(model, features, labels, C)
+
+
+@st.composite
+def forest_cases(draw):
+    """A correctness matrix and dataset with ties, and a forest config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = draw(st.integers(2, 150))
+    F = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 4))
+    C = draw(st.integers(2, 3))
+    if draw(st.booleans()):  # coarse grid: many tied values
+        features = rng.integers(0, 4, size=(M, F)).astype(float)
+    else:
+        features = rng.normal(size=(M, F))
+    truth = rng.integers(0, C, size=M)
+    predicted = np.where(rng.random((M, n)) < 0.6, truth[:, None],
+                         rng.integers(0, C, size=(M, n)))
+    cfg = ExperimentConfig(
+        n_trees=draw(st.integers(1, 8)),
+        max_depth=draw(st.sampled_from([1, 3, 15])),
+        min_cluster_size=draw(st.integers(1, 3)),
+        min_improvement=draw(st.sampled_from([0.0, 0.02, 0.3])),
+        seed=draw(st.integers(0, 99)))
+    ds = Dataset(features, truth, ["f%d" % j for j in range(F)],
+                 ["c%d" % c for c in range(C)])
+    return CorrectnessMatrix(predicted, truth, C), ds, cfg
+
+
+class TestGroupedBuild:
+    @settings(max_examples=40)
+    @given(forest_cases())
+    def test_every_group_budget_grows_the_reference_trees(self, case):
+        """However many trees grow together, each is the recursive
+        reference's tree over the draws of its substream."""
+        cm, ds, cfg = case
+        M, F = ds.features.shape
+        correct = cm.correct.astype(np.float64)
+        want = []
+        for t in range(cfg.n_trees):
+            rng = substream(cfg.seed, t)
+            counts = np.bincount(rng.integers(0, M, size=bootstrap_draws(
+                M, cfg.bootstrap_fraction)), minlength=M)
+            rows = np.flatnonzero(counts)
+            allowed = np.sort(rng.choice(F, size=feature_subset_size(F),
+                                         replace=False))
+            want.append(forest_reference.grow_tree(
+                rows, counts[rows].astype(np.float64), cfg, correct,
+                ds.features, allowed))
+        # one tree a group, about two, the default and all in one group
+        two = 2 * 8 * M * cm.n_classifiers * feature_subset_size(F)
+        for budget in (0, two, forest_module.GROUP_BYTES, 1 << 40):
+            with mock.patch.object(forest_module, "GROUP_BYTES", budget):
+                got = build_forest(cm, ds, cfg).trees
+            assert len(got) == cfg.n_trees
+            for a, b in zip(got, want):
+                assert_same_tree(a, b)

@@ -149,6 +149,70 @@ class TestScanOracle:
         assert bits(got) == bits(want)
 
 
+@st.composite
+def level_cases(draw):
+    """A level of segments of 1 to 12 members, with tied and constant
+    columns, and a min_size at the edges of one segment's multiplicity
+    range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    K = draw(st.integers(1, 8))
+    sizes = rng.integers(1, 13, size=K)
+    sizes[rng.random(K) < 0.3] = 1
+    S = int(sizes.sum())
+    F = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):  # coarse grid: many tied values
+        vals = rng.integers(0, 3, size=(S, F)).astype(float)
+    else:
+        vals = rng.normal(size=(S, F))
+    vals[:, rng.random(F) < 0.3] = 1.5  # constant columns
+    mult = rng.integers(1, 4, size=S).astype(float)
+    members = np.split(rng.permutation(S), np.cumsum(sizes)[:-1])
+    seg_mult = mult[members[rng.integers(0, K)]]
+    total = seg_mult.sum()
+    min_size = draw(st.sampled_from([
+        0.0, 1.0, 2.0, seg_mult.min(), np.floor(total / 2),
+        np.ceil(total / 2), total - seg_mult.min(), total, total + 1.0]))
+    labels = rng.integers(0, n, size=S)
+    wcorrect = rng.integers(0, 2, size=(S, n)) * mult[:, None]
+    return vals, wcorrect, mult, float(min_size), labels, n, members
+
+
+def level_order(vals, members):
+    """The (N, F) orders and (K,) starts of a level whose segments hold
+    members: each segment's members stably argsorted per column."""
+    order = np.concatenate([m[np.argsort(vals[m], axis=0, kind="stable")]
+                            for m in members])
+    starts = np.cumsum([0] + [m.size for m in members[:-1]])
+    return order, starts
+
+
+class TestLevelOracle:
+    """A level scan scores each segment as the per-column scan scores
+    that segment's members alone, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(level_cases())
+    def test_best_split_level_matches_per_node_reference(self, case):
+        vals, wcorrect, mult, min_size, _, _, members = case
+        gain, col, thr = kernels.best_split(vals, wcorrect, mult, min_size,
+                                            *level_order(vals, members))
+        for k, m in enumerate(members):
+            want = kernels_reference.best_split(vals[m], wcorrect[m], mult[m],
+                                                min_size)
+            assert bits((gain[k], int(col[k]), thr[k])) == bits(want)
+
+    @settings(max_examples=200)
+    @given(level_cases())
+    def test_gini_split_level_matches_per_node_reference(self, case):
+        vals, _, _, _, labels, n, members = case
+        gain, col, thr = kernels.gini_split(vals, labels, n,
+                                            *level_order(vals, members))
+        for k, m in enumerate(members):
+            want = kernels_reference.gini_split(vals[m], labels[m], n)
+            assert bits((gain[k], int(col[k]), thr[k])) == bits(want)
+
+
 def _toy_tree():
     # node0: x0 <= 1.5 -> leaf0 else node2: x1 <= 0 -> leaf1 else leaf2
     feat = np.array([0, -1, 1, -1, -1], dtype=np.int64)
