@@ -4,7 +4,9 @@ All scoring consults only the DCS training partition (via the
 correctness matrix), the queries' features and the classifiers'
 test-time labels; test truth never enters. Regions use exact Euclidean
 nearest neighbors on standardized features, distance ties broken by
-the lower sample index.
+the lower sample index: `region_of` takes them from `kernels.nearest`,
+the kNN kernel the 1-NN classifier shares, whose bits equal a plain
+one-query distance scan's.
 
 Every function works on a batch of Q queries: a region is a row of the
 (Q, k) neighbor and distance arrays from `region_of`, query labels are
@@ -16,44 +18,25 @@ import warnings
 
 import numpy as np
 
-# bytes of the largest (queries, pool rows, features) block region_of holds
-BLOCK_BYTES = 4 << 20
+from . import kernels
 
 
 def region_of(queries, k, pool):
     """The k nearest pool rows of every query.
 
     Returns (Q, k) neighbor indices and distances, by ascending distance
-    and then pool index. Queries go in blocks whose difference array
-    stays within BLOCK_BYTES; each query's squared distances are the
-    same sums over the same features as a one-query scan, so blocking
-    changes no bit.
+    and then pool index, as `kernels.nearest` finds them; a k above the
+    pool size is clamped with a warning.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    N, F = pool.shape
+    N = pool.shape[0]
     if k > N:
         warnings.warn("k=%d exceeds pool of %d samples; clamping" % (k, N))
         k = N
     if k < 1:
         raise ValueError("k must be >= 1")
-    Q = queries.shape[0]
-    neighbors = np.empty((Q, k), dtype=np.int64)
-    d2_near = np.empty((Q, k))
-    block = max(1, BLOCK_BYTES // (8 * N * max(F, 1)))
-    for s in range(0, Q, block):
-        diff = pool[None] - queries[s:s + block, None]
-        d2 = np.square(diff, out=diff).sum(axis=2)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        # candidates at or below each row's k-th distance, row-major, so
-        # a stable sort by (row, distance) keeps ties in index order
-        row, col = np.nonzero(d2 <= kth[:, None])
-        dist = d2[row, col]
-        order = np.lexsort((dist, row))
-        first = np.searchsorted(row, np.arange(d2.shape[0]))
-        take = order[first[:, None] + np.arange(k)]
-        neighbors[s:s + block] = col[take]
-        d2_near[s:s + block] = dist[take]
-    return neighbors, np.sqrt(d2_near)
+    neighbors, d2 = kernels.nearest(queries, k, pool)
+    return neighbors, np.sqrt(d2)
 
 
 def _p_true(neighbors, cm):

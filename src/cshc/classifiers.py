@@ -149,10 +149,10 @@ class OneNNTrained(TrainedClassifier):
 
     def _proba(self, X):
         Z = self.scaler.transform(np.atleast_2d(X))
+        # the nearest training row, the lowest index among equal distances
+        near = kernels.nearest(Z, 1, self.X)[0][:, 0]
         p = np.zeros((Z.shape[0], self.n_classes))
-        for i, z in enumerate(Z):
-            d2 = ((self.X - z) ** 2).sum(axis=1)
-            p[i, self.y[np.argmin(d2)]] = 1.0  # argmin keeps the lowest index on ties
+        p[np.arange(Z.shape[0]), self.y[near]] = 1.0
         return p
 
     def check_state(self):

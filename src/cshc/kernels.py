@@ -24,6 +24,13 @@ The split search's conventions:
 Trees are flat node arrays (feat, thr, left, right, leaf_id) in preorder:
 node, left subtree, right subtree. This module owns that layout: `grow`
 writes it, `route` reads it and `check_tree` validates it on load.
+
+One exact kNN kernel, `nearest`, serves the 1-NN classifier and the kNN
+regions of the neighbourhood baselines. A matrix product gives every
+squared distance up to a proven rounding bound; only the pool rows that
+bound cannot rule out of the k nearest are recomputed exactly, with the
+same elementwise ops and the same reduction as a one-query scan, so every
+answer keeps the bits of that scan.
 """
 
 from functools import reduce
@@ -33,6 +40,14 @@ import numpy as np
 from .data import DataError
 
 NO_SPLIT = (-1.0, -1, np.nan)
+
+# bytes of the largest (queries, pool rows) float64 array `nearest` holds
+NEAREST_BYTES = 1 << 20
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+# below this scale no sum or product of the distance filter can overflow
+_HUGE = np.finfo(np.float64).max / 16
 
 
 def _scan(vals, Y, mult, min_size, gain, order, starts):
@@ -348,3 +363,64 @@ def route(feat, thr, left, right, leaf_id, X):
         node[rows] = nxt
         rows = rows[left[nxt] >= 0]
     return leaf_id[node]
+
+
+def nearest(queries, k, pool):
+    """The k nearest pool rows of every query, 1 <= k <= N.
+
+    Returns (Q, k) pool row indices, by ascending squared Euclidean
+    distance and then pool index, and those squared distances. A squared
+    distance is np.square(p - q).sum() over the F features, the sum a
+    one-query scan of the pool computes, so the answer has that scan's
+    bits however the queries are blocked.
+
+    Queries go in blocks whose (queries, N) float64 arrays stay within
+    NEAREST_BYTES. In each block:
+      - filter: one matrix product gives P = |p|^2 - 2 q.p, which is the
+        squared distance less |q|^2. With s = (|q| + max |p|)^2, both P
+        and the exact sum are within (F + 2) eps s of the true value, plus
+        an underflow term, so every pool row among the k nearest has P
+        within tol = 4 (F + 2) (eps s + tiny) of the k-th smallest P.
+        Those rows are kept.
+      - exact: the kept rows' squared distances are recomputed as the scan
+        does and sorted by (query, distance, index).
+      - fallback: a query whose bound is not finite, or whose s is within
+        a factor 16 of float64's maximum, keeps every pool row.
+    An overflow in the exact sums raises or warns, as the caller's
+    np.errstate says, as the one-query scan of the first query that
+    overflows would.
+    """
+    N, F = pool.shape
+    Q = queries.shape[0]
+    neighbors = np.empty((Q, k), dtype=np.int64)
+    d2_near = np.empty((Q, k))
+    with np.errstate(all="ignore"):
+        norms = np.einsum("ij,ij->i", pool, pool)
+        pool_max = np.sqrt(norms.max())
+    block = max(1, NEAREST_BYTES // (8 * N))
+    for a in range(0, Q, block):
+        q = queries[a:a + block]
+        with np.errstate(all="ignore"):
+            P = q @ pool.T
+            P *= -2.0
+            P += norms
+            scale = np.square(np.sqrt(np.einsum("ij,ij->i", q, q)) + pool_max)
+            bound = np.partition(P, k - 1, axis=1)[:, k - 1] \
+                + 4 * (F + 2) * (_EPS * scale + _TINY)
+        keep = P <= bound[:, None]
+        keep[~(np.isfinite(bound) & (scale <= _HUGE))] = True
+        # kept pairs row-major, so a stable sort by (row, distance) keeps
+        # equal distances in index order
+        row, col = np.nonzero(keep)
+        with np.errstate(over="ignore"):
+            d2 = np.square(pool[col] - q[row]).sum(axis=1)
+        # a sum overflowed: rescan each such query alone, in order, so the
+        # first raises or warns with the one-query scan's message
+        for r in np.unique(row[~np.isfinite(d2)]):
+            np.square(pool - q[r]).sum(axis=1)
+        order = np.lexsort((d2, row))
+        take = order[np.searchsorted(row, np.arange(q.shape[0]))[:, None]
+                     + np.arange(k)]
+        neighbors[a:a + block] = col[take]
+        d2_near[a:a + block] = d2[take]
+    return neighbors, d2_near

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import baselines_reference as ref
 from cshc import baselines as bl
+from cshc import kernels
 from cshc.baselines import (aposteriori, apriori, knora_e, knora_u, lca,
                             majority_vote, mcb, ola, region_of)
 from cshc.data import CorrectnessMatrix, load_csv
@@ -281,20 +282,28 @@ class TestMajorityVote:
 
 @st.composite
 def knn_cases(draw):
-    """A pool with duplicate rows and queries at planted distance ties."""
+    """A pool with duplicate rows and queries at planted distance ties.
+
+    One pool row and one feature are drawn often. Beside unit scale, the
+    pool's largest value may be 1e-160, where the squares underflow, or
+    1e150, where they reach 1e300.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    N = draw(st.integers(1, 30))
-    F = draw(st.integers(1, 10))
+    N = draw(st.one_of(st.just(1), st.integers(1, 30)))
+    F = draw(st.one_of(st.just(1), st.integers(1, 10)))
     if draw(st.booleans()):  # coarse grid: many equal distances
         pool = rng.integers(0, 3, size=(N, F)).astype(float)
     else:  # wide magnitudes: the summation order shows in the last bits
         pool = rng.normal(size=(N, F)) * 10.0 ** rng.integers(-3, 4, size=F)
+    magnitude = draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    if magnitude != 1.0:
+        pool *= magnitude / (np.abs(pool).max() or 1.0)
     dup = rng.integers(0, N, size=N // 3)
     pool[rng.integers(0, N, size=dup.size)] = pool[dup]
     Q = draw(st.integers(1, 12))
     a, b = pool[rng.integers(0, N, size=Q)], pool[rng.integers(0, N, size=Q)]
     queries = np.where(rng.random((Q, 1)) < 0.5, a, (a + b) / 2.0)
-    queries[rng.random(Q) < 0.3] += rng.normal(size=F)
+    queries[rng.random(Q) < 0.3] += rng.normal(size=F) * magnitude
     k = draw(st.sampled_from(["one", "all", "over", "some"]))
     k = {"one": 1, "all": N, "over": N + 2,
          "some": int(rng.integers(1, N + 1))}[k]
@@ -308,15 +317,17 @@ def reference_regions(queries, k, pool):
 
 
 class TestRegionOracle:
-    @settings(max_examples=80)
+    @settings(max_examples=150)
     @given(knn_cases())
     def test_matches_per_query_scan(self, case):
         pool, queries, k = case
         want = reference_regions(queries, k, pool)
-        N, F = pool.shape
-        # whole batch in one block, three queries a block, one a block
-        for block_bytes in (bl.BLOCK_BYTES, 8 * N * F * 3, 1):
-            with mock.patch.object(bl, "BLOCK_BYTES", block_bytes), \
+        N = pool.shape[0]
+        # the default, whole batch in one block, three queries a block,
+        # one a block, and a budget below one query
+        for block_bytes in (kernels.NEAREST_BYTES, 1 << 40, 8 * N * 3, 8 * N,
+                            0):
+            with mock.patch.object(kernels, "NEAREST_BYTES", block_bytes), \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 neighbors, distances = region_of(queries, k, pool)

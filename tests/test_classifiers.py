@@ -1,15 +1,22 @@
 """Base classifier contracts: probabilities, ties, determinism."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cshc.classifiers import (ClassifierSpec, PerceptronTrained, _Scaler,
-                              load_external_predictions, model_from_state,
-                              model_state, predict, predict_batch,
-                              predict_proba, predict_proba_batch, train)
+import classifiers_reference as ref
+from cshc import kernels
+from cshc.classifiers import (ClassifierSpec, OneNNTrained, PerceptronTrained,
+                              _Scaler, load_external_predictions,
+                              model_from_state, model_state, predict,
+                              predict_batch, predict_proba,
+                              predict_proba_batch, train)
 from cshc.data import DataError, Dataset, make_split
+from test_baselines import knn_cases
 
 
 def hand_gaussian_posterior(x, priors, means, stds):
@@ -78,6 +85,88 @@ class TestOneNN:
         model = train(ClassifierSpec("one_nn", hyperparams={"standardize": False}), ds)
         # query at 0 is equidistant from all four; row 0 wins
         assert predict(model, [0.0]) == 0
+
+
+def one_nn_model(pool):
+    """A 1-NN over the pool's raw rows, one class per row, so that its
+    probabilities name the nearest row."""
+    N, F = pool.shape
+    return OneNNTrained(ClassifierSpec("one_nn"), N, F, _Scaler.identity(F),
+                        pool, np.arange(N))
+
+
+def same_scores(model, X):
+    """model's probabilities for X equal the per-row reference's, or both
+    raise a DataError of the same text."""
+    try:
+        want = ref.one_nn_proba(model, X)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            model.proba_from_features(X)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    assert np.array_equal(model.proba_from_features(X), want)
+    return None
+
+
+class TestOneNNOracle:
+    @settings(max_examples=150)
+    @given(knn_cases())
+    def test_matches_per_row_scan(self, case):
+        pool, queries, _ = case
+        model = one_nn_model(pool)
+        want = ref.one_nn_proba(model, queries)
+        N = pool.shape[0]
+        # the default, whole batch in one block, one row a block, and a
+        # budget below one row
+        for block_bytes in (kernels.NEAREST_BYTES, 1 << 40, 8 * N, 0):
+            with mock.patch.object(kernels, "NEAREST_BYTES", block_bytes):
+                assert np.array_equal(model.proba_from_features(queries),
+                                      want)
+
+    @pytest.mark.parametrize("value", [1e153, 1e154, 2e154, 1e200, 1e308])
+    @pytest.mark.parametrize("where", ["model", "query"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_parity(self, value, where, sign):
+        """A huge model point or query value scores as the per-row scan
+        does, or fails with the DataError it raises."""
+        rng = np.random.default_rng(int(np.log10(value)))
+        pool = rng.normal(size=(20, 3))
+        queries = rng.normal(size=(6, 3))
+        target = pool if where == "model" else queries
+        target[4, 1] = sign * value
+        model = one_nn_model(pool)
+        for block_bytes in (kernels.NEAREST_BYTES, 8 * 20):
+            with mock.patch.object(kernels, "NEAREST_BYTES", block_bytes):
+                same_scores(model, queries)
+
+    def test_scale_near_the_maximum_scans_every_row(self):
+        """Row 1's distance overflows although (|q| + max |p|)^2 rounds to
+        a finite value, and its filter value is far above row 0's: only
+        a scan of every pool row meets the overflow."""
+        q = np.array([[8.867845646816343e+152, 5.273306691625034e+153,
+                       4.0432880238072254e+153]])
+        message = same_scores(one_nn_model(np.vstack([np.zeros(3), -q])), q)
+        assert message.endswith("overflow encountered in reduce while "
+                                "scoring")
+
+    def test_first_overflowing_row_names_the_error(self):
+        """In one batch, the error is the one the per-row scan meets first:
+        a sum that overflows (reduce), a square or a difference."""
+        small = np.array([[0.0, 0.0], [1.0, 1.0]])
+        huge = np.array([[0.0, 0.0], [-1e308, 0.0]])
+        rows = {"reduce": [1e154, 1e154], "square": [2e154, 0.0],
+                "subtract": [1e308, 0.0], "fine": [0.5, 0.5]}
+        messages = set()
+        for pool, order in ((small, ["fine", "reduce", "square"]),
+                            (small, ["square", "reduce"]),
+                            (huge, ["fine", "square", "subtract"]),
+                            (huge, ["subtract", "square"])):
+            messages.add(same_scores(one_nn_model(pool),
+                                     np.array([rows[r] for r in order])))
+        assert {m.split(" in ")[1] for m in messages} == \
+            {"reduce while scoring", "square while scoring",
+             "subtract while scoring"}
 
 
 class TestGiniTree:
@@ -158,6 +247,35 @@ class TestSharedContracts:
         probes = np.random.default_rng(4).normal(scale=2.0, size=(20, 2))
         for x in probes:
             assert np.array_equal(predict_proba(m1, x), predict_proba(m2, x))
+
+    # perceptron is left out: BLAS takes another path for its one-row
+    # product Zb @ W.T, which changes low bits (ROADMAP item 3(a))
+    @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
+                                      "decision_tree_gini"])
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2 ** 32 - 1), grid=st.booleans())
+    def test_rows_score_alone_as_in_the_batch(self, kind, seed, grid):
+        rng = np.random.default_rng(seed)
+        S, F, C = rng.integers(5, 400), rng.integers(1, 8), rng.integers(2, 5)
+        if grid:  # many equal distances and split values
+            X = rng.integers(0, 3, size=(S, F)).astype(float)
+        else:
+            X = rng.normal(size=(S, F)) * 10.0 ** rng.integers(-3, 4, size=F)
+        ds = Dataset(X, rng.integers(0, C, size=S),
+                     ["f%d" % j for j in range(F)],
+                     ["c%d" % c for c in range(C)])
+        model = train(ClassifierSpec(kind), ds)
+        Q = rng.integers(1, 600)
+        queries = X[rng.integers(0, S, size=Q)]
+        queries[rng.random(Q) < 0.5] += rng.normal(size=F) * X.std(axis=0)
+        full = model.proba_from_features(queries)
+        for i in range(min(Q, 10)):
+            assert np.array_equal(model.proba_from_features(queries[i:i + 1]),
+                                  full[i:i + 1])
+        for size in rng.integers(1, Q + 1, size=5):
+            rows = rng.choice(Q, size=size, replace=False)
+            assert np.array_equal(model.proba_from_features(queries[rows]),
+                                  full[rows])
 
     def test_dimension_mismatch(self, two_blob_ds):
         model = train(ClassifierSpec("gaussian_nb"), two_blob_ds)
