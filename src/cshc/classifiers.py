@@ -20,6 +20,10 @@ KINDS = ("gaussian_nb", "one_nn", "decision_tree_gini", "perceptron", "external"
 # distance/margin based models standardize their inputs by default
 _STANDARDIZE_DEFAULT = {"one_nn": True, "perceptron": True}
 
+# the perceptron's passes over the data and the seed of their row orders
+PERCEPTRON_EPOCHS = 10
+PERCEPTRON_SEED = 0
+
 
 @dataclass
 class ClassifierSpec:
@@ -37,6 +41,13 @@ class ClassifierSpec:
             "predictions" in self.hyperparams or "path" in self.hyperparams
         ):
             raise DataError("external classifier %r needs a predictions file" % self.name)
+        known = (("predictions", "path") if self.kind == "external"
+                 else ("standardize",))
+        for key in self.hyperparams:
+            if key not in known:
+                raise DataError("classifier %r: unknown hyperparameter %r "
+                                "(known: %s)"
+                                % (self.name, key, ", ".join(known)))
 
 
 class _Scaler:
@@ -206,7 +217,9 @@ class PerceptronTrained(TrainedClassifier):
     def _proba(self, X):
         Z = self.scaler.transform(np.atleast_2d(X))
         Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
-        scores = Zb @ self.W.T
+        # einsum sums each row's products alone; BLAS takes another path
+        # for a one-row matrix product, which changes low bits
+        scores = np.einsum("qf,cf->qc", Zb, self.W)
         shift = scores.max(axis=1, keepdims=True)
         p = np.exp(scores - shift)
         return p / p.sum(axis=1, keepdims=True)
@@ -358,26 +371,36 @@ def _train_gini_tree(spec, ds, scaler):
 
 
 def _train_perceptron(spec, ds, scaler):
-    """One-vs-rest averaged perceptron, 10 epochs, learning rate 1."""
-    epochs = int(spec.hyperparams.get("epochs", 10))
-    lr = float(spec.hyperparams.get("learning_rate", 1.0))
-    seed = int(spec.hyperparams.get("seed", 0))
+    """One-vs-rest averaged perceptron: PERCEPTRON_EPOCHS passes over
+    seeded permutations of the rows, learning rate 1.
+
+    At learning rate 1 an update adds or subtracts the row itself,
+    exactly, so each wrong class's row of W takes one in-place add or
+    subtract. The margin test multiplies the scores of W @ row as Python
+    floats, the same IEEE multiply numpy makes.
+    """
     Z = scaler.transform(ds.features)
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
     C = ds.n_classes
     S, Fb = Zb.shape
-    targets = np.where(ds.labels[:, None] == np.arange(C), 1.0, -1.0)  # (S, C)
+    targets = np.where(ds.labels[:, None] == np.arange(C), 1.0, -1.0).tolist()
     W = np.zeros((C, Fb))
     Wsum = np.zeros((C, Fb))
-    rng = substream(seed, 0x9E4C)
-    for _ in range(epochs):
-        for i in rng.permutation(S):
-            s = W @ Zb[i]
-            wrong = targets[i] * s <= 0.0
-            if wrong.any():
-                W[wrong] += lr * targets[i, wrong, None] * Zb[i]
-            Wsum += W
-    return PerceptronTrained(spec, C, ds.n_features, scaler, Wsum / (epochs * S))
+    rows, classes = list(Zb), list(enumerate(W))
+    rng = substream(PERCEPTRON_SEED, 0x9E4C)
+    for _ in range(PERCEPTRON_EPOCHS):
+        for i in rng.permutation(S).tolist():
+            z, t = rows[i], targets[i]
+            s = (W @ z).tolist()
+            for c, w in classes:
+                if t[c] * s[c] <= 0.0:
+                    if t[c] > 0.0:
+                        np.add(w, z, out=w)
+                    else:
+                        np.subtract(w, z, out=w)
+            np.add(Wsum, W, out=Wsum)
+    return PerceptronTrained(spec, C, ds.n_features, scaler,
+                             Wsum / (PERCEPTRON_EPOCHS * S))
 
 
 def _train_external(spec, ds):

@@ -352,10 +352,9 @@ def build_correctness_cv3(ds_train, specs, seed):
         for a, spec in enumerate(specs):
             try:
                 model = clf.train(spec, sub)
-            except Exception as exc:
-                raise RuntimeError(
-                    "training %r failed on fold %d: %s" % (spec.name, f, exc)
-                ) from exc
+            except DataError as exc:
+                raise DataError("training %r failed on fold %d: %s"
+                                % (spec.name, f, exc)) from None
             p = clf.predict_proba_batch(model, held_ds)
             proba[held, a] = p
             predicted[held, a] = p.argmax(axis=1)

@@ -291,8 +291,10 @@ def forest_from_dict(data, cm, n_features):
 
 
 def save_forest(forest, path):
+    # json.dumps without indent runs the C encoder; json.dump never does
+    text = json.dumps(forest_to_dict(forest))
     with open(path, "w") as fh:
-        json.dump(forest_to_dict(forest), fh)
+        fh.write(text)
 
 
 def load_forest(path, cm, n_features):

@@ -451,7 +451,7 @@ def save_bundle(prep, cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     forest_mod.save_forest(prep.forest, os.path.join(outdir, "forest.json"))
     with open(os.path.join(outdir, "models.json"), "w") as fh:
-        json.dump(models, fh)
+        fh.write(json.dumps(models))  # the C encoder, as in save_forest
     with open(os.path.join(outdir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import classifiers_reference as ref
 from cshc import kernels
 from cshc.classifiers import (ClassifierSpec, OneNNTrained, PerceptronTrained,
-                              _Scaler, load_external_predictions,
+                              _Scaler, _scaler_for,
+                              load_external_predictions,
                               model_from_state, model_state, predict,
                               predict_batch, predict_proba,
                               predict_proba_batch, train)
@@ -217,6 +218,40 @@ class TestPerceptron:
         assert (predict_batch(model, two_blob_ds) == two_blob_ds.labels).all()
 
 
+@st.composite
+def perceptron_cases(draw):
+    """A dataset and a standardize flag for the perceptron. Grid data of
+    whole numbers meets exact-zero margins; a column may be constant and
+    columns span scales 1e-3 to 1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    S = draw(st.one_of(st.just(1), st.integers(1, 300)))
+    F = draw(st.integers(1, 8))
+    C = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        X = rng.integers(-2, 3, size=(S, F)).astype(float)
+    else:
+        X = rng.normal(size=(S, F))
+    X *= 10.0 ** rng.integers(-3, 4, size=F)
+    if draw(st.booleans()):
+        X[:, rng.integers(0, F)] = draw(st.sampled_from([0.0, 1.0, -3.5]))
+    ds = Dataset(X, rng.integers(0, C, size=S),
+                 ["f%d" % j for j in range(F)],
+                 ["c%d" % c for c in range(C)])
+    return ds, draw(st.booleans())
+
+
+class TestPerceptronOracle:
+    @settings(max_examples=150)
+    @given(perceptron_cases())
+    def test_weights_match_the_numpy_step(self, case):
+        ds, standardize = case
+        spec = ClassifierSpec("perceptron",
+                              hyperparams={"standardize": standardize})
+        model = train(spec, ds)
+        want = ref.perceptron_weights(ds, _scaler_for(spec, ds.features))
+        assert model.W.tobytes() == want.tobytes()
+
+
 class TestSharedContracts:
     @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
                                       "decision_tree_gini", "perceptron"])
@@ -248,10 +283,8 @@ class TestSharedContracts:
         for x in probes:
             assert np.array_equal(predict_proba(m1, x), predict_proba(m2, x))
 
-    # perceptron is left out: BLAS takes another path for its one-row
-    # product Zb @ W.T, which changes low bits (ROADMAP item 3(a))
     @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
-                                      "decision_tree_gini"])
+                                      "decision_tree_gini", "perceptron"])
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2 ** 32 - 1), grid=st.booleans())
     def test_rows_score_alone_as_in_the_batch(self, kind, seed, grid):
@@ -285,6 +318,18 @@ class TestSharedContracts:
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown classifier kind"):
             ClassifierSpec("svm")
+
+    @pytest.mark.parametrize("kind,hyperparams,key", [
+        ("perceptron", {"epochs": 3}, "epochs"),
+        ("perceptron", {"learning_rate": 0.5}, "learning_rate"),
+        ("gaussian_nb", {"standardise": True}, "standardise"),
+        ("external", {"path": "p.csv", "standardize": True}, "standardize"),
+    ])
+    def test_unknown_hyperparameter(self, kind, hyperparams, key):
+        """A setting no model reads is refused, not silently ignored."""
+        with pytest.raises(DataError,
+                           match="unknown hyperparameter %r" % key):
+            ClassifierSpec(kind, hyperparams=hyperparams)
 
 
 class TestExternal:

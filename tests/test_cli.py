@@ -536,6 +536,41 @@ class TestTrainExternal:
         assert "external classifier 'expert0' is not serializable" in err
         assert not os.path.exists(bundle_dir)
 
+    @pytest.fixture
+    def wide_external(self, tmp_path):
+        """A two-class dataset and a config whose external classifier
+        'e' gives probabilities over three classes."""
+        data = write_tiny_csv(tmp_path)
+        preds = tmp_path / "p.csv"
+        preds.write_text("sample_index,predicted_class,p0,p1,p2\n" + "".join(
+            "%d,0,1.0,0.0,0.0\n" % i for i in range(240)))
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[classifiers]\nexternal e = %s\n" % preds)
+        return data, str(ini)
+
+    message = "external classifier 'e' has 3 classes, dataset has 2"
+
+    @pytest.mark.parametrize("protocol", ["split50", "cv3"])
+    def test_class_count_mismatch_exits_2(self, wide_external, tmp_path,
+                                          capsys, protocol):
+        data, ini = wide_external
+        assert main(["train", "--config", ini, "--data", data, "--label",
+                     "label", "--protocol", protocol,
+                     "--out", str(tmp_path / "bundle")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and self.message in err, err
+        assert "Traceback" not in err
+
+    def test_cv3_evaluate_reports_the_data_error(self, wide_external,
+                                                 tmp_path, capsys):
+        data, ini = wide_external
+        assert main(["evaluate", "--config", ini, "--data", data, "--label",
+                     "label", "--protocol", "cv3",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert ("dataset failed: DataError: training 'e' failed on fold 0: "
+                + self.message) in err, err
+
 
 class TestEvaluate:
     def test_writes_results_and_traces(self, tmp_path, capsys):

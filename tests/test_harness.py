@@ -1,16 +1,20 @@
 """Metrics, experiment orchestration, and report/export behaviour."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+from cshc.classifiers import model_state
 from cshc.config import ExperimentConfig
-from cshc.data import CorrectnessMatrix
+from cshc.data import CorrectnessMatrix, load_csv
+from cshc.forest import forest_to_dict
 from cshc.harness import (average_ranks, export_viz, mgi, oracle_accuracy,
-                          paired_sign_ttest, pca_projection, run_experiment,
-                          wins_losses, write_results_csv)
+                          paired_sign_ttest, pca_projection, prepare_dataset,
+                          run_experiment, save_bundle, wins_losses,
+                          write_results_csv)
 
 
 class TestMgi:
@@ -268,3 +272,23 @@ class TestExportViz:
             cell.chosen.tolist()
         correct = cell.predicted == prep.test_ds.labels
         assert [int(r["correct"]) for r in rows] == correct.astype(int).tolist()
+
+
+class TestSaveBundle:
+    def test_bytes_match_the_streaming_encoder(self, tmp_path):
+        """forest.json and models.json hold what json.dump writes for the
+        same objects, for a cv3 bundle whose trees split."""
+        cfg = tiny_experiment_config(tmp_path, seed=12, centre=1.0,
+                                     spread=1.0)
+        cfg.protocol = "cv3"
+        name, path, label = cfg.datasets[0]
+        prep = prepare_dataset(name, load_csv(path, label), cfg)
+        assert any(tree.feat[0] >= 0 for tree in prep.forest.trees)
+        save_bundle(prep, cfg, str(tmp_path / "bundle"))
+        for fname, obj in (
+                ("forest.json", forest_to_dict(prep.forest)),
+                ("models.json", [model_state(m) for m in prep.models])):
+            with open(tmp_path / ("dump_" + fname), "w") as fh:
+                json.dump(obj, fh)
+            assert (tmp_path / "bundle" / fname).read_bytes() == \
+                (tmp_path / ("dump_" + fname)).read_bytes()
