@@ -1,18 +1,21 @@
 """The simple base-classifier pool plus external prediction ingestion.
 
-All models share three behaviours the rest of the pipeline relies on:
-class probabilities are non-negative and sum to 1, ``predict`` is the
-argmax of ``predict_proba`` with ties going to the lower class index,
-and retraining on identical inputs reproduces identical outputs.
+Every model is scored through one call, ``predict_proba_batch``, which
+gives the (Q, C) class probabilities of a batch of rows. All models
+share three behaviours the rest of the pipeline relies on: class
+probabilities are non-negative and sum to 1, a row's predicted class is
+their argmax with ties going to the lower class index, and retraining
+on identical inputs reproduces identical outputs.
 """
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .data import DataError, open_input, read_array
+from .data import DataError, _read_header, open_input, read_array
 from .rng import substream
 
 KINDS = ("gaussian_nb", "one_nn", "decision_tree_gini", "perceptron", "external")
@@ -105,17 +108,6 @@ class TrainedClassifier:
     def check_state(self):
         """Raise DataError if restored state that has the right shapes
         still cannot be used."""
-
-    def predict_proba_matrix(self, ds):
-        """(Q, C) probabilities for every row of a Dataset."""
-        return self.proba_from_features(ds.features)
-
-    def _check_vector(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise DataError("expected %d features, got shape %s"
-                            % (self.n_features, x.shape))
-        return x
 
 
 class GaussianNBTrained(TrainedClassifier):
@@ -238,59 +230,58 @@ class ExternalTrained(TrainedClassifier):
             "its predictions are keyed by sample index" % self.spec.name
         )
 
-    def _check_vector(self, x):
-        self.proba_from_features(x)
-
-    def predict_proba_matrix(self, ds):
-        return self.table.proba_rows(ds.row_ids)
-
     def state(self):
         raise DataError("external classifier %r is not serializable" % self.spec.name)
 
 
 class ExternalPredictions:
-    """Validated contents of an external-predictions CSV."""
+    """Validated contents of an external-predictions CSV: the sample ids,
+    ascending and distinct, and their (N, C) class probabilities."""
 
-    def __init__(self, labels, probas, n_classes, path="<memory>"):
-        self.labels = labels  # dict: row id -> class index
-        self.probas = probas  # dict: row id -> (C,) array
-        self.n_classes = n_classes
+    def __init__(self, ids, proba, path="<memory>"):
+        self.ids = ids
+        self.proba = proba
+        self.n_classes = proba.shape[1]
         self.path = path
 
     def require(self, indices):
-        missing = [int(i) for i in indices if int(i) not in self.labels]
-        if missing:
+        """The table rows of the sample indices; a DataError names the
+        first index, in the order given, that has no prediction."""
+        indices = np.asarray(indices, dtype=np.int64)
+        pos = np.searchsorted(self.ids, indices)
+        found = pos < self.ids.size
+        found[found] = self.ids[pos[found]] == indices[found]
+        if not found.all():
+            missing = indices[~found]
             raise DataError("%s: missing prediction for sample index %d (%d missing total)"
-                            % (self.path, missing[0], len(missing)))
+                            % (self.path, missing[0], missing.size))
+        return pos
 
     def proba_rows(self, indices):
-        self.require(indices)
-        return np.vstack([self.probas[int(i)] for i in indices])
+        return self.proba[self.require(indices)]
 
 
 def load_external_predictions(path, split=None, n_classes=None):
     """Read (sample_index, predicted_class[, per-class probabilities]) rows.
 
-    Probability rows must sum to 1 within 1e-6 and agree with the
+    Each sample index appears once. Probability cells must be finite,
+    and a row of them must sum to 1 within 1e-6 and agree with the
     predicted class; when absent, one-hot vectors are synthesized. With
     a SplitPlan given, coverage of all its indices is enforced.
     """
-    labels, probas = {}, {}
+    ids, labels, cells = array("q"), array("q"), []
     width = None
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("%s: file is empty" % path) from None
+        _read_header(reader, path)
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
-            try:
-                idx = int(rec[0])
-                label = int(rec[1])
+            try:  # an int64 array refuses an index or class beyond 64 bits
+                ids.append(int(rec[0]))
+                labels.append(int(rec[1]))
                 rest = [float(v) for v in rec[2:]]
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, OverflowError) as exc:
                 raise DataError("%s: row %d: %s" % (path, lineno, exc)) from None
             if width is None:
                 width = len(rest)
@@ -299,29 +290,34 @@ def load_external_predictions(path, split=None, n_classes=None):
                                 % (path, lineno, len(rest), width))
             if width:
                 p = np.asarray(rest)
-                if abs(p.sum() - 1.0) > 1e-6:
+                # a NaN or infinite cell makes the sum fail this test too
+                if not abs(p.sum() - 1.0) <= 1e-6:
                     raise DataError("%s: row %d: probabilities sum to %.8f, not 1"
                                     % (path, lineno, p.sum()))
                 if p.min() < -1e-12:
                     raise DataError("%s: row %d: negative probability" % (path, lineno))
-                if int(np.argmax(p)) != label:
+                if int(np.argmax(p)) != labels[-1]:
                     raise DataError("%s: row %d: predicted_class %d is not the "
-                                    "probability argmax" % (path, lineno, label))
-            labels[idx] = label
-            probas[idx] = rest
-    C = width if width else n_classes
-    if C is None:
-        C = max(labels.values()) + 1
-    for idx, label in labels.items():
-        if label < 0 or label >= C:
-            raise DataError("%s: sample %d: class %d out of range [0, %d)"
-                            % (path, idx, label, C))
-        if not probas[idx]:
-            onehot = [0.0] * C
-            onehot[label] = 1.0
-            probas[idx] = onehot
-        probas[idx] = np.asarray(probas[idx])
-    table = ExternalPredictions(labels, probas, C, path=path)
+                                    "probability argmax"
+                                    % (path, lineno, labels[-1]))
+            cells.append(rest)
+    ids = np.array(ids, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
+    C = width or n_classes or int(labels.max()) + 1
+    bad = np.flatnonzero((labels < 0) | (labels >= C))
+    if bad.size:
+        raise DataError("%s: sample %d: class %d out of range [0, %d)"
+                        % (path, ids[bad[0]], labels[bad[0]], C))
+    # without probability cells, each row is its class's one-hot vector
+    proba = (np.array(cells) if width
+             else (labels[:, None] == np.arange(C)).astype(float))
+    order = np.argsort(ids)
+    ids = ids[order]
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise DataError("%s: sample index %d appears more than once"
+                        % (path, repeated[0]))
+    table = ExternalPredictions(ids, proba[order], path=path)
     if split is not None:
         table.require(split.train_indices)
         table.require(split.test_indices)
@@ -430,23 +426,13 @@ def train(spec, ds):
     raise DataError("unknown classifier kind %r" % spec.kind)
 
 
-def predict_proba(model, x):
-    """Class probabilities for a single feature vector."""
-    x = model._check_vector(np.asarray(x, dtype=np.float64))
-    return model.proba_from_features(x[None, :])[0]
-
-
-def predict(model, x):
-    """Predicted class = argmax of probabilities, lower index on ties."""
-    return int(np.argmax(predict_proba(model, x)))
-
-
-def predict_proba_batch(model, ds):
-    return model.predict_proba_matrix(ds)
-
-
-def predict_batch(model, ds):
-    return predict_proba_batch(model, ds).argmax(axis=1)
+def predict_proba_batch(model, X, row_ids):
+    """(Q, C) class probabilities of model for the feature rows X, whose
+    source row ids are row_ids. An external model looks its predictions
+    up by row id; every other model scores X."""
+    if isinstance(model, ExternalTrained):
+        return model.table.proba_rows(row_ids)
+    return model.proba_from_features(X)
 
 
 # ---------------------------------------------------------------------------

@@ -340,26 +340,21 @@ def build_correctness_cv3(ds_train, specs, seed):
     from . import classifiers as clf
 
     fold = stratified_folds(ds_train.labels, ds_train.n_classes, 3, seed)
-    n = len(specs)
-    M = ds_train.n_samples
-    predicted = np.empty((M, n), dtype=np.int64)
-    proba = np.empty((M, n, ds_train.n_classes))
+    proba = np.empty((ds_train.n_samples, len(specs), ds_train.n_classes))
     for f in range(3):
         held = np.nonzero(fold == f)[0]
         rest = np.nonzero(fold != f)[0]
         sub = ds_train.subset(rest)
-        held_ds = ds_train.subset(held)
         for a, spec in enumerate(specs):
             try:
                 model = clf.train(spec, sub)
             except DataError as exc:
                 raise DataError("training %r failed on fold %d: %s"
                                 % (spec.name, f, exc)) from None
-            p = clf.predict_proba_batch(model, held_ds)
-            proba[held, a] = p
-            predicted[held, a] = p.argmax(axis=1)
+            proba[held, a] = clf.predict_proba_batch(
+                model, ds_train.features[held], ds_train.row_ids[held])
     final_models = [clf.train(spec, ds_train) for spec in specs]
-    cm = CorrectnessMatrix(predicted, ds_train.labels.copy(),
+    cm = CorrectnessMatrix(proba.argmax(axis=2), ds_train.labels.copy(),
                            ds_train.n_classes, proba=proba)
     return cm, final_models, fold
 
@@ -370,18 +365,14 @@ def build_correctness_holdout(ds_a, ds_b, specs):
 
     if ds_b.n_samples == 0:
         raise DataError("holdout half B is empty")
-    n = len(specs)
-    predicted = np.empty((ds_b.n_samples, n), dtype=np.int64)
-    proba = np.empty((ds_b.n_samples, n, ds_a.n_classes))
+    proba = np.empty((ds_b.n_samples, len(specs), ds_a.n_classes))
     models = []
     for a, spec in enumerate(specs):
-        model = clf.train(spec, ds_a)
-        p = clf.predict_proba_batch(model, ds_b)
-        proba[:, a] = p
-        predicted[:, a] = p.argmax(axis=1)
-        models.append(model)
-    cm = CorrectnessMatrix(predicted, ds_b.labels.copy(), ds_a.n_classes,
-                           proba=proba)
+        models.append(clf.train(spec, ds_a))
+        proba[:, a] = clf.predict_proba_batch(models[-1], ds_b.features,
+                                              ds_b.row_ids)
+    cm = CorrectnessMatrix(proba.argmax(axis=2), ds_b.labels.copy(),
+                           ds_a.n_classes, proba=proba)
     return cm, models
 
 

@@ -136,13 +136,6 @@ def _rank_within_leaves(counts):
     return rankdata(counts, method="average", axis=1)
 
 
-def grow_tree(rows, mult, cfg, correct, features, allowed):
-    """Grow a Tree over the weighted cluster (rows, mult), splitting on the
-    feature columns allowed, under the [cshc] limits of the
-    ExperimentConfig cfg: a group of one tree for `grow_group`."""
-    return grow_group([(rows, mult, allowed)], cfg, correct, features)[0]
-
-
 def grow_group(draws, cfg, correct, features):
     """Grow one Tree per draw (rows, mult, allowed), all together, with
     `kernels.grow` under the [cshc] limits of the ExperimentConfig cfg.

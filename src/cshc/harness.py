@@ -165,7 +165,7 @@ def prepare_dataset(name, ds, cfg):
         cm, models, fold = build_correctness_cv3(train_ds, specs, cfg.seed)
         dsel_ds = train_ds
     forest = build_forest(cm, dsel_ds, cfg)
-    test_labels = label_matrix(models, test_ds)
+    test_labels = label_matrix(models, test_ds.features, test_ds.row_ids)
     test_cm = CorrectnessMatrix(test_labels, test_ds.labels.copy(),
                                 ds.n_classes)
     mean = dsel_ds.features.mean(axis=0)
@@ -180,9 +180,11 @@ def prepare_dataset(name, ds, cfg):
     )
 
 
-def label_matrix(models, ds):
-    """(Q, n) class each model gives each row of ds."""
-    return np.column_stack([clf.predict_batch(model, ds) for model in models])
+def label_matrix(models, X, row_ids):
+    """(Q, n) class each model gives each feature row of X, whose source
+    row ids are row_ids."""
+    return np.column_stack([clf.predict_proba_batch(model, X, row_ids)
+                            .argmax(axis=1) for model in models])
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +533,7 @@ def load_bundle(outdir):
 def select_rows(models, forest, X, method, gamma, rho, seed):
     """Selection over feature rows using a deserialized bundle."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    rows = np.arange(X.shape[0])
     return sel.select_batch(method, forest, *query_batch(forest, X),
-                            label_matrix(models, _FeatureRows(X)),
-                            np.arange(X.shape[0]), gamma, rho, seed, {})
-
-
-class _FeatureRows:
-    """Minimal Dataset stand-in for scoring raw feature rows."""
-
-    def __init__(self, X):
-        self.features = X
-        self.row_ids = np.arange(X.shape[0], dtype=np.int64)
+                            label_matrix(models, X, rows), rows, gamma, rho,
+                            seed, {})

@@ -63,11 +63,6 @@ class LpInstance:
     def k(self):
         return self.m.size
 
-    def constraint_count(self):
-        """Nominal size: two penalty rows per (sample, wrong class) plus
-        the weight-sum equality."""
-        return 2 * self.k * (self.n_classes - 1) + 1
-
 
 @dataclass
 class LpSolution:

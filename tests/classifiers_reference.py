@@ -7,7 +7,15 @@
 - The perceptron's numpy update step, the oracle for
   `classifiers._train_perceptron`, which reads each step's scores as
   Python floats and updates only the rows of the wrong classes.
+- The dict-based external-predictions loader, the oracle for
+  `classifiers.load_external_predictions`: the program keeps sorted
+  sample ids and one (N, C) array and looks a batch up with one
+  `searchsorted`; this module keeps one dict entry per sample and stacks
+  a batch row by row. A file whose sample indices repeat, or whose
+  probability cells are not finite, is outside what the two share.
 """
+
+import csv
 
 import numpy as np
 
@@ -51,3 +59,77 @@ def perceptron_weights(ds, scaler):
                 W[wrong] += lr * targets[i, wrong, None] * Zb[i]
             Wsum += W
     return Wsum / (epochs * S)
+
+
+class ExternalPredictions:
+    """Validated contents of an external-predictions CSV, one dict entry
+    per sample index."""
+
+    def __init__(self, labels, probas, n_classes, path):
+        self.labels = labels  # dict: row id -> class index
+        self.probas = probas  # dict: row id -> (C,) array
+        self.n_classes = n_classes
+        self.path = path
+
+    def require(self, indices):
+        missing = [int(i) for i in indices if int(i) not in self.labels]
+        if missing:
+            raise DataError("%s: missing prediction for sample index %d (%d missing total)"
+                            % (self.path, missing[0], len(missing)))
+
+    def proba_rows(self, indices):
+        self.require(indices)
+        return np.vstack([self.probas[int(i)] for i in indices])
+
+
+def load_external_predictions(path, n_classes=None):
+    """What `classifiers.load_external_predictions(path,
+    n_classes=n_classes)` gives, or the DataError it raises, for a file
+    whose sample indices are distinct and whose cells are finite."""
+    labels, probas = {}, {}
+    width = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader)
+        except StopIteration:
+            raise DataError("%s: file is empty" % path) from None
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            try:
+                idx = int(rec[0])
+                label = int(rec[1])
+                rest = [float(v) for v in rec[2:]]
+            except (ValueError, IndexError) as exc:
+                raise DataError("%s: row %d: %s" % (path, lineno, exc)) from None
+            if width is None:
+                width = len(rest)
+            elif len(rest) != width:
+                raise DataError("%s: row %d has %d probability cells, expected %d"
+                                % (path, lineno, len(rest), width))
+            if width:
+                p = np.asarray(rest)
+                if abs(p.sum() - 1.0) > 1e-6:
+                    raise DataError("%s: row %d: probabilities sum to %.8f, not 1"
+                                    % (path, lineno, p.sum()))
+                if p.min() < -1e-12:
+                    raise DataError("%s: row %d: negative probability" % (path, lineno))
+                if int(np.argmax(p)) != label:
+                    raise DataError("%s: row %d: predicted_class %d is not the "
+                                    "probability argmax" % (path, lineno, label))
+            labels[idx] = label
+            probas[idx] = rest
+    C = width if width else n_classes
+    if C is None:
+        C = max(labels.values()) + 1
+    for idx, label in labels.items():
+        if label < 0 or label >= C:
+            raise DataError("%s: sample %d: class %d out of range [0, %d)"
+                            % (path, idx, label, C))
+        if not probas[idx]:
+            onehot = [0.0] * C
+            onehot[label] = 1.0
+            probas[idx] = onehot
+        probas[idx] = np.asarray(probas[idx])
+    return ExternalPredictions(labels, probas, C, path)

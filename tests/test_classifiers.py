@@ -1,6 +1,8 @@
 """Base classifier contracts: probabilities, ties, determinism."""
 
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -13,11 +15,27 @@ from cshc import kernels
 from cshc.classifiers import (ClassifierSpec, OneNNTrained, PerceptronTrained,
                               _Scaler, _scaler_for,
                               load_external_predictions,
-                              model_from_state, model_state, predict,
-                              predict_batch, predict_proba,
+                              model_from_state, model_state,
                               predict_proba_batch, train)
 from cshc.data import DataError, Dataset, make_split
+from cshc.harness import label_matrix
 from test_baselines import knn_cases
+
+
+def proba_of(model, x):
+    """Class probabilities of one feature vector, scored as a batch of
+    one row."""
+    return model.proba_from_features(np.asarray(x, dtype=np.float64)[None])[0]
+
+
+def class_of(model, x):
+    """Predicted class of one feature vector: the probability argmax."""
+    return int(np.argmax(proba_of(model, x)))
+
+
+def classes_of(model, ds):
+    """Predicted class of every row of a Dataset."""
+    return predict_proba_batch(model, ds.features, ds.row_ids).argmax(axis=1)
 
 
 def hand_gaussian_posterior(x, priors, means, stds):
@@ -43,12 +61,12 @@ class TestGaussianNB:
         stds = [math.sqrt(x0.var() + eps), math.sqrt(x1.var() + eps)]
         for probe in [-3.0, -1.0, 0.0, 0.5, 1.5, 3.0]:
             want = hand_gaussian_posterior(probe, priors, means, stds)
-            got = predict_proba(model, [probe])
+            got = proba_of(model, [probe])
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_separated_clusters_perfect_training_accuracy(self, two_blob_ds):
         model = train(ClassifierSpec("gaussian_nb"), two_blob_ds)
-        pred = predict_batch(model, two_blob_ds)
+        pred = classes_of(model, two_blob_ds)
         assert (pred == two_blob_ds.labels).all()
 
     def test_equal_likelihood_prior_wins(self):
@@ -58,25 +76,25 @@ class TestGaussianNB:
         y = np.array([0, 0, 0, 0, 1, 1])
         ds = Dataset(X, y, ["f"], ["maj", "min"])
         model = train(ClassifierSpec("gaussian_nb"), ds)
-        assert predict(model, [0.5]) == 0
+        assert class_of(model, [0.5]) == 0
 
     def test_zero_variance_feature_smoothed(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
         y = np.array([0, 0, 1, 1])
         ds = Dataset(X, y, ["c", "f"], ["a", "b"])
         model = train(ClassifierSpec("gaussian_nb"), ds)
-        p = predict_proba(model, [1.0, 0.5])
+        p = proba_of(model, [1.0, 0.5])
         assert np.isfinite(p).all() and p.sum() == pytest.approx(1.0)
 
 
 class TestOneNN:
     def test_resubstitution_perfect(self, two_blob_ds):
         model = train(ClassifierSpec("one_nn"), two_blob_ds)
-        assert (predict_batch(model, two_blob_ds) == two_blob_ds.labels).all()
+        assert (classes_of(model, two_blob_ds) == two_blob_ds.labels).all()
 
     def test_one_hot_probability(self, two_blob_ds):
         model = train(ClassifierSpec("one_nn"), two_blob_ds)
-        p = predict_proba(model, two_blob_ds.features[3])
+        p = proba_of(model, two_blob_ds.features[3])
         assert sorted(p.tolist()) == [0.0, 1.0]
 
     def test_tie_goes_to_lower_index(self):
@@ -85,7 +103,7 @@ class TestOneNN:
         ds = Dataset(X, y, ["f"], ["a", "b"])
         model = train(ClassifierSpec("one_nn", hyperparams={"standardize": False}), ds)
         # query at 0 is equidistant from all four; row 0 wins
-        assert predict(model, [0.0]) == 0
+        assert class_of(model, [0.0]) == 0
 
 
 def one_nn_model(pool):
@@ -177,7 +195,7 @@ class TestGiniTree:
         y = rng.integers(0, 3, size=40)
         ds = Dataset(X, y, ["a", "b", "c"], ["x", "y", "z"])
         model = train(ClassifierSpec("decision_tree_gini"), ds)
-        assert (predict_batch(model, ds) == y).all()
+        assert (classes_of(model, ds) == y).all()
 
     def test_leaf_frequencies(self):
         # one feature, no useful split beyond x<=1.5: leaf (3,1) -> (0.75, 0.25)
@@ -185,7 +203,7 @@ class TestGiniTree:
         y = np.array([0, 0, 0, 1, 1])
         ds = Dataset(X, y, ["f"], ["a", "b"])
         model = train(ClassifierSpec("decision_tree_gini"), ds)
-        p = predict_proba(model, [1.0])
+        p = proba_of(model, [1.0])
         assert p.tolist() == [0.75, 0.25]
 
     def test_xor_still_separated(self):
@@ -193,7 +211,7 @@ class TestGiniTree:
         y = np.array([0, 1, 1, 0])
         ds = Dataset(X, y, ["a", "b"], ["x", "y"])
         model = train(ClassifierSpec("decision_tree_gini"), ds)
-        assert (predict_batch(model, ds) == y).all()
+        assert (classes_of(model, ds) == y).all()
 
 
 class TestPerceptron:
@@ -202,7 +220,7 @@ class TestPerceptron:
         spec = ClassifierSpec("perceptron")
         W = np.array([[0.0, 2.0], [0.0, 0.0]])  # bias-only scores
         model = PerceptronTrained(spec, 2, 1, _Scaler.identity(1), W)
-        p = predict_proba(model, [0.0])
+        p = proba_of(model, [0.0])
         want = [math.exp(2) / (math.exp(2) + 1), 1 / (math.exp(2) + 1)]
         assert p == pytest.approx(want, abs=1e-12)
         assert p[0] == pytest.approx(0.881, abs=5e-4)
@@ -211,11 +229,11 @@ class TestPerceptron:
         spec = ClassifierSpec("perceptron")
         model = PerceptronTrained(spec, 3, 2, _Scaler.identity(2),
                                   np.zeros((3, 3)))
-        assert predict(model, [4.0, -1.0]) == 0
+        assert class_of(model, [4.0, -1.0]) == 0
 
     def test_learns_separable_blobs(self, two_blob_ds):
         model = train(ClassifierSpec("perceptron"), two_blob_ds)
-        assert (predict_batch(model, two_blob_ds) == two_blob_ds.labels).all()
+        assert (classes_of(model, two_blob_ds) == two_blob_ds.labels).all()
 
 
 @st.composite
@@ -256,14 +274,17 @@ class TestSharedContracts:
     @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
                                       "decision_tree_gini", "perceptron"])
     def test_predict_is_argmax_of_proba(self, kind, two_blob_ds):
+        """The class the program gives each row of a batch is the argmax
+        of that row's probabilities."""
         model = train(ClassifierSpec(kind), two_blob_ds)
         rng = np.random.default_rng(2)
         probes = rng.normal(scale=3.0, size=(50, 2))
-        for x in probes:
-            p = predict_proba(model, x)
+        labels = label_matrix([model], probes, np.arange(50))[:, 0]
+        for x, label in zip(probes, labels):
+            p = proba_of(model, x)
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert p.min() >= 0
-            assert predict(model, x) == int(np.argmax(p))
+            assert label == int(np.argmax(p))
 
     @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
                                       "decision_tree_gini", "perceptron"])
@@ -272,7 +293,7 @@ class TestSharedContracts:
         m2 = train(ClassifierSpec(kind), two_blob_ds)
         probes = np.random.default_rng(3).normal(scale=2.0, size=(30, 2))
         for x in probes:
-            assert np.array_equal(predict_proba(m1, x), predict_proba(m2, x))
+            assert np.array_equal(proba_of(m1, x), proba_of(m2, x))
 
     @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
                                       "decision_tree_gini", "perceptron"])
@@ -281,7 +302,7 @@ class TestSharedContracts:
         m2 = model_from_state(model_state(m1), m1.n_classes, m1.n_features)
         probes = np.random.default_rng(4).normal(scale=2.0, size=(20, 2))
         for x in probes:
-            assert np.array_equal(predict_proba(m1, x), predict_proba(m2, x))
+            assert np.array_equal(proba_of(m1, x), proba_of(m2, x))
 
     @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
                                       "decision_tree_gini", "perceptron"])
@@ -309,11 +330,6 @@ class TestSharedContracts:
             rows = rng.choice(Q, size=size, replace=False)
             assert np.array_equal(model.proba_from_features(queries[rows]),
                                   full[rows])
-
-    def test_dimension_mismatch(self, two_blob_ds):
-        model = train(ClassifierSpec("gaussian_nb"), two_blob_ds)
-        with pytest.raises(DataError, match="features"):
-            predict(model, [1.0, 2.0, 3.0])
 
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown classifier kind"):
@@ -363,7 +379,185 @@ class TestExternal:
         spec = ClassifierSpec("external", name="oracle-ish",
                               hyperparams={"path": p})
         model = train(spec, two_blob_ds)
-        proba = predict_proba_batch(model, two_blob_ds)
+        proba = predict_proba_batch(model, two_blob_ds.features,
+                                    two_blob_ds.row_ids)
         assert (proba.argmax(axis=1) == two_blob_ds.labels).all()
         with pytest.raises(DataError, match="keyed by sample index"):
-            predict(model, [0.0, 0.0])
+            proba_of(model, [0.0, 0.0])
+
+    @pytest.mark.parametrize("row", ["0,0,nan,0.5", "0,1,nan,0.5",
+                                     "0,0,inf,0.5", "0,1,0.5,-inf",
+                                     "0,0,nan,nan"])
+    def test_non_finite_probability_rejected(self, tmp_path, row):
+        """A NaN or infinite cell fails its row; `0,0,nan,0.5` once loaded
+        as [nan, 0.5], since NaN passes neither comparison and argmax
+        returns the NaN's index."""
+        p = self._write(tmp_path / "e.csv", ["1,0,0.75,0.25", row],
+                        header="sample_index,predicted_class,p0,p1")
+        with pytest.raises(DataError, match="row 3: probabilities sum to"):
+            load_external_predictions(p)
+
+    @pytest.mark.parametrize("header", ["sample_index,predicted_class",
+                                        "sample_index,predicted_class,p0,p1"])
+    def test_repeated_index_rejected(self, tmp_path, header):
+        """Each sample index appears once; a repeat is an error naming it,
+        not a silent overwrite by the later row."""
+        cells = ",1.0,0.0" if header.endswith("p1") else ""
+        rows = ["%d,0%s" % (i, cells) for i in (4, 7, 2, 7, 9, 4)]
+        p = self._write(tmp_path / "e.csv", rows, header=header)
+        with pytest.raises(DataError,
+                           match="sample index 4 appears more than once"):
+            load_external_predictions(p, n_classes=2)
+
+    @pytest.mark.parametrize("cells", ["9223372036854775808,0",
+                                       "-9223372036854775809,0",
+                                       "5,9223372036854775808"])
+    def test_integer_beyond_64_bits_names_its_row(self, tmp_path, cells):
+        p = self._write(tmp_path / "e.csv", ["0,0", cells, "1,1"])
+        with pytest.raises(DataError, match="e.csv: row 3: "):
+            load_external_predictions(p, n_classes=2)
+
+    def test_empty_table_misses_every_index(self, tmp_path):
+        p = self._write(tmp_path / "e.csv", [])
+        table = load_external_predictions(p, n_classes=3)
+        assert table.proba.shape == (0, 3)
+        with pytest.raises(DataError, match="sample index 5 \\(2 missing"):
+            table.proba_rows([5, 0])
+
+
+# mutations of one data row of a predictions file; each names the error
+# the loaders raise for it
+MUTATIONS = ("sum", "negative", "argmax", "ragged", "index", "class_low",
+             "class_high")
+
+
+def mutate(rows, r, kind, C, rng):
+    """Apply one mutation to data row r (a list of cells) in place."""
+    cells = rows[r]
+    label = int(cells[1])
+    proba = [float(v) for v in cells[2:]]
+    if kind == "sum" and proba:
+        cells[2:] = [repr(1.5 * v) for v in proba]
+    elif kind == "negative" and proba:
+        other = (label + 1 + int(rng.integers(0, C - 1))) % C
+        proba[label] += proba[other] + 0.01  # the sum stays 1
+        proba[other] = -0.01
+        cells[2:] = [repr(v) for v in proba]
+    elif kind == "argmax":
+        cells[1] = str((label + 1) % C)
+    elif kind == "ragged":
+        if proba:
+            del cells[-1]
+        else:
+            cells.append("0.5")
+    elif kind == "index":
+        cells[0] = str(rng.choice(["1.5", "x", "", " 7e2"]))
+    elif kind == "class_low":
+        cells[1] = str(rng.choice([-1, -5]))
+    elif kind == "class_high":
+        cells[1] = str(rng.choice([C, C + 3]))
+
+
+def prediction_file(rng, N, C, with_proba):
+    """(rows, header, queries): a predictions file's data rows as cell
+    lists, with or without probability columns, sample ids shuffled and
+    with gaps; and batches of sample ids to look up, some naming ids the
+    file lacks."""
+    ids = rng.permutation(rng.choice(3 * N + 4, size=N, replace=False))
+    labels = rng.integers(0, C, size=N)
+    header = "sample_index,predicted_class"
+    if with_proba:
+        header += "".join(",p%d" % c for c in range(C))
+    rows = []
+    for i, label in zip(ids.tolist(), labels.tolist()):
+        cells = [str(i), str(label)]
+        if with_proba:
+            p = rng.random(C)
+            p[label] = p.max() + rng.random() + 1e-3  # a strict argmax
+            cells += [repr(float(v)) for v in p / p.sum()]
+        rows.append(cells)
+    absent = np.setdiff1d(np.arange(3 * N + 6), ids)
+    queries = [ids, rng.choice(ids, size=rng.integers(1, 3 * N))]
+    for _ in range(2):
+        q = rng.choice(ids, size=rng.integers(1, 2 * N))
+        at = rng.integers(0, q.size, size=rng.integers(1, 4))
+        q[at] = rng.choice(absent, size=at.size)
+        queries.append(q)
+    return rows, header, queries
+
+
+def write_rows(path, header, rows, rng):
+    """Write the file, with blank lines between some rows."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for cells in rows:
+            if rng.random() < 0.1:
+                fh.write("\n")
+            fh.write(",".join(cells) + "\n")
+
+
+def same_error(call, want):
+    with pytest.raises(DataError) as got:
+        call()
+    assert str(got.value) == str(want)
+
+
+def same_as_the_dict_loader(rows, header, n_classes, queries, rng):
+    """The program's table and the dict-based one load the same file and
+    look up the same batches to the same bytes, or fail with the same
+    DataError text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "e.csv")
+        write_rows(path, header, rows, rng)
+        try:
+            want = ref.load_external_predictions(path, n_classes)
+        except DataError as exc:
+            same_error(lambda: load_external_predictions(
+                path, n_classes=n_classes), exc)
+            return str(exc)
+        table = load_external_predictions(path, n_classes=n_classes)
+    assert table.n_classes == want.n_classes
+    for q in queries:
+        try:
+            expected = want.proba_rows(q)
+        except DataError as exc:
+            same_error(lambda: table.proba_rows(q), exc)
+            continue
+        got = table.proba_rows(q)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    return None
+
+
+class TestExternalOracle:
+    """The sorted-array table loads and looks up what the dict-based
+    loader did, bit for bit, and fails with the same message."""
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 40),
+           C=st.integers(2, 5), with_proba=st.booleans(),
+           give_classes=st.booleans())
+    def test_matches_the_dict_loader(self, seed, N, C, with_proba,
+                                     give_classes):
+        """Up to two distinct rows are mutated, so that which error comes
+        first is checked too."""
+        rng = np.random.default_rng(seed)
+        rows, header, queries = prediction_file(rng, N, C, with_proba)
+        k = int(rng.integers(0, min(N, 2) + 1))
+        for r, kind in zip(rng.choice(N, size=k, replace=False).tolist(),
+                           rng.choice(MUTATIONS, size=k)):
+            mutate(rows, r, kind, C, rng)
+        same_as_the_dict_loader(rows, header, C if give_classes else None,
+                                queries, rng)
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @pytest.mark.parametrize("with_proba", [True, False])
+    def test_each_mutation_fails_alike(self, kind, with_proba):
+        rng = np.random.default_rng(MUTATIONS.index(kind))
+        rows, header, queries = prediction_file(rng, 12, 3, with_proba)
+        mutate(rows, 5, kind, 3, rng)
+        message = same_as_the_dict_loader(rows, header, 3, queries, rng)
+        # the probability checks pass a file without probability columns
+        assert (message is None) == (
+            kind in ("sum", "negative", "argmax") and not with_proba)

@@ -19,7 +19,7 @@ from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, Dataset
 from cshc.forest import (Forest, Tree, _rank_within_leaves, bootstrap_draws,
                          build_forest, feature_subset_size, forest_from_dict,
-                         forest_to_dict, grow_tree, load_forest, query_batch,
+                         forest_to_dict, grow_group, load_forest, query_batch,
                          save_forest)
 from forest_reference import split_gain
 from cshc.rng import substream
@@ -122,9 +122,8 @@ class TestGrowTree:
     def test_hand_example_splits_at_midpoint(self):
         cfg = ExperimentConfig(min_cluster_size=2, max_depth=5,
                                min_improvement=0.02)
-        tree = grow_tree(np.arange(4), np.ones(4), cfg,
-                         TestSplitGain.correct, TestSplitGain.features,
-                         np.array([0]))
+        tree = grow_group([(np.arange(4), np.ones(4), np.array([0]))], cfg,
+                          TestSplitGain.correct, TestSplitGain.features)[0]
         assert not is_leaf(tree, 0)
         assert tree.feat[0] == 0
         assert tree.thr[0] == 2.5
@@ -141,16 +140,16 @@ class TestGrowTree:
 
     def test_two_members_min_size_two_stays_leaf(self):
         cfg = ExperimentConfig(min_cluster_size=2)
-        tree = grow_tree(np.arange(2), np.ones(2), cfg,
-                         TestSplitGain.correct[:2], TestSplitGain.features[:2],
-                         np.array([0]))
+        tree = grow_group([(np.arange(2), np.ones(2), np.array([0]))], cfg,
+                          TestSplitGain.correct[:2],
+                          TestSplitGain.features[:2])[0]
         assert is_leaf(tree, 0)
 
     def test_optimal_parent_stays_leaf(self):
         cfg = ExperimentConfig()
         correct = np.array([[1.0, 0.0]] * 4)
-        tree = grow_tree(np.arange(4), np.ones(4), cfg, correct,
-                         TestSplitGain.features, np.array([0]))
+        tree = grow_group([(np.arange(4), np.ones(4), np.array([0]))], cfg,
+                          correct, TestSplitGain.features)[0]
         assert is_leaf(tree, 0)
 
     def test_depth_limit(self):
@@ -159,8 +158,8 @@ class TestGrowTree:
         rng = np.random.default_rng(0)
         features = rng.uniform(size=(16, 1))
         correct = rng.integers(0, 2, size=(16, 2)).astype(float)
-        tree = grow_tree(np.arange(16), np.ones(16), cfg, correct,
-                         features, np.array([0]))
+        tree = grow_group([(np.arange(16), np.ones(16), np.array([0]))],
+                          cfg, correct, features)[0]
         assert tree_depth(tree) <= 1
 
 
@@ -467,7 +466,7 @@ class TestGrowOracle:
     def test_grow_tree_matches_recursive_reference(self, case):
         rows, mult, cfg, correct, features, allowed, _, _ = case
         assert_same_tree(
-            grow_tree(rows, mult, cfg, correct, features, allowed),
+            grow_group([(rows, mult, allowed)], cfg, correct, features)[0],
             forest_reference.grow_tree(rows, mult, cfg, correct, features,
                                        allowed))
 

@@ -3,18 +3,21 @@
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cshc.classifiers import model_state
+from cshc import classifiers as clf
+from cshc.classifiers import (ExternalPredictions, TrainedClassifier,
+                              model_state)
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, load_csv
 from cshc.forest import forest_to_dict
 from cshc.harness import (average_ranks, export_viz, mgi, oracle_accuracy,
                           paired_sign_ttest, pca_projection, prepare_dataset,
-                          run_experiment, save_bundle, wins_losses,
-                          write_results_csv)
+                          run_experiment, save_bundle, select_rows,
+                          wins_losses, write_results_csv)
 
 
 class TestMgi:
@@ -292,3 +295,78 @@ class TestSaveBundle:
                 json.dump(obj, fh)
             assert (tmp_path / "bundle" / fname).read_bytes() == \
                 (tmp_path / ("dump_" + fname)).read_bytes()
+
+
+class TestScoringRoute:
+    """Every scoring of the pool goes through
+    `classifiers.predict_proba_batch`, the call the benchmark's tracer
+    times as `classifiers.predict`: a counting wrapper on it sees as many
+    rows as the models and tables score, whoever asks."""
+
+    def scored_rows(self, run):
+        """run()'s result, the rows of each predict_proba_batch call, and
+        the rows the models and the prediction tables scored."""
+        batch_rows, model_rows = [], []
+        batch = clf.predict_proba_batch
+        features = TrainedClassifier.proba_from_features
+        lookup = ExternalPredictions.proba_rows
+
+        def counted_batch(model, X, row_ids):
+            batch_rows.append(len(row_ids))
+            return batch(model, X, row_ids)
+
+        def counted_features(model, X):
+            model_rows.append(len(X))
+            return features(model, X)
+
+        def counted_lookup(table, indices):
+            model_rows.append(len(indices))
+            return lookup(table, indices)
+
+        with mock.patch.object(clf, "predict_proba_batch", counted_batch), \
+                mock.patch.object(TrainedClassifier, "proba_from_features",
+                                  counted_features), \
+                mock.patch.object(ExternalPredictions, "proba_rows",
+                                  counted_lookup):
+            out = run()
+        return out, batch_rows, model_rows
+
+    def config(self, tmp_path, protocol, external):
+        cfg = tiny_experiment_config(tmp_path, centre=1.0, spread=1.0)
+        cfg.protocol = protocol
+        if external:
+            path = tmp_path / "ext.csv"
+            with open(path, "w") as fh:
+                fh.write("sample_index,predicted_class\n")
+                for i in range(240):
+                    fh.write("%d,%d\n" % (i, i % 3 % 2))
+            cfg.external = [("ext", str(path))]
+        return cfg
+
+    @pytest.mark.parametrize("protocol", ["split50", "cv3"])
+    def test_prepare_dataset(self, tmp_path, protocol):
+        cfg = self.config(tmp_path, protocol, external=True)
+        name, path, label = cfg.datasets[0]
+        prep, batch_rows, model_rows = self.scored_rows(
+            lambda: prepare_dataset(name, load_csv(path, label), cfg))
+        n = len(prep.models)
+        assert n == 5
+        # each model scores its validation rows (half B under split50,
+        # three held-out folds under cv3), then the test partition
+        M, Q = prep.cm.n_samples, prep.test_ds.n_samples
+        calls = (2 if protocol == "split50" else 4) * n
+        assert len(batch_rows) == len(model_rows) == calls
+        assert sum(batch_rows) == sum(model_rows) == n * (M + Q)
+        if protocol == "cv3":
+            assert M == prep.plan.train_indices.size
+
+    def test_select_rows(self, tmp_path):
+        cfg = self.config(tmp_path, "split50", external=False)
+        name, path, label = cfg.datasets[0]
+        prep = prepare_dataset(name, load_csv(path, label), cfg)
+        X = prep.test_ds.features[:37]
+        out, batch_rows, model_rows = self.scored_rows(
+            lambda: select_rows(prep.models, prep.forest, X, "cshc",
+                                cfg.gamma, cfg.rho, cfg.seed))
+        assert out.chosen.size == 37
+        assert batch_rows == model_rows == [37] * len(prep.models)

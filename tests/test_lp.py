@@ -90,13 +90,6 @@ class TestExamples:
         _, g, f = penalties_given_weights(inst, sol.w)
         assert g.max() == 0.0 and f.max() == 0.0
 
-    def test_constraint_count(self):
-        inst = LpInstance(n=3, n_classes=4, m=[1, 1], y=[0, 1],
-                          L=[[0, 1, 2], [1, 1, 3]], gamma=80.0)
-        assert inst.constraint_count() == 2 * 2 * 3 + 1
-        inst2 = LpInstance(n=2, n_classes=2, m=[1], y=[0], L=[[0, 1]])
-        assert inst2.constraint_count() == 3  # 2 per example + equality
-
 
 class TestBuildInstance:
     def test_multiplicities_from_bundle(self):
