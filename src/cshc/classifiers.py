@@ -1,5 +1,13 @@
 """The simple base-classifier pool plus external prediction ingestion.
 
+Each classifier kind is one class, and ``CLASSIFIERS`` maps each kind
+to its class: ``train``, ``model_from_state`` and the unknown-kind check
+all read that one table. A class holds everything about its kind, how
+it preprocesses its inputs included: only ``one_nn`` and ``perceptron``
+standardize, by the mean and scale of their training rows, which they
+keep as state. ``external`` is the one kind that scores no features; its
+spec carries the loaded predictions table instead.
+
 Every model is scored through one call, ``predict_proba_batch``, which
 gives the (Q, C) class probabilities of a batch of rows. All models
 share three behaviours the rest of the pipeline relies on: class
@@ -10,18 +18,13 @@ on identical inputs reproduces identical outputs.
 
 import csv
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .data import DataError, _read_header, open_input, read_array
 from .rng import substream
-
-KINDS = ("gaussian_nb", "one_nn", "decision_tree_gini", "perceptron", "external")
-
-# distance/margin based models standardize their inputs by default
-_STANDARDIZE_DEFAULT = {"one_nn": True, "perceptron": True}
 
 # the perceptron's passes over the data and the seed of their row orders
 PERCEPTRON_EPOCHS = 10
@@ -30,50 +33,42 @@ PERCEPTRON_SEED = 0
 
 @dataclass
 class ClassifierSpec:
+    """One pool member: its kind, its name (the kind by default) and, for
+    the external kind only, its loaded ExternalPredictions table."""
+
     kind: str
     name: str = None
-    hyperparams: dict = field(default_factory=dict)
+    table: object = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in CLASSIFIERS:
             raise DataError("unknown classifier kind %r (known: %s)"
-                            % (self.kind, ", ".join(KINDS)))
+                            % (self.kind, ", ".join(CLASSIFIERS)))
         if self.name is None:
             self.name = self.kind
-        if self.kind == "external" and not (
-            "predictions" in self.hyperparams or "path" in self.hyperparams
-        ):
-            raise DataError("external classifier %r needs a predictions file" % self.name)
-        known = (("predictions", "path") if self.kind == "external"
-                 else ("standardize",))
-        for key in self.hyperparams:
-            if key not in known:
-                raise DataError("classifier %r: unknown hyperparameter %r "
-                                "(known: %s)"
-                                % (self.name, key, ", ".join(known)))
+        if self.kind == "external" and self.table is None:
+            raise DataError("external classifier %r needs a predictions table"
+                            % self.name)
+        if self.kind != "external" and self.table is not None:
+            raise DataError("classifier %r of kind %r takes no predictions "
+                            "table" % (self.name, self.kind))
 
 
-class _Scaler:
-    def __init__(self, mean, scale):
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.scale = np.asarray(scale, dtype=np.float64)
-
-    @classmethod
-    def fit(cls, X):
-        std = X.std(axis=0)
-        return cls(X.mean(axis=0), np.where(std > 0, std, 1.0))
-
-    @classmethod
-    def identity(cls, n_features):
-        return cls(np.zeros(n_features), np.ones(n_features))
-
-    def transform(self, X):
-        return (X - self.mean) / self.scale
+def standardizer(X):
+    """(mean, scale) of the columns of X, whose (X - mean) / scale is
+    standardized; a constant column keeps scale 1."""
+    std = X.std(axis=0)
+    return X.mean(axis=0), np.where(std > 0, std, 1.0)
 
 
 class TrainedClassifier:
-    """Shared surface: spec, class count and probability outputs."""
+    """Shared surface: spec, class count and probability outputs.
 
+    A native kind is one subclass that holds all of that kind: its KIND,
+    its STATE, a `fit(spec, ds)` classmethod and `_proba`.
+    """
+
+    KIND = None
     # serialized state: constructor argument -> (numpy dtype, shape). A
     # shape letter is C (classes), F (features), B (F + 1), or a size that
     # all the fields naming it share. Float arrays must be finite, except
@@ -81,26 +76,30 @@ class TrainedClassifier:
     STATE = {}
     LOG_STATE = ()
 
-    def __init__(self, spec, n_classes, n_features, scaler):
+    def __init__(self, spec, n_classes, n_features, **state):
         self.spec = spec
         self.n_classes = n_classes
         self.n_features = n_features
-        self.scaler = scaler
+        for key in self.STATE:
+            setattr(self, key, state[key])
 
     def proba_from_features(self, X):
-        """(Q, C) class probabilities for rows of raw features. A value
-        that overflows or turns invalid while scoring (extreme model state
-        or query features) is a DataError naming the model, never a
-        silent inf- or NaN-driven prediction."""
+        """(Q, C) class probabilities for rows of raw features. Rows of
+        another width than the training rows, or a value that overflows
+        or turns invalid while scoring (extreme model state or query
+        features), are a DataError naming the model, never a broadcast or
+        a silent inf- or NaN-driven prediction."""
+        X = np.atleast_2d(X)
+        if X.shape[1] != self.n_features:
+            raise DataError("classifier %r was trained on %d features, got "
+                            "rows of %d" % (self.spec.name, self.n_features,
+                                            X.shape[1]))
         try:
             with np.errstate(over="raise", invalid="raise"):
                 return self._proba(X)
         except FloatingPointError as exc:
             raise DataError("classifier %r: %s while scoring"
                             % (self.spec.name, exc)) from None
-
-    def _proba(self, X):
-        raise NotImplementedError
 
     def state(self):
         return {name: getattr(self, name).tolist() for name in self.STATE}
@@ -110,27 +109,49 @@ class TrainedClassifier:
         still cannot be used."""
 
 
+class _Standardized(TrainedClassifier):
+    """A kind that scores its inputs standardized by the `standardizer`
+    of its training rows."""
+
+    STATE = {"mean": ("f8", "F"), "scale": ("f8", "F")}
+
+    def check_state(self):
+        if not (self.scale > 0).all():
+            raise DataError("'scale' holds a value <= 0")
+
+
 class GaussianNBTrained(TrainedClassifier):
+    KIND = "gaussian_nb"
     STATE = {"log_prior": ("f8", "C"), "theta": ("f8", "CF"),
              "var": ("f8", "CF")}
     LOG_STATE = ("log_prior",)
 
-    def __init__(self, spec, n_classes, n_features, scaler, log_prior, theta, var):
-        super().__init__(spec, n_classes, n_features, scaler)
-        self.log_prior = log_prior
-        self.theta = theta
-        self.var = var
+    @classmethod
+    def fit(cls, spec, ds):
+        X = ds.features
+        C, F = ds.n_classes, ds.n_features
+        counts = np.bincount(ds.labels, minlength=C).astype(float)
+        theta = np.zeros((C, F))
+        var = np.ones((C, F))
+        eps = 1e-9 * max(X.var(axis=0).max(), 1e-12)
+        for c in range(C):
+            rows = X[ds.labels == c]
+            if rows.shape[0]:
+                theta[c] = rows.mean(axis=0)
+                var[c] = rows.var(axis=0) + eps
+        with np.errstate(divide="ignore"):
+            log_prior = np.log(counts / counts.sum())
+        return cls(spec, C, F, log_prior=log_prior, theta=theta, var=var)
 
     def _proba(self, X):
-        Z = self.scaler.transform(np.atleast_2d(X))
         # joint log-likelihood per class
-        jll = np.full((Z.shape[0], self.n_classes), -np.inf)
+        jll = np.full((X.shape[0], self.n_classes), -np.inf)
         for c in range(self.n_classes):
             if not np.isfinite(self.log_prior[c]):
                 continue
             jll[:, c] = self.log_prior[c] - 0.5 * np.sum(
                 np.log(2.0 * np.pi * self.var[c])
-                + (Z - self.theta[c]) ** 2 / self.var[c],
+                + (X - self.theta[c]) ** 2 / self.var[c],
                 axis=1,
             )
         shift = jll.max(axis=1, keepdims=True)
@@ -142,16 +163,18 @@ class GaussianNBTrained(TrainedClassifier):
             raise DataError("'var' holds a variance <= 0")
 
 
-class OneNNTrained(TrainedClassifier):
-    STATE = {"X": ("f8", "NF"), "y": ("i8", "N")}
+class OneNNTrained(_Standardized):
+    KIND = "one_nn"
+    STATE = {**_Standardized.STATE, "X": ("f8", "NF"), "y": ("i8", "N")}
 
-    def __init__(self, spec, n_classes, n_features, scaler, X, y):
-        super().__init__(spec, n_classes, n_features, scaler)
-        self.X = X
-        self.y = y
+    @classmethod
+    def fit(cls, spec, ds):
+        mean, scale = standardizer(ds.features)
+        return cls(spec, ds.n_classes, ds.n_features, mean=mean, scale=scale,
+                   X=(ds.features - mean) / scale, y=ds.labels.copy())
 
     def _proba(self, X):
-        Z = self.scaler.transform(np.atleast_2d(X))
+        Z = (X - self.mean) / self.scale
         # the nearest training row, the lowest index among equal distances
         near = kernels.nearest(Z, 1, self.X)[0][:, 0]
         p = np.zeros((Z.shape[0], self.n_classes))
@@ -159,6 +182,7 @@ class OneNNTrained(TrainedClassifier):
         return p
 
     def check_state(self):
+        super().check_state()
         y = self.y
         if not (y.size and ((y >= 0) & (y < self.n_classes)).all()):
             raise DataError("'y' is not a non-empty list of classes in [0, %d)"
@@ -166,22 +190,26 @@ class OneNNTrained(TrainedClassifier):
 
 
 class GiniTreeTrained(TrainedClassifier):
+    """Unpruned tree: every impure node takes its best Gini split."""
+
+    KIND = "decision_tree_gini"
     STATE = {"feat": ("i8", "N"), "thr": ("f8", "N"), "left": ("i8", "N"),
              "right": ("i8", "N"), "leaf_id": ("i8", "N"),
              "leaf_proba": ("f8", "LC")}
 
-    def __init__(self, spec, n_classes, n_features, scaler, feat, thr, left, right,
-                 leaf_id, leaf_proba):
-        super().__init__(spec, n_classes, n_features, scaler)
-        self.feat = feat
-        self.thr = thr
-        self.left = left
-        self.right = right
-        self.leaf_id = leaf_id
-        self.leaf_proba = leaf_proba
+    @classmethod
+    def fit(cls, spec, ds):
+        onehot = (ds.labels[:, None] == np.arange(ds.n_classes)).astype(float)
+        (feat, thr, left, right, leaf_id, ptr, members), = kernels.grow(
+            np.ascontiguousarray(ds.features), [ds.n_samples], onehot,
+            np.ones(ds.n_samples))
+        counts = np.add.reduceat(onehot[members], ptr[:-1])
+        return cls(spec, ds.n_classes, ds.n_features, feat=feat, thr=thr,
+                   left=left, right=right, leaf_id=leaf_id,
+                   leaf_proba=counts / counts.sum(axis=1, keepdims=True))
 
     def _proba(self, X):
-        Z = np.ascontiguousarray(np.atleast_2d(X), dtype=np.float64)
+        Z = np.ascontiguousarray(X, dtype=np.float64)
         leaves = kernels.route(self.feat, self.thr, self.left, self.right,
                                self.leaf_id, Z)
         return self.leaf_proba[leaves]
@@ -199,15 +227,47 @@ class GiniTreeTrained(TrainedClassifier):
                             "probabilities: entries >= 0 summing to 1")
 
 
-class PerceptronTrained(TrainedClassifier):
-    STATE = {"W": ("f8", "CB")}
+class PerceptronTrained(_Standardized):
+    KIND = "perceptron"
+    # W: the (C, F + 1) averaged weights, bias last
+    STATE = {**_Standardized.STATE, "W": ("f8", "CB")}
 
-    def __init__(self, spec, n_classes, n_features, scaler, W):
-        super().__init__(spec, n_classes, n_features, scaler)
-        self.W = W  # (C, F+1) averaged weights, bias last
+    @classmethod
+    def fit(cls, spec, ds):
+        """One-vs-rest averaged perceptron: PERCEPTRON_EPOCHS passes over
+        seeded permutations of the rows, learning rate 1.
+
+        At learning rate 1 an update adds or subtracts the row itself,
+        exactly, so each wrong class's row of W takes one in-place add or
+        subtract. The margin test multiplies the scores of W @ row as
+        Python floats, the same IEEE multiply numpy makes.
+        """
+        mean, scale = standardizer(ds.features)
+        Z = (ds.features - mean) / scale
+        Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
+        C = ds.n_classes
+        S, Fb = Zb.shape
+        targets = np.where(ds.labels[:, None] == np.arange(C), 1.0, -1.0).tolist()
+        W = np.zeros((C, Fb))
+        Wsum = np.zeros((C, Fb))
+        rows, classes = list(Zb), list(enumerate(W))
+        rng = substream(PERCEPTRON_SEED, 0x9E4C)
+        for _ in range(PERCEPTRON_EPOCHS):
+            for i in rng.permutation(S).tolist():
+                z, t = rows[i], targets[i]
+                s = (W @ z).tolist()
+                for c, w in classes:
+                    if t[c] * s[c] <= 0.0:
+                        if t[c] > 0.0:
+                            np.add(w, z, out=w)
+                        else:
+                            np.subtract(w, z, out=w)
+                np.add(Wsum, W, out=Wsum)
+        return cls(spec, C, ds.n_features, mean=mean, scale=scale,
+                   W=Wsum / (PERCEPTRON_EPOCHS * S))
 
     def _proba(self, X):
-        Z = self.scaler.transform(np.atleast_2d(X))
+        Z = (X - self.mean) / self.scale
         Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
         # einsum sums each row's products alone; BLAS takes another path
         # for a one-row matrix product, which changes low bits
@@ -218,13 +278,19 @@ class PerceptronTrained(TrainedClassifier):
 
 
 class ExternalTrained(TrainedClassifier):
-    """Predictions for a foreign classifier, keyed by source row id."""
+    """Predictions for a foreign classifier, keyed by source row id: its
+    spec's table."""
 
-    def __init__(self, spec, n_classes, table):
-        super().__init__(spec, n_classes, n_features=-1, scaler=None)
-        self.table = table
+    KIND = "external"
 
-    def _proba(self, X):
+    @classmethod
+    def fit(cls, spec, ds):
+        if spec.table.n_classes != ds.n_classes:
+            raise DataError("external classifier %r has %d classes, dataset has %d"
+                            % (spec.name, spec.table.n_classes, ds.n_classes))
+        return cls(spec, ds.n_classes, n_features=-1)
+
+    def proba_from_features(self, X):
         raise DataError(
             "external classifier %r cannot score new feature vectors; "
             "its predictions are keyed by sample index" % self.spec.name
@@ -232,6 +298,12 @@ class ExternalTrained(TrainedClassifier):
 
     def state(self):
         raise DataError("external classifier %r is not serializable" % self.spec.name)
+
+
+# every classifier kind, in the order the unknown-kind message lists them
+CLASSIFIERS = {cls.KIND: cls for cls in (
+    GaussianNBTrained, OneNNTrained, GiniTreeTrained, PerceptronTrained,
+    ExternalTrained)}
 
 
 class ExternalPredictions:
@@ -301,6 +373,8 @@ def load_external_predictions(path, split=None, n_classes=None):
                                     "probability argmax"
                                     % (path, lineno, labels[-1]))
             cells.append(rest)
+    if not ids:
+        raise DataError("%s: no data rows" % path)
     ids = np.array(ids, dtype=np.int64)
     labels = np.array(labels, dtype=np.int64)
     C = width or n_classes or int(labels.max()) + 1
@@ -324,106 +398,9 @@ def load_external_predictions(path, split=None, n_classes=None):
     return table
 
 
-# ---------------------------------------------------------------------------
-# training
-# ---------------------------------------------------------------------------
-
-def _scaler_for(spec, X):
-    on = spec.hyperparams.get("standardize", _STANDARDIZE_DEFAULT.get(spec.kind, False))
-    return _Scaler.fit(X) if on else _Scaler.identity(X.shape[1])
-
-
-def _train_gaussian_nb(spec, ds, scaler):
-    Z = scaler.transform(ds.features)
-    C, F = ds.n_classes, ds.n_features
-    counts = np.bincount(ds.labels, minlength=C).astype(float)
-    theta = np.zeros((C, F))
-    var = np.ones((C, F))
-    eps = 1e-9 * max(Z.var(axis=0).max(), 1e-12)
-    for c in range(C):
-        rows = Z[ds.labels == c]
-        if rows.shape[0]:
-            theta[c] = rows.mean(axis=0)
-            var[c] = rows.var(axis=0) + eps
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(counts / counts.sum())
-    return GaussianNBTrained(spec, C, F, scaler, log_prior, theta, var)
-
-
-def _train_one_nn(spec, ds, scaler):
-    return OneNNTrained(spec, ds.n_classes, ds.n_features, scaler,
-                        scaler.transform(ds.features), ds.labels.copy())
-
-
-def _train_gini_tree(spec, ds, scaler):
-    """Unpruned tree: every impure node takes its best Gini split."""
-    Z = np.ascontiguousarray(scaler.transform(ds.features))
-    onehot = (ds.labels[:, None] == np.arange(ds.n_classes)).astype(float)
-    (*nodes, ptr, members), = kernels.grow(Z, [ds.n_samples], onehot,
-                                           np.ones(ds.n_samples))
-    counts = np.add.reduceat(onehot[members], ptr[:-1])
-    return GiniTreeTrained(spec, ds.n_classes, ds.n_features, scaler, *nodes,
-                           counts / counts.sum(axis=1, keepdims=True))
-
-
-def _train_perceptron(spec, ds, scaler):
-    """One-vs-rest averaged perceptron: PERCEPTRON_EPOCHS passes over
-    seeded permutations of the rows, learning rate 1.
-
-    At learning rate 1 an update adds or subtracts the row itself,
-    exactly, so each wrong class's row of W takes one in-place add or
-    subtract. The margin test multiplies the scores of W @ row as Python
-    floats, the same IEEE multiply numpy makes.
-    """
-    Z = scaler.transform(ds.features)
-    Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
-    C = ds.n_classes
-    S, Fb = Zb.shape
-    targets = np.where(ds.labels[:, None] == np.arange(C), 1.0, -1.0).tolist()
-    W = np.zeros((C, Fb))
-    Wsum = np.zeros((C, Fb))
-    rows, classes = list(Zb), list(enumerate(W))
-    rng = substream(PERCEPTRON_SEED, 0x9E4C)
-    for _ in range(PERCEPTRON_EPOCHS):
-        for i in rng.permutation(S).tolist():
-            z, t = rows[i], targets[i]
-            s = (W @ z).tolist()
-            for c, w in classes:
-                if t[c] * s[c] <= 0.0:
-                    if t[c] > 0.0:
-                        np.add(w, z, out=w)
-                    else:
-                        np.subtract(w, z, out=w)
-            np.add(Wsum, W, out=Wsum)
-    return PerceptronTrained(spec, C, ds.n_features, scaler,
-                             Wsum / (PERCEPTRON_EPOCHS * S))
-
-
-def _train_external(spec, ds):
-    table = spec.hyperparams.get("predictions")
-    if table is None:
-        table = load_external_predictions(spec.hyperparams["path"],
-                                          n_classes=ds.n_classes)
-    if table.n_classes != ds.n_classes:
-        raise DataError("external classifier %r has %d classes, dataset has %d"
-                        % (spec.name, table.n_classes, ds.n_classes))
-    return ExternalTrained(spec, ds.n_classes, table)
-
-
 def train(spec, ds):
     """Fit one classifier; deterministic given (spec, data, seed)."""
-    if spec.kind == "external":
-        return _train_external(spec, ds)
-    scaler = _scaler_for(spec, ds.features)
-    if spec.kind == "gaussian_nb":
-        return _train_gaussian_nb(spec, ds, scaler)
-    if spec.kind == "one_nn":
-        return _train_one_nn(spec, ds, scaler)
-    if spec.kind == "decision_tree_gini":
-        return _train_gini_tree(spec, ds, scaler)
-    if spec.kind == "perceptron":
-        return _train_perceptron(spec, ds, scaler)
-    raise DataError("unknown classifier kind %r" % spec.kind)
+    return CLASSIFIERS[spec.kind].fit(spec, ds)
 
 
 def predict_proba_batch(model, X, row_ids):
@@ -431,7 +408,7 @@ def predict_proba_batch(model, X, row_ids):
     source row ids are row_ids. An external model looks its predictions
     up by row id; every other model scores X."""
     if isinstance(model, ExternalTrained):
-        return model.table.proba_rows(row_ids)
+        return model.spec.table.proba_rows(row_ids)
     return model.proba_from_features(X)
 
 
@@ -441,18 +418,7 @@ def predict_proba_batch(model, X, row_ids):
 
 def model_state(model):
     state = model.state()  # raises for models that cannot be serialized
-    s = {"kind": model.spec.kind, "name": model.spec.name,
-         "hyperparams": {k: v for k, v in model.spec.hyperparams.items()
-                         if k != "predictions"},
-         "scaler": {"mean": model.scaler.mean.tolist(),
-                    "scale": model.scaler.scale.tolist()}}
-    s.update(state)
-    return s
-
-
-_RESTORABLE = {"gaussian_nb": GaussianNBTrained, "one_nn": OneNNTrained,
-               "decision_tree_gini": GiniTreeTrained,
-               "perceptron": PerceptronTrained}
+    return {"kind": model.spec.kind, "name": model.spec.name, **state}
 
 
 def _state_array(state, key, dtype, shape, sizes, log=False):
@@ -476,24 +442,19 @@ def model_from_state(s, n_classes, n_features):
     """A model of n_classes classes over n_features features from its
     model_state; a DataError names the first key or array that does not
     fit the kind's STATE."""
-    for key in ("kind", "name", "hyperparams", "scaler"):
+    for key in ("kind", "name"):
         if key not in s:
             raise DataError("lacks key %r" % key)
-    cls = _RESTORABLE.get(s["kind"]) if isinstance(s["kind"], str) else None
-    if cls is None:
+    cls = CLASSIFIERS.get(s["kind"]) if isinstance(s["kind"], str) else None
+    if cls in (None, ExternalTrained):
         raise DataError("cannot restore classifier kind %r" % s["kind"])
-    if not (isinstance(s["name"], str) and isinstance(s["hyperparams"], dict)
-            and isinstance(s["scaler"], dict)):
-        raise DataError("'name', 'hyperparams' or 'scaler' has the wrong type")
+    if not isinstance(s["name"], str):
+        raise DataError("'name' is not a string")
     sizes = {"C": n_classes, "F": n_features, "B": n_features + 1}
-    scaler = _Scaler(*(_state_array(s["scaler"], key, "f8", "F", sizes)
-                       for key in ("mean", "scale")))
-    if not (scaler.scale > 0).all():
-        raise DataError("scaler 'scale' holds a value <= 0")
     arrays = {key: _state_array(s, key, dtype, shape, sizes,
                                 key in cls.LOG_STATE)
               for key, (dtype, shape) in cls.STATE.items()}
-    model = cls(ClassifierSpec(s["kind"], s["name"], dict(s["hyperparams"])),
-                n_classes, n_features, scaler, **arrays)
+    model = cls(ClassifierSpec(cls.KIND, s["name"]), n_classes, n_features,
+                **arrays)
     model.check_state()
     return model

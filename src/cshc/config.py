@@ -57,7 +57,9 @@ class ExperimentConfig:
                                 % (m, ", ".join(ALL_METHODS)))
         if self.reference not in self.methods:
             raise DataError("reference method %r not in method list" % self.reference)
-        if len(self.classifier_specs()) < 2:  # checks each kind too
+        for kind in self.pool:
+            ClassifierSpec(kind)  # an unknown kind is a DataError
+        if len(self.pool) + len(self.external) < 2:
             raise DataError("need at least 2 classifiers in the pool")
         if self.knn_k < 1:
             raise DataError("[baselines] k must be at least 1, got %d"
@@ -76,11 +78,6 @@ class ExperimentConfig:
         require_finite(self.rho, "[selection] rho")
         require_finite(self.mcb_similarity, "[baselines] mcb_similarity")
         return self
-
-    def classifier_specs(self):
-        return [ClassifierSpec(kind) for kind in self.pool] + [
-            ClassifierSpec("external", name=name, hyperparams={"path": path})
-            for name, path in self.external]
 
     def asdict(self):
         d = dict(self.__dict__)

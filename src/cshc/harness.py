@@ -147,13 +147,11 @@ def prepare_dataset(name, ds, cfg):
     plan = make_split(ds, cfg.test_fraction, cfg.seed)
     train_ds = ds.subset(plan.train_indices)
     test_ds = ds.subset(plan.test_indices)
-    specs = []
-    for spec in cfg.classifier_specs():
-        if spec.kind == "external" and "predictions" not in spec.hyperparams:
-            table = clf.load_external_predictions(
-                spec.hyperparams["path"], split=plan, n_classes=ds.n_classes)
-            spec.hyperparams["predictions"] = table
-        specs.append(spec)
+    # each external table is loaded once, and shared by every fold
+    specs = [clf.ClassifierSpec(kind) for kind in cfg.pool] + [
+        clf.ClassifierSpec("external", name, clf.load_external_predictions(
+            path, split=plan, n_classes=ds.n_classes))
+        for name, path in cfg.external]
     fold = None
     if cfg.protocol == "split50":
         half = make_split(train_ds, 0.5, cfg.seed + 1)
@@ -168,15 +166,13 @@ def prepare_dataset(name, ds, cfg):
     test_labels = label_matrix(models, test_ds.features, test_ds.row_ids)
     test_cm = CorrectnessMatrix(test_labels, test_ds.labels.copy(),
                                 ds.n_classes)
-    mean = dsel_ds.features.mean(axis=0)
-    std = dsel_ds.features.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
+    mean, scale = clf.standardizer(dsel_ds.features)
     return PreparedDataset(
         name=name, ds=ds, plan=plan, specs=specs, models=models, cm=cm,
         dsel_ds=dsel_ds, forest=forest, test_ds=test_ds,
         test_labels=test_labels, test_cm=test_cm,
-        dsel_std=(dsel_ds.features - mean) / std,
-        test_std=(test_ds.features - mean) / std, fold=fold,
+        dsel_std=(dsel_ds.features - mean) / scale,
+        test_std=(test_ds.features - mean) / scale, fold=fold,
     )
 
 
@@ -434,7 +430,7 @@ def append_run_record(result, path):
 # model bundle persistence (used by the train/select commands)
 # ---------------------------------------------------------------------------
 
-BUNDLE_FORMAT = "cshc-bundle/2"
+BUNDLE_FORMAT = "cshc-bundle/3"
 
 
 def save_bundle(prep, cfg, outdir):

@@ -5,7 +5,7 @@
   `kernels.nearest`; this module keeps the plain scan, one query row at
   a time over the whole training set, overflow errors included.
 - The perceptron's numpy update step, the oracle for
-  `classifiers._train_perceptron`, which reads each step's scores as
+  `classifiers.PerceptronTrained.fit`, which reads each step's scores as
   Python floats and updates only the rows of the wrong classes.
 - The dict-based external-predictions loader, the oracle for
   `classifiers.load_external_predictions`: the program keeps sorted
@@ -28,7 +28,7 @@ def one_nn_proba(model, X):
     raises, for a one_nn model."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            Z = model.scaler.transform(np.atleast_2d(X))
+            Z = (np.atleast_2d(X) - model.mean) / model.scale
             p = np.zeros((Z.shape[0], model.n_classes))
             for i, z in enumerate(Z):
                 d2 = ((model.X - z) ** 2).sum(axis=1)
@@ -39,11 +39,12 @@ def one_nn_proba(model, X):
                         % (model.spec.name, exc)) from None
 
 
-def perceptron_weights(ds, scaler):
-    """The averaged (C, F+1) weights `_train_perceptron` gives for a
-    Dataset and a fitted scaler, by the numpy step it replaced."""
+def perceptron_weights(ds, mean, scale):
+    """The averaged (C, F+1) weights `PerceptronTrained.fit` gives for a
+    Dataset standardized by (mean, scale), by the numpy step it
+    replaced."""
     epochs, lr, seed = 10, 1.0, 0
-    Z = scaler.transform(ds.features)
+    Z = (ds.features - mean) / scale
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
     C = ds.n_classes
     S, Fb = Zb.shape

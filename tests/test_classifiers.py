@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 import classifiers_reference as ref
 from cshc import kernels
-from cshc.classifiers import (ClassifierSpec, OneNNTrained, PerceptronTrained,
-                              _Scaler, _scaler_for,
+from cshc.classifiers import (ClassifierSpec, ExternalPredictions,
+                              OneNNTrained, PerceptronTrained,
                               load_external_predictions,
                               model_from_state, model_state,
-                              predict_proba_batch, train)
+                              predict_proba_batch, standardizer, train)
 from cshc.data import DataError, Dataset, make_split
 from cshc.harness import label_matrix
 from test_baselines import knn_cases
@@ -101,8 +101,9 @@ class TestOneNN:
         X = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         y = np.array([0, 1, 1, 0])
         ds = Dataset(X, y, ["f"], ["a", "b"])
-        model = train(ClassifierSpec("one_nn", hyperparams={"standardize": False}), ds)
-        # query at 0 is equidistant from all four; row 0 wins
+        model = train(ClassifierSpec("one_nn"), ds)
+        # standardizing keeps these rows; the query at 0 is equidistant
+        # from all four, and row 0 wins
         assert class_of(model, [0.0]) == 0
 
 
@@ -110,8 +111,8 @@ def one_nn_model(pool):
     """A 1-NN over the pool's raw rows, one class per row, so that its
     probabilities name the nearest row."""
     N, F = pool.shape
-    return OneNNTrained(ClassifierSpec("one_nn"), N, F, _Scaler.identity(F),
-                        pool, np.arange(N))
+    return OneNNTrained(ClassifierSpec("one_nn"), N, F, mean=np.zeros(F),
+                        scale=np.ones(F), X=pool, y=np.arange(N))
 
 
 def same_scores(model, X):
@@ -219,7 +220,8 @@ class TestPerceptron:
         # scores (2, 0) -> (e^2, 1) normalized
         spec = ClassifierSpec("perceptron")
         W = np.array([[0.0, 2.0], [0.0, 0.0]])  # bias-only scores
-        model = PerceptronTrained(spec, 2, 1, _Scaler.identity(1), W)
+        model = PerceptronTrained(spec, 2, 1, mean=np.zeros(1),
+                                  scale=np.ones(1), W=W)
         p = proba_of(model, [0.0])
         want = [math.exp(2) / (math.exp(2) + 1), 1 / (math.exp(2) + 1)]
         assert p == pytest.approx(want, abs=1e-12)
@@ -227,8 +229,8 @@ class TestPerceptron:
 
     def test_zero_weights_predict_lowest_class(self):
         spec = ClassifierSpec("perceptron")
-        model = PerceptronTrained(spec, 3, 2, _Scaler.identity(2),
-                                  np.zeros((3, 3)))
+        model = PerceptronTrained(spec, 3, 2, mean=np.zeros(2),
+                                  scale=np.ones(2), W=np.zeros((3, 3)))
         assert class_of(model, [4.0, -1.0]) == 0
 
     def test_learns_separable_blobs(self, two_blob_ds):
@@ -238,9 +240,9 @@ class TestPerceptron:
 
 @st.composite
 def perceptron_cases(draw):
-    """A dataset and a standardize flag for the perceptron. Grid data of
-    whole numbers meets exact-zero margins; a column may be constant and
-    columns span scales 1e-3 to 1e3."""
+    """A dataset for the perceptron. Grid data of whole numbers meets
+    exact-zero margins; a column may be constant and columns span scales
+    1e-3 to 1e3."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     S = draw(st.one_of(st.just(1), st.integers(1, 300)))
     F = draw(st.integers(1, 8))
@@ -255,19 +257,19 @@ def perceptron_cases(draw):
     ds = Dataset(X, rng.integers(0, C, size=S),
                  ["f%d" % j for j in range(F)],
                  ["c%d" % c for c in range(C)])
-    return ds, draw(st.booleans())
+    return ds
 
 
 class TestPerceptronOracle:
     @settings(max_examples=150)
     @given(perceptron_cases())
-    def test_weights_match_the_numpy_step(self, case):
-        ds, standardize = case
-        spec = ClassifierSpec("perceptron",
-                              hyperparams={"standardize": standardize})
-        model = train(spec, ds)
-        want = ref.perceptron_weights(ds, _scaler_for(spec, ds.features))
+    def test_weights_match_the_numpy_step(self, ds):
+        model = train(ClassifierSpec("perceptron"), ds)
+        mean, scale = standardizer(ds.features)
+        want = ref.perceptron_weights(ds, mean, scale)
         assert model.W.tobytes() == want.tobytes()
+        assert model.mean.tobytes() == mean.tobytes()
+        assert model.scale.tobytes() == scale.tobytes()
 
 
 class TestSharedContracts:
@@ -335,17 +337,30 @@ class TestSharedContracts:
         with pytest.raises(DataError, match="unknown classifier kind"):
             ClassifierSpec("svm")
 
-    @pytest.mark.parametrize("kind,hyperparams,key", [
-        ("perceptron", {"epochs": 3}, "epochs"),
-        ("perceptron", {"learning_rate": 0.5}, "learning_rate"),
-        ("gaussian_nb", {"standardise": True}, "standardise"),
-        ("external", {"path": "p.csv", "standardize": True}, "standardize"),
-    ])
-    def test_unknown_hyperparameter(self, kind, hyperparams, key):
-        """A setting no model reads is refused, not silently ignored."""
-        with pytest.raises(DataError,
-                           match="unknown hyperparameter %r" % key):
-            ClassifierSpec(kind, hyperparams=hyperparams)
+    @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
+                                      "decision_tree_gini", "perceptron"])
+    def test_native_kind_refuses_a_table(self, kind):
+        table = ExternalPredictions(np.arange(2), np.eye(2))
+        with pytest.raises(DataError, match="classifier 'm' of kind %r takes "
+                           "no predictions table" % kind):
+            ClassifierSpec(kind, "m", table)
+
+    def test_external_kind_needs_a_table(self):
+        with pytest.raises(DataError, match="external classifier 'e' needs "
+                           "a predictions table"):
+            ClassifierSpec("external", "e")
+
+    @pytest.mark.parametrize("kind", ["gaussian_nb", "one_nn",
+                                      "decision_tree_gini", "perceptron"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rows_of_another_width_are_refused(self, kind, width,
+                                               two_blob_ds):
+        """A model trained on 2 features neither broadcasts a narrower
+        batch nor reads part of a wider one."""
+        model = train(ClassifierSpec(kind), two_blob_ds)
+        with pytest.raises(DataError, match="classifier %r was trained on 2 "
+                           "features, got rows of %d" % (kind, width)):
+            model.proba_from_features(np.zeros((3, width)))
 
 
 class TestExternal:
@@ -377,7 +392,7 @@ class TestExternal:
         rows = ["%d,%d" % (i, two_blob_ds.labels[i]) for i in range(60)]
         p = self._write(tmp_path / "e.csv", rows)
         spec = ClassifierSpec("external", name="oracle-ish",
-                              hyperparams={"path": p})
+                              table=load_external_predictions(p))
         model = train(spec, two_blob_ds)
         proba = predict_proba_batch(model, two_blob_ds.features,
                                     two_blob_ds.row_ids)
@@ -417,12 +432,18 @@ class TestExternal:
         with pytest.raises(DataError, match="e.csv: row 3: "):
             load_external_predictions(p, n_classes=2)
 
-    def test_empty_table_misses_every_index(self, tmp_path):
-        p = self._write(tmp_path / "e.csv", [])
-        table = load_external_predictions(p, n_classes=3)
-        assert table.proba.shape == (0, 3)
+    def test_empty_table_misses_every_index(self):
+        table = ExternalPredictions(np.zeros(0, dtype=np.int64),
+                                    np.zeros((0, 3)), path="e.csv")
         with pytest.raises(DataError, match="sample index 5 \\(2 missing"):
             table.proba_rows([5, 0])
+
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, n_classes):
+        p = self._write(tmp_path / "e.csv", [])
+        with pytest.raises(DataError) as got:
+            load_external_predictions(p, n_classes=n_classes)
+        assert str(got.value) == "%s: no data rows" % p
 
 
 # mutations of one data row of a predictions file; each names the error

@@ -128,6 +128,35 @@ class TestSelectInput:
                      str(query)]) == 2
         assert "'cshc-forest/1'" in capsys.readouterr().err
 
+    def test_parent_bundle_format_rejected(self, trained_bundle, tmp_path,
+                                           capsys):
+        """A bundle of the previous format, whose models.json entries
+        carry a hyperparameter dict and a scaler object, is refused by its
+        format, not read field by field."""
+        bundle_dir = str(tmp_path / "parent")
+        shutil.copytree(trained_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "models.json")
+        with open(path) as fh:
+            models = json.load(fh)
+        for state in models:
+            mean = state.pop("mean", [0.0, 0.0])
+            scale = state.pop("scale", [1.0, 1.0])
+            state["hyperparams"] = {}
+            state["scaler"] = {"mean": mean, "scale": scale}
+        with open(path, "w") as fh:
+            json.dump(models, fh)
+        path = os.path.join(bundle_dir, "meta.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(_replaced(text, "cshc-bundle/2", "format"))
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n")
+        assert main(["select", "--model", bundle_dir, "--input",
+                     str(query)]) == 2
+        assert ("unsupported bundle format 'cshc-bundle/2'; this program "
+                "reads 'cshc-bundle/3'") in capsys.readouterr().err
+
 
 class TestSelectFiles:
     @pytest.mark.parametrize("flag", ["--input", "--model"])
@@ -160,7 +189,8 @@ class TestSelectFiles:
     @pytest.mark.parametrize("name,rewrite,message", [
         ("forest.json", lambda text: text[:1000], "forest.json: not valid JSON"),
         ("models.json", lambda text: "nope", "models.json: not valid JSON"),
-        ("meta.json", lambda text: '{"format": "cshc-bundle/2"}',
+        ("meta.json", lambda text: json.dumps(
+            {"format": cshc.harness.BUNDLE_FORMAT}),
          "meta.json: missing key 'dataset.feature_names'"),
         ("meta.json", lambda text: _replaced(text, "cshc-bundle/1", "format"),
          "unsupported bundle format 'cshc-bundle/1'"),
@@ -241,9 +271,8 @@ class TestSelectFiles:
                                                "log_prior", 0),
          "models.json: classifier 0: 'log_prior' holds a value that is not "
          "a finite number"),
-        ("models.json", lambda text: _replaced(text, 0.0, 1, "scaler",
-                                               "scale", 0),
-         "models.json: classifier 1: scaler 'scale' holds a value <= 0"),
+        ("models.json", lambda text: _replaced(text, 0.0, 1, "scale", 0),
+         "models.json: classifier 1: 'scale' holds a value <= 0"),
         ("models.json", lambda text: _replaced(text, [-3.0, 0.0], 2,
                                                "leaf_proba", 0),
          "models.json: classifier 2: 'leaf_proba' holds a row that is not "
