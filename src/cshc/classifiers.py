@@ -16,14 +16,13 @@ their argmax with ties going to the lower class index, and retraining
 on identical inputs reproduces identical outputs.
 """
 
-import csv
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .data import DataError, _read_header, open_input, read_array
+from .data import DataError, read_array, read_records
 from .rng import substream
 
 # the perceptron's passes over the data and the seed of their row orders
@@ -341,40 +340,35 @@ def load_external_predictions(path, split=None, n_classes=None):
     predicted class; when absent, one-hot vectors are synthesized. With
     a SplitPlan given, coverage of all its indices is enforced.
     """
-    ids, labels, cells = array("q"), array("q"), []
-    width = None
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path)
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:  # an int64 array refuses an index or class beyond 64 bits
-                ids.append(int(rec[0]))
-                labels.append(int(rec[1]))
-                rest = [float(v) for v in rec[2:]]
-            except (ValueError, IndexError, OverflowError) as exc:
-                raise DataError("%s: row %d: %s" % (path, lineno, exc)) from None
-            if width is None:
-                width = len(rest)
-            elif len(rest) != width:
-                raise DataError("%s: row %d has %d probability cells, expected %d"
-                                % (path, lineno, len(rest), width))
-            if width:
-                p = np.asarray(rest)
-                # a NaN or infinite cell makes the sum fail this test too
-                if not abs(p.sum() - 1.0) <= 1e-6:
-                    raise DataError("%s: row %d: probabilities sum to %.8f, not 1"
-                                    % (path, lineno, p.sum()))
-                if p.min() < -1e-12:
-                    raise DataError("%s: row %d: negative probability" % (path, lineno))
-                if int(np.argmax(p)) != labels[-1]:
-                    raise DataError("%s: row %d: predicted_class %d is not the "
-                                    "probability argmax"
-                                    % (path, lineno, labels[-1]))
-            cells.append(rest)
-    if not ids:
+    # flat arrays, so that no per-row object outlives its row
+    ids, labels, cells = array("q"), array("q"), array("d")
+    _, records, linenos = read_records(path)
+    if not records:
         raise DataError("%s: no data rows" % path)
+    width = len(records[0]) - 2  # a shorter first row fails its parse
+    for lineno, rec in zip(linenos, records):
+        try:  # an int64 array refuses an index or class beyond 64 bits
+            ids.append(int(rec[0]))
+            labels.append(int(rec[1]))
+            rest = [float(v) for v in rec[2:]]
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise DataError("%s: row %d: %s" % (path, lineno, exc)) from None
+        if len(rest) != width:
+            raise DataError("%s: row %d has %d probability cells, expected %d"
+                            % (path, lineno, len(rest), width))
+        if width:
+            p = np.asarray(rest)
+            # a NaN or infinite cell makes the sum fail this test too
+            if not abs(p.sum() - 1.0) <= 1e-6:
+                raise DataError("%s: row %d: probabilities sum to %.8f, not 1"
+                                % (path, lineno, p.sum()))
+            if p.min() < -1e-12:
+                raise DataError("%s: row %d: negative probability" % (path, lineno))
+            if int(np.argmax(p)) != labels[-1]:
+                raise DataError("%s: row %d: predicted_class %d is not the "
+                                "probability argmax"
+                                % (path, lineno, labels[-1]))
+        cells.extend(rest)
     ids = np.array(ids, dtype=np.int64)
     labels = np.array(labels, dtype=np.int64)
     C = width or n_classes or int(labels.max()) + 1
@@ -383,7 +377,7 @@ def load_external_predictions(path, split=None, n_classes=None):
         raise DataError("%s: sample %d: class %d out of range [0, %d)"
                         % (path, ids[bad[0]], labels[bad[0]], C))
     # without probability cells, each row is its class's one-hot vector
-    proba = (np.array(cells) if width
+    proba = (np.array(cells).reshape(-1, width) if width
              else (labels[:, None] == np.arange(C)).astype(float))
     order = np.argsort(ids)
     ids = ids[order]

@@ -59,7 +59,12 @@ class ExperimentConfig:
             raise DataError("reference method %r not in method list" % self.reference)
         for kind in self.pool:
             ClassifierSpec(kind)  # an unknown kind is a DataError
-        if len(self.pool) + len(self.external) < 2:
+        names = list(self.pool) + [name for name, _ in self.external]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError("classifier name %r is used twice; pool kinds "
+                                "and external names must differ" % name)
+        if len(names) < 2:
             raise DataError("need at least 2 classifiers in the pool")
         if self.knn_k < 1:
             raise DataError("[baselines] k must be at least 1, got %d"

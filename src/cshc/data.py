@@ -1,4 +1,7 @@
-"""Tabular data ingestion, splits, folds and correctness matrices."""
+"""Tabular data ingestion, splits, folds and correctness matrices.
+
+Every CSV is read by ``read_records``, and ``feature_matrix`` parses the
+feature cells of a whole file at once."""
 
 import csv
 import json
@@ -168,36 +171,48 @@ def read_array(value, name, dtype, ndim):
     return arr
 
 
-def _read_header(reader, path):
+def read_records(path):
+    """(header, records, linenos) of a headered CSV: the header's names
+    stripped of spaces, the non-blank records after it, and their row
+    numbers in the file, the header being row 1."""
+    with open_input(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError("%s: file is empty" % path)
+    linenos = [n for n, rec in enumerate(rows[1:], start=2) if rec]
+    return ([h.strip() for h in rows[0]], [rows[n - 1] for n in linenos],
+            linenos)
+
+
+def _number(cell):
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("%s: file is empty" % path) from None
-    return [h.strip() for h in header]
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
-def _feature_values(path, lineno, header, rec, skip=None):
-    """A record's cells as finite floats, leaving out column ``skip``.
-
-    Wrong cell counts and cells that are not finite numbers are reported
-    with their row number and column name.
-    """
-    if len(rec) != len(header):
+def feature_matrix(path, header, records, linenos, skip=None):
+    """The (N, F) float matrix of the records' cells, leaving out column
+    ``skip``. There must be a record, every record must have one cell per
+    header name, and every cell kept must parse with ``float`` to a
+    finite number; the first fault down the file is reported with its row
+    number (and column name), a row's cell count before its cells."""
+    if not records:
+        raise DataError("%s: no data rows" % path)
+    cols = [i for i in range(len(header)) if i != skip]
+    n = next((r for r, rec in enumerate(records) if len(rec) != len(header)),
+             len(records))
+    X = np.array([_number(rec[i]) for rec in records[:n] for i in cols],
+                 dtype=np.float64).reshape(n, len(cols))
+    finite = np.isfinite(X)
+    if not finite.all():
+        r, c = divmod(int(np.argmin(finite)), len(cols))
+        raise DataError("%s: row %d, column %r: non-numeric value %r"
+                        % (path, linenos[r], header[cols[c]], records[r][cols[c]]))
+    if n < len(records):
         raise DataError("%s: row %d has %d cells, expected %d"
-                        % (path, lineno, len(rec), len(header)))
-    vals = []
-    for i, cell in enumerate(rec):
-        if i == skip:
-            continue
-        try:
-            x = float(cell)
-        except ValueError:
-            x = np.nan
-        if not np.isfinite(x):
-            raise DataError("%s: row %d, column %r: non-numeric value %r"
-                            % (path, lineno, header[i], cell))
-        vals.append(x)
-    return np.array(vals)
+                        % (path, linenos[n], len(records[n]), len(header)))
+    return X
 
 
 def load_csv(path, label_column):
@@ -207,49 +222,31 @@ def load_csv(path, label_column):
     reported with row and column names. Classes are encoded by first
     appearance down the file.
     """
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        if label_column not in header:
-            raise DataError(
-                "%s: label column %r not found (columns: %s)"
-                % (path, label_column, ", ".join(header))
-            )
-        label_pos = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_pos]
-        rows, labels = [], []
-        class_ids, class_names = {}, []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            rows.append(_feature_values(path, lineno, header, rec,
-                                        skip=label_pos))
-            name = rec[label_pos].strip()
-            if name not in class_ids:
-                class_ids[name] = len(class_names)
-                class_names.append(name)
-            labels.append(class_ids[name])
-    if not rows:
-        raise DataError("%s: no data rows" % path)
-    if len(class_names) < 2:
-        raise DataError("%s: only one class (%r) present" % (path, class_names[0]))
-    return Dataset(np.vstack(rows), np.array(labels), feature_names, class_names)
+    header, records, linenos = read_records(path)
+    if label_column not in header:
+        raise DataError(
+            "%s: label column %r not found (columns: %s)"
+            % (path, label_column, ", ".join(header))
+        )
+    label_pos = header.index(label_column)
+    X = feature_matrix(path, header, records, linenos, skip=label_pos)
+    names = [rec[label_pos].strip() for rec in records]
+    class_ids = {name: c for c, name in enumerate(dict.fromkeys(names))}
+    if len(class_ids) < 2:
+        raise DataError("%s: only one class (%r) present" % (path, names[0]))
+    return Dataset(X, np.array([class_ids[name] for name in names]),
+                   [h for i, h in enumerate(header) if i != label_pos],
+                   list(class_ids))
 
 
 def load_feature_rows(path, feature_names):
     """Feature matrix of a headered CSV whose columns are exactly
     ``feature_names``, checked like the feature cells of ``load_csv``."""
-    with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        if header != feature_names:
-            raise DataError("input columns %s do not match the bundle's %s"
-                            % (header, feature_names))
-        rows = [_feature_values(path, lineno, header, rec)
-                for lineno, rec in enumerate(reader, start=2) if rec]
-    if not rows:
-        raise DataError("%s: no data rows" % path)
-    return np.vstack(rows)
+    header, records, linenos = read_records(path)
+    if header != feature_names:
+        raise DataError("input columns %s do not match the bundle's %s"
+                        % (header, feature_names))
+    return feature_matrix(path, header, records, linenos)
 
 
 def _round_half_up(x):

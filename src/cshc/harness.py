@@ -321,18 +321,22 @@ def comparison_rows(result):
         return [["note", "no dataset completed every method"]], kept
     ref_idx = cfg.methods.index(ref)
     ranks = average_ranks(arr)
+
+    def mgi_cell(acc):  # blank where a ratio would divide by a 0% accuracy
+        positive = min(arr[ref_idx].min(), acc.min()) > 0
+        return _fmt(mgi(arr[ref_idx], acc)) if positive else ""
     for i, m in enumerate(cfg.methods):
         w, l, t = wins_losses(arr[ref_idx], arr[i])
         ind = np.sign(arr[i] - arr[ref_idx])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = paired_sign_ttest(ind) if m != ref else 1.0
-        rows.append([m, str(w), str(l), str(t), _fmt(mgi(arr[ref_idx], arr[i])),
+        rows.append([m, str(w), str(l), str(t), mgi_cell(arr[i]),
                      _fmt(ranks[i]), _fmt(p)])
     oracle_vec = np.array([result.oracle[d] for d in kept])
     w, l, t = wins_losses(arr[ref_idx], oracle_vec)
     rows.append(["oracle", str(w), str(l), str(t),
-                 _fmt(mgi(arr[ref_idx], oracle_vec)), "", ""])
+                 mgi_cell(oracle_vec), "", ""])
     return rows, kept
 
 

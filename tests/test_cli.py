@@ -613,6 +613,44 @@ class TestEvaluate:
         stdout = capsys.readouterr().out
         assert "oracle" in stdout
 
+    def test_zero_accuracy_leaves_mgi_blank(self, tmp_path, capsys):
+        """rr and mv label none of this dataset's test rows right; MGI, a
+        ratio of accuracies, is undefined there and its cell is blank."""
+        data = tmp_path / "zero.csv"
+        data.write_text(
+            "x0,x1,label\n-0.8,0.24,a\n-1.66,0.66,b\n1.14,-0.45,b\n"
+            "0.43,0.25,b\n-0.39,-0.86,b\n-2.03,1.41,b\n-0.05,2.52,b\n"
+            "0.83,0.28,b\n-0.66,1.39,a\n-0.51,1.57,b\n-0.4,0.19,b\n"
+            "-1.52,2.34,a\n")
+        out = tmp_path / "out"
+        # ola's 7 neighbours exceed the 4 validation rows
+        with pytest.warns(UserWarning, match="exceeds pool of 4 samples"):
+            assert main(["evaluate", "--data", str(data), "--label", "label",
+                         "--methods", "cshc,rr,mv,ola", "--reference", "mv",
+                         "--out", str(out)]) == 0
+        assert "  mv         0.000%" in capsys.readouterr().out
+        results = (out / "results.csv").read_text().splitlines()
+        assert results[results.index(
+            "method,wins,losses,ties,mgi_pct,avg_rank,p_value") + 1:] == [
+            "cshc,1,0,0,,3.5000,1.0000", "rr,0,0,1,,1.5000,1.0000",
+            "mv,0,0,1,,1.5000,1.0000", "ola,1,0,0,,3.5000,1.0000",
+            "oracle,1,0,0,,,"]
+        assert sorted(os.listdir(out)) == [
+            "results.csv", "runs.jsonl", "trace_zero_cshc.csv",
+            "trace_zero_rr.csv"]
+        # against ola (75%), only the rows of the 0% methods are blank
+        ini = tmp_path / "zero.ini"
+        ini.write_text("[experiment]\nmethods = cshc, rr, mv, ola\n"
+                       "reference = ola\n[data]\nzero = %s\n" % data)
+        with pytest.warns(UserWarning, match="exceeds pool of 4 samples"):
+            assert main(["compare", "--config", str(ini),
+                         "--out", str(tmp_path / "cmp")]) == 0
+        table = capsys.readouterr().out.splitlines()[2:]
+        assert [row[:40].split() for row in table] == [
+            ["cshc", "0", "0", "1", "0.0000"], ["rr", "0", "1", "0"],
+            ["mv", "0", "1", "0"], ["ola", "0", "0", "1", "0.0000"],
+            ["oracle", "0", "0", "1", "0.0000"]]
+
     def test_k_zero_exits_2(self, tmp_path, capsys):
         data = write_tiny_csv(tmp_path)
         ini = tmp_path / "k0.ini"
@@ -649,6 +687,13 @@ _MALFORMED_INI = {
     "default-section": ("[DEFAULT]\nx = 1\n", "unknown section [DEFAULT]"),
     "orphan-label": ("[data.labels]\nnope = klass\n",
                      "[data.labels] 'nope' names no [data] dataset"),
+    "repeated-pool-kind": (
+        "[classifiers]\npool = gaussian_nb, gaussian_nb, one_nn\n",
+        "classifier name 'gaussian_nb' is used twice"),
+    "external-named-like-a-kind": (
+        "[classifiers]\npool = gaussian_nb, one_nn\n"
+        "external one_nn = predictions.csv\n",
+        "classifier name 'one_nn' is used twice"),
 }
 
 

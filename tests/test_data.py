@@ -1,12 +1,19 @@
 """Ingestion, split and correctness-matrix behaviour."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import data_reference as ref
 from cshc.classifiers import ClassifierSpec
 from cshc.data import (CorrectnessMatrix, DataError, Dataset,
                        build_correctness_cv3, build_correctness_holdout,
-                       load_csv, make_split, stratified_folds)
+                       load_csv, load_feature_rows, make_split,
+                       stratified_folds)
 
 
 def write_csv(path, text):
@@ -60,6 +67,149 @@ class TestLoadCsv:
         ds = load_csv(p, "label")
         assert ds.n_samples == 699
         assert ds.n_features == 9
+
+
+# ways to break one data row: a cell that is not a finite number, in a
+# feature column, or a row one cell short or long
+CELL_MUTATIONS = ("bad", "nan", "inf", "overflow", "short", "long")
+
+
+def cell_text(rng, x):
+    """A cell float() reads as a finite number, in one of the spellings a
+    file may hold: x plain, with an exponent, scaled to an integer or in
+    surrounding spaces, or a number with digit underscores."""
+    style = int(rng.integers(0, 5))
+    if style == 1:
+        return "%.3e" % x
+    if style == 2:
+        return str(int(round(x * 100)))
+    if style == 3:
+        return "1_0%d.%d" % (rng.integers(0, 10), rng.integers(0, 100))
+    if style == 4:
+        return " %.5f  " % x
+    return repr(x)
+
+
+def dataset_rows(rng, N, F, label_pos):
+    """(header, rows): a headered dataset's names and data rows as cell
+    lists, F feature columns and, unless label_pos is None, a label
+    column at label_pos of one to three classes."""
+    header = ["f%d" % j if rng.random() < 0.8 else " f%d " % j
+              for j in range(F)]
+    n_classes = int(rng.integers(1, 4))
+    rows = []
+    for _ in range(N):
+        cells = [cell_text(rng, x) for x in rng.normal(0, 50, F).tolist()]
+        if label_pos is not None:
+            cells.insert(label_pos, rng.choice(["a", " b", "c "][:n_classes]))
+        rows.append(cells)
+    if label_pos is not None:
+        header.insert(label_pos, "label")
+    return header, rows
+
+
+def mutate_row(rows, r, kind, label_pos, rng):
+    """Apply one mutation to data row r (a list of cells) in place."""
+    cells = rows[r]
+    features = [i for i in range(len(cells)) if i != label_pos]
+    at = int(rng.choice(features))
+    if kind == "bad":
+        cells[at] = str(rng.choice(["x", "", "1..2", "1,5", "_1"]))
+    elif kind == "nan":
+        cells[at] = str(rng.choice(["nan", " NaN", "-nan"]))
+    elif kind == "inf":
+        cells[at] = str(rng.choice(["inf", "-Infinity", " +inf "]))
+    elif kind == "overflow":
+        cells[at] = str(rng.choice(["1e400", "-1_0e999"]))
+    elif kind == "short":
+        del cells[at]
+    elif kind == "long":
+        cells.insert(at, "1.0")
+
+
+def write_dataset(path, header, rows, rng):
+    """Write the file, quoting every cell that holds a comma, with blank
+    lines between some rows and after the last."""
+    def line(cells):
+        return ",".join('"%s"' % c if "," in c else c for c in cells)
+    with open(path, "w") as fh:
+        fh.write(line(header) + "\n")
+        for cells in rows:
+            if rng.random() < 0.1:
+                fh.write("\n")
+            fh.write(line(cells) + "\n")
+        if rng.random() < 0.2:
+            fh.write("\n\n")
+
+
+def same_result(call, oracle):
+    """call() returns what oracle() returns, or raises the DataError
+    oracle() raises, with the same text."""
+    try:
+        want = oracle()
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            call()
+        assert str(got.value) == str(exc)
+        return str(exc)
+    got = call()
+    if isinstance(want, Dataset):
+        assert got.feature_names == want.feature_names
+        assert got.class_names == want.class_names
+        assert got.labels.tolist() == want.labels.tolist()
+        got, want = got.features, want.features
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return None
+
+
+class TestReaderOracle:
+    """The one reader and the columnar parse give what the per-cell
+    readers gave, bit for bit, and fail with the same message: the first
+    fault down the file, a row's cell count before its cells."""
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(0, 25),
+           F=st.integers(1, 5), with_label=st.booleans(),
+           k=st.integers(0, 2))
+    def test_matches_the_per_cell_reader(self, seed, N, F, with_label, k):
+        """Up to two distinct rows are mutated, so that which fault is
+        reported first is checked too."""
+        rng = np.random.default_rng(seed)
+        label_pos = int(rng.integers(0, F + 1)) if with_label else None
+        header, rows = dataset_rows(rng, N, F, label_pos)
+        k = min(k, N)
+        for r, kind in zip(rng.choice(N, size=k, replace=False).tolist(),
+                           rng.choice(CELL_MUTATIONS, size=k)):
+            mutate_row(rows, r, kind, label_pos, rng)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            write_dataset(path, header, rows, rng)
+            if with_label:
+                same_result(lambda: load_csv(path, "label"),
+                            lambda: ref.load_csv(path, "label"))
+            else:
+                names = [h.strip() for h in header]
+                if rng.random() < 0.1:
+                    names = names[::-1] + ["extra"]
+                same_result(lambda: load_feature_rows(path, names),
+                            lambda: ref.load_feature_rows(path, names))
+
+    @pytest.mark.parametrize("kind", CELL_MUTATIONS)
+    @pytest.mark.parametrize("label_pos", [0, 2, None])
+    def test_each_mutation_fails_alike(self, tmp_path, kind, label_pos):
+        rng = np.random.default_rng(CELL_MUTATIONS.index(kind))
+        header, rows = dataset_rows(rng, 8, 2, label_pos)
+        mutate_row(rows, 5, kind, label_pos, rng)
+        path = str(tmp_path / "d.csv")
+        write_dataset(path, header, rows, rng)
+        names = [h.strip() for h in header]
+        message = (same_result(lambda: load_csv(path, "label"),
+                               lambda: ref.load_csv(path, "label"))
+                   if label_pos is not None else
+                   same_result(lambda: load_feature_rows(path, names),
+                               lambda: ref.load_feature_rows(path, names)))
+        assert message is not None
 
 
 class TestMakeSplit:
