@@ -189,33 +189,31 @@ class OneNNTrained(_Standardized):
 
 
 class GiniTreeTrained(TrainedClassifier):
-    """Unpruned tree: every impure node takes its best Gini split."""
+    """Unpruned tree: every impure node takes its best Gini split. State:
+    the `kernels` layout, feat and thr, and leaf_proba, one row a leaf."""
 
     KIND = "decision_tree_gini"
-    STATE = {"feat": ("i8", "N"), "thr": ("f8", "N"), "left": ("i8", "N"),
-             "right": ("i8", "N"), "leaf_id": ("i8", "N"),
+    STATE = {"feat": ("i8", "N"), "thr": ("f8", "N"),
              "leaf_proba": ("f8", "LC")}
 
     @classmethod
     def fit(cls, spec, ds):
         onehot = (ds.labels[:, None] == np.arange(ds.n_classes)).astype(float)
-        (feat, thr, left, right, leaf_id, ptr, members), = kernels.grow(
+        (feat, thr, ptr, members), = kernels.grow(
             np.ascontiguousarray(ds.features), [ds.n_samples], onehot,
             np.ones(ds.n_samples))
         counts = np.add.reduceat(onehot[members], ptr[:-1])
         return cls(spec, ds.n_classes, ds.n_features, feat=feat, thr=thr,
-                   left=left, right=right, leaf_id=leaf_id,
                    leaf_proba=counts / counts.sum(axis=1, keepdims=True))
 
     def _proba(self, X):
         Z = np.ascontiguousarray(X, dtype=np.float64)
-        leaves = kernels.route(self.feat, self.thr, self.left, self.right,
-                               self.leaf_id, Z)
+        leaves = kernels.route(self.feat, self.thr,
+                               *kernels.layout(self.feat), Z)
         return self.leaf_proba[leaves]
 
     def check_state(self):
-        L = kernels.check_tree(self.feat, self.thr, self.left, self.right,
-                               self.leaf_id, self.n_features)
+        L = kernels.check_tree(self.feat, self.thr, self.n_features)
         p = self.leaf_proba
         if p.shape[0] != L:
             raise DataError("'leaf_proba' has %d rows for %d leaves"

@@ -6,7 +6,7 @@ import os
 import sys
 
 from . import harness
-from .config import load_config
+from .config import load_config, split_list
 from .data import (DataError, export_assignments_csv, load_csv,
                    load_feature_rows, require_finite)
 
@@ -17,7 +17,7 @@ def _apply_overrides(cfg, args):
         if value is not None:
             setattr(cfg, attr, value)
     if getattr(args, "methods", None):
-        cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        cfg.methods = split_list(args.methods)
     if getattr(args, "reference", None):
         cfg.reference = args.reference
     return cfg
@@ -110,10 +110,18 @@ def _run_and_report(cfg):
                     prep, cell,
                     os.path.join(cfg.outdir, "trace_%s_%s.csv" % (name, method)))
     harness.append_run_record(result, os.path.join(cfg.outdir, "runs.jsonl"))
-    for key in sorted(result.errors):
-        print("warning: %s failed: %s" % (key, result.errors[key]),
+    for key, exc in sorted(result.errors.items()):
+        print("warning: %s failed: %s" % (key, harness.error_text(exc)),
               file=sys.stderr)
     return result
+
+
+def _failed(what, exc):
+    """Re-raise a DataError for main to exit 2; print anything else, exit 1."""
+    if isinstance(exc, DataError):
+        raise exc
+    print("%s: %s" % (what, harness.error_text(exc)), file=sys.stderr)
+    return 1
 
 
 def cmd_evaluate(args):
@@ -121,8 +129,7 @@ def cmd_evaluate(args):
     result = _run_and_report(cfg)
     name = result.dataset_names[0]
     if name in result.errors:
-        print("dataset failed: %s" % result.errors[name], file=sys.stderr)
-        return 1
+        return _failed("dataset failed", result.errors[name])
     print("dataset %s (oracle %.2f%%)" % (name, result.oracle[name]))
     for method in cfg.methods:
         cell = result.cells.get((name, method))
@@ -158,10 +165,9 @@ def cmd_export_viz(args):
     cfg.reference = args.method
     result = harness.run_experiment(cfg)
     name = result.dataset_names[0]
-    if name in result.errors or (name, args.method) in result.errors:
-        msg = result.errors.get(name) or result.errors.get((name, args.method))
-        print("failed: %s" % msg, file=sys.stderr)
-        return 1
+    exc = result.errors.get(name) or result.errors.get((name, args.method))
+    if exc is not None:
+        return _failed("failed", exc)
     prep = result.preps[name]
     out = args.output or os.path.join(cfg.outdir, "viz_%s_%s.csv"
                                       % (name, args.method))
@@ -196,13 +202,13 @@ def main(argv=None):
 
     p = sub.add_parser("evaluate", help="one dataset, all methods")
     _add_common(p)
-    p.add_argument("--methods", help="comma-separated method list")
+    p.add_argument("--methods", help="comma- or space-separated methods")
     p.add_argument("--reference")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="dataset sweep with comparison stats")
     _add_common(p, with_data=False)
-    p.add_argument("--methods", help="comma-separated method list")
+    p.add_argument("--methods", help="comma- or space-separated methods")
     p.add_argument("--reference")
     p.set_defaults(func=cmd_compare)
 

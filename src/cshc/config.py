@@ -116,6 +116,11 @@ SCHEMA = {
 _EXPECTED = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
+def split_list(raw):
+    """The names in a list value or --methods, comma or space separated."""
+    return raw.replace(",", " ").split()
+
+
 def load_config(path=None):
     """Parse an INI experiment file into an ExperimentConfig. An unknown
     section or key, or a file configparser cannot read, is a DataError."""
@@ -148,7 +153,7 @@ def load_config(path=None):
             else:
                 try:
                     setattr(cfg, name, parser.getboolean(section, key)
-                            if kind is bool else raw.replace(",", " ").split()
+                            if kind is bool else split_list(raw)
                             if kind is list else kind(raw))
                 except ValueError:
                     raise DataError("[%s] %s must be %s, got %r" % (

@@ -285,11 +285,6 @@ def _stratified_take(labels, n_classes, fraction, rng):
                     break
         if not moved:
             break
-    while take.sum() > target:
-        for c in reversed(order):
-            if take[c] > 0:
-                take[c] -= 1
-                break
     picked = []
     for c, idx in enumerate(per_class):
         perm = rng.permutation(idx.size)

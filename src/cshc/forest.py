@@ -18,7 +18,7 @@ from . import kernels
 from .data import CorrectnessMatrix, DataError, load_json, read_array
 from .rng import substream
 
-FOREST_FORMAT = "cshc-forest/3"
+FOREST_FORMAT = "cshc-forest/4"
 
 # the most bytes of one float64 level array (members x classifiers x
 # feature subset) of a group of trees grown together; the arrays of a
@@ -38,26 +38,24 @@ def bootstrap_draws(n_rows, fraction):
 
 @dataclass
 class Tree:
-    """One tree as flat arrays, nodes and leaves numbered in preorder
-    (node, left subtree, right subtree).
+    """One tree as flat arrays, nodes and leaves numbered in level order.
 
     The node arrays are the layout of `kernels`, which grows, routes and
-    checks them: internal node i has left child i + 1, a right child
-    after its left subtree and leaf_id -1; leaves have left/right -1 and
-    feat -1. Leaf l holds the member rows and multiplicities
-    leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]]; together the leaves
-    hold the tree's bootstrap draw. Everything else about a leaf is
-    derived from its members by `Forest`.
+    checks them; its children and leaf ids, left, right and leaf_id, are
+    derived from feat and never stored. Leaf l holds the member rows and
+    multiplicities leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]];
+    together the leaves hold the tree's bootstrap draw. Everything else
+    about a leaf is derived from its members by `Forest`.
     """
 
-    feat: np.ndarray       # (N,) split feature per node
+    feat: np.ndarray       # (N,) split feature per node, -1 at a leaf
     thr: np.ndarray        # (N,) split threshold per node
-    left: np.ndarray       # (N,) left child per node
-    right: np.ndarray      # (N,) right child per node
-    leaf_id: np.ndarray    # (N,) leaf index per node
     leaf_ptr: np.ndarray   # (L + 1,) offsets into leaf_rows/leaf_mult
     leaf_rows: np.ndarray  # (m,) member rows, grouped by leaf
     leaf_mult: np.ndarray  # (m,) member multiplicities, whole numbers >= 1
+
+    def __post_init__(self):
+        self.left, self.right, self.leaf_id = kernels.layout(self.feat)
 
     def members(self, leaf):
         """(rows, mult) of one leaf's members."""
@@ -66,7 +64,7 @@ class Tree:
 
 
 # Tree fields holding integers; the others hold float64
-_INT_FIELDS = {"feat", "left", "right", "leaf_id", "leaf_ptr", "leaf_rows"}
+_INT_FIELDS = {"feat", "leaf_ptr", "leaf_rows"}
 
 
 @dataclass
@@ -152,10 +150,9 @@ def grow_group(draws, cfg, correct, features):
         np.concatenate([features[r][:, a] for r, _, a in draws]),
         [r.size for r, _, _ in draws], mult[:, None] * correct[rows], mult,
         (cfg.max_depth, float(cfg.min_cluster_size), cfg.min_improvement))
-    return [Tree(np.where(feat >= 0, allowed[feat], -1), thr, left, right,
-                 leaf_id, ptr, rows[members], mult[members])
-            for (_, _, allowed), (feat, thr, left, right, leaf_id, ptr,
-                                  members) in zip(draws, grown)]
+    return [Tree(np.where(feat >= 0, allowed[feat], -1), thr, ptr,
+                 rows[members], mult[members])
+            for (*_, allowed), (feat, thr, ptr, members) in zip(draws, grown)]
 
 
 def build_forest(cm, ds, cfg):
@@ -242,9 +239,8 @@ def _tree_from_dict(td, n_rows, n_features):
         arrays[f.name] = read_array(
             td[f.name], "field %r" % f.name,
             np.int64 if f.name in _INT_FIELDS else np.float64, 1)
+    L = kernels.check_tree(arrays["feat"], arrays["thr"], n_features)
     tree = Tree(**arrays)
-    L = kernels.check_tree(tree.feat, tree.thr, tree.left, tree.right,
-                           tree.leaf_id, n_features)
     ptr, rows, mult = tree.leaf_ptr, tree.leaf_rows, tree.leaf_mult
     if not (ptr.shape == (L + 1,) and ptr[0] == 0 and ptr[-1] == rows.size
             and (np.diff(ptr) >= 0).all()):

@@ -259,7 +259,7 @@ class ExperimentResult:
     dataset_names: list
     oracle: dict
     cells: dict        # (dataset, method) -> MethodResult
-    errors: dict       # (dataset, method) or dataset -> message
+    errors: dict       # (dataset, method) or dataset -> exception
     static: dict       # (dataset, classifier name) -> accuracy
     preps: dict        # dataset -> PreparedDataset
 
@@ -277,8 +277,8 @@ class ExperimentResult:
 def run_experiment(cfg):
     """Evaluate every configured method on every configured dataset.
 
-    A failing (dataset, method) cell is recorded as a diagnostic and
-    does not abort the sweep.
+    A failing dataset or (dataset, method) cell keeps its exception in
+    result.errors and does not abort the sweep.
     """
     cfg.validate()
     result = ExperimentResult(cfg, [], {}, {}, {}, {}, {})
@@ -288,7 +288,7 @@ def run_experiment(cfg):
             ds = path if not isinstance(path, str) else load_csv(path, label_column)
             prep = prepare_dataset(name, ds, cfg)
         except Exception as exc:
-            result.errors[name] = "%s: %s" % (type(exc).__name__, exc)
+            result.errors[name] = exc
             continue
         result.preps[name] = prep
         result.oracle[name] = oracle_accuracy(prep.test_cm)
@@ -299,7 +299,7 @@ def run_experiment(cfg):
             try:
                 result.cells[(name, method)] = evaluate_method(prep, method, cfg)
             except Exception as exc:
-                result.errors[(name, method)] = "%s: %s" % (type(exc).__name__, exc)
+                result.errors[(name, method)] = exc
     return result
 
 
@@ -309,6 +309,11 @@ def run_experiment(cfg):
 
 def _fmt(x):
     return "%.4f" % x
+
+
+def error_text(exc):
+    """How the reports name an exception kept in ExperimentResult.errors."""
+    return "%s: %s" % (type(exc).__name__, exc)
 
 
 def comparison_rows(result):
@@ -350,7 +355,7 @@ def write_results_csv(result, path):
         for d in result.dataset_names:
             if d in result.errors:
                 w.writerow([d] + [""] * (len(static_names) + len(cfg.methods) + 2)
-                           + [result.errors[d]])
+                           + [error_text(result.errors[d])])
                 continue
             row = [d]
             row += [_fmt(result.static[(d, s)]) if (d, s) in result.static else ""
@@ -360,7 +365,7 @@ def write_results_csv(result, path):
                 cell = result.cells.get((d, m))
                 row.append(_fmt(cell.accuracy) if cell else "")
                 if (d, m) in result.errors:
-                    errs.append("%s: %s" % (m, result.errors[(d, m)]))
+                    errs.append(m + ": " + error_text(result.errors[(d, m)]))
             row.append(_fmt(result.oracle[d]))
             lpr_cell = result.cells.get((d, "lpr"))
             row.append(_fmt(lpr_cell.recourse_rate)
@@ -423,7 +428,7 @@ def append_run_record(result, path):
         "oracle": {d: round(v, 4) for d, v in result.oracle.items()},
         "accuracy": {"%s/%s" % k: round(v.accuracy, 4)
                      for k, v in sorted(result.cells.items())},
-        "errors": {"/".join(k) if isinstance(k, tuple) else k: v
+        "errors": {"/".join(k) if isinstance(k, tuple) else k: error_text(v)
                    for k, v in result.errors.items()},
     }
     with open(path, "a") as fh:
@@ -434,7 +439,7 @@ def append_run_record(result, path):
 # model bundle persistence (used by the train/select commands)
 # ---------------------------------------------------------------------------
 
-BUNDLE_FORMAT = "cshc-bundle/3"
+BUNDLE_FORMAT = "cshc-bundle/4"
 
 
 def save_bundle(prep, cfg, outdir):

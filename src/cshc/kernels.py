@@ -21,9 +21,11 @@ The split search's conventions:
   - candidate thresholds are midpoints between consecutive distinct values
   - ties are broken by lowest feature column, then lowest threshold
 
-Trees are flat node arrays (feat, thr, left, right, leaf_id) in preorder:
-node, left subtree, right subtree. This module owns that layout: `grow`
-writes it, `route` reads it and `check_tree` validates it on load.
+A tree is two flat node arrays, feat and thr, in level order: the j-th
+split node (feat >= 0) has children 2j + 1 and 2j + 2, and the leaves
+(feat -1) are numbered in node order. This module owns that layout:
+`grow` writes it, `layout` derives the children and leaf ids from feat,
+`route` reads them and `check_tree` validates feat and thr on load.
 
 One exact kNN kernel, `nearest`, serves the 1-NN classifier and the kNN
 regions of the neighbourhood baselines. A matrix product gives every
@@ -179,11 +181,11 @@ def grow(vals, sizes, targets, mult, limits=None):
       valid.
 
     Each level makes one call of `best_split` or `gini_split` for all
-    the nodes it scans. Returns one (feat, thr, left, right, leaf_id,
-    leaf_ptr, members) per tree: the node arrays in preorder, feat
-    indexing the columns of vals, and the leaves' members, row indices
-    of vals, grouped by leaf in leaf order and ascending within a leaf:
-    leaf l holds members[leaf_ptr[l]:leaf_ptr[l + 1]].
+    the nodes it scans. Returns one (feat, thr, leaf_ptr, members) per
+    tree: the node arrays in level order, feat indexing the columns of
+    vals, and the leaves' members, row indices of vals, grouped by leaf
+    in leaf order and ascending within a leaf: leaf l holds
+    members[leaf_ptr[l]:leaf_ptr[l + 1]].
     """
     bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     order = np.concatenate([np.argsort(vals[a:b], axis=0, kind="stable") + a
@@ -194,11 +196,10 @@ def grow(vals, sizes, targets, mult, limits=None):
     else:
         max_depth, min_size, min_improvement = limits
     leaf_node = np.empty(bounds[-1], dtype=np.int64)  # each member's leaf
-    # Node ids count the nodes level by level, and a split node's
-    # children take the next two ids of the next level, left then right.
-    # Per level: (tree, feat, thr, first child) of each node, child -1
-    # for a leaf.
-    levels = []
+    # Node ids count the group's nodes level by level. The children of a
+    # level's split nodes make up the next level, in their parents' order,
+    # left then right, so each tree's nodes come in its level order.
+    levels = []  # (tree, feat, thr) of each level's nodes
     tree = np.arange(len(sizes))
     base = depth = 0
     while starts.size:
@@ -206,8 +207,7 @@ def grow(vals, sizes, targets, mult, limits=None):
         node = base + np.arange(K)
         feat = np.full(K, -1, dtype=np.int64)
         thr = np.zeros(K)
-        child = np.full(K, -1, dtype=np.int64)
-        levels.append((tree, feat, thr, child))
+        levels.append((tree, feat, thr))
         first = order[:, 0]
         best = np.add.reduceat(targets[first], starts).max(axis=1)
         if limits is None:
@@ -229,12 +229,24 @@ def grow(vals, sizes, targets, mult, limits=None):
             col, cut = col[split], cut[split]
             i = node - base
             feat[i], thr[i] = col, cut
-            child[i] = base + K + 2 * np.arange(i.size)
             order, starts = _partition(order, starts, vals, col, cut)
             tree = np.repeat(tree[i], 2)
         base += K
         depth += 1
-    return _preorder(levels, leaf_node, len(sizes))
+    # a stable sort by tree gathers each tree's nodes in level order and
+    # its leaves in node order; tree t's members are its bounds[t:t + 2]
+    tree, feat, thr = (np.concatenate(a) for a in zip(*levels))
+    perm = np.argsort(tree, kind="stable")
+    leaf_of = np.empty(perm.size, dtype=np.int64)
+    leaf_of[perm] = np.cumsum(feat[perm] < 0) - 1
+    leaf_of = leaf_of[leaf_node]
+    nodes, leaves = (np.cumsum(np.bincount(t, minlength=len(sizes)))[:-1]
+                     for t in (tree, tree[feat < 0]))
+    return [(f, t, np.concatenate([[0], np.cumsum(n)]), m)
+            for f, t, n, m in zip(
+                np.split(feat[perm], nodes), np.split(thr[perm], nodes),
+                np.split(np.bincount(leaf_of), leaves),
+                np.split(np.argsort(leaf_of, kind="stable"), bounds[1:-1]))]
 
 
 def _keep(order, starts, node, keep, leaf_node):
@@ -273,87 +285,45 @@ def _partition(order, starts, vals, col, cut):
     return out, np.column_stack([starts, starts + seg_left]).ravel()
 
 
-def _preorder(levels, leaf_node, T):
-    """Per tree, the level-numbered nodes renumbered in preorder (node,
-    left subtree, right subtree), as `grow` returns them."""
-    tree, feat, thr, child = (np.concatenate(a) for a in zip(*levels))
-    lo = np.cumsum([0] + [len(level[0]) for level in levels])
-    spans = [np.arange(a, b)[child[a:b] >= 0]  # the split nodes per level
-             for a, b in zip(lo[:-1], lo[1:])]
-    size = np.ones(child.size, dtype=np.int64)  # nodes in each subtree
-    for i in reversed(spans):
-        size[i] += size[child[i]] + size[child[i] + 1]
-    pre = np.zeros(child.size, dtype=np.int64)  # preorder index in its tree
-    for i in spans:
-        pre[child[i]] = pre[i] + 1
-        pre[child[i] + 1] = pre[i] + 1 + size[child[i]]
-    node_base = np.concatenate([[0], np.cumsum(size[:T])])
-    perm = np.empty(child.size, dtype=np.int64)  # node at each position
-    perm[node_base[tree] + pre] = np.arange(child.size)
-    tree, feat, thr, child = tree[perm], feat[perm], thr[perm], child[perm]
-    internal = child >= 0
-    left = np.where(internal, pre[child], -1)
-    right = np.where(internal, pre[child + 1], -1)
-    leaf = np.flatnonzero(~internal)
-    leaf_base = np.concatenate([[0], np.cumsum(np.bincount(
-        tree[leaf], minlength=T))])
-    leaf_id = np.full(child.size, -1, dtype=np.int64)
-    leaf_id[leaf] = np.arange(leaf.size) - leaf_base[tree[leaf]]
-    leaf_of = np.empty(child.size, dtype=np.int64)
-    leaf_of[perm[leaf]] = np.arange(leaf.size)
-    leaf_of = leaf_of[leaf_node]
-    members = np.argsort(leaf_of, kind="stable")
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(
-        leaf_of, minlength=leaf.size))])
-    out = []
-    for t in range(T):
-        a, b = node_base[t], node_base[t + 1]
-        la, lb = leaf_base[t], leaf_base[t + 1]
-        out.append((feat[a:b], thr[a:b], left[a:b], right[a:b],
-                    leaf_id[a:b], ptr[la:lb + 1] - ptr[la],
-                    members[ptr[la]:ptr[lb]]))
-    return out
+def layout(feat):
+    """(left, right, leaf_id) of the tree whose node split features are
+    feat: the j-th split node has children 2j + 1 and 2j + 2 and leaf id
+    -1, and leaves have children -1 and ids 0 .. L - 1 in node order."""
+    split = feat >= 0
+    left = np.where(split, 2 * np.cumsum(split) - 1, -1)
+    return (left, np.where(split, left + 1, -1),
+            np.where(split, -1, np.cumsum(~split) - 1))
 
 
-def check_tree(feat, thr, left, right, leaf_id, n_features):
-    """Raise DataError naming the field unless the arrays hold a tree in
-    the layout `grow` writes; returns the number of leaves.
-
-    Internal node i needs left i + 1, i + 1 < right < N, leaf_id -1 and
-    feat in [0, n_features); leaves need children -1 and leaf ids
-    0 .. L - 1 in node order. Children then always lie after their parent,
-    so `route` ends at a leaf within N steps.
-    """
-    arrays = {"feat": feat, "thr": thr, "left": left, "right": right,
-              "leaf_id": leaf_id}
+def check_tree(feat, thr, n_features):
+    """Raise DataError unless feat and thr hold a tree in the layout
+    `grow` writes: one length N >= 1, feat in [-1, n_features), N = 2K + 1
+    for K splits and each node i >= 1 after its parent split, i <= 2
+    (splits before i), so `route` ends at a leaf within N steps. Returns
+    the number of leaves, K + 1."""
     N = max(feat.size, 1)
-    for name, arr in arrays.items():
+    for name, arr in (("feat", feat), ("thr", thr)):
         if arr.shape != (N,):
             raise DataError("has %r of shape %s, not (%d,)"
                             % (name, arr.shape, N))
-    node = np.arange(N)
-    internal = left >= 0
-    bad = {
-        "left": left != np.where(internal, node + 1, -1),
-        "right": np.where(internal, (right <= node + 1) | (right >= N),
-                          right != -1),
-        "feat": internal & ((feat < 0) | (feat >= n_features)),
-        "leaf_id": leaf_id != np.where(internal, -1,
-                                       np.cumsum(~internal) - 1),
-    }
-    for name, mask in bad.items():
-        if mask.any():
-            i = int(np.argmax(mask))
-            raise DataError("has %r %d at node %d"
-                            % (name, arrays[name][i], i))
-    return int(N - internal.sum())
+    bad = np.flatnonzero((feat < -1) | (feat >= n_features))
+    if bad.size:
+        raise DataError("has 'feat' %d at node %d" % (feat[bad[0]], bad[0]))
+    splits = np.cumsum(feat >= 0)  # splits up to each node
+    orphan = np.arange(1, N) > 2 * splits[:-1]
+    if orphan.any():
+        raise DataError("has no parent split before node %d"
+                        % (np.argmax(orphan) + 1))
+    K = int(splits[-1])
+    if N != 2 * K + 1:
+        raise DataError("has %d nodes for %d splits, not %d"
+                        % (N, K, 2 * K + 1))
+    return K + 1
 
 
 def route(feat, thr, left, right, leaf_id, X):
-    """Route the rows of X through a tree's flat node arrays; returns leaf ids.
-
-    Internal nodes have left >= 0; leaves carry leaf_id >= 0.
-    """
+    """Route the rows of X through a tree's node arrays, left, right and
+    leaf_id being its `layout`; returns leaf ids."""
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.nonzero(left[node] >= 0)[0]
     while rows.size:

@@ -2,10 +2,12 @@
 
 The program grows both kinds of tree level by level, a group of trees at
 a time, with one segmented split scan per level. `grow_tree` and
-`gini_tree` below grow one tree node by node instead, a recursive CSHC
-grower and a stack-built Gini tree, each over the per-column scans of
-`kernels_reference`; the grower tests compare the program's trees with
-them array for array.
+`gini_tree` below grow one tree node by node instead, each from a FIFO
+queue of clusters, over the per-column scans of `kernels_reference`;
+they number the nodes in the order they leave the queue and set each
+split's children as they queue them, so the grower tests compare the
+program's trees, and the children `kernels.layout` derives, with them
+array for array.
 
 The program derives per-leaf correct counts, ranks and class support
 from the leaf members in one pass per forest, gathers a query batch's
@@ -19,6 +21,7 @@ counts per query. `split_gain` scores one split of a weighted cluster
 from its definition.
 """
 
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,85 +110,77 @@ def split_gain(member_rows, member_mult, feature, threshold, correct, features):
 
 
 def grow_tree(rows, mult, cfg, correct, features, allowed):
-    """Recursively partition the weighted cluster (rows, mult) into a Tree.
+    """Partition the weighted cluster (rows, mult) into a Tree, one
+    cluster of a FIFO queue at a time.
 
     A node becomes a leaf when the depth limit is reached, no candidate
     split keeps both children at min_cluster_size, the parent's best
     count is already unbeatable (zero), or the best gain falls below
-    min_improvement * parent best count.
+    min_improvement * parent best count. The Tree's left, right and
+    leaf_id are the queue's, not derived from feat.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    mult = np.asarray(mult, dtype=np.float64)
-    nodes = []   # [feat, thr, left, right, leaf_id] per node, in preorder
-    leaves = []  # (rows, mult) per leaf, in preorder
-
-    def grow(rows, mult, depth):
-        i = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, -1])
+    feat, thr, left, right, leaf_id = [], [], [], [], []
+    leaves = []  # (rows, mult) per leaf, in node order
+    queue = deque([(np.asarray(rows, dtype=np.int64),
+                    np.asarray(mult, dtype=np.float64), 0)])
+    while queue:
+        rows, mult, depth = queue.popleft()
+        i = len(feat)
+        for a, v in zip((feat, thr, left, right, leaf_id),
+                        (-1, 0.0, -1, -1, -1)):
+            a.append(v)
         wc = mult[:, None] * correct[rows]
-        counts = wc.sum(axis=0)
-        parent_best = counts.max()
+        parent_best = wc.sum(axis=0).max()
         if depth < cfg.max_depth and parent_best != 0.0:
             vals = np.ascontiguousarray(features[rows][:, allowed])
-            gain, col, thr = kernels_reference.best_split(
+            gain, col, t = kernels_reference.best_split(
                 vals, np.ascontiguousarray(wc), mult,
                 float(cfg.min_cluster_size))
             if col >= 0 and gain >= cfg.min_improvement * parent_best:
-                feature = int(allowed[col])
-                go_left = features[rows, feature] <= thr
-                nodes[i][:2] = feature, float(thr)
-                nodes[i][2] = grow(rows[go_left], mult[go_left], depth + 1)
-                nodes[i][3] = grow(rows[~go_left], mult[~go_left], depth + 1)
-                return i
-        nodes[i][4] = len(leaves)
+                feat[i], thr[i] = int(allowed[col]), float(t)
+                left[i], right[i] = i + 1 + len(queue), i + 2 + len(queue)
+                go_left = features[rows, feat[i]] <= t
+                queue.append((rows[go_left], mult[go_left], depth + 1))
+                queue.append((rows[~go_left], mult[~go_left], depth + 1))
+                continue
+        leaf_id[i] = len(leaves)
         leaves.append((rows, mult))
-        return i
-
-    grow(rows, mult, 0)
-    feat, thr, left, right, leaf_id = zip(*nodes)
     sizes = [r.size for r, _ in leaves]
-    return Tree(
+    tree = Tree(
         feat=np.asarray(feat, dtype=np.int64),
         thr=np.asarray(thr, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        leaf_id=np.asarray(leaf_id, dtype=np.int64),
         leaf_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
         leaf_rows=np.concatenate([r for r, _ in leaves]),
         leaf_mult=np.concatenate([m for _, m in leaves]))
+    tree.left, tree.right, tree.leaf_id = (
+        np.asarray(a, dtype=np.int64) for a in (left, right, leaf_id))
+    return tree
 
 
 def gini_tree(Z, y, C):
     """(feat, thr, left, right, leaf_id, leaf_proba) of the unpruned Gini
-    tree over the rows of Z with labels y in [0, C)."""
+    tree over the rows of Z with labels y in [0, C), grown from a FIFO
+    queue of clusters."""
     feat, thr, left, right, leaf_id = [], [], [], [], []
     leaf_proba = []
-    # explicit stack: unpruned trees can outgrow the recursion limit
-    stack = [(np.arange(Z.shape[0]), -1, False)]
-    while stack:
-        rows, parent, is_left = stack.pop()
-        node = len(feat)
-        if parent >= 0:
-            if is_left:
-                left[parent] = node
-            else:
-                right[parent] = node
-        feat.append(-1)
-        thr.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_id.append(-1)
+    queue = deque([np.arange(Z.shape[0])])
+    while queue:
+        rows = queue.popleft()
+        i = len(feat)
+        for a, v in zip((feat, thr, left, right, leaf_id),
+                        (-1, 0.0, -1, -1, -1)):
+            a.append(v)
         counts = np.bincount(y[rows], minlength=C).astype(float)
         if counts.max() < rows.size:  # impure: split whenever possible
             gain, col, t = kernels_reference.gini_split(Z[rows], y[rows], C)
             if col >= 0:
-                feat[node] = int(col)
-                thr[node] = float(t)
+                feat[i], thr[i] = int(col), float(t)
+                left[i], right[i] = i + 1 + len(queue), i + 2 + len(queue)
                 mask = Z[rows, col] <= t
-                stack.append((rows[~mask], node, False))
-                stack.append((rows[mask], node, True))
+                queue.append(rows[mask])
+                queue.append(rows[~mask])
                 continue
-        leaf_id[node] = len(leaf_proba)
+        leaf_id[i] = len(leaf_proba)
         leaf_proba.append(counts / counts.sum())
     return (np.asarray(feat, dtype=np.int64), np.asarray(thr),
             np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),

@@ -8,11 +8,13 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cshc
+from cshc import kernels
 from cshc.cli import main
 from test_harness import tiny_experiment_config
 
@@ -78,7 +80,7 @@ def split_bundle(tmp_path_factory):
     assert main(["train", "--data", data, "--label", "label",
                  "--out", bundle_dir, "--seed", "5"]) == 0
     with open(os.path.join(bundle_dir, "forest.json")) as fh:
-        assert json.load(fh)["trees"][0]["left"][0] >= 0
+        assert json.load(fh)["trees"][0]["feat"][0] >= 0
     return bundle_dir
 
 
@@ -130,32 +132,35 @@ class TestSelectInput:
 
     def test_parent_bundle_format_rejected(self, trained_bundle, tmp_path,
                                            capsys):
-        """A bundle of the previous format, whose models.json entries
-        carry a hyperparameter dict and a scaler object, is refused by its
-        format, not read field by field."""
+        """A bundle of the previous format, whose trees also store left,
+        right and leaf_id, is refused by its format, not read field by
+        field."""
         bundle_dir = str(tmp_path / "parent")
         shutil.copytree(trained_bundle, bundle_dir)
-        path = os.path.join(bundle_dir, "models.json")
-        with open(path) as fh:
-            models = json.load(fh)
-        for state in models:
-            mean = state.pop("mean", [0.0, 0.0])
-            scale = state.pop("scale", [1.0, 1.0])
-            state["hyperparams"] = {}
-            state["scaler"] = {"mean": mean, "scale": scale}
-        with open(path, "w") as fh:
-            json.dump(models, fh)
+        files = {}
+        for name in ("forest.json", "models.json"):
+            with open(os.path.join(bundle_dir, name)) as fh:
+                files[name] = json.load(fh)
+        files["forest.json"]["format"] = "cshc-forest/3"
+        for tree in files["forest.json"]["trees"] + [
+                m for m in files["models.json"]
+                if m["kind"] == "decision_tree_gini"]:
+            tree.update(zip(("left", "right", "leaf_id"), (
+                a.tolist() for a in kernels.layout(np.array(tree["feat"])))))
+        for name, data in files.items():
+            with open(os.path.join(bundle_dir, name), "w") as fh:
+                json.dump(data, fh)
         path = os.path.join(bundle_dir, "meta.json")
         with open(path) as fh:
             text = fh.read()
         with open(path, "w") as fh:
-            fh.write(_replaced(text, "cshc-bundle/2", "format"))
+            fh.write(_replaced(text, "cshc-bundle/3", "format"))
         query = tmp_path / "query.csv"
         query.write_text("x0,x1\n-2.0,0.1\n")
         assert main(["select", "--model", bundle_dir, "--input",
                      str(query)]) == 2
-        assert ("unsupported bundle format 'cshc-bundle/2'; this program "
-                "reads 'cshc-bundle/3'") in capsys.readouterr().err
+        assert ("unsupported bundle format 'cshc-bundle/3'; this program "
+                "reads 'cshc-bundle/4'") in capsys.readouterr().err
 
 
 class TestSelectFiles:
@@ -357,24 +362,25 @@ class TestSelectFiles:
         assert main(["select", "--model", bundle_dir, "--input",
                      str(query), "--output", str(tmp_path / "sel.csv")]) == 0
 
-    @pytest.mark.parametrize("name,field,value,message", [
-        ("forest.json", "left", 0, "has 'left' 0 at node 0"),
-        ("forest.json", "right", 10 ** 6, "has 'right' 1000000 at node 0"),
-        ("forest.json", "leaf_id", 99, "has 'leaf_id' 99 at node "),
-        ("models.json", "left", 0,
-         "classifier 2: has 'left' 0 at node 0"),
-        ("models.json", "feat", -1,
-         "classifier 2: has 'feat' -1 at node 0"),
-        ("models.json", "leaf_id", 99,
-         "classifier 2: has 'leaf_id' 99 at node "),
+    @pytest.mark.parametrize("name,node,value,message", [
+        ("forest.json", 0, -1, "has no parent split before node 1"),
+        ("forest.json", -1, 0, "has %(n)d nodes for %(k)d splits, not %(m)d"),
+        ("forest.json", 0, 99, "has 'feat' 99 at node 0"),
+        ("models.json", 0, -1,
+         "classifier 2: has no parent split before node 1"),
+        ("models.json", 0, -2, "classifier 2: has 'feat' -2 at node 0"),
+        ("models.json", -1, 0,
+         "classifier 2: has %(n)d nodes for %(k)d splits, not %(m)d"),
     ], ids=["forest-cyclic", "forest-right-out-of-range",
-            "forest-leaf-id-out-of-range",
-            "gini-cyclic", "gini-feat-negative", "gini-leaf-id-out-of-range"])
-    def test_bad_tree_exits_2(self, split_bundle, tmp_path, name, field,
+            "forest-feat-out-of-range",
+            "gini-cyclic", "gini-feat-negative", "gini-right-out-of-range"])
+    def test_bad_tree_exits_2(self, split_bundle, tmp_path, name, node,
                               value, message):
         """A tree that route could loop in or index out of fails the load.
-        The root of the first tree that splits is changed; select runs in
-        a subprocess so that a hang fails the test."""
+        One feat of the first tree whose root and node 1 split is changed:
+        the root to a leaf makes node 1 split 0, its own left child, and
+        the last leaf to a split puts its children past the last node.
+        select runs in a subprocess so that a hang fails the test."""
         bundle_dir = str(tmp_path / "bad-tree")
         shutil.copytree(split_bundle, bundle_dir)
         path = os.path.join(bundle_dir, name)
@@ -382,11 +388,10 @@ class TestSelectFiles:
             data = json.load(fh)
         trees = (data["trees"] if name == "forest.json" else
                  [m for m in data if m["kind"] == "decision_tree_gini"])
-        tree = next(t for t in trees if t["left"][0] >= 0)
-        if field == "leaf_id":
-            tree[field] = [value if i >= 0 else i for i in tree[field]]
-        else:
-            tree[field][0] = value
+        tree = next(t for t in trees if min(t["feat"][:2]) >= 0)
+        tree["feat"][node] = value
+        n = len(tree["feat"])
+        message %= {"n": n, "k": (n + 1) // 2, "m": n + 2}
         with open(path, "w") as fh:
             json.dump(data, fh)
         query = tmp_path / "query.csv"
@@ -595,10 +600,10 @@ class TestTrainExternal:
         data, ini = wide_external
         assert main(["evaluate", "--config", ini, "--data", data, "--label",
                      "label", "--protocol", "cv3",
-                     "--out", str(tmp_path / "out")]) == 1
+                     "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert ("dataset failed: DataError: training 'e' failed on fold 0: "
-                + self.message) in err, err
+        assert ("error: training 'e' failed on fold 0: " + self.message) \
+            in err, err
 
 
 class TestEvaluate:
@@ -650,6 +655,17 @@ class TestEvaluate:
             ["cshc", "0", "0", "1", "0.0000"], ["rr", "0", "1", "0"],
             ["mv", "0", "1", "0"], ["ola", "0", "0", "1", "0.0000"],
             ["oracle", "0", "0", "1", "0.0000"]]
+
+    def test_methods_flag_splits_like_the_config(self, tmp_path, capsys):
+        """--methods takes the config's rule: comma or whitespace
+        separated."""
+        data = write_tiny_csv(tmp_path)
+        for i, methods in enumerate(["cshc rr", "cshc, rr", "cshc,rr"]):
+            assert main(["evaluate", "--data", data, "--label", "label",
+                         "--out", str(tmp_path / ("out%d" % i)),
+                         "--methods", methods, "--reference", "rr"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split()[0] for line in lines[1:]] == ["cshc", "rr"]
 
     def test_k_zero_exits_2(self, tmp_path, capsys):
         data = write_tiny_csv(tmp_path)
@@ -802,6 +818,40 @@ class TestCompare:
         assert proc.stdout.splitlines()[-1] == \
             "note: no dataset completed every method"
         assert (out / "results.csv").exists() and (out / "runs.jsonl").exists()
+
+
+class TestMalformedDataset:
+    """A dataset CSV the reader refuses exits 2 with the reader's message
+    on the single-dataset commands, as on train."""
+
+    message = "row 2, column 'x1': non-numeric value 'oops'"
+
+    @pytest.fixture
+    def bad_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1,label\n1.0,oops,a\n2.0,3.0,b\n")
+        return str(path)
+
+    def test_evaluate_exits_2(self, bad_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--data", bad_csv, "--label", "label",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: ") and \
+            self.message in err.splitlines()[-1], err
+        assert (out / "results.csv").exists() and (out / "runs.jsonl").exists()
+
+    def test_export_viz_exits_2(self, bad_csv, tmp_path, capsys):
+        assert main(["export-viz", "--data", bad_csv, "--label", "label",
+                     "--out", str(tmp_path / "o"), "--method", "rr"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and self.message in err, err
+
+    def test_train_exits_2(self, bad_csv, tmp_path, capsys):
+        assert main(["train", "--data", bad_csv, "--label", "label",
+                     "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and self.message in err, err
 
 
 class TestExportViz:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cshc.config import (DEFAULT_METHODS, SCHEMA, ExperimentConfig,
-                         load_config)
+                         load_config, split_list)
 from cshc.data import DataError
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -28,6 +28,17 @@ def test_defaults_without_file():
     assert cfg.knn_k == 7
     assert cfg.mcb_similarity == 0.7
     assert list(cfg.methods) == list(DEFAULT_METHODS)
+
+
+@pytest.mark.parametrize("raw", ["cshc,rr,lp", "cshc, rr, lp",
+                                 "cshc rr lp", " cshc\trr ,lp ,"])
+def test_methods_list_rule(tmp_path, raw):
+    """The INI's methods and --methods split by one rule: commas or
+    whitespace."""
+    ini = tmp_path / "m.ini"
+    ini.write_text("[experiment]\nmethods = %s\n" % raw)
+    assert load_config(str(ini)).methods == split_list(raw) == [
+        "cshc", "rr", "lp"]
 
 
 def test_full_file(tmp_path):

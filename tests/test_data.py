@@ -255,6 +255,24 @@ class TestMakeSplit:
         merged = np.sort(np.concatenate([plan.train_indices, plan.test_indices]))
         assert np.array_equal(merged, np.arange(83))
 
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.integers(2, 40), min_size=2, max_size=6),
+           st.floats(0.01, 0.99), st.integers(0, 99))
+    def test_test_side_size(self, sizes, fraction, seed):
+        """The test side gets round(fraction * n) rows, clamped to
+        [1, n - 1], or every row but one of each class when that is
+        fewer."""
+        C = len(sizes)
+        labels = np.repeat(np.arange(C), sizes)
+        n = labels.size
+        ds = Dataset(np.zeros((n, 1)), labels, ["a"],
+                     ["c%d" % c for c in range(C)])
+        target = min(max(int(np.floor(fraction * n + 0.5)), 1), n - 1)
+        plan = make_split(ds, fraction, seed)
+        assert plan.test_indices.size == min(target, n - C)
+        assert (np.bincount(labels[plan.train_indices], minlength=C)
+                >= 1).all()
+
 
 class TestCorrectnessMatrix:
     def test_recompute_matches_stored(self):

@@ -14,6 +14,7 @@ from scipy.stats import rankdata
 
 import cshc.forest as forest_module
 import forest_reference
+from cshc import kernels
 from cshc.classifiers import ClassifierSpec, train
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, Dataset
@@ -62,11 +63,21 @@ def is_leaf(tree, node):
     return tree.left[node] < 0
 
 
-def tree_depth(tree, node=0):
+def tree_depth(feat):
+    """Levels below the root of the tree whose split features are feat."""
+    left, right, _ = kernels.layout(feat)
+    depth = np.zeros(feat.size, dtype=np.int64)
+    for i in np.flatnonzero(feat >= 0):  # a parent comes before its children
+        depth[left[i]] = depth[right[i]] = depth[i] + 1
+    return int(depth.max())
+
+
+def subtree_leaves(tree, node):
+    """Leaf ids of the subtree under node."""
     if is_leaf(tree, node):
-        return 0
-    return 1 + max(tree_depth(tree, tree.left[node]),
-                   tree_depth(tree, tree.right[node]))
+        return [int(tree.leaf_id[node])]
+    return (subtree_leaves(tree, tree.left[node])
+            + subtree_leaves(tree, tree.right[node]))
 
 
 class TestConfigArithmetic:
@@ -127,7 +138,7 @@ class TestGrowTree:
         assert not is_leaf(tree, 0)
         assert tree.feat[0] == 0
         assert tree.thr[0] == 2.5
-        # preorder: root, its left leaf, its right leaf
+        # level order: root, its left leaf, its right leaf
         assert tree.left[0] == 1 and tree.right[0] == 2
         assert is_leaf(tree, 1) and is_leaf(tree, 2)
         assert tree.leaf_id.tolist() == [-1, 0, 1]
@@ -160,7 +171,7 @@ class TestGrowTree:
         correct = rng.integers(0, 2, size=(16, 2)).astype(float)
         tree = grow_group([(np.arange(16), np.ones(16), np.array([0]))],
                           cfg, correct, features)[0]
-        assert tree_depth(tree) <= 1
+        assert tree_depth(tree.feat) <= 1
 
 
 def region_forest(seed=0, n_trees=10):
@@ -249,9 +260,7 @@ class TestQuery:
         leaf_ids, cumulative, dominant = query_batch(forest, x)
         assert leaf_ids.shape == (1, forest.n_trees)
         assert cumulative.shape == (1, 2) and dominant.shape == (1,)
-        # in preorder the root's left subtree is nodes 1 .. right[0] - 1
-        left_leaves = tree.leaf_id[1:tree.right[0]]
-        assert leaf_ids[0, 0] in left_leaves[left_leaves >= 0]
+        assert leaf_ids[0, 0] in subtree_leaves(tree, tree.left[0])
 
     def test_single_leaf_forest_bundle(self):
         cm = make_cm([[0, 1], [1, 0]], [0, 1])
@@ -311,9 +320,8 @@ class TestSerialization:
         forest, cm, ds, _ = region_forest()
         d1 = forest_to_dict(forest)
         assert list(d1) == ["format", "trees"]
-        assert list(d1["trees"][0]) == [f.name for f in fields(Tree)] == [
-            "feat", "thr", "left", "right", "leaf_id", "leaf_ptr",
-            "leaf_rows", "leaf_mult"]
+        assert list(d1["trees"][0]) == [
+            "feat", "thr", "leaf_ptr", "leaf_rows", "leaf_mult"]
         restored = forest_from_dict(d1, cm, ds.n_features)
         assert forest_to_dict(restored) == d1
         q1 = query_batch(forest, ds.features[:10])
@@ -443,16 +451,18 @@ def grow_cases(draw):
 
 
 def assert_same_tree(got, want):
-    """Every field of two Trees is equal, dtype included."""
+    """Every field of two Trees is equal, dtype included: the derived
+    left, right and leaf_id too."""
     for f in fields(Tree):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 def assert_same_gini_tree(model, Z, labels, n):
-    """A trained Gini tree equals the stack-built reference over Z."""
+    """A trained Gini tree, and the children and leaf ids `kernels.layout`
+    derives from it, equal the queue-built reference over Z."""
     want = forest_reference.gini_tree(Z, labels, n)
-    got = (model.feat, model.thr, model.left, model.right, model.leaf_id,
+    got = (model.feat, model.thr, *kernels.layout(model.feat),
            model.leaf_proba)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -490,7 +500,7 @@ class TestGrowOracle:
         ds = Dataset(features, labels, ["f%d" % j for j in range(F)],
                      ["c%d" % c for c in range(C)])
         model = train(ClassifierSpec("decision_tree_gini"), ds)
-        assert tree_depth(model) >= 20
+        assert tree_depth(model.feat) >= 20
         assert_same_gini_tree(model, features, labels, C)
 
 
@@ -524,7 +534,7 @@ class TestGroupedBuild:
     @settings(max_examples=40)
     @given(forest_cases())
     def test_every_group_budget_grows_the_reference_trees(self, case):
-        """However many trees grow together, each is the recursive
+        """However many trees grow together, each is the queue-built
         reference's tree over the draws of its substream."""
         cm, ds, cfg = case
         M, F = ds.features.shape

@@ -217,19 +217,24 @@ def _toy_tree():
     # node0: x0 <= 1.5 -> leaf0 else node2: x1 <= 0 -> leaf1 else leaf2
     feat = np.array([0, -1, 1, -1, -1], dtype=np.int64)
     thr = np.array([1.5, 0.0, 0.0, 0.0, 0.0])
-    left = np.array([1, -1, 3, -1, -1], dtype=np.int64)
-    right = np.array([2, -1, 4, -1, -1], dtype=np.int64)
-    leaf_id = np.array([-1, 0, -1, 1, 2], dtype=np.int64)
-    return feat, thr, left, right, leaf_id
+    return feat, thr
+
+
+def test_layout_numbers_children_and_leaves_in_node_order():
+    left, right, leaf_id = kernels.layout(_toy_tree()[0])
+    assert left.tolist() == [1, -1, 3, -1, -1]
+    assert right.tolist() == [2, -1, 4, -1, -1]
+    assert leaf_id.tolist() == [-1, 0, -1, 1, 2]
 
 
 def test_route_boundary_goes_left():
-    feat, thr, left, right, leaf_id = _toy_tree()
+    feat, thr = _toy_tree()
     X = np.array([[1.5, 9.0],   # on the boundary -> left
                   [1.6, 0.0],   # right then boundary -> left
                   [1.6, 0.1],
                   [0.0, 5.0]])
-    got = kernels.route(feat, thr, left, right, leaf_id, np.ascontiguousarray(X))
+    got = kernels.route(feat, thr, *kernels.layout(feat),
+                        np.ascontiguousarray(X))
     assert got.tolist() == [0, 1, 2, 0]
 
 
@@ -238,32 +243,46 @@ class TestCheckTree:
         assert kernels.check_tree(*_toy_tree(), n_features=2) == 3
 
     @pytest.mark.parametrize("field,node,value,message", [
-        ("left", 0, 0, "has 'left' 0 at node 0"),       # a cycle
-        ("left", 2, 4, "has 'left' 4 at node 2"),       # not the next node
-        ("left", 1, -2, "has 'left' -2 at node 1"),     # a leaf child not -1
-        ("right", 0, 1, "has 'right' 1 at node 0"),     # the left child
-        ("right", 2, 5, "has 'right' 5 at node 2"),     # past the last node
-        ("right", 3, 4, "has 'right' 4 at node 3"),     # a leaf with a child
-        ("feat", 2, 2, "has 'feat' 2 at node 2"),
-        ("feat", 0, -1, "has 'feat' -1 at node 0"),
-        ("leaf_id", 4, 99, "has 'leaf_id' 99 at node 4"),
-        ("leaf_id", 3, 2, "has 'leaf_id' 2 at node 3"),  # out of node order
-        ("leaf_id", 2, 0, "has 'leaf_id' 0 at node 2"),  # on an internal node
+        ("feat", 2, 2, "has 'feat' 2 at node 2"),    # past the features
+        ("feat", 3, -2, "has 'feat' -2 at node 3"),  # below -1
+        # node 1 becomes split 0, so its own left child: a cycle
+        ("feat", 0, -1, "has no parent split before node 1"),
+        # node 2 becomes a leaf: only one split is left, for nodes 1 and 2
+        ("feat", 2, -1, "has no parent split before node 3"),
+        # a third split, whose children 5 and 6 lie past the last node
+        ("feat", 4, 0, "has 5 nodes for 3 splits, not 7"),
     ])
     def test_rejects_bad_field(self, field, node, value, message):
-        arrays = dict(zip(("feat", "thr", "left", "right", "leaf_id"),
-                          _toy_tree()))
+        arrays = dict(zip(("feat", "thr"), _toy_tree()))
         arrays[field][node] = value
         with pytest.raises(DataError) as exc:
             kernels.check_tree(n_features=2, **arrays)
         assert str(exc.value) == message
 
     def test_rejects_unequal_lengths(self):
-        feat, thr, left, right, leaf_id = _toy_tree()
+        feat, thr = _toy_tree()
         with pytest.raises(DataError,
                            match=r"has 'thr' of shape \(4,\), not \(5,\)"):
-            kernels.check_tree(feat, thr[:4], left, right, leaf_id, 2)
+            kernels.check_tree(feat, thr[:4], 2)
         empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(DataError,
                            match=r"has 'feat' of shape \(0,\), not"):
-            kernels.check_tree(empty, thr, left, right, leaf_id, 2)
+            kernels.check_tree(empty, thr, 2)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.lists(st.integers(-1, 1), min_size=1, max_size=11))
+    def test_passes_exactly_the_trees(self, feat):
+        """A feat passes exactly when its layout is a tree: the splits'
+        children are the nodes 1 .. N - 1, each once, each after its
+        parent."""
+        feat = np.array(feat, dtype=np.int64)
+        left, right, _ = kernels.layout(feat)
+        split = np.flatnonzero(feat >= 0)
+        children = np.concatenate([left[split], right[split]])
+        if (sorted(children.tolist()) == list(range(1, feat.size))
+                and (children > np.tile(split, 2)).all()):
+            assert kernels.check_tree(feat, np.zeros(feat.size), 2) \
+                == split.size + 1
+        else:
+            with pytest.raises(DataError):
+                kernels.check_tree(feat, np.zeros(feat.size), 2)

@@ -40,8 +40,7 @@ def plain_cm(n, n_classes=2):
 def bundle_forest(bundle, cm):
     """A forest of one single-leaf tree whose leaf holds the hand-built
     bundle's members (rows, mult) over the validation rows of cm."""
-    tree = Tree(feat=np.array([-1]), thr=np.zeros(1), left=np.array([-1]),
-                right=np.array([-1]), leaf_id=np.array([0]),
+    tree = Tree(feat=np.array([-1]), thr=np.zeros(1),
                 leaf_ptr=np.array([0, bundle.rows.size]),
                 leaf_rows=bundle.rows, leaf_mult=bundle.mult)
     return Forest([tree], cm, 1)
