@@ -110,10 +110,15 @@ def _run_and_report(cfg):
                     prep, cell,
                     os.path.join(cfg.outdir, "trace_%s_%s.csv" % (name, method)))
     harness.append_run_record(result, os.path.join(cfg.outdir, "runs.jsonl"))
-    for key, exc in sorted(result.errors.items()):
+    return result
+
+
+def _warn(errors):
+    """One stderr line per failed dataset or (dataset, method) cell, in
+    the order the sweep met them."""
+    for key, exc in errors.items():
         print("warning: %s failed: %s" % (key, harness.error_text(exc)),
               file=sys.stderr)
-    return result
 
 
 def _failed(what, exc):
@@ -130,6 +135,7 @@ def cmd_evaluate(args):
     name = result.dataset_names[0]
     if name in result.errors:
         return _failed("dataset failed", result.errors[name])
+    _warn(result.errors)
     print("dataset %s (oracle %.2f%%)" % (name, result.oracle[name]))
     for method in cfg.methods:
         cell = result.cells.get((name, method))
@@ -146,6 +152,7 @@ def cmd_compare(args):
     if not cfg.datasets:
         raise DataError("compare needs a config file with a [data] section")
     result = _run_and_report(cfg)
+    _warn(result.errors)
     rows, kept = harness.comparison_rows(result)
     print("compared %d methods on %d dataset(s); reference=%s"
           % (len(cfg.methods), len(kept), cfg.reference))

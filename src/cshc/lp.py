@@ -122,15 +122,19 @@ def _merge_equivalent(inst):
     """Group samples sharing (truth, label row); multiplicities add.
     Groups are numbered in order of first appearance."""
     key = np.column_stack([inst.y, inst.L])
-    _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    group_of = rank[inverse.ravel()]
-    merged_m = np.zeros(order.size, dtype=np.int64)
-    np.add.at(merged_m, group_of, inst.m)
-    rows = first[order]
+    # a stable sort keeps each group's rows in sample order, so a group
+    # starts at its first sample
+    order = np.lexsort(key.T)
+    ordered = key[order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(start)
+    first = order[starts]
+    by_first = np.argsort(first)
+    group_of = np.empty_like(order)
+    group_of[order] = np.argsort(by_first)[np.cumsum(start) - 1]
+    merged_m = np.add.reduceat(inst.m[order], starts)[by_first]
+    rows = first[by_first]
     return merged_m, inst.y[rows], inst.L[rows], group_of
 
 

@@ -9,6 +9,7 @@ whole batch as arrays, and a query's outcome depends on its own row
 alone.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ _STREAM = {"rr": 0x11, "lp": 0x12}
 # exits in the order it tries them
 EXITS = ("cshc", "rr", "lp", "lpr-agree", "lpr-cshc-match", "lpr-dominant",
          "lpr-fallback")
+
+# threads solving a batch's LP cache misses; fixed, never derived from input
+_LP_WORKERS = 2
 
 
 @dataclass
@@ -88,21 +92,37 @@ def _cshc(cumulative, validation_accuracy):
 def _lp_weights(forest, leaf_ids, sample_ids, gamma, cache):
     """(Q, n) LP-optimal weights over each row's leaf members.
 
-    The LP is solved once per distinct row of leaf ids, in order of first
-    appearance, and the solution kept in cache under (leaf ids, gamma).
+    The LP is solved once per distinct row of leaf ids and the solution
+    kept in cache under (leaf ids, gamma). A batch's cache misses are
+    solved on _LP_WORKERS threads (HiGHS releases the interpreter lock)
+    and stored in order of first appearance; each solution depends on
+    its instance alone, so the outputs do not depend on the threads.
     """
     cm = forest.cm
-    weights = np.empty((leaf_ids.shape[0], cm.n_classifiers))
-    for q, ids in enumerate(leaf_ids):
-        key = (ids.tobytes(), float(gamma))
+    keys = [(ids.tobytes(), float(gamma)) for ids in leaf_ids]
+    misses = {}  # key -> first row that needs it
+    for q, key in enumerate(keys):
         if key not in cache:
-            rows, mult = forest.member_union(ids)
+            misses.setdefault(key, q)
+
+    def solve(q):
+        rows, mult = forest.member_union(leaf_ids[q])
+        return lp_mod.solve(lp_mod.build_instance(rows, mult, cm, gamma))
+
+    pool = ThreadPoolExecutor(_LP_WORKERS)
+    try:
+        # map re-raises in submission order: the first failing sample
+        solutions = pool.map(solve, misses.values())
+        for key, q in misses.items():
             try:
-                cache[key] = lp_mod.solve(
-                    lp_mod.build_instance(rows, mult, cm, gamma))
+                cache[key] = next(solutions)
             except lp_mod.LpSolverError as exc:
                 raise lp_mod.LpSolverError(
                     "sample %d: %s" % (sample_ids[q], exc)) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+    weights = np.empty((len(keys), cm.n_classifiers))
+    for q, key in enumerate(keys):
         weights[q] = cache[key].w
     return weights
 

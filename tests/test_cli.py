@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cshc
-from cshc import kernels
+from cshc import harness, kernels
 from cshc.cli import main
 from test_harness import tiny_experiment_config
 
@@ -819,6 +819,30 @@ class TestCompare:
             "note: no dataset completed every method"
         assert (out / "results.csv").exists() and (out / "runs.jsonl").exists()
 
+    def test_failed_dataset_and_failed_cell_both_warn(self, tmp_path, capsys,
+                                                      monkeypatch):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,x1,label\n1.0,oops,a\n2.0,3.0,b\n")
+        good = write_tiny_csv(tmp_path)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nmethods = cshc, rr\nreference = cshc\n"
+                       "[cshc]\nn_trees = 4\n"
+                       "[data]\nbad = %s\ngood = %s\n" % (bad, good))
+        real = harness.evaluate_method
+
+        def failing(prep, method, cfg):
+            if method == "rr":
+                raise RuntimeError("boom")
+            return real(prep, method, cfg)
+
+        monkeypatch.setattr(harness, "evaluate_method", failing)
+        assert main(["compare", "--config", str(cfg), "--out",
+                     str(tmp_path / "cmp")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2, err
+        assert err[0].startswith("warning: bad failed: DataError: ")
+        assert err[1] == "warning: ('good', 'rr') failed: RuntimeError: boom"
+
 
 class TestMalformedDataset:
     """A dataset CSV the reader refuses exits 2 with the reader's message
@@ -837,8 +861,8 @@ class TestMalformedDataset:
         assert main(["evaluate", "--data", bad_csv, "--label", "label",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith("error: ") and \
-            self.message in err.splitlines()[-1], err
+        assert err.count(self.message) == 1, err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
         assert (out / "results.csv").exists() and (out / "runs.jsonl").exists()
 
     def test_export_viz_exits_2(self, bad_csv, tmp_path, capsys):

@@ -3,7 +3,7 @@ simplex, the discrete weight grid, and scipy's public linprog."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cshc import lp
@@ -195,6 +195,58 @@ class TestProperties:
         for have, want in zip(got, merge_equivalent(inst)):
             assert have.dtype == want.dtype
             assert np.array_equal(have, want)
+
+
+def unique_merge(inst):
+    """The row-wise np.unique(axis=0) merge, groups renumbered in order of
+    first appearance. Returns (m, y, L, group_of)."""
+    key = np.column_stack([inst.y, inst.L])
+    _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group_of = rank[inverse.ravel()]
+    merged_m = np.zeros(order.size, dtype=np.int64)
+    np.add.at(merged_m, group_of, inst.m)
+    rows = first[order]
+    return merged_m, inst.y[rows], inst.L[rows], group_of
+
+
+@st.composite
+def merge_instances(draw):
+    """Samples drawn from a few distinct (truth, label row) pairs, so that
+    groups repeat, with rows up to 40 classifiers wide: at 3 classes,
+    3^41 exceeds 2^63, so no mixed-radix int64 key holds such a row."""
+    n = draw(st.sampled_from([1, 2, 5, 40]))
+    C = draw(st.integers(2, 4))
+    label = st.integers(0, C - 1)
+    distinct = draw(st.lists(st.lists(label, min_size=n + 1, max_size=n + 1),
+                             min_size=1, max_size=6))
+    k = draw(st.integers(1, 30))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=k,
+                          max_size=k))
+    rows = np.asarray(distinct)[picks]
+    m = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return LpInstance(n=n, n_classes=C, m=m, y=rows[:, 0], L=rows[:, 1:],
+                      gamma=80.0)
+
+
+class TestMergeOracle:
+    @settings(max_examples=100)
+    @given(merge_instances())
+    @example(LpInstance(n=40, n_classes=3, m=[2], y=[2], L=[[2] * 40]))
+    @example(LpInstance(n=40, n_classes=3, m=[1, 2, 3, 4], y=[2, 2, 1, 2],
+                        L=[[2] * 40, [2] * 39 + [1], [2] * 40, [2] * 40]))
+    def test_matches_unique_merge(self, inst):
+        got = _merge_equivalent(inst)
+        for have, want in zip(got, unique_merge(inst)):
+            assert have.dtype == want.dtype
+            assert np.array_equal(have, want)
+        # numbered by first appearance: scanning the samples meets the
+        # groups as 0, 1, 2, ...
+        _, first = np.unique(got[3], return_index=True)
+        assert np.array_equal(got[3][np.sort(first)], np.arange(first.size))
 
 
 @st.composite

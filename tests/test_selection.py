@@ -1,5 +1,6 @@
 """Voting, strategy selection and the recourse chain over query batches."""
 
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -436,6 +437,72 @@ class TestBatchEqualsSingle:
         # lpr reuses every solution lp left in the shared cache
         self.run("lpr", forest, X, labels, sample_ids, cache)
         assert len(solved) == len(distinct)
+
+    @pytest.mark.parametrize("method", ["lp", "lpr"])
+    def test_one_and_two_workers_give_the_same_bytes(self, monkeypatch,
+                                                     method):
+        forest, X, labels, sample_ids = self.batch_case()
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(selection, "_LP_WORKERS", workers)
+            cache = {}
+            runs.append((cache, self.run(method, forest, X, labels,
+                                         sample_ids, cache)))
+        (cache1, got1), (cache2, got2) = runs
+        assert len(cache1) > 2
+        assert list(cache1) == list(cache2)
+        for key, sol in cache1.items():
+            for field in ("w", "g", "f"):
+                assert (getattr(sol, field).tobytes()
+                        == getattr(cache2[key], field).tobytes())
+        for field in ("chosen", "predicted", "exit", "confidence",
+                      "rr_ratio", "lp_ratio"):
+            assert (getattr(got1, field).tobytes()
+                    == getattr(got2, field).tobytes())
+
+    @pytest.mark.parametrize("method", ["lp", "lpr"])
+    def test_error_names_the_first_failure_in_query_order(self, monkeypatch,
+                                                          method):
+        forest, X, labels, sample_ids = self.batch_case()
+        leaf_ids, _, _ = query_batch(forest, X)
+        needs_lp = np.ones(X.shape[0], dtype=bool)
+        if method == "lpr":
+            rr = self.run("rr", forest, X, labels, sample_ids, {})
+            needs_lp = rr.rr_ratio > 0.3
+        first_of = {}
+        for q in np.flatnonzero(needs_lp):
+            first_of.setdefault(leaf_ids[q].tobytes(), q)
+        q_slow, q_fast = list(first_of.values())[:2]
+
+        def instance_bytes(inst):
+            return inst.m.tobytes() + inst.y.tobytes() + inst.L.tobytes()
+
+        slow, fast = (instance_bytes(lp.build_instance(
+            *forest.member_union(leaf_ids[q]), forest.cm, 80.0))
+            for q in (q_slow, q_fast))
+        assert slow != fast
+        fast_failed = threading.Event()
+        failures = []
+        real_solve = lp.solve
+
+        def failing_solve(inst):
+            # the first failure in query order ends only after the second
+            # has failed on the other thread
+            if instance_bytes(inst) == slow:
+                fast_failed.wait(timeout=5.0)
+                failures.append("slow")
+                raise lp.LpSolverError("HiGHS: slow")
+            if instance_bytes(inst) == fast:
+                failures.append("fast")
+                fast_failed.set()
+                raise lp.LpSolverError("HiGHS: fast")
+            return real_solve(inst)
+
+        monkeypatch.setattr(lp, "solve", failing_solve)
+        with pytest.raises(lp.LpSolverError) as info:
+            self.run(method, forest, X, labels, sample_ids, {})
+        assert failures[:2] == ["fast", "slow"]
+        assert str(info.value) == "sample %d: HiGHS: slow" % sample_ids[q_slow]
 
 
 def selection_case(seed, n_classes, n_trees, zero_lp):
