@@ -67,8 +67,10 @@ def paired_sign_ttest(outcomes):
     """Two-sided one-sample t-test of +1/-1/0 indicators against 0.
 
     Uses the sample standard deviation with N-1 degrees of freedom.
-    Zero variance around a zero mean degenerates to p=1 with a warning;
-    a one-sided sweep (all wins) collapses to p=0.
+    Input with fewer than 2 nonzero outcomes, all zeros included, warns
+    "fewer than 2 decisive outcomes" and returns p=1. With 2 or more,
+    zero variance means every outcome is the same nonzero value, a
+    one-sided sweep, which returns p=0.
     """
     x = np.asarray(outcomes, dtype=np.float64)
     n = x.size
@@ -77,9 +79,6 @@ def paired_sign_ttest(outcomes):
         return 1.0
     sd = x.std(ddof=1)
     if sd == 0.0:
-        if x.mean() == 0.0:
-            warnings.warn("degenerate variance in t-test; returning p=1")
-            return 1.0
         return 0.0
     t = x.mean() / (sd / np.sqrt(n))
     return float(2.0 * sstats.t.sf(abs(t), n - 1))

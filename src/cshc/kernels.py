@@ -32,7 +32,11 @@ regions of the neighbourhood baselines. A matrix product gives every
 squared distance up to a proven rounding bound; only the pool rows that
 bound cannot rule out of the k nearest are recomputed exactly, with the
 same elementwise ops and the same reduction as a one-query scan, so every
-answer keeps the bits of that scan.
+answer keeps the bits of that scan. The filter needs no sort: the largest
+of the minima of k disjoint strided column groups has k entries at or
+below it, so it bounds the k-th smallest filter value from above (for
+k = 1 it is the row minimum), and the kept pairs come out of one flat
+nonzero in row-major order.
 """
 
 from functools import reduce
@@ -336,7 +340,8 @@ def route(feat, thr, left, right, leaf_id, X):
 
 
 def nearest(queries, k, pool):
-    """The k nearest pool rows of every query, 1 <= k <= N.
+    """The k nearest pool rows of every query; a ValueError unless
+    1 <= k <= N, the pool size.
 
     Returns (Q, k) pool row indices, by ascending squared Euclidean
     distance and then pool index, and those squared distances. A squared
@@ -351,9 +356,19 @@ def nearest(queries, k, pool):
         and the exact sum are within (F + 2) eps s of the true value, plus
         an underflow term, so every pool row among the k nearest has P
         within tol = 4 (F + 2) (eps s + tiny) of the k-th smallest P.
-        Those rows are kept.
-      - exact: the kept rows' squared distances are recomputed as the scan
-        does and sorted by (query, distance, index).
+      - bound: the columns split into k disjoint, non-empty strided
+        groups, pool rows j, j + k, j + 2k, ..., and G is the largest of
+        the groups' minima of P. Each group holds an entry at or below G,
+        so k entries are, and G is at least the k-th smallest P; for
+        k = 1 it is that P. The rows with P <= G + tol, a superset of
+        those above, are kept. Strided groups each span the whole pool,
+        so G stays near the k-th smallest P however the pool's rows are
+        ordered; contiguous groups would not, on a pool sorted by class
+        or by a feature.
+      - exact: the kept (query, pool row) pairs, taken from the flat
+        indices of the kept mask in row-major order, get their squared
+        distances recomputed as the scan does; a stable sort by (query,
+        distance) then leaves equal distances in index order.
       - fallback: a query whose bound is not finite, or whose s is within
         a factor 16 of float64's maximum, keeps every pool row.
     An overflow in the exact sums raises or warns, as the caller's
@@ -361,6 +376,8 @@ def nearest(queries, k, pool):
     overflows would.
     """
     N, F = pool.shape
+    if not 1 <= k <= N:
+        raise ValueError("k=%d is outside 1..%d, the pool size" % (k, N))
     Q = queries.shape[0]
     neighbors = np.empty((Q, k), dtype=np.int64)
     d2_near = np.empty((Q, k))
@@ -375,13 +392,11 @@ def nearest(queries, k, pool):
             P *= -2.0
             P += norms
             scale = np.square(np.sqrt(np.einsum("ij,ij->i", q, q)) + pool_max)
-            bound = np.partition(P, k - 1, axis=1)[:, k - 1] \
-                + 4 * (F + 2) * (_EPS * scale + _TINY)
+            bound = np.max([P[:, j::k].min(axis=1) for j in range(k)],
+                           axis=0) + 4 * (F + 2) * (_EPS * scale + _TINY)
         keep = P <= bound[:, None]
         keep[~(np.isfinite(bound) & (scale <= _HUGE))] = True
-        # kept pairs row-major, so a stable sort by (row, distance) keeps
-        # equal distances in index order
-        row, col = np.nonzero(keep)
+        row, col = np.divmod(np.flatnonzero(keep), N)
         with np.errstate(over="ignore"):
             d2 = np.square(pool[col] - q[row]).sum(axis=1)
         # a sum overflowed: rescan each such query alone, in order, so the

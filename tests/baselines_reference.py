@@ -18,6 +18,7 @@ class Region:
     neighbors: np.ndarray  # ascending distance, then index
     k: int
     distances: np.ndarray = None
+    squared: np.ndarray = None  # the squared distances the scan sums
 
 
 def region_of(x, k, dcs_features):
@@ -29,7 +30,8 @@ def region_of(x, k, dcs_features):
         raise ValueError("k must be >= 1")
     d2 = ((dcs_features - x) ** 2).sum(axis=1)
     order = np.argsort(d2, kind="stable")[:k]
-    return Region(neighbors=order, k=k, distances=np.sqrt(d2[order]))
+    return Region(neighbors=order, k=k, distances=np.sqrt(d2[order]),
+                  squared=d2[order])
 
 
 def ola(region, cm):

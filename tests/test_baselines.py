@@ -310,6 +310,29 @@ def knn_cases(draw):
     return pool, queries, k
 
 
+def benchmark_knn_case(shape):
+    """(pool, queries, k) at the kernel's shape in a benchmark workload,
+    over many NEAREST_BYTES blocks of queries, with many equal distances
+    at the k-th neighbour:
+    - "one_nn": the 1-NN's, k 1 over Gaussian rows, 150 of the pool rows
+      planted twice and half the queries near one of them
+    - "regions": the baselines' regions, k 7 over rows on a 0.01 grid
+    """
+    rng = np.random.default_rng(5)
+    if shape == "one_nn":
+        pool = rng.normal(size=(1500, 16))
+        rows = rng.permutation(1500)
+        pool[rows[150:300]] = pool[rows[:150]]
+        queries = rng.normal(size=(600, 16))
+        near = rng.random(600) < 0.5
+        queries[near] = pool[rng.choice(rows[:150], near.sum())] \
+            + 0.1 * rng.normal(size=(near.sum(), 16))
+        return pool, queries, 1
+    pool = rng.integers(-30, 30, size=(3000, 2)) * 0.01
+    queries = rng.integers(-30, 30, size=(1000, 2)) * 0.01
+    return pool, queries, 7
+
+
 def reference_regions(queries, k, pool):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -340,6 +363,40 @@ class TestRegionOracle:
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             region_of(np.zeros((2, 1)), 0, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("order", ["drawn", "sorted"])
+    @pytest.mark.parametrize("shape", ["one_nn", "regions"])
+    def test_benchmark_shapes(self, shape, order):
+        pool, queries, k = benchmark_knn_case(shape)
+        if order == "sorted":  # as a dataset sorted by a feature is
+            pool = pool[np.argsort(pool[:, 0], kind="stable")]
+        assert queries.shape[0] > 4 * kernels.NEAREST_BYTES // (8 * len(pool))
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            neighbors, d2 = kernels.nearest(queries, k, pool)
+        # the filter leaves the exact recompute a few pool rows a neighbour
+        kept = sum(len(call.args[0][0]) for call in lexsort.call_args_list)
+        assert kept < 4 * k * len(queries)
+        want = reference_regions(queries, k, pool)
+        assert np.array_equal(neighbors, [r.neighbors for r in want])
+        assert np.array_equal(d2, [r.squared for r in want])
+        # a quarter of the queries or more have a (k+1)-th pool row as
+        # near as the k-th, which only its index leaves out
+        ties = [((pool - x) ** 2).sum(axis=1) <= r.squared[-1]
+                for x, r in zip(queries, want)]
+        assert np.count_nonzero(np.sum(ties, axis=1) > k) > len(queries) / 4
+
+
+class TestNearestRange:
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_the_pool_raises(self, k):
+        with pytest.raises(ValueError, match="k=%d is outside 1..3" % k):
+            kernels.nearest(np.zeros((2, 1)), k, np.zeros((3, 1)))
+
+    def test_k_of_the_pool_size_is_every_row_in_index_order(self):
+        pool = np.array([[1.0], [-1.0], [2.0], [1.0], [-1.0]])
+        neighbors, d2 = kernels.nearest(np.zeros((2, 1)), 5, pool)
+        assert neighbors.tolist() == [[0, 1, 3, 4, 2]] * 2
+        assert d2.tolist() == [[1.0, 1.0, 1.0, 1.0, 4.0]] * 2
 
 
 @st.composite

@@ -19,7 +19,7 @@ from cshc.classifiers import (ClassifierSpec, ExternalPredictions,
                               predict_proba_batch, standardizer, train)
 from cshc.data import DataError, Dataset, make_split
 from cshc.harness import label_matrix
-from test_baselines import knn_cases
+from test_baselines import benchmark_knn_case, knn_cases
 
 
 def proba_of(model, x):
@@ -143,6 +143,12 @@ class TestOneNNOracle:
             with mock.patch.object(kernels, "NEAREST_BYTES", block_bytes):
                 assert np.array_equal(model.proba_from_features(queries),
                                       want)
+
+    def test_benchmark_shape(self):
+        pool, queries, _ = benchmark_knn_case("one_nn")
+        model = one_nn_model(pool)
+        assert np.array_equal(model.proba_from_features(queries),
+                              ref.one_nn_proba(model, queries))
 
     @pytest.mark.parametrize("value", [1e153, 1e154, 2e154, 1e200, 1e308])
     @pytest.mark.parametrize("where", ["model", "query"])

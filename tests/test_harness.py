@@ -70,7 +70,7 @@ class TestAverageRanks:
 
 class TestPairedSignTtest:
     def test_all_zero_degenerate(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="fewer than 2 decisive outcomes"):
             assert paired_sign_ttest([0, 0, 0, 0]) == 1.0
 
     def test_26_wins_13_losses_1_tie(self):

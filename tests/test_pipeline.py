@@ -1,10 +1,14 @@
-"""End-to-end oracle for the tree layers.
+"""End-to-end oracle for the tree layers and the kNN kernel.
 
 The program grows its CSHC trees a group at a time and its Gini trees
-level by level, in `kernels.grow`. Here each command runs twice on one
-small native-pool dataset: once as it is, and once with every tree grown
-node by node by `forest_reference` instead. Every file the commands
-write must be the same bytes both times.
+level by level, in `kernels.grow`, and finds the 1-NN's nearest rows and
+the baselines' kNN regions for a whole batch at once, in
+`kernels.nearest`. Here each command runs twice on one small native-pool
+dataset: once as it is, and once with every tree grown node by node by
+`forest_reference`, the 1-NN scored row by row by
+`classifiers_reference` and every region found query by query by
+`baselines_reference` instead. Every file the commands write must be the
+same bytes both times.
 """
 
 import os
@@ -15,12 +19,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import classifiers_reference
+import cshc.baselines as baselines_module
 import cshc.forest as forest_module
 import forest_reference
-from cshc.classifiers import GiniTreeTrained
+from cshc.classifiers import GiniTreeTrained, OneNNTrained
 from cshc.cli import main
 from cshc.config import ALL_METHODS
 from cshc.harness import SELECTION_METHODS
+from test_baselines import reference_regions
 
 
 def reference_group(draws, cfg, correct, features):
@@ -36,6 +43,13 @@ def reference_gini_fit(cls, spec, ds):
         ds.features, ds.labels, ds.n_classes)
     return cls(spec, ds.n_classes, ds.n_features, feat=feat, thr=thr,
                leaf_proba=proba)
+
+
+def stacked_regions(queries, k, pool):
+    """`baselines.region_of` by the one-query scan, query by query."""
+    regions = reference_regions(queries, k, pool)
+    return (np.array([r.neighbors for r in regions]),
+            np.array([r.distances for r in regions]))
 
 
 def write_inputs(tmp, seed):
@@ -94,6 +108,8 @@ def test_reference_growers_write_the_same_files(protocol, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forest_module, "grow_group", reference_group)
             mp.setattr(GiniTreeTrained, "fit", classmethod(reference_gini_fit))
+            mp.setattr(OneNNTrained, "_proba", classifiers_reference.one_nn_proba)
+            mp.setattr(baselines_module, "region_of", stacked_regions)
             got = run_commands(tmp, "reference", data, query, seed, protocol)
     assert sorted(got) == sorted(want)
     assert len([n for n in want if n.startswith("trace_")]) == 4
