@@ -5,7 +5,7 @@ from .config import ExperimentConfig, load_config
 from .data import (CorrectnessMatrix, DataError, Dataset, SplitPlan,
                    build_correctness_cv3, build_correctness_holdout, load_csv,
                    make_split)
-from .forest import Forest, build_forest, load_forest, query_batch, save_forest
+from .forest import Forest, build_forest, query_batch
 from .harness import (average_ranks, mgi, oracle_accuracy, paired_sign_ttest,
                       run_experiment, wins_losses)
 from .lp import LpInstance, LpSolution, LpSolverError, build_instance, solve

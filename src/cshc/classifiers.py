@@ -1,7 +1,7 @@
 """The simple base-classifier pool plus external prediction ingestion.
 
 Each classifier kind is one class, and ``CLASSIFIERS`` maps each kind
-to its class: ``train``, ``model_from_state`` and the unknown-kind check
+to its class: ``train``, the bundle reader and the unknown-kind check
 all read that one table. A class holds everything about its kind, how
 it preprocesses its inputs included: only ``one_nn`` and ``perceptron``
 standardize, by the mean and scale of their training rows, which they
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import DataError, read_array, read_records
+from .data import DataError, read_records
 from .rng import substream
 
 # the perceptron's passes over the data and the seed of their row orders
@@ -68,10 +68,9 @@ class TrainedClassifier:
     """
 
     KIND = None
-    # serialized state: constructor argument -> (numpy dtype, shape). A
-    # shape letter is C (classes), F (features), B (F + 1), or a size that
-    # all the fields naming it share. Float arrays must be finite, except
-    # that the log probabilities in LOG_STATE may hold -inf.
+    # the state a bundle stores: constructor argument -> (numpy dtype,
+    # shape letters of `bundle.LETTERS`). Float arrays must be finite,
+    # except that the log probabilities in LOG_STATE may hold -inf.
     STATE = {}
     LOG_STATE = ()
 
@@ -99,9 +98,6 @@ class TrainedClassifier:
         except FloatingPointError as exc:
             raise DataError("classifier %r: %s while scoring"
                             % (self.spec.name, exc)) from None
-
-    def state(self):
-        return {name: getattr(self, name).tolist() for name in self.STATE}
 
     def check_state(self):
         """Raise DataError if restored state that has the right shapes
@@ -164,7 +160,7 @@ class GaussianNBTrained(TrainedClassifier):
 
 class OneNNTrained(_Standardized):
     KIND = "one_nn"
-    STATE = {**_Standardized.STATE, "X": ("f8", "NF"), "y": ("i8", "N")}
+    STATE = {**_Standardized.STATE, "X": ("f8", "SF"), "y": ("i8", "S")}
 
     @classmethod
     def fit(cls, spec, ds):
@@ -293,9 +289,6 @@ class ExternalTrained(TrainedClassifier):
             "its predictions are keyed by sample index" % self.spec.name
         )
 
-    def state(self):
-        raise DataError("external classifier %r is not serializable" % self.spec.name)
-
 
 # every classifier kind, in the order the unknown-kind message lists them
 CLASSIFIERS = {cls.KIND: cls for cls in (
@@ -402,51 +395,3 @@ def predict_proba_batch(model, X, row_ids):
     if isinstance(model, ExternalTrained):
         return model.spec.table.proba_rows(row_ids)
     return model.proba_from_features(X)
-
-
-# ---------------------------------------------------------------------------
-# (de)serialization
-# ---------------------------------------------------------------------------
-
-def model_state(model):
-    state = model.state()  # raises for models that cannot be serialized
-    return {"kind": model.spec.kind, "name": model.spec.name, **state}
-
-
-def _state_array(state, key, dtype, shape, sizes, log=False):
-    """state[key] as an array of the given shape letters, binding each
-    letter sizes does not hold yet to the size found. A float array must
-    be finite, or hold -inf where log is set."""
-    if key not in state:
-        raise DataError("lacks key %r" % key)
-    arr = read_array(state[key], repr(key), dtype, len(shape))
-    if any(sizes.setdefault(d, n) != n for d, n in zip(shape, arr.shape)):
-        raise DataError("%r is not an array of shape (%s) with C = %d "
-                        "classes and F = %d features"
-                        % (key, ", ".join(shape), sizes["C"], sizes["F"]))
-    if arr.dtype.kind == "f" and not (
-            np.isfinite(arr) | (log & (arr == -np.inf))).all():
-        raise DataError("%r holds a value that is not a finite number" % key)
-    return arr
-
-
-def model_from_state(s, n_classes, n_features):
-    """A model of n_classes classes over n_features features from its
-    model_state; a DataError names the first key or array that does not
-    fit the kind's STATE."""
-    for key in ("kind", "name"):
-        if key not in s:
-            raise DataError("lacks key %r" % key)
-    cls = CLASSIFIERS.get(s["kind"]) if isinstance(s["kind"], str) else None
-    if cls in (None, ExternalTrained):
-        raise DataError("cannot restore classifier kind %r" % s["kind"])
-    if not isinstance(s["name"], str):
-        raise DataError("'name' is not a string")
-    sizes = {"C": n_classes, "F": n_features, "B": n_features + 1}
-    arrays = {key: _state_array(s, key, dtype, shape, sizes,
-                                key in cls.LOG_STATE)
-              for key, (dtype, shape) in cls.STATE.items()}
-    model = cls(ClassifierSpec(cls.KIND, s["name"]), n_classes, n_features,
-                **arrays)
-    model.check_state()
-    return model

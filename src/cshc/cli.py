@@ -66,7 +66,7 @@ def cmd_select(args):
     for flag in ("gamma", "rho"):
         if getattr(args, flag) is not None:
             require_finite(getattr(args, flag), "--" + flag)
-    meta, models, forest, _ = harness.load_bundle(args.model)
+    meta, models, forest = harness.load_bundle(args.model)
     X = load_feature_rows(args.input, meta["dataset"]["feature_names"])
     mcfg = meta["config"]
     out = harness.select_rows(

@@ -7,18 +7,15 @@ random forest: per-tree bootstrap multisets and feature subsets, both
 derived from keyed substreams of one seed.
 """
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import kernels
-from .data import CorrectnessMatrix, DataError, load_json, read_array
+from .data import CorrectnessMatrix
 from .rng import substream
-
-FOREST_FORMAT = "cshc-forest/4"
 
 # the most bytes of one float64 level array (members x classifiers x
 # feature subset) of a group of trees grown together; the arrays of a
@@ -43,9 +40,9 @@ class Tree:
     The node arrays are the layout of `kernels`, which grows, routes and
     checks them; its children and leaf ids, left, right and leaf_id, are
     derived from feat and never stored. Leaf l holds the member rows and
-    multiplicities leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]];
-    together the leaves hold the tree's bootstrap draw. Everything else
-    about a leaf is derived from its members by `Forest`.
+    multiplicities leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]], one
+    member or more; together the leaves hold the tree's bootstrap draw.
+    Everything else about a leaf is derived from its members by `Forest`.
     """
 
     feat: np.ndarray       # (N,) split feature per node, -1 at a leaf
@@ -61,10 +58,6 @@ class Tree:
         """(rows, mult) of one leaf's members."""
         a, b = self.leaf_ptr[leaf], self.leaf_ptr[leaf + 1]
         return self.leaf_rows[a:b], self.leaf_mult[a:b]
-
-
-# Tree fields holding integers; the others hold float64
-_INT_FIELDS = {"feat", "leaf_ptr", "leaf_rows"}
 
 
 @dataclass
@@ -217,80 +210,3 @@ def query_batch(forest, X):
         cumulative += forest.leaf_rank[hit[:, t]]
         support += forest.leaf_support[hit[:, t]]
     return leaf_ids, cumulative, support.argmax(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def forest_to_dict(forest):
-    return {"format": FOREST_FORMAT,
-            "trees": [{f.name: getattr(tree, f.name).tolist()
-                       for f in fields(Tree)} for tree in forest.trees]}
-
-
-def _tree_from_dict(td, n_rows, n_features):
-    """One serialized tree, its node arrays checked against the layout
-    `kernels.route` reads and its leaf members against its leaves."""
-    arrays = {}
-    for f in fields(Tree):
-        if f.name not in td:
-            raise DataError("lacks field %r" % f.name)
-        arrays[f.name] = read_array(
-            td[f.name], "field %r" % f.name,
-            np.int64 if f.name in _INT_FIELDS else np.float64, 1)
-    L = kernels.check_tree(arrays["feat"], arrays["thr"], n_features)
-    tree = Tree(**arrays)
-    ptr, rows, mult = tree.leaf_ptr, tree.leaf_rows, tree.leaf_mult
-    if not (ptr.shape == (L + 1,) and ptr[0] == 0 and ptr[-1] == rows.size
-            and (np.diff(ptr) >= 0).all()):
-        raise DataError("has 'leaf_ptr' other than %d ascending offsets "
-                        "from 0 to %d" % (L + 1, rows.size))
-    # the members are one bootstrap draw of at most n_rows rows
-    whole = np.isfinite(mult) & (mult >= 1) & (mult == np.floor(mult))
-    if not (mult.shape == rows.shape and whole.all()
-            and mult.sum() <= n_rows
-            and ((rows >= 0) & (rows < n_rows)).all()):
-        raise DataError("has 'leaf_rows' and 'leaf_mult' other than equal "
-                        "lists of rows in [0, %d) and whole numbers >= 1 "
-                        "with a sum of at most %d" % (n_rows, n_rows))
-    return tree
-
-
-def forest_from_dict(data, cm, n_features):
-    """The forest a dict of forest_to_dict holds, over the correctness
-    matrix cm and n_features features; a DataError names the first tree
-    and field that does not fit them."""
-    fmt = data.get("format") if isinstance(data, dict) else None
-    if fmt != FOREST_FORMAT:
-        raise DataError("unsupported forest format %r; this program reads %r"
-                        % (fmt, FOREST_FORMAT))
-    trees = data.get("trees")
-    if not (isinstance(trees, list) and trees):
-        raise DataError("forest 'trees' is not a non-empty list")
-    out = []
-    for t, td in enumerate(trees):
-        try:
-            if not isinstance(td, dict):
-                raise DataError("is not an object")
-            out.append(_tree_from_dict(td, cm.n_samples, n_features))
-        except DataError as exc:
-            raise DataError("forest tree %d %s" % (t, exc)) from None
-    return Forest(out, cm, n_features)
-
-
-def save_forest(forest, path):
-    # json.dumps without indent runs the C encoder; json.dump never does
-    text = json.dumps(forest_to_dict(forest))
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def load_forest(path, cm, n_features):
-    """A saved forest over cm and n_features features; a malformed file
-    is a DataError naming the path."""
-    data = load_json(path)
-    try:
-        return forest_from_dict(data, cm, n_features)
-    except DataError as exc:
-        raise DataError("%s: %s" % (path, exc)) from None

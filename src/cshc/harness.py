@@ -8,7 +8,6 @@ per-dataset accuracies into the cross-benchmark comparison statistics.
 
 import csv
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,12 +16,13 @@ from scipy import stats as sstats
 
 from . import baselines as bl
 from . import classifiers as clf
-from . import forest as forest_mod
 from . import selection as sel
+# cli saves and loads bundles through harness, where the benchmark's
+# tracer wraps the two
+from .bundle import load_bundle, save_bundle
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
-                   build_correctness_holdout, load_csv, load_json,
-                   make_split, read_array, require_finite, require_int)
+                   build_correctness_holdout, load_csv, make_split)
 from .forest import build_forest, query_batch
 from .selection import SELECTION_METHODS
 
@@ -432,106 +432,6 @@ def append_run_record(result, path):
     }
     with open(path, "a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# model bundle persistence (used by the train/select commands)
-# ---------------------------------------------------------------------------
-
-BUNDLE_FORMAT = "cshc-bundle/4"
-
-
-def save_bundle(prep, cfg, outdir):
-    """Write forest.json, models.json and meta.json; a model that cannot
-    be serialized fails the call before any file is written."""
-    models = [clf.model_state(model) for model in prep.models]
-    meta = {
-        "format": BUNDLE_FORMAT,
-        "dataset": {"name": prep.name,
-                    "feature_names": prep.ds.feature_names,
-                    "class_names": prep.ds.class_names},
-        "config": cfg.asdict(),
-        "validation": {"predicted": prep.cm.predicted.tolist(),
-                       "truth": prep.cm.truth.tolist()},
-    }
-    os.makedirs(outdir, exist_ok=True)
-    forest_mod.save_forest(prep.forest, os.path.join(outdir, "forest.json"))
-    with open(os.path.join(outdir, "models.json"), "w") as fh:
-        fh.write(json.dumps(models))  # the C encoder, as in save_forest
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-# meta.json entries that select reads
-_META_KEYS = (("dataset", "feature_names"), ("dataset", "class_names"),
-              ("config", "gamma"), ("config", "rho"), ("config", "seed"),
-              ("validation", "predicted"), ("validation", "truth"))
-
-
-def load_bundle(outdir):
-    """(meta, models, forest, cm) of a bundle that train wrote.
-
-    Each fact lives in one file: meta.json holds the names, the config
-    and the validation predictions and truth, models.json each model's
-    own parameters, forest.json the trees. The class and feature counts
-    come from the names, the row and classifier counts from the
-    validation predictions. Any entry that is missing, malformed or out
-    of range is a DataError naming the file and field.
-    """
-    meta_path = os.path.join(outdir, "meta.json")
-    meta = load_json(meta_path)
-    fmt = meta.get("format") if isinstance(meta, dict) else None
-    if fmt != BUNDLE_FORMAT:
-        raise DataError("unsupported bundle format %r; this program reads %r"
-                        % (fmt, BUNDLE_FORMAT))
-    for keys in _META_KEYS:
-        node = meta
-        for key in keys:
-            if not isinstance(node, dict) or key not in node:
-                raise DataError("%s: missing key %r"
-                                % (meta_path, ".".join(keys)))
-            node = node[key]
-    names = meta["dataset"]
-    if not (all(isinstance(names[key], list)
-                and all(isinstance(x, str) for x in names[key])
-                for key in ("feature_names", "class_names"))
-            and names["feature_names"] and len(names["class_names"]) >= 2):
-        raise DataError("%s: 'dataset.feature_names' and "
-                        "'dataset.class_names' are not lists of names, at "
-                        "least one feature and two classes" % meta_path)
-    C, F = len(names["class_names"]), len(names["feature_names"])
-    predicted, truth = (
-        read_array(meta["validation"][key],
-                   "%s: 'validation.%s'" % (meta_path, key), np.int64, ndim)
-        for key, ndim in (("predicted", 2), ("truth", 1)))
-    M, n = predicted.shape
-    if truth.size != M:
-        raise DataError("%s: 'validation.truth' has %d entries for %d "
-                        "validation rows" % (meta_path, truth.size, M))
-    for key, arr in (("predicted", predicted), ("truth", truth)):
-        if not (arr.size and ((arr >= 0) & (arr < C)).all()):
-            raise DataError("%s: 'validation.%s' is not a non-empty array of "
-                            "classes in [0, %d)" % (meta_path, key, C))
-    config = meta["config"]
-    for key in ("gamma", "rho"):
-        require_finite(config[key], "%s: 'config.%s'" % (meta_path, key))
-    require_int(config["seed"], "%s: 'config.seed'" % meta_path)
-    models_path = os.path.join(outdir, "models.json")
-    states = load_json(models_path)
-    if not (isinstance(states, list) and len(states) == n
-            and all(isinstance(state, dict) for state in states)):
-        raise DataError("%s: expected a list of %d classifier objects"
-                        % (models_path, n))
-    models = []
-    for a, state in enumerate(states):
-        try:
-            models.append(clf.model_from_state(state, C, F))
-        except DataError as exc:
-            raise DataError("%s: classifier %d: %s"
-                            % (models_path, a, exc)) from None
-    cm = CorrectnessMatrix(predicted, truth, C)
-    forest = forest_mod.load_forest(os.path.join(outdir, "forest.json"), cm, F)
-    return meta, models, forest, cm
 
 
 def select_rows(models, forest, X, method, gamma, rho, seed):

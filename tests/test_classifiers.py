@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import classifiers_reference as ref
 from cshc import kernels
+from cshc.bundle import read_models, write_models
 from cshc.classifiers import (ClassifierSpec, ExternalPredictions,
                               OneNNTrained, PerceptronTrained,
                               load_external_predictions,
-                              model_from_state, model_state,
                               predict_proba_batch, standardizer, train)
 from cshc.data import DataError, Dataset, make_split
 from cshc.harness import label_matrix
@@ -307,7 +307,9 @@ class TestSharedContracts:
                                       "decision_tree_gini", "perceptron"])
     def test_state_round_trip(self, kind, two_blob_ds):
         m1 = train(ClassifierSpec(kind), two_blob_ds)
-        m2 = model_from_state(model_state(m1), m1.n_classes, m1.n_features)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_models(tmp, [m1])
+            m2, = read_models(tmp, 1, m1.n_classes, m1.n_features)
         probes = np.random.default_rng(4).normal(scale=2.0, size=(20, 2))
         for x in probes:
             assert np.array_equal(proba_of(m1, x), proba_of(m2, x))

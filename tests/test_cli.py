@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cshc
-from cshc import harness, kernels
+from cshc import bundle, harness, kernels
 from cshc.cli import main
 from test_harness import tiny_experiment_config
 
@@ -189,20 +189,22 @@ class TestSelectFiles:
         query.write_text("x0,x1\n-2.0,0.1\n")
         assert main(["select", "--model", bundle_dir, "--input",
                      str(query)]) == 2
-        assert "forest tree 1 lacks field 'leaf_ptr'" in capsys.readouterr().err
+        assert "forest tree 1: missing key 'leaf_ptr'" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("name,rewrite,message", [
         ("forest.json", lambda text: text[:1000], "forest.json: not valid JSON"),
         ("models.json", lambda text: "nope", "models.json: not valid JSON"),
         ("meta.json", lambda text: json.dumps(
-            {"format": cshc.harness.BUNDLE_FORMAT}),
+            {"format": bundle.BUNDLE_FORMAT}),
          "meta.json: missing key 'dataset.feature_names'"),
         ("meta.json", lambda text: _replaced(text, "cshc-bundle/1", "format"),
          "unsupported bundle format 'cshc-bundle/1'"),
         ("meta.json", lambda text: _without(text, "validation", "truth"),
          "meta.json: missing key 'validation.truth'"),
         ("meta.json", lambda text: _truncated(text, 5, "validation", "truth"),
-         "meta.json: 'validation.truth' has 5 entries for "),
+         "meta.json: 'validation.truth' is not an array of shape (M) with "
+         "M = 81 validation rows"),
         ("meta.json", lambda text: _replaced(text, [[0, 1], [1]], "validation",
                                              "predicted"),
          "meta.json: 'validation.predicted' is not a 2-D array of numbers"),
@@ -211,13 +213,13 @@ class TestSelectFiles:
         ("models.json", lambda text: _truncated(text, 3),
          "models.json: expected a list of 4 classifier objects"),
         ("models.json", lambda text: json.dumps([{}] * 4),
-         "models.json: classifier 0: lacks key 'kind'"),
+         "models.json: classifier 0: missing key 'kind'"),
         ("models.json", lambda text: _truncated(text, 1, 0, "theta"),
          "models.json: classifier 0: 'theta' is not an array of shape "
          "(C, F) with C = 2 classes and F = 2 features"),
         ("forest.json", lambda text: _replaced(text, [0, 1], "trees", 0,
                                                "leaf_ptr"),
-         "forest.json: forest tree 0 has 'leaf_ptr' other than "),
+         "forest.json: forest tree 0: has 'leaf_ptr' other than "),
         ("forest.json", lambda text: _replaced(text, 2, "trees", 0, "feat", 0),
          "has 'feat' 2 at node 0"),
         ("meta.json", lambda text: _truncated(text, 1, "dataset",
@@ -227,15 +229,15 @@ class TestSelectFiles:
         # leaf multiplicities are whole numbers >= 1
         ("forest.json", lambda text: _replaced(text, 0.3, "trees", 0,
                                                "leaf_mult", 0),
-         "forest.json: forest tree 0 has 'leaf_rows' and 'leaf_mult' other "
+         "forest.json: forest tree 0: has 'leaf_rows' and 'leaf_mult' other "
          "than equal lists of rows in [0, 81) and whole numbers >= 1"),
         ("forest.json", lambda text: _replaced(text, 0, "trees", 0,
                                                "leaf_mult", 0),
-         "forest.json: forest tree 0 has 'leaf_rows' and 'leaf_mult' other "
+         "forest.json: forest tree 0: has 'leaf_rows' and 'leaf_mult' other "
          "than equal lists of rows in [0, 81) and whole numbers >= 1"),
         ("forest.json", lambda text: _replaced(text, 2.0 ** 60, "trees", 0,
                                                "leaf_mult", 0),
-         "forest.json: forest tree 0 has 'leaf_rows' and 'leaf_mult' other "
+         "forest.json: forest tree 0: has 'leaf_rows' and 'leaf_mult' other "
          "than equal lists of rows in [0, 81) and whole numbers >= 1 with a "
          "sum of at most 81"),
         # meta.json values
@@ -299,13 +301,26 @@ class TestSelectFiles:
         # integers beyond int64, one per file
         ("forest.json", lambda text: _replaced(text, 10 ** 30, "trees", 0,
                                                "leaf_rows", 0),
-         "forest.json: forest tree 0 field 'leaf_rows' is not a 1-D array "
-         "of numbers"),
+         "forest.json: forest tree 0: 'leaf_rows' is not a 1-D array of "
+         "numbers"),
         ("meta.json", lambda text: _replaced(text, 10 ** 30, "validation",
                                              "truth", 0),
          "meta.json: 'validation.truth' is not a 1-D array of numbers"),
         ("models.json", lambda text: _replaced(text, 10 ** 30, 1, "y", 0),
          "models.json: classifier 1: 'y' is not a 1-D array of numbers"),
+        # every leaf holds a member or more
+        ("forest.json", lambda text: _emptied_leaves(text),
+         "forest.json: forest tree 0: has 'leaf_ptr' other than 2 rising "
+         "offsets from 0 to 0, each leaf holding a member or more"),
+        # thresholds are finite
+        ("forest.json", lambda text: _replaced(text, float("nan"), "trees", 0,
+                                               "thr", 0),
+         "forest.json: forest tree 0: 'thr' holds a value that is not a "
+         "finite number"),
+        ("forest.json", lambda text: _replaced(text, float("inf"), "trees", 0,
+                                               "thr", 0),
+         "forest.json: forest tree 0: 'thr' holds a value that is not a "
+         "finite number"),
     ], ids=["forest-truncated", "models-not-json", "meta-format-only",
             "meta-old-format", "meta-no-truth", "meta-short-truth", "meta-ragged-predicted",
             "models-not-objects", "models-short", "models-empty-objects",
@@ -320,7 +335,9 @@ class TestSelectFiles:
             "models-zero-scale", "models-negative-leaf-proba",
             "models-leaf-proba-sum", "models-huge-theta", "models-tiny-var",
             "models-huge-1nn-point", "forest-row-beyond-int64",
-            "meta-truth-beyond-int64", "models-label-beyond-int64"])
+            "meta-truth-beyond-int64", "models-label-beyond-int64",
+            "forest-empty-leaves", "forest-nan-threshold",
+            "forest-inf-threshold"])
     def test_malformed_bundle_file_exits_2(self, split_bundle, tmp_path,
                                            capsys, name, rewrite, message):
         bundle_dir = str(tmp_path / "malformed")
@@ -394,17 +411,38 @@ class TestSelectFiles:
         message %= {"n": n, "k": (n + 1) // 2, "m": n + 2}
         with open(path, "w") as fh:
             json.dump(data, fh)
-        query = tmp_path / "query.csv"
-        query.write_text("x0,x1\n-2.0,0.1\n2.0,-0.2\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cshc.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cshc.cli", "select", "--model",
-             bundle_dir, "--input", str(query)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "%s: " % path in proc.stderr and message in proc.stderr
+        stderr = _select_exits_2(bundle_dir, tmp_path)
+        assert "%s: " % path in stderr and message in stderr
+
+    def test_empty_leaves_exit_2_under_lp(self, split_bundle, tmp_path):
+        """Trees whose one leaf has no members would give the LP no
+        samples; the load refuses them before any selection runs."""
+        bundle_dir = str(tmp_path / "empty-leaves")
+        shutil.copytree(split_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "forest.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(_emptied_leaves(text))
+        stderr = _select_exits_2(bundle_dir, tmp_path, "--method", "lp")
+        assert "%s: forest tree 0: has 'leaf_ptr'" % path in stderr
+
+
+def _select_exits_2(bundle_dir, tmp_path, *args):
+    """The stderr of select on two query rows in a subprocess, so that a
+    hang fails the test, after checking that it exits 2 without a
+    traceback."""
+    query = tmp_path / "query.csv"
+    query.write_text("x0,x1\n-2.0,0.1\n2.0,-0.2\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cshc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cshc.cli", "select", "--model", bundle_dir,
+         "--input", str(query), *args],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 def _without(text, *keys):
@@ -424,6 +462,15 @@ def _replaced(text, value, *keys):
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = value
+    return json.dumps(data)
+
+
+def _emptied_leaves(text):
+    """forest.json text with every tree one leaf that has no members."""
+    data = json.loads(text)
+    for tree in data["trees"]:
+        tree.update(feat=[-1], thr=[0.0], leaf_ptr=[0, 0], leaf_rows=[],
+                    leaf_mult=[])
     return json.dumps(data)
 
 

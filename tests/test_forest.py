@@ -1,5 +1,6 @@
 """Forest build, splitting, query and rank behaviour."""
 
+import json
 import os
 import tempfile
 from unittest import mock
@@ -15,13 +16,13 @@ from scipy.stats import rankdata
 import cshc.forest as forest_module
 import forest_reference
 from cshc import kernels
+from cshc.bundle import read_forest, write_forest
 from cshc.classifiers import ClassifierSpec, train
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, Dataset
 from cshc.forest import (Forest, Tree, _rank_within_leaves, bootstrap_draws,
-                         build_forest, feature_subset_size, forest_from_dict,
-                         forest_to_dict, grow_group, load_forest, query_batch,
-                         save_forest)
+                         build_forest, feature_subset_size, grow_group,
+                         query_batch)
 from forest_reference import split_gain
 from cshc.rng import substream
 
@@ -239,7 +240,7 @@ class TestBuildForest:
     def test_deterministic_build(self):
         f1, _, _, _ = region_forest(seed=3)
         f2, _, _, _ = region_forest(seed=3)
-        assert forest_to_dict(f1) == forest_to_dict(f2)
+        assert_same_trees(f1, f2)
 
     def test_single_classifier_rejected(self):
         cm = make_cm([[0], [1]], [0, 1])
@@ -315,15 +316,29 @@ class TestLeafRanks:
             assert cum.sum() == pytest.approx(forest.n_trees * n * (n + 1) / 2)
 
 
+def assert_same_trees(f1, f2):
+    """The two forests' trees hold the same arrays, bit for bit."""
+    assert len(f1.trees) == len(f2.trees)
+    for t1, t2 in zip(f1.trees, f2.trees):
+        for f in fields(Tree):
+            a, b = getattr(t1, f.name), getattr(t2, f.name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), f.name
+
+
 class TestSerialization:
     def test_round_trip_identical(self, tmp_path):
         forest, cm, ds, _ = region_forest()
-        d1 = forest_to_dict(forest)
-        assert list(d1) == ["format", "trees"]
-        assert list(d1["trees"][0]) == [
+        first, second = tmp_path / "first", tmp_path / "second"
+        write_forest(str(first), forest)
+        data = json.loads((first / "forest.json").read_text())
+        assert list(data) == ["format", "trees"]
+        assert list(data["trees"][0]) == [
             "feat", "thr", "leaf_ptr", "leaf_rows", "leaf_mult"]
-        restored = forest_from_dict(d1, cm, ds.n_features)
-        assert forest_to_dict(restored) == d1
+        restored = read_forest(str(first), cm, ds.n_features)
+        write_forest(str(second), restored)
+        assert (second / "forest.json").read_bytes() == \
+            (first / "forest.json").read_bytes()
         q1 = query_batch(forest, ds.features[:10])
         q2 = query_batch(restored, ds.features[:10])
         for q in range(10):
@@ -335,19 +350,12 @@ class TestSerialization:
             assert b1.dominant_true_class == b2.dominant_true_class
 
     def test_json_file_round_trip(self, tmp_path):
-        import json
-
-        from cshc.forest import load_forest, save_forest
-
+        """Every tree array, the thresholds included, survives the text
+        round trip bit for bit."""
         forest, cm, ds, _ = region_forest()
-        path = tmp_path / "forest.json"
-        save_forest(forest, str(path))
-        restored = load_forest(str(path), cm, ds.n_features)
-        assert forest_to_dict(restored) == forest_to_dict(forest)
-        # thresholds survive the text round trip bit-exactly
-        reloaded = json.loads(path.read_text())
-        assert forest_from_dict(reloaded, cm, ds.n_features).trees[0] \
-            .thr.tolist() == forest.trees[0].thr.tolist()
+        write_forest(str(tmp_path), forest)
+        assert_same_trees(read_forest(str(tmp_path), cm, ds.n_features),
+                          forest)
 
 
 @st.composite
@@ -406,12 +414,13 @@ class TestQueryOracle:
         bit for bit, and both equal the leaf-by-leaf reference."""
         forest, X = case
         with tempfile.TemporaryDirectory() as tmp:
-            first = os.path.join(tmp, "first.json")
-            second = os.path.join(tmp, "second.json")
-            save_forest(forest, first)
-            restored = load_forest(first, forest.cm, forest.n_features)
-            save_forest(restored, second)
-            with open(first, "rb") as a, open(second, "rb") as b:
+            first = os.path.join(tmp, "first")
+            second = os.path.join(tmp, "second")
+            write_forest(first, forest)
+            restored = read_forest(first, forest.cm, forest.n_features)
+            write_forest(second, restored)
+            with open(os.path.join(first, "forest.json"), "rb") as a, \
+                    open(os.path.join(second, "forest.json"), "rb") as b:
                 assert a.read() == b.read()
         tables = ("leaf_counts", "leaf_rank", "leaf_support")
         for name, want in zip(tables, forest_reference.leaf_tables(forest)):

@@ -1,23 +1,21 @@
 """Metrics, experiment orchestration, and report/export behaviour."""
 
 import csv
-import json
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from cshc import classifiers as clf
-from cshc.classifiers import (ExternalPredictions, TrainedClassifier,
-                              model_state)
+from cshc.classifiers import ExternalPredictions, TrainedClassifier
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, load_csv
-from cshc.forest import forest_to_dict
-from cshc.harness import (average_ranks, export_viz, mgi, oracle_accuracy,
-                          paired_sign_ttest, pca_projection, prepare_dataset,
-                          run_experiment, save_bundle, select_rows,
-                          wins_losses, write_results_csv)
+from cshc.harness import (average_ranks, export_viz, load_bundle, mgi,
+                          oracle_accuracy, paired_sign_ttest, pca_projection,
+                          prepare_dataset, run_experiment, save_bundle,
+                          select_rows, wins_losses, write_results_csv)
 
 
 class TestMgi:
@@ -278,23 +276,32 @@ class TestExportViz:
 
 
 class TestSaveBundle:
-    def test_bytes_match_the_streaming_encoder(self, tmp_path):
-        """forest.json and models.json hold what json.dump writes for the
-        same objects, for a cv3 bundle whose trees split."""
+    def test_load_then_save_writes_the_same_bytes(self, tmp_path):
+        """A cv3 bundle whose trees split, with all four native kinds,
+        saved again from what load_bundle gives back, is the same three
+        files byte for byte."""
         cfg = tiny_experiment_config(tmp_path, seed=12, centre=1.0,
                                      spread=1.0)
         cfg.protocol = "cv3"
         name, path, label = cfg.datasets[0]
         prep = prepare_dataset(name, load_csv(path, label), cfg)
         assert any(tree.feat[0] >= 0 for tree in prep.forest.trees)
-        save_bundle(prep, cfg, str(tmp_path / "bundle"))
-        for fname, obj in (
-                ("forest.json", forest_to_dict(prep.forest)),
-                ("models.json", [model_state(m) for m in prep.models])):
-            with open(tmp_path / ("dump_" + fname), "w") as fh:
-                json.dump(obj, fh)
-            assert (tmp_path / "bundle" / fname).read_bytes() == \
-                (tmp_path / ("dump_" + fname)).read_bytes()
+        assert sorted(m.spec.kind for m in prep.models) == [
+            "decision_tree_gini", "gaussian_nb", "one_nn", "perceptron"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        save_bundle(prep, cfg, str(first))
+        meta, models, forest = load_bundle(str(first))
+        names = meta["dataset"]
+        again = SimpleNamespace(
+            name=names["name"], ds=SimpleNamespace(
+                feature_names=names["feature_names"],
+                class_names=names["class_names"]),
+            cm=forest.cm, models=models, forest=forest)
+        save_bundle(again, SimpleNamespace(asdict=lambda: meta["config"]),
+                    str(second))
+        for fname in ("forest.json", "models.json", "meta.json"):
+            assert (second / fname).read_bytes() == \
+                (first / fname).read_bytes(), fname
 
 
 class TestScoringRoute:
