@@ -1,8 +1,8 @@
 """The model bundle that `cshc train` writes and `cshc select` reads: in
-one directory, meta.json (the dataset's names, the config and the
-validation rows), models.json (each classifier's kind, name and state)
-and forest.json (the trees). SCHEMA gives every stored array its dtype
-and shape, and one reader, `_arrays`, checks them all."""
+one directory, meta.json (the dataset's names, the settings `select`
+reads and the validation rows), models.json (each classifier's kind,
+name and state) and forest.json (the trees). SCHEMA gives every stored
+array its dtype and shape, and one reader, `_arrays`, checks them all."""
 
 import json
 import os
@@ -36,6 +36,11 @@ SCHEMA = {
     **{kind: cls.STATE for kind, cls in CLASSIFIERS.items() if cls.STATE},
 }
 
+# the settings meta.json's config keeps, the ones `select` reads, and the
+# check each must pass on load
+CONFIG = (("gamma", require_finite), ("rho", require_finite),
+          ("seed", require_int))
+
 
 def save_bundle(prep, cfg, outdir):
     """Write the bundle of a PreparedDataset into outdir; a model that
@@ -47,10 +52,10 @@ def save_bundle(prep, cfg, outdir):
         "dataset": {"name": prep.name,
                     "feature_names": prep.ds.feature_names,
                     "class_names": prep.ds.class_names},
-        "config": cfg.asdict(),
+        "config": {key: getattr(cfg, key) for key, _ in CONFIG},
         "validation": {"predicted": prep.cm.predicted.tolist(),
                        "truth": prep.cm.truth.tolist()},
-    }, indent=2, sort_keys=True)
+    })
 
 
 def write_models(outdir, models):
@@ -73,9 +78,9 @@ def _lists(obj, kind):
     return {key: getattr(obj, key).tolist() for key in SCHEMA[kind]}
 
 
-def _dump(outdir, name, data, **options):
+def _dump(outdir, name, data):
     # json.dumps without indent runs the C encoder; json.dump never does
-    text = json.dumps(data, **options)
+    text = json.dumps(data)
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, name), "w") as fh:
         fh.write(text)
@@ -180,9 +185,8 @@ def _meta(meta):
         if not (arr.size and ((arr >= 0) & (arr < C)).all()):
             raise DataError("%r is not a non-empty array of classes in "
                             "[0, %d)" % (key, C))
-    for key in ("gamma", "rho"):
-        require_finite(_entry(meta, "config." + key), "'config.%s'" % key)
-    require_int(_entry(meta, "config.seed"), "'config.seed'")
+    for key, check in CONFIG:
+        check(_entry(meta, "config." + key), "'config.%s'" % key)
     return meta, CorrectnessMatrix(arrays["validation.predicted"],
                                    arrays["validation.truth"], C), F
 

@@ -1,4 +1,5 @@
-"""The simple base-classifier pool plus external prediction ingestion.
+"""The simple base-classifier pool, external prediction ingestion, pool
+scoring and the correctness matrices.
 
 Each classifier kind is one class, and ``CLASSIFIERS`` maps each kind
 to its class: ``train``, the bundle reader and the unknown-kind check
@@ -9,7 +10,8 @@ keep as state. ``external`` is the one kind that scores no features; its
 spec carries the loaded predictions table instead.
 
 Every model is scored through one call, ``predict_proba_batch``, which
-gives the (Q, C) class probabilities of a batch of rows. All models
+gives the (Q, C) class probabilities of a batch of rows, and a pool
+through ``pool_proba``, its one caller, which stacks them. All models
 share three behaviours the rest of the pipeline relies on: class
 probabilities are non-negative and sum to 1, a row's predicted class is
 their argmax with ties going to the lower class index, and retraining
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import DataError, read_records
+from .data import (CorrectnessMatrix, DataError, read_records,
+                   stratified_folds)
 from .rng import substream
 
 # the perceptron's passes over the data and the seed of their row orders
@@ -395,3 +398,49 @@ def predict_proba_batch(model, X, row_ids):
     if isinstance(model, ExternalTrained):
         return model.spec.table.proba_rows(row_ids)
     return model.proba_from_features(X)
+
+
+def pool_proba(models, X, row_ids):
+    """(Q, n, C) class probabilities of each of the n models for the
+    feature rows X, whose source row ids are row_ids."""
+    return np.stack([predict_proba_batch(model, X, row_ids)
+                     for model in models], axis=1)
+
+
+def build_correctness_cv3(ds_train, specs, seed):
+    """Cross-validated correctness over the whole training set.
+
+    Each classifier is trained on two of three stratified folds and
+    predicts the held-out third, so no row is ever scored by a model
+    that saw it. Returns (matrix, final_models, fold) where the final
+    models are retrained on all of ds_train for test-time use.
+    """
+    fold = stratified_folds(ds_train.labels, ds_train.n_classes, 3, seed)
+    proba = np.empty((ds_train.n_samples, len(specs), ds_train.n_classes))
+    for f in range(3):
+        held = np.nonzero(fold == f)[0]
+        sub = ds_train.subset(np.nonzero(fold != f)[0])
+        models = []
+        for spec in specs:
+            try:
+                models.append(train(spec, sub))
+            except DataError as exc:
+                raise DataError("training %r failed on fold %d: %s"
+                                % (spec.name, f, exc)) from None
+        proba[held] = pool_proba(models, ds_train.features[held],
+                                 ds_train.row_ids[held])
+    final_models = [train(spec, ds_train) for spec in specs]
+    cm = CorrectnessMatrix(proba.argmax(axis=2), ds_train.labels.copy(),
+                           ds_train.n_classes, proba=proba)
+    return cm, final_models, fold
+
+
+def build_correctness_holdout(ds_a, ds_b, specs):
+    """Train classifiers on half A, record their outcomes on half B."""
+    if ds_b.n_samples == 0:
+        raise DataError("holdout half B is empty")
+    models = [train(spec, ds_a) for spec in specs]
+    proba = pool_proba(models, ds_b.features, ds_b.row_ids)
+    cm = CorrectnessMatrix(proba.argmax(axis=2), ds_b.labels.copy(),
+                           ds_a.n_classes, proba=proba)
+    return cm, models

@@ -1,14 +1,13 @@
 """Command-line front end: train, select, evaluate, compare, export-viz."""
 
 import argparse
-import csv
 import os
 import sys
 
 from . import harness
 from .config import load_config, split_list
 from .data import (DataError, export_assignments_csv, load_csv,
-                   load_feature_rows, require_finite)
+                   load_feature_rows, require_finite, write_csv)
 
 
 def _apply_overrides(cfg, args):
@@ -75,29 +74,16 @@ def cmd_select(args):
         rho=args.rho if args.rho is not None else mcfg["rho"],
         seed=args.seed if args.seed is not None else mcfg["seed"])
     class_names = meta["dataset"]["class_names"]
-
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["row", "chosen_classifier", "predicted_class",
-                         "predicted_class_name", "method_used"])
-        columns = (out.chosen, out.predicted, out.exit)
-        for q, (chosen, predicted, used) in enumerate(
-                zip(*(c.tolist() for c in columns))):
-            writer.writerow([q, chosen, predicted, class_names[predicted],
-                             used])
-
-    if args.output is None:
-        emit(sys.stdout)
-    else:
-        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w", newline="") as fh:
-            emit(fh)
+    predicted = out.predicted.tolist()
+    write_csv(args.output, ["row", "chosen_classifier", "predicted_class",
+                            "predicted_class_name", "method_used"],
+              zip(range(len(predicted)), out.chosen.tolist(), predicted,
+                  [class_names[c] for c in predicted], out.exit.tolist()))
     return 0
 
 
 def _run_and_report(cfg):
     result = harness.run_experiment(cfg)
-    os.makedirs(cfg.outdir, exist_ok=True)
     harness.write_results_csv(result, os.path.join(cfg.outdir, "results.csv"))
     for name in result.dataset_names:
         prep = result.preps.get(name)
@@ -178,7 +164,6 @@ def cmd_export_viz(args):
     prep = result.preps[name]
     out = args.output or os.path.join(cfg.outdir, "viz_%s_%s.csv"
                                       % (name, args.method))
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     cell = result.cells[(name, args.method)]
     harness.export_viz(prep.ds, prep.plan, cell.chosen, cell.predicted, out)
     print("projection written to %s" % out)

@@ -1,12 +1,16 @@
-"""Tabular data ingestion, splits, folds and correctness matrices.
+"""Tabular data: CSV input and output, stratified splits and folds, and
+the correctness matrix type.
 
-Every CSV is read by ``read_records``, and ``feature_matrix`` parses the
-feature cells of a whole file at once."""
+Every CSV is read by ``read_records`` and written by ``write_csv``, and
+``feature_matrix`` parses the feature cells of a whole file at once."""
 
+import contextlib
 import csv
 import json
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,6 +188,20 @@ def read_records(path):
             linenos)
 
 
+def write_csv(path, header, rows):
+    """Write the header and then rows as CSV to the file path, making its
+    directory, or to stdout when path is None."""
+    if path is None:
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        target = open(path, "w", newline="")
+    with target as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _number(cell):
     try:
         return float(cell)
@@ -321,60 +339,11 @@ def stratified_folds(labels, n_classes, n_folds, seed):
     return fold
 
 
-def build_correctness_cv3(ds_train, specs, seed):
-    """Cross-validated correctness over the whole training set.
-
-    Each classifier is trained on two of three stratified folds and
-    predicts the held-out third, so no row is ever scored by a model
-    that saw it. Returns (matrix, final_models) where the final models
-    are retrained on all of ds_train for test-time use.
-    """
-    from . import classifiers as clf
-
-    fold = stratified_folds(ds_train.labels, ds_train.n_classes, 3, seed)
-    proba = np.empty((ds_train.n_samples, len(specs), ds_train.n_classes))
-    for f in range(3):
-        held = np.nonzero(fold == f)[0]
-        rest = np.nonzero(fold != f)[0]
-        sub = ds_train.subset(rest)
-        for a, spec in enumerate(specs):
-            try:
-                model = clf.train(spec, sub)
-            except DataError as exc:
-                raise DataError("training %r failed on fold %d: %s"
-                                % (spec.name, f, exc)) from None
-            proba[held, a] = clf.predict_proba_batch(
-                model, ds_train.features[held], ds_train.row_ids[held])
-    final_models = [clf.train(spec, ds_train) for spec in specs]
-    cm = CorrectnessMatrix(proba.argmax(axis=2), ds_train.labels.copy(),
-                           ds_train.n_classes, proba=proba)
-    return cm, final_models, fold
-
-
-def build_correctness_holdout(ds_a, ds_b, specs):
-    """Train classifiers on half A, record their outcomes on half B."""
-    from . import classifiers as clf
-
-    if ds_b.n_samples == 0:
-        raise DataError("holdout half B is empty")
-    proba = np.empty((ds_b.n_samples, len(specs), ds_a.n_classes))
-    models = []
-    for a, spec in enumerate(specs):
-        models.append(clf.train(spec, ds_a))
-        proba[:, a] = clf.predict_proba_batch(models[-1], ds_b.features,
-                                              ds_b.row_ids)
-    cm = CorrectnessMatrix(proba.argmax(axis=2), ds_b.labels.copy(),
-                           ds_a.n_classes, proba=proba)
-    return cm, models
-
-
 def export_assignments_csv(path, plan, fold_by_train_pos=None):
     """Write (sample_index, role, fold) rows for split/fold audits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_index", "role", "fold"])
-        for pos, i in enumerate(plan.train_indices):
-            f = "" if fold_by_train_pos is None else int(fold_by_train_pos[pos])
-            w.writerow([int(i), "train", f])
-        for i in plan.test_indices:
-            w.writerow([int(i), "test", ""])
+    n_train, n_test = plan.train_indices.size, plan.test_indices.size
+    folds = ([""] * n_train if fold_by_train_pos is None
+             else fold_by_train_pos.tolist())
+    write_csv(path, ["sample_index", "role", "fold"], zip(
+        np.concatenate([plan.train_indices, plan.test_indices]).tolist(),
+        ["train"] * n_train + ["test"] * n_test, folds + [""] * n_test))

@@ -6,7 +6,6 @@ against identical test-time base-classifier predictions, then fold the
 per-dataset accuracies into the cross-benchmark comparison statistics.
 """
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -18,11 +17,12 @@ from . import baselines as bl
 from . import classifiers as clf
 from . import selection as sel
 # cli saves and loads bundles through harness, where the benchmark's
-# tracer wraps the two
+# tracer wraps the two, as it wraps the correctness builders here
 from .bundle import load_bundle, save_bundle
+from .classifiers import build_correctness_cv3, build_correctness_holdout
 from .config import ExperimentConfig
-from .data import (CorrectnessMatrix, DataError, build_correctness_cv3,
-                   build_correctness_holdout, load_csv, make_split)
+from .data import (CorrectnessMatrix, DataError, load_csv, make_split,
+                   write_csv)
 from .forest import build_forest, query_batch
 from .selection import SELECTION_METHODS
 
@@ -115,10 +115,8 @@ class PreparedDataset:
     name: str
     ds: object
     plan: object
-    specs: list
     models: list
     cm: CorrectnessMatrix
-    dsel_ds: object
     forest: object
     test_ds: object
     test_labels: np.ndarray       # (Q, n)
@@ -162,24 +160,17 @@ def prepare_dataset(name, ds, cfg):
         cm, models, fold = build_correctness_cv3(train_ds, specs, cfg.seed)
         dsel_ds = train_ds
     forest = build_forest(cm, dsel_ds, cfg)
-    test_labels = label_matrix(models, test_ds.features, test_ds.row_ids)
+    test_labels = clf.pool_proba(models, test_ds.features,
+                                 test_ds.row_ids).argmax(axis=2)
     test_cm = CorrectnessMatrix(test_labels, test_ds.labels.copy(),
                                 ds.n_classes)
     mean, scale = clf.standardizer(dsel_ds.features)
     return PreparedDataset(
-        name=name, ds=ds, plan=plan, specs=specs, models=models, cm=cm,
-        dsel_ds=dsel_ds, forest=forest, test_ds=test_ds,
-        test_labels=test_labels, test_cm=test_cm,
+        name=name, ds=ds, plan=plan, models=models, cm=cm, forest=forest,
+        test_ds=test_ds, test_labels=test_labels, test_cm=test_cm,
         dsel_std=(dsel_ds.features - mean) / scale,
         test_std=(test_ds.features - mean) / scale, fold=fold,
     )
-
-
-def label_matrix(models, X, row_ids):
-    """(Q, n) class each model gives each feature row of X, whose source
-    row ids are row_ids."""
-    return np.column_stack([clf.predict_proba_batch(model, X, row_ids)
-                            .argmax(axis=1) for model in models])
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +282,9 @@ def run_experiment(cfg):
             continue
         result.preps[name] = prep
         result.oracle[name] = oracle_accuracy(prep.test_cm)
-        for a, spec in enumerate(prep.specs):
+        for a, model in enumerate(prep.models):
             acc = float(prep.test_cm.correct[:, a].mean() * 100.0)
-            result.static[(name, spec.name)] = acc
+            result.static[(name, model.spec.name)] = acc
         for method in cfg.methods:
             try:
                 result.cells[(name, method)] = evaluate_method(prep, method, cfg)
@@ -344,59 +335,56 @@ def comparison_rows(result):
     return rows, kept
 
 
+def _column(values, fmt="%.4f"):
+    """Each number of a float array in fmt, and "" for a NaN."""
+    return ["" if x != x else fmt % x for x in values.tolist()]
+
+
 def write_results_csv(result, path):
     cfg = result.config
     static_names = sorted({k[1] for k in result.static})
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset"] + ["static:" + s for s in static_names]
-                   + list(cfg.methods) + ["oracle", "recourse_rate", "errors"])
-        for d in result.dataset_names:
-            if d in result.errors:
-                w.writerow([d] + [""] * (len(static_names) + len(cfg.methods) + 2)
-                           + [error_text(result.errors[d])])
-                continue
-            row = [d]
-            row += [_fmt(result.static[(d, s)]) if (d, s) in result.static else ""
-                    for s in static_names]
-            errs = []
-            for m in cfg.methods:
-                cell = result.cells.get((d, m))
-                row.append(_fmt(cell.accuracy) if cell else "")
-                if (d, m) in result.errors:
-                    errs.append(m + ": " + error_text(result.errors[(d, m)]))
-            row.append(_fmt(result.oracle[d]))
-            lpr_cell = result.cells.get((d, "lpr"))
-            row.append(_fmt(lpr_cell.recourse_rate)
-                       if lpr_cell and lpr_cell.recourse_rate is not None else "")
-            row.append("; ".join(errs))
-            w.writerow(row)
-        stat_rows, kept = comparison_rows(result)
-        w.writerow([])
-        w.writerow(["# stats vs reference=%s over %d dataset(s): %s"
-                    % (cfg.reference, len(kept), ",".join(kept))])
-        w.writerow(["method", "wins", "losses", "ties", "mgi_pct",
-                    "avg_rank", "p_value"])
-        for row in stat_rows:
-            w.writerow(row)
+    rows = []
+    for d in result.dataset_names:
+        if d in result.errors:
+            rows.append([d] + [""] * (len(static_names) + len(cfg.methods) + 2)
+                        + [error_text(result.errors[d])])
+            continue
+        row = [d]
+        row += [_fmt(result.static[(d, s)]) if (d, s) in result.static else ""
+                for s in static_names]
+        errs = []
+        for m in cfg.methods:
+            cell = result.cells.get((d, m))
+            row.append(_fmt(cell.accuracy) if cell else "")
+            if (d, m) in result.errors:
+                errs.append(m + ": " + error_text(result.errors[(d, m)]))
+        row.append(_fmt(result.oracle[d]))
+        lpr_cell = result.cells.get((d, "lpr"))
+        row.append(_fmt(lpr_cell.recourse_rate)
+                   if lpr_cell and lpr_cell.recourse_rate is not None else "")
+        row.append("; ".join(errs))
+        rows.append(row)
+    stat_rows, kept = comparison_rows(result)
+    rows += [[], ["# stats vs reference=%s over %d dataset(s): %s"
+                  % (cfg.reference, len(kept), ",".join(kept))],
+             ["method", "wins", "losses", "ties", "mgi_pct", "avg_rank",
+              "p_value"], *stat_rows]
+    write_csv(path, ["dataset"] + ["static:" + s for s in static_names]
+              + list(cfg.methods) + ["oracle", "recourse_rate", "errors"],
+              rows)
 
 
 def write_trace_csv(prep, method_result, path):
-    """Per-sample selection trace with every stage's confidence ratio."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_index", "method_used", "chosen_classifier",
-                    "predicted_class", "confidence_ratio", "rr_ratio",
-                    "lp_ratio", "recourse_invoked"])
-        out = method_result.outcomes
-        columns = (prep.test_ds.row_ids, out.exit, out.chosen, out.predicted,
-                   out.confidence, out.rr_ratio, out.lp_ratio,
-                   out.recourse.astype(int))
-        for sid, used, chosen, predicted, conf, rr, lp, recourse in zip(
-                *(c.tolist() for c in columns)):
-            w.writerow([sid, used, chosen, predicted, _fmt(conf),
-                        "" if np.isnan(rr) else _fmt(rr),
-                        "" if np.isnan(lp) else _fmt(lp), recourse])
+    """Per-sample selection trace with every stage's confidence ratio; a
+    stage that did not run leaves its ratio blank."""
+    out = method_result.outcomes
+    write_csv(path, ["sample_index", "method_used", "chosen_classifier",
+                     "predicted_class", "confidence_ratio", "rr_ratio",
+                     "lp_ratio", "recourse_invoked"], zip(
+        prep.test_ds.row_ids.tolist(), out.exit.tolist(), out.chosen.tolist(),
+        out.predicted.tolist(), _column(out.confidence),
+        _column(out.rr_ratio), _column(out.lp_ratio),
+        out.recourse.astype(int).tolist()))
 
 
 def export_viz(ds, plan, chosen, predicted, path):
@@ -404,17 +392,14 @@ def export_viz(ds, plan, chosen, predicted, path):
     tagged with the selected classifier and whether it was right."""
     if ds.n_features < 2:
         raise DataError("need at least 2 features for a 2-D projection")
-    train = ds.features[plan.train_indices]
-    test = ds.features[plan.test_indices]
-    truth = ds.labels[plan.test_indices]
-    coords = pca_projection(train, test)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_index", "pc1", "pc2", "chosen_classifier", "correct"])
-        for q in range(len(chosen)):
-            w.writerow([int(plan.test_indices[q]),
-                        "%.6f" % coords[q, 0], "%.6f" % coords[q, 1],
-                        int(chosen[q]), int(predicted[q] == truth[q])])
+    coords = pca_projection(ds.features[plan.train_indices],
+                            ds.features[plan.test_indices])
+    correct = predicted == ds.labels[plan.test_indices]
+    write_csv(path, ["sample_index", "pc1", "pc2", "chosen_classifier",
+                     "correct"], zip(
+        plan.test_indices.tolist(), _column(coords[:, 0], "%.6f"),
+        _column(coords[:, 1], "%.6f"), chosen.tolist(),
+        correct.astype(int).tolist()))
 
 
 def append_run_record(result, path):
@@ -439,5 +424,5 @@ def select_rows(models, forest, X, method, gamma, rho, seed):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rows = np.arange(X.shape[0])
     return sel.select_batch(method, forest, *query_batch(forest, X),
-                            label_matrix(models, X, rows), rows, gamma, rho,
-                            seed, {})
+                            clf.pool_proba(models, X, rows).argmax(axis=2),
+                            rows, gamma, rho, seed, {})

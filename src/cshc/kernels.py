@@ -45,8 +45,6 @@ import numpy as np
 
 from .data import DataError
 
-NO_SPLIT = (-1.0, -1, np.nan)
-
 # bytes of the largest (queries, pool rows) float64 array `nearest` holds
 NEAREST_BYTES = 1 << 20
 
@@ -59,9 +57,7 @@ _HUGE = np.finfo(np.float64).max / 16
 def _scan(vals, Y, mult, min_size, gain, order, starts):
     """Best cut of every segment of a level: (K,) arrays (gain, column,
     threshold) of each segment's first maximum in column-major order,
-    with column -1 where a segment has no valid cut. Without order, scans
-    vals as one segment and returns one (gain, column, threshold) or
-    ``NO_SPLIT``.
+    with column -1 where a segment has no valid cut.
 
     order (N, F) holds indices into the members' values vals (S, F),
     class-major targets Y (m, S) and multiplicities mult (S,); segment k
@@ -73,10 +69,6 @@ def _scan(vals, Y, mult, min_size, gain, order, starts):
     mult, (N, F), the segment totals of Y and mult, (m, K) and (K,), and
     the segment of each position, (N,).
     """
-    one = order is None
-    if one:
-        order = np.argsort(vals, axis=0, kind="stable")
-        starts = np.zeros(1, dtype=np.int64)
     N, F = order.shape
     K = starts.size
     m = Y.shape[0]
@@ -117,26 +109,22 @@ def _scan(vals, Y, mult, min_size, gain, order, starts):
     thr = np.full(K, np.nan)
     i = np.flatnonzero(found)
     thr[i] = 0.5 * (v[cut[i], col[i]] + v[cut[i] + 1, col[i]])
-    if not one:
-        return np.where(found, best, -1.0), col, thr
-    return (float(best[0]), int(col[0]), float(thr[0])) if found[0] \
-        else NO_SPLIT
+    return np.where(found, best, -1.0), col, thr
 
 
-def best_split(vals, wcorrect, mult, min_size, order=None, starts=None):
-    """Best cost-sensitive split of a weighted cluster.
+def best_split(vals, wcorrect, mult, min_size, order, starts):
+    """Best cost-sensitive split of every segment of a level.
 
-    vals     : (S, F) feature values of the cluster members
+    vals     : (S, F) feature values of the members
     wcorrect : (S, n) multiplicity-weighted correct indicators per classifier
     mult     : (S,) member multiplicities
     min_size : minimum total multiplicity allowed in each child
+    order, starts : the level's (N, F) orders and (K,) segment starts,
+               as `grow` passes them
 
-    Returns (gain, column, threshold); gain is the increase of
-    max-per-child correct counts over the parent's single best count.
-    Returns ``NO_SPLIT`` when no candidate leaves both children valid.
-    With a level's orders (N, F) and segment starts (K,), as `grow`
-    passes them, scores every segment and returns the three as (K,)
-    arrays, with column -1 where a segment has no valid cut.
+    Returns (gain, column, threshold) as (K,) arrays, with column -1
+    where a segment has no valid cut; gain is the increase of
+    max-per-child correct counts over the segment's single best count.
     """
     def gain(left, right, n_left, total, total_m, seg):
         # np.maximum over the m class slabs: the same exact maxima as
@@ -148,14 +136,13 @@ def best_split(vals, wcorrect, mult, min_size, order=None, starts=None):
                  gain, order, starts)
 
 
-def gini_split(vals, labels, n_classes, order=None, starts=None):
-    """Best Gini split of an unweighted cluster.
+def gini_split(vals, labels, n_classes, order, starts):
+    """Best Gini split of every segment of a level of unweighted members.
 
     Maximizes sum over children of (sum_k count_k^2) / child_size, which
     is equivalent to minimizing the size-weighted Gini impurity. Returns
-    (score_gain, column, threshold) with score_gain relative to the
-    unsplit node, or ``NO_SPLIT``. order and starts score the segments of
-    a level as in `best_split`.
+    (score_gain, column, threshold) as (K,) arrays as `best_split` does,
+    score_gain relative to the unsplit segment.
     """
     onehot = (labels == np.arange(n_classes)[:, None]).astype(np.float64)
 

@@ -3,12 +3,23 @@
 The program scores every column of every node of a level in one
 segmented scan. This module keeps the plain scan of one node, one column
 at a time, as the oracle the kernel tests compare each segment of a
-level, and a lone cluster, with bit for bit.
+level, and a lone cluster scanned by `one_segment`, with bit for bit.
 """
 
 import numpy as np
 
 NO_SPLIT = (-1.0, -1, np.nan)
+
+
+def one_segment(split, vals, *args):
+    """split (`kernels.best_split` or `kernels.gini_split`) of vals and
+    its other arguments args as one segment, each column stably
+    argsorted: (gain, column, threshold), or ``NO_SPLIT``."""
+    order = np.argsort(vals, axis=0, kind="stable")
+    gain, col, thr = split(vals, *args, order, np.zeros(1, dtype=np.int64))
+    if col[0] < 0:
+        return NO_SPLIT
+    return float(gain[0]), int(col[0]), float(thr[0])
 
 
 def best_split(vals, wcorrect, mult, min_size):

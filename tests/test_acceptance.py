@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import kernels_reference
 from conftest import record_acceptance, region_benchmark_config
 from cshc import kernels
 from cshc.baselines import aposteriori, apriori, lca, mcb, ola
@@ -339,8 +340,9 @@ class TestCriterion3b:
             vals = np.round(rng.uniform(0, 4, size=(S, F)) * 2) / 2
             mult = rng.integers(1, 4, size=S).astype(float)
             wc = rng.integers(0, 2, size=(S, n)).astype(float) * mult[:, None]
-            got = kernels.best_split(np.ascontiguousarray(vals),
-                                     np.ascontiguousarray(wc), mult, 2.0)
+            got = kernels_reference.one_segment(
+                kernels.best_split, np.ascontiguousarray(vals),
+                np.ascontiguousarray(wc), mult, 2.0)
             want = brute_best_split(vals, wc, mult, 2.0)
             if want[1] < 0:
                 assert got[1] == -1

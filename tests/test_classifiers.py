@@ -15,10 +15,9 @@ from cshc import kernels
 from cshc.bundle import read_models, write_models
 from cshc.classifiers import (ClassifierSpec, ExternalPredictions,
                               OneNNTrained, PerceptronTrained,
-                              load_external_predictions,
+                              load_external_predictions, pool_proba,
                               predict_proba_batch, standardizer, train)
 from cshc.data import DataError, Dataset, make_split
-from cshc.harness import label_matrix
 from test_baselines import benchmark_knn_case, knn_cases
 
 
@@ -287,7 +286,8 @@ class TestSharedContracts:
         model = train(ClassifierSpec(kind), two_blob_ds)
         rng = np.random.default_rng(2)
         probes = rng.normal(scale=3.0, size=(50, 2))
-        labels = label_matrix([model], probes, np.arange(50))[:, 0]
+        labels = pool_proba([model], probes,
+                            np.arange(50)).argmax(axis=2)[:, 0]
         for x, label in zip(probes, labels):
             p = proba_of(model, x)
             assert p.sum() == pytest.approx(1.0, abs=1e-9)

@@ -47,6 +47,20 @@ class TestTrainSelect:
             assert lines[1].split(",")[3] == "a"
             assert lines[2].split(",")[3] == "b"
 
+    def test_meta_is_the_same_for_any_paths(self, tmp_path, monkeypatch):
+        """meta.json keeps no path: the same training, once with --data
+        relative and once absolute, into two directories, writes the same
+        bytes."""
+        data = write_tiny_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        metas = []
+        for given, out in ((os.path.relpath(data), "one"),
+                           (os.path.abspath(data), str(tmp_path / "two"))):
+            assert main(["train", "--data", given, "--label", "label",
+                         "--out", out, "--seed", "5"]) == 0
+            metas.append((tmp_path / out / "meta.json").read_bytes())
+        assert metas[0] == metas[1]
+
     def test_select_rejects_wrong_columns(self, tmp_path, capsys):
         data = write_tiny_csv(tmp_path)
         bundle_dir = str(tmp_path / "bundle")
@@ -105,6 +119,23 @@ class TestSelectInput:
                      "--output", str(out), "--method", "cshc"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", list(harness.SELECTION_METHODS))
+    def test_stdout_is_the_output_file(self, trained_bundle, tmp_path,
+                                       capsys, method):
+        """Without --output, select prints the bytes --output writes, CRLF
+        line ends included."""
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n2.0,-0.2\n0.0,0.0\n")
+        out = tmp_path / "sel.csv"
+        args = ["select", "--model", trained_bundle, "--input", str(query),
+                "--method", method]
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--output", str(out)]) == 0
+        assert printed.encode() == out.read_bytes()
+        assert printed.count("\r\n") == 4
 
     def test_output_parent_is_created(self, trained_bundle, tmp_path):
         query = tmp_path / "query.csv"

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import data_reference as ref
-from cshc.classifiers import ClassifierSpec
-from cshc.data import (CorrectnessMatrix, DataError, Dataset,
-                       build_correctness_cv3, build_correctness_holdout,
-                       load_csv, load_feature_rows, make_split,
-                       stratified_folds)
+from cshc.classifiers import (ClassifierSpec, build_correctness_cv3,
+                              build_correctness_holdout)
+from cshc.data import (CorrectnessMatrix, DataError, Dataset, load_csv,
+                       load_feature_rows, make_split, stratified_folds)
 
 
 def write_csv(path, text):

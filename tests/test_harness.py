@@ -297,8 +297,7 @@ class TestSaveBundle:
                 feature_names=names["feature_names"],
                 class_names=names["class_names"]),
             cm=forest.cm, models=models, forest=forest)
-        save_bundle(again, SimpleNamespace(asdict=lambda: meta["config"]),
-                    str(second))
+        save_bundle(again, SimpleNamespace(**meta["config"]), str(second))
         for fname in ("forest.json", "models.json", "meta.json"):
             assert (second / fname).read_bytes() == \
                 (first / fname).read_bytes(), fname

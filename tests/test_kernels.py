@@ -46,8 +46,9 @@ def test_best_split_matches_bruteforce():
     rng = np.random.default_rng(42)
     for _ in range(150):
         vals, wc, mult = random_cluster(rng)
-        got = kernels.best_split(np.ascontiguousarray(vals),
-                                 np.ascontiguousarray(wc), mult, 2.0)
+        got = kernels_reference.one_segment(
+            kernels.best_split, np.ascontiguousarray(vals),
+            np.ascontiguousarray(wc), mult, 2.0)
         want = brute_best_split(vals, wc, mult, 2.0)
         if want[1] < 0:
             assert got[1] == -1
@@ -76,7 +77,8 @@ def test_gini_split_matches_bruteforce():
         C = rng.integers(2, 4)
         vals = np.round(rng.uniform(0, 3, size=(S, F)) * 2) / 2
         labels = rng.integers(0, C, size=S)
-        gain, col, thr = kernels.gini_split(np.ascontiguousarray(vals), labels, C)
+        gain, col, thr = kernels_reference.one_segment(
+            kernels.gini_split, np.ascontiguousarray(vals), labels, C)
         # exhaustive: best achievable score over all midpoints
         best = None
         counts = np.bincount(labels, minlength=C).astype(float)
@@ -136,7 +138,8 @@ class TestScanOracle:
     @given(scan_cases())
     def test_best_split_matches_per_column_reference(self, case):
         vals, wcorrect, mult, min_size, _, _ = case
-        got = kernels.best_split(vals, wcorrect, mult, min_size)
+        got = kernels_reference.one_segment(kernels.best_split, vals,
+                                            wcorrect, mult, min_size)
         want = kernels_reference.best_split(vals, wcorrect, mult, min_size)
         assert bits(got) == bits(want)
 
@@ -144,7 +147,8 @@ class TestScanOracle:
     @given(scan_cases())
     def test_gini_split_matches_per_column_reference(self, case):
         vals, _, _, _, labels, n = case
-        got = kernels.gini_split(vals, labels, n)
+        got = kernels_reference.one_segment(kernels.gini_split, vals,
+                                            labels, n)
         want = kernels_reference.gini_split(vals, labels, n)
         assert bits(got) == bits(want)
 

@@ -1,14 +1,18 @@
-"""End-to-end oracle for the tree layers and the kNN kernel.
+"""End-to-end oracle for the tree layers, the kNN kernel, the
+neighbourhood baselines and the LP.
 
 The program grows its CSHC trees a group at a time and its Gini trees
-level by level, in `kernels.grow`, and finds the 1-NN's nearest rows and
-the baselines' kNN regions for a whole batch at once, in
-`kernels.nearest`. Here each command runs twice on one small native-pool
-dataset: once as it is, and once with every tree grown node by node by
-`forest_reference`, the 1-NN scored row by row by
-`classifiers_reference` and every region found query by query by
-`baselines_reference` instead. Every file the commands write must be the
-same bytes both times.
+level by level, in `kernels.grow`, finds the 1-NN's nearest rows and the
+baselines' kNN regions for a whole batch at once, in `kernels.nearest`,
+scores each baseline over the whole test partition as arrays, and hands
+each LP to HiGHS's low-level binding. Here each command runs twice on
+one small native-pool dataset: once as it is, and once with every tree
+grown node by node by `forest_reference`, the 1-NN scored row by row by
+`classifiers_reference`, every region found and every baseline scored
+query by query by `baselines_reference`, and every LP solved through
+public `linprog` by `lp_reference` instead. Every file the commands
+write, the bundles' meta.json included, must be the same bytes both
+times.
 """
 
 import os
@@ -19,15 +23,17 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import baselines_reference
 import classifiers_reference
-import cshc.baselines as baselines_module
 import cshc.forest as forest_module
+import cshc.harness as harness_module
+import cshc.lp as lp_module
 import forest_reference
+import lp_reference
 from cshc.classifiers import GiniTreeTrained, OneNNTrained
 from cshc.cli import main
 from cshc.config import ALL_METHODS
 from cshc.harness import SELECTION_METHODS
-from test_baselines import reference_regions
 
 
 def reference_group(draws, cfg, correct, features):
@@ -43,13 +49,6 @@ def reference_gini_fit(cls, spec, ds):
         ds.features, ds.labels, ds.n_classes)
     return cls(spec, ds.n_classes, ds.n_features, feat=feat, thr=thr,
                leaf_proba=proba)
-
-
-def stacked_regions(queries, k, pool):
-    """`baselines.region_of` by the one-query scan, query by query."""
-    regions = reference_regions(queries, k, pool)
-    return (np.array([r.neighbors for r in regions]),
-            np.array([r.distances for r in regions]))
 
 
 def write_inputs(tmp, seed):
@@ -90,9 +89,8 @@ def run_commands(tmp, tag, data, query, seed, protocol):
     files = {}
     for d in (out, bundle):
         for name in sorted(os.listdir(d)):
-            if name != "meta.json":  # holds the output directory
-                with open(os.path.join(d, name), "rb") as fh:
-                    files[name] = fh.read()
+            with open(os.path.join(d, name), "rb") as fh:
+                files[name] = fh.read()
     return files
 
 
@@ -109,7 +107,9 @@ def test_reference_growers_write_the_same_files(protocol, seed):
             mp.setattr(forest_module, "grow_group", reference_group)
             mp.setattr(GiniTreeTrained, "fit", classmethod(reference_gini_fit))
             mp.setattr(OneNNTrained, "_proba", classifiers_reference.one_nn_proba)
-            mp.setattr(baselines_module, "region_of", stacked_regions)
+            mp.setattr(harness_module, "_baseline_choice",
+                       baselines_reference.evaluate_baseline)
+            mp.setattr(lp_module, "solve", lp_reference.linprog_solve)
             got = run_commands(tmp, "reference", data, query, seed, protocol)
     assert sorted(got) == sorted(want)
     assert len([n for n in want if n.startswith("trace_")]) == 4
