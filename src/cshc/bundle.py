@@ -2,21 +2,27 @@
 one directory, meta.json (the dataset's names, the settings `select`
 reads and the validation rows), models.json (each classifier's kind,
 name and state) and forest.json (the trees). SCHEMA gives every stored
-array its dtype and shape, and one reader, `_arrays`, checks them all."""
+array its dtype and shape, and one reader, `_arrays`, checks them all.
 
+An array is stored as {"shape": its sizes, "data": base64 text of its
+dtype's little-endian bytes in C order}, which JSON decodes and numpy
+reads back without parsing a number per entry."""
+
+import binascii
 import json
+import math
 import os
 
 import numpy as np
 
 from . import kernels
 from .classifiers import CLASSIFIERS, ClassifierSpec
-from .data import (CorrectnessMatrix, DataError, load_json, read_array,
-                   require_finite, require_int)
+from .data import (CorrectnessMatrix, DataError, load_json, require_finite,
+                   require_int)
 from .forest import Forest, Tree
 
-BUNDLE_FORMAT = "cshc-bundle/4"
-FOREST_FORMAT = "cshc-forest/4"
+BUNDLE_FORMAT = "cshc-bundle/5"
+FOREST_FORMAT = "cshc-forest/5"
 
 # what a shape letter counts; within one object, every array naming a
 # letter has the same size along it
@@ -53,8 +59,9 @@ def save_bundle(prep, cfg, outdir):
                     "feature_names": prep.ds.feature_names,
                     "class_names": prep.ds.class_names},
         "config": {key: getattr(cfg, key) for key, _ in CONFIG},
-        "validation": {"predicted": prep.cm.predicted.tolist(),
-                       "truth": prep.cm.truth.tolist()},
+        "validation": {key: _encoded(getattr(prep.cm, key),
+                                     SCHEMA["meta"]["validation." + key][0])
+                       for key in ("predicted", "truth")},
     })
 
 
@@ -64,18 +71,25 @@ def write_models(outdir, models):
             raise DataError("%s classifier %r is not serializable"
                             % (m.spec.kind, m.spec.name))
     _dump(outdir, "models.json", [
-        {"kind": m.spec.kind, "name": m.spec.name, **_lists(m, m.spec.kind)}
+        {"kind": m.spec.kind, "name": m.spec.name, **_state(m, m.spec.kind)}
         for m in models])
 
 
 def write_forest(outdir, forest):
     _dump(outdir, "forest.json", {
         "format": FOREST_FORMAT,
-        "trees": [_lists(tree, "tree") for tree in forest.trees]})
+        "trees": [_state(tree, "tree") for tree in forest.trees]})
 
 
-def _lists(obj, kind):
-    return {key: getattr(obj, key).tolist() for key in SCHEMA[kind]}
+def _state(obj, kind):
+    return {key: _encoded(getattr(obj, key), dtype)
+            for key, (dtype, _) in SCHEMA[kind].items()}
+
+
+def _encoded(arr, dtype):
+    arr = np.ascontiguousarray(arr, "<" + dtype)
+    return {"shape": list(arr.shape), "data": binascii.b2a_base64(
+        arr.tobytes(), newline=False).decode("ascii")}
 
 
 def _dump(outdir, name, data):
@@ -132,7 +146,7 @@ def _arrays(obj, schema, sizes, log=()):
     its key is in log."""
     out = {}
     for key, (dtype, shape) in schema.items():
-        arr = read_array(_entry(obj, key), repr(key), dtype, len(shape))
+        arr = _decoded(_entry(obj, key), repr(key), dtype, len(shape))
         for d, n in zip(shape, arr.shape):
             if sizes.setdefault(d, n) != n:
                 raise DataError("%r is not an array of shape (%s) with %s" % (
@@ -145,6 +159,32 @@ def _arrays(obj, schema, sizes, log=()):
                             % key)
         out[key] = arr
     return out
+
+
+def _decoded(value, name, dtype, ndim):
+    """The ndim-D array of dtype that an entry stores; a DataError naming
+    it when the entry is not such an object, its data is not base64 text
+    or the bytes it decodes to do not fill its shape."""
+    if not (isinstance(value, dict) and "shape" in value and "data" in value):
+        raise DataError("%s is not an object with 'shape' and 'data'" % name)
+    shape, text = value["shape"], value["data"]
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise DataError("%s has a 'shape' other than a list of %d whole "
+                        "numbers >= 0" % (name, ndim))
+    try:
+        raw = binascii.a2b_base64(text)
+    except (TypeError, ValueError):
+        raw = None
+    # the decoder skips what is not base64 and stops at padding; text
+    # longer than the encoding of what it gave held more than base64
+    if raw is None or len(text) != 4 * -(-len(raw) // 3):
+        raise DataError("%s has 'data' that is not base64 text" % name)
+    if len(raw) != 8 * math.prod(shape):
+        raise DataError("%s has 'data' of %d bytes, not 8 for each of the "
+                        "%d entries of its 'shape'"
+                        % (name, len(raw), math.prod(shape)))
+    return np.frombuffer(raw, "<" + dtype).reshape(shape)
 
 
 def _objects(data, n, what, parse, *args):

@@ -162,19 +162,6 @@ def require_finite(value, name):
     return value
 
 
-def read_array(value, name, dtype, ndim):
-    """A loaded value as an ndim-D array of dtype; a DataError naming it
-    when the value does not convert (a string, a ragged list, an integer
-    beyond int64) or has another rank."""
-    try:
-        arr = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
-        raise DataError("%s is not a %d-D array of numbers" % (name, ndim))
-    return arr
-
-
 def read_records(path):
     """(header, records, linenos) of a headered CSV: the header's names
     stripped of spaces, the non-blank records after it, and their row

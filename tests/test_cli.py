@@ -1,5 +1,6 @@
 """Command-line round trips over temporary datasets."""
 
+import base64
 import contextlib
 import io
 import json
@@ -94,7 +95,7 @@ def split_bundle(tmp_path_factory):
     assert main(["train", "--data", data, "--label", "label",
                  "--out", bundle_dir, "--seed", "5"]) == 0
     with open(os.path.join(bundle_dir, "forest.json")) as fh:
-        assert json.load(fh)["trees"][0]["feat"][0] >= 0
+        assert _as_lists(json.load(fh))["trees"][0]["feat"][0] >= 0
     return bundle_dir
 
 
@@ -171,7 +172,7 @@ class TestSelectInput:
         files = {}
         for name in ("forest.json", "models.json"):
             with open(os.path.join(bundle_dir, name)) as fh:
-                files[name] = json.load(fh)
+                files[name] = _as_lists(json.load(fh))
         files["forest.json"]["format"] = "cshc-forest/3"
         for tree in files["forest.json"]["trees"] + [
                 m for m in files["models.json"]
@@ -191,7 +192,32 @@ class TestSelectInput:
         assert main(["select", "--model", bundle_dir, "--input",
                      str(query)]) == 2
         assert ("unsupported bundle format 'cshc-bundle/3'; this program "
-                "reads 'cshc-bundle/4'") in capsys.readouterr().err
+                "reads 'cshc-bundle/5'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names,message", [
+        (("meta.json", "models.json", "forest.json"),
+         "unsupported bundle format 'cshc-bundle/4'; this program reads "
+         "'cshc-bundle/5'"),
+        (("forest.json",),
+         "unsupported forest format 'cshc-forest/4'; this program reads "
+         "'cshc-forest/5'"),
+    ], ids=["bundle", "forest"])
+    def test_list_encoded_bundle_rejected(self, split_bundle, tmp_path,
+                                          names, message):
+        """Files of the previous format, which held every array as a JSON
+        list, are refused by their format, not read field by field."""
+        bundle_dir = str(tmp_path / "lists")
+        shutil.copytree(split_bundle, bundle_dir)
+        for name in names:
+            path = os.path.join(bundle_dir, name)
+            with open(path) as fh:
+                data = _as_lists(json.load(fh))
+            if name != "models.json":
+                data["format"] = data["format"].replace("/5", "/4")
+            with open(path, "w") as fh:
+                json.dump(data, fh)
+        stderr = _select_exits_2(bundle_dir, tmp_path)
+        assert stderr.startswith("error: ") and message in stderr
 
 
 class TestSelectFiles:
@@ -236,9 +262,11 @@ class TestSelectFiles:
         ("meta.json", lambda text: _truncated(text, 5, "validation", "truth"),
          "meta.json: 'validation.truth' is not an array of shape (M) with "
          "M = 81 validation rows"),
-        ("meta.json", lambda text: _replaced(text, [[0, 1], [1]], "validation",
-                                             "predicted"),
-         "meta.json: 'validation.predicted' is not a 2-D array of numbers"),
+        # a row one entry short
+        ("meta.json", lambda text: _recoded(text, lambda raw: raw[:-8],
+                                            "validation", "predicted"),
+         "meta.json: 'validation.predicted' has 'data' of 2584 bytes, not 8 "
+         "for each of the 324 entries of its 'shape'"),
         ("models.json", lambda text: "[1]",
          "models.json: expected a list of 4 classifier objects"),
         ("models.json", lambda text: _truncated(text, 3),
@@ -330,15 +358,46 @@ class TestSelectFiles:
          "classifier 'one_nn': overflow encountered in square while "
          "scoring"),
         # integers beyond int64, one per file
-        ("forest.json", lambda text: _replaced(text, 10 ** 30, "trees", 0,
-                                               "leaf_rows", 0),
-         "forest.json: forest tree 0: 'leaf_rows' is not a 1-D array of "
-         "numbers"),
-        ("meta.json", lambda text: _replaced(text, 10 ** 30, "validation",
-                                             "truth", 0),
-         "meta.json: 'validation.truth' is not a 1-D array of numbers"),
-        ("models.json", lambda text: _replaced(text, 10 ** 30, 1, "y", 0),
-         "models.json: classifier 1: 'y' is not a 1-D array of numbers"),
+        ("forest.json", lambda text: _recoded(text, _beyond_int64, "trees", 0,
+                                              "leaf_rows"),
+         "forest.json: forest tree 0: 'leaf_rows' has 'data' of "),
+        ("meta.json", lambda text: _recoded(text, _beyond_int64, "validation",
+                                            "truth"),
+         "meta.json: 'validation.truth' has 'data' of 1296 bytes, not 8 for "
+         "each of the 81 entries of its 'shape'"),
+        ("models.json", lambda text: _recoded(text, _beyond_int64, 1, "y"),
+         "models.json: classifier 1: 'y' has 'data' of "),
+        # arrays stored other than as a shape and base64 bytes
+        ("models.json", lambda text: json.dumps(_as_lists(json.loads(text))),
+         "models.json: classifier 0: 'log_prior' is not an object with "
+         "'shape' and 'data'"),
+        ("forest.json", lambda text: _without(text, "trees", 0, "thr",
+                                              "data"),
+         "forest.json: forest tree 0: 'thr' is not an object with 'shape' "
+         "and 'data'"),
+        ("meta.json", lambda text: _replaced(text, "not base64!", "validation",
+                                             "truth", "data"),
+         "meta.json: 'validation.truth' has 'data' that is not base64 text"),
+        # a character a lenient decoder would skip
+        ("models.json", lambda text: _edited(text, lambda node, key: (
+            node.__setitem__(key, node[key][:8] + "*" + node[key][8:])),
+            (1, "X", "data")),
+         "models.json: classifier 1: 'X' has 'data' that is not base64 text"),
+        ("forest.json", lambda text: _recoded(text, lambda raw: raw + raw[:8],
+                                              "trees", 0, "thr"),
+         "forest.json: forest tree 0: 'thr' has 'data' of "),
+        ("models.json", lambda text: _replaced(text, [-1, 2], 1, "X",
+                                               "shape"),
+         "models.json: classifier 1: 'X' has a 'shape' other than a list of "
+         "2 whole numbers >= 0"),
+        ("models.json", lambda text: _replaced(text, [40.5, 2], 1, "X",
+                                               "shape"),
+         "models.json: classifier 1: 'X' has a 'shape' other than a list of "
+         "2 whole numbers >= 0"),
+        ("meta.json", lambda text: _replaced(text, [81, 4, 1], "validation",
+                                             "predicted", "shape"),
+         "meta.json: 'validation.predicted' has a 'shape' other than a list "
+         "of 2 whole numbers >= 0"),
         # every leaf holds a member or more
         ("forest.json", lambda text: _emptied_leaves(text),
          "forest.json: forest tree 0: has 'leaf_ptr' other than 2 rising "
@@ -367,6 +426,10 @@ class TestSelectFiles:
             "models-leaf-proba-sum", "models-huge-theta", "models-tiny-var",
             "models-huge-1nn-point", "forest-row-beyond-int64",
             "meta-truth-beyond-int64", "models-label-beyond-int64",
+            "models-lists", "forest-no-data", "meta-bad-base64",
+            "models-stray-character", "forest-extra-entry",
+            "models-negative-shape", "models-fractional-shape",
+            "meta-3d-shape",
             "forest-empty-leaves", "forest-nan-threshold",
             "forest-inf-threshold"])
     def test_malformed_bundle_file_exits_2(self, split_bundle, tmp_path,
@@ -382,8 +445,8 @@ class TestSelectFiles:
         query.write_text("x0,x1\n-2.0,0.1\n")
         assert main(["select", "--model", bundle_dir, "--input",
                      str(query)]) == 2
-        assert message in capsys.readouterr().err
-
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("flag", ["--gamma", "--rho"])
     def test_non_finite_override_exits_2(self, trained_bundle, tmp_path,
@@ -433,7 +496,7 @@ class TestSelectFiles:
         shutil.copytree(split_bundle, bundle_dir)
         path = os.path.join(bundle_dir, name)
         with open(path) as fh:
-            data = json.load(fh)
+            data = _as_lists(json.load(fh))
         trees = (data["trees"] if name == "forest.json" else
                  [m for m in data if m["kind"] == "decision_tree_gini"])
         tree = next(t for t in trees if min(t["feat"][:2]) >= 0)
@@ -441,7 +504,7 @@ class TestSelectFiles:
         n = len(tree["feat"])
         message %= {"n": n, "k": (n + 1) // 2, "m": n + 2}
         with open(path, "w") as fh:
-            json.dump(data, fh)
+            json.dump(_as_stored(data), fh)
         stderr = _select_exits_2(bundle_dir, tmp_path)
         assert "%s: " % path in stderr and message in stderr
 
@@ -476,45 +539,95 @@ def _select_exits_2(bundle_dir, tmp_path, *args):
     return proc.stderr
 
 
-def _without(text, *keys):
-    """JSON text with the entry at the path of keys removed."""
-    data = json.loads(text)
-    node = data
+# the dtype of every stored array by its key, the same in every object
+# that holds one
+_DTYPES = {key.rsplit(".", 1)[-1]: dtype for schema in bundle.SCHEMA.values()
+           for key, (dtype, _) in schema.items()}
+
+
+def _as_lists(node, key=None):
+    """A loaded bundle file with every stored array decoded into nested
+    lists."""
+    if isinstance(node, dict):
+        if key in _DTYPES and set(node) == {"shape", "data"}:
+            return np.frombuffer(base64.b64decode(node["data"]),
+                                 "<" + _DTYPES[key]).reshape(
+                                     node["shape"]).tolist()
+        return {k: _as_lists(v, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_lists(v) for v in node]
+    return node
+
+
+def _as_stored(node, key=None):
+    """The inverse of _as_lists: every list at an array's key stored as
+    its shape and the base64 of its little-endian bytes."""
+    if key in _DTYPES and isinstance(node, list):
+        arr = np.asarray(node, "<" + _DTYPES[key])
+        return {"shape": list(arr.shape),
+                "data": base64.b64encode(arr.tobytes()).decode()}
+    if isinstance(node, dict):
+        return {k: _as_stored(v, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_stored(v) for v in node]
+    return node
+
+
+def _edited(text, edit, keys):
+    """JSON text with edit(parent, key) applied to the entry at the path
+    of keys. A path through 'shape' or 'data' edits how an array is
+    stored; any other path sees every array as nested lists, stored
+    again after the edit."""
+    raw = "shape" in keys or "data" in keys
+    doc = json.loads(text) if raw else _as_lists(json.loads(text))
+    node = doc
     for key in keys[:-1]:
         node = node[key]
-    del node[keys[-1]]
-    return json.dumps(data)
+    edit(node, keys[-1])
+    return json.dumps(doc if raw else _as_stored(doc))
+
+
+def _without(text, *keys):
+    """JSON text with the entry at the path of keys removed."""
+    return _edited(text, lambda node, key: node.pop(key), keys)
 
 
 def _replaced(text, value, *keys):
     """JSON text with the entry at the path of keys set to value."""
-    data = json.loads(text)
-    node = data
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
-    return json.dumps(data)
+    return _edited(text, lambda node, key: node.__setitem__(key, value), keys)
 
 
 def _emptied_leaves(text):
     """forest.json text with every tree one leaf that has no members."""
-    data = json.loads(text)
+    data = _as_lists(json.loads(text))
     for tree in data["trees"]:
         tree.update(feat=[-1], thr=[0.0], leaf_ptr=[0, 0], leaf_rows=[],
                     leaf_mult=[])
-    return json.dumps(data)
+    return json.dumps(_as_stored(data))
 
 
 def _truncated(text, size, *keys):
     """JSON text with the list at the path of keys cut to its first size
     entries; no keys cut the top-level list."""
-    data = json.loads(text)
     if not keys:
-        return json.dumps(data[:size])
-    node = data
-    for key in keys[:-1]:
-        node = node[key]
-    return _replaced(text, node[keys[-1]][:size], *keys)
+        return json.dumps(json.loads(text)[:size])
+    return _edited(text, lambda node, key: node.__setitem__(
+        key, node[key][:size]), keys)
+
+
+def _recoded(text, change, *keys):
+    """JSON text with the bytes of the array stored at the path of keys
+    replaced by change(bytes)."""
+    return _edited(text, lambda node, key: node.__setitem__(
+        key, base64.b64encode(change(base64.b64decode(node[key]))).decode()),
+        keys + ("data",))
+
+
+def _beyond_int64(raw):
+    """The bytes of an int64 array widened to 16 bytes an entry, with
+    10 ** 30 first: an integer beyond int64 in the bytes it needs."""
+    values = [10 ** 30] + np.frombuffer(raw, "<i8")[1:].tolist()
+    return b"".join(v.to_bytes(16, "little", signed=True) for v in values)
 
 
 def _json_paths(node, path=()):
@@ -539,6 +652,7 @@ _FUZZ_KINDS = {
     "truncate": lambda v: isinstance(v, list) and bool(v),
     "swap": lambda v: True,
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "text": lambda v: isinstance(v, str) and bool(v),
 }
 
 
@@ -595,6 +709,15 @@ def _select_mutated(fuzz, data):
         del node[data.draw(st.sampled_from(sorted(node)), label="key")]
     elif kind == "truncate":
         del node[data.draw(st.integers(0, len(node) - 1), label="size"):]
+    elif kind == "text":
+        # cut the text at, or change the character at, a drawn offset: a
+        # stored array's data then fails to decode, holds too few bytes
+        # for its shape or decodes to other values
+        at = data.draw(st.integers(0, len(node) - 1), label="at")
+        char = data.draw(st.sampled_from(["", "A", "/", "z", "="]),
+                         label="char")
+        doc = _set_path(doc, path, node[:at] + char + node[at + 1:]
+                        if char else node[:at])
     else:
         doc = _set_path(doc, path, data.draw(st.sampled_from(
             ["x", {}, None] if kind == "swap" else [-1, 10 ** 30]),
