@@ -7,7 +7,8 @@ import sys
 from . import harness
 from .config import load_config, split_list
 from .data import (DataError, export_assignments_csv, load_csv,
-                   load_feature_rows, require_finite, write_csv)
+                   load_feature_rows, require_finite, require_gamma,
+                   write_csv)
 
 
 def _apply_overrides(cfg, args):
@@ -62,9 +63,10 @@ def cmd_train(args):
 
 
 def cmd_select(args):
-    for flag in ("gamma", "rho"):
-        if getattr(args, flag) is not None:
-            require_finite(getattr(args, flag), "--" + flag)
+    if args.gamma is not None:
+        require_gamma(args.gamma, "--gamma")
+    if args.rho is not None:
+        require_finite(args.rho, "--rho")
     meta, models, forest = harness.load_bundle(args.model)
     X = load_feature_rows(args.input, meta["dataset"]["feature_names"])
     mcfg = meta["config"]

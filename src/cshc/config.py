@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .classifiers import ClassifierSpec
-from .data import DataError, require_finite
+from .data import DataError, require_finite, require_gamma
 
 ALL_METHODS = ("cshc", "rr", "lp", "lpr", "ola", "lca", "apr", "apo",
                "mcb", "knora_e", "knora_u", "mv")
@@ -21,6 +21,8 @@ ALL_METHODS = ("cshc", "rr", "lp", "lpr", "ola", "lca", "apr", "apo",
 DEFAULT_METHODS = ("cshc", "rr", "lp", "lpr", "ola", "lca", "apr",
                    "mcb", "knora_u", "mv")
 DEFAULT_POOL = ("gaussian_nb", "one_nn", "decision_tree_gini", "perceptron")
+# a run grows every one of n_trees trees, so a huge count never ends
+MAX_TREES = 10000
 
 
 @dataclass
@@ -71,6 +73,9 @@ class ExperimentConfig:
                             % self.knn_k)
         if self.n_trees < 1:
             raise DataError("n_trees must be >= 1")
+        if self.n_trees > MAX_TREES:
+            raise DataError("[cshc] n_trees must be at most %d, got %d"
+                            % (MAX_TREES, self.n_trees))
         if not 0.0 < self.bootstrap_fraction <= 1.0:
             raise DataError("bootstrap_fraction must be in (0, 1]")
         if self.min_cluster_size < 1:
@@ -79,7 +84,7 @@ class ExperimentConfig:
             raise DataError("max_depth must be >= 1")
         if not 0.0 <= self.min_improvement < 1.0:
             raise DataError("min_improvement must be in [0, 1)")
-        require_finite(self.gamma, "[lp] gamma")
+        require_gamma(self.gamma, "[lp] gamma")
         require_finite(self.rho, "[selection] rho")
         require_finite(self.mcb_similarity, "[baselines] mcb_similarity")
         return self

@@ -130,11 +130,13 @@ class CorrectnessMatrix:
 
 def open_input(path, **kwargs):
     """``open`` for reading a file the user named; a missing or unreadable
-    file is a DataError naming the path."""
+    file, or a path open refuses (a NUL byte in it), is a DataError naming
+    the path."""
     try:
         return open(path, **kwargs)
-    except OSError as exc:
-        raise DataError("%s: cannot read: %s" % (path, exc.strerror)) from None
+    except (OSError, ValueError) as exc:
+        raise DataError("%s: cannot read: %s"
+                        % (path, getattr(exc, "strerror", exc))) from None
 
 
 def load_json(path):
@@ -159,6 +161,19 @@ def require_finite(value, name):
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise DataError("%s must be a finite number, got %r" % (name, value))
+    return value
+
+
+# HiGHS reads a bound of 1e20 or more as infinite
+GAMMA_BOUND = 1e20
+
+
+def require_gamma(value, name):
+    """value, a finite LP margin below GAMMA_BOUND, else a DataError
+    naming it."""
+    if require_finite(value, name) >= GAMMA_BOUND:
+        raise DataError("%s must be below %g, HiGHS's infinite bound, got %r"
+                        % (name, GAMMA_BOUND, value))
     return value
 
 

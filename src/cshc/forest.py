@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import kernels
 from .data import CorrectnessMatrix
@@ -95,7 +94,8 @@ class Forest:
         self.leaf_counts = np.column_stack(
             [np.bincount(leaf_of, weights=wc[:, a], minlength=L)
              for a in range(cm.n_classifiers)])
-        self.leaf_rank = _rank_within_leaves(self.leaf_counts)
+        # the best classifier of a leaf gets rank n, the worst rank 1
+        self.leaf_rank = average_rank(self.leaf_counts, axis=1)
         C = cm.n_classes
         self.leaf_support = np.bincount(
             leaf_of * C + cm.truth[rows], weights=mult,
@@ -120,11 +120,25 @@ class Forest:
         return rows, mult[rows]
 
 
-def _rank_within_leaves(counts):
-    """Classifier ranks within each row of leaf correct counts: the best
-    classifier gets rank n, the worst rank 1, and tied counts share the
-    average of the ranks they span."""
-    return rankdata(counts, method="average", axis=1)
+def average_rank(values, axis):
+    """Ranks of values along axis, 1 for the smallest; tied values share
+    the average of the ranks they span, as scipy's rankdata with method
+    "average". The ranks are multiples of 0.5, so they are exact."""
+    a = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
+    order = np.argsort(a, axis=-1, kind="stable")
+    s = np.take_along_axis(a, order, axis=-1)
+    n = s.shape[-1]
+
+    def run_start(s):  # the sorted position where each run of ties starts
+        new = np.ones(s.shape, dtype=bool)
+        new[..., 1:] = s[..., 1:] != s[..., :-1]
+        return np.maximum.accumulate(np.where(new, np.arange(n), 0), axis=-1)
+    # where each run ends: where it starts in the reversed order
+    last = n - 1 - np.flip(run_start(np.flip(s, axis=-1)), axis=-1)
+    ranks = np.empty_like(s)
+    np.put_along_axis(ranks, order, (run_start(s) + last) / 2.0 + 1.0,
+                      axis=-1)
+    return np.moveaxis(ranks, -1, axis)
 
 
 def grow_group(draws, cfg, correct, features):

@@ -1,9 +1,10 @@
 """End-to-end experiments: shared artifacts, method evaluation, metrics.
 
 Per dataset: split off a test partition, build the correctness matrix
-on the protocol's validation data, grow the forest, run every method
-against identical test-time base-classifier predictions, then fold the
-per-dataset accuracies into the cross-benchmark comparison statistics.
+on the protocol's validation data, run every method against identical
+test-time base-classifier predictions, growing the forest only when a
+method reads it, then fold the per-dataset accuracies into the
+cross-benchmark comparison statistics.
 """
 
 import json
@@ -11,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import baselines as bl
 from . import classifiers as clf
@@ -23,7 +23,7 @@ from .classifiers import build_correctness_cv3, build_correctness_holdout
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, load_csv, make_split,
                    write_csv)
-from .forest import build_forest, query_batch
+from .forest import average_rank, build_forest, query_batch
 from .selection import SELECTION_METHODS
 
 
@@ -59,8 +59,7 @@ def average_ranks(table):
     """Mean rank per method from a methods x datasets accuracy table;
     rank M is best, ties share the average rank."""
     arr = np.asarray(table, dtype=np.float64)
-    ranks = sstats.rankdata(arr, method="average", axis=0)
-    return ranks.mean(axis=1)
+    return average_rank(arr, axis=0).mean(axis=1)
 
 
 def paired_sign_ttest(outcomes):
@@ -80,8 +79,9 @@ def paired_sign_ttest(outcomes):
     sd = x.std(ddof=1)
     if sd == 0.0:
         return 0.0
+    from scipy.special import stdtr  # only the reports need it
     t = x.mean() / (sd / np.sqrt(n))
-    return float(2.0 * sstats.t.sf(abs(t), n - 1))
+    return float(2.0 * stdtr(n - 1, -abs(t)))
 
 
 def pca_projection(train_features, test_features):
@@ -117,7 +117,8 @@ class PreparedDataset:
     plan: object
     models: list
     cm: CorrectnessMatrix
-    forest: object
+    dsel_ds: object               # the validation rows cm and the forest cover
+    cfg: ExperimentConfig         # the forest's [cshc] settings and seed
     test_ds: object
     test_labels: np.ndarray       # (Q, n)
     test_cm: CorrectnessMatrix
@@ -127,6 +128,14 @@ class PreparedDataset:
     query: tuple = None           # (leaf_ids, cumulative, dominant)
     regions: tuple = None         # (Q, k) neighbours and distances
     lp_cache: dict = field(default_factory=dict)
+    _forest: object = None
+
+    @property
+    def forest(self):
+        """The forest, grown the first time it is read."""
+        if self._forest is None:
+            self._forest = build_forest(self.cm, self.dsel_ds, self.cfg)
+        return self._forest
 
     def get_query(self):
         if self.query is None:
@@ -140,7 +149,8 @@ class PreparedDataset:
 
 
 def prepare_dataset(name, ds, cfg):
-    """Build every artifact shared by the methods on one dataset."""
+    """Build the artifacts every method on one dataset shares; the forest,
+    the test rows' leaves and their kNN regions wait for a first reader."""
     plan = make_split(ds, cfg.test_fraction, cfg.seed)
     train_ds = ds.subset(plan.train_indices)
     test_ds = ds.subset(plan.test_indices)
@@ -159,15 +169,14 @@ def prepare_dataset(name, ds, cfg):
     else:
         cm, models, fold = build_correctness_cv3(train_ds, specs, cfg.seed)
         dsel_ds = train_ds
-    forest = build_forest(cm, dsel_ds, cfg)
     test_labels = clf.pool_proba(models, test_ds.features,
                                  test_ds.row_ids).argmax(axis=2)
     test_cm = CorrectnessMatrix(test_labels, test_ds.labels.copy(),
                                 ds.n_classes)
     mean, scale = clf.standardizer(dsel_ds.features)
     return PreparedDataset(
-        name=name, ds=ds, plan=plan, models=models, cm=cm, forest=forest,
-        test_ds=test_ds, test_labels=test_labels, test_cm=test_cm,
+        name=name, ds=ds, plan=plan, models=models, cm=cm, dsel_ds=dsel_ds,
+        cfg=cfg, test_ds=test_ds, test_labels=test_labels, test_cm=test_cm,
         dsel_std=(dsel_ds.features - mean) / scale,
         test_std=(test_ds.features - mean) / scale, fold=fold,
     )
@@ -420,9 +429,20 @@ def append_run_record(result, path):
 
 
 def select_rows(models, forest, X, method, gamma, rho, seed):
-    """Selection over feature rows using a deserialized bundle."""
+    """Selection over feature rows using a deserialized bundle. Under
+    cshc each model scores only the rows that pick it, the only labels
+    the pick reads; every other method reads every model's label."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rows = np.arange(X.shape[0])
-    return sel.select_batch(method, forest, *query_batch(forest, X),
-                            clf.pool_proba(models, X, rows).argmax(axis=2),
-                            rows, gamma, rho, seed, {})
+    query = query_batch(forest, X)
+    if method != "cshc":
+        labels = clf.pool_proba(models, X, rows).argmax(axis=2)
+    else:
+        chosen = sel.cshc_choice(query[1], forest.cm.classifier_accuracies())
+        labels = np.zeros((rows.size, len(models)), dtype=np.int64)
+        for a in np.unique(chosen).tolist():
+            mine = rows[chosen == a]
+            labels[mine, a] = clf.predict_proba_batch(
+                models[a], X[mine], mine).argmax(axis=1)
+    return sel.select_batch(method, forest, *query, labels, rows, gamma, rho,
+                            seed, {})

@@ -82,7 +82,7 @@ def _vote(weights, labels, n_classes, seed, stage, sample_ids):
     return chosen, ratio
 
 
-def _cshc(cumulative, validation_accuracy):
+def cshc_choice(cumulative, validation_accuracy):
     """Each row's classifier with the best cumulative rank; rank ties go
     to the higher validation accuracy, then to the lower index."""
     best = cumulative == cumulative.max(axis=1, keepdims=True)
@@ -163,7 +163,7 @@ def select_batch(method, forest, leaf_ids, cumulative, dominant, labels,
                          confidence, rr_ratio, lp_ratio)
 
     if method == "cshc":
-        chosen = _cshc(cumulative, cm.classifier_accuracies())
+        chosen = cshc_choice(cumulative, cm.classifier_accuracies())
         return result(0, chosen, np.zeros(rows.size), nan, nan)
     if method == "lp":
         chosen, ratio = _vote(
@@ -180,7 +180,7 @@ def select_batch(method, forest, leaf_ids, cumulative, dominant, labels,
     lp_c[gate], lp_r[gate] = _vote(
         _lp_weights(forest, leaf_ids[gate], sample_ids[gate], gamma, cache),
         labels[gate], cm.n_classes, seed, "lp", sample_ids[gate])
-    cshc_c = _cshc(cumulative, cm.classifier_accuracies())
+    cshc_c = cshc_choice(cumulative, cm.classifier_accuracies())
     rr_p, lp_p, cshc_p = (labels[rows, c] for c in (rr_c, lp_c, cshc_c))
     code = np.select(
         [~gate, lp_r <= rho, rr_p == lp_p,

@@ -2,12 +2,14 @@
 
 import base64
 import contextlib
+import csv
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +19,29 @@ from hypothesis import strategies as st
 import cshc
 from cshc import bundle, harness, kernels
 from cshc.cli import main
+from cshc.config import ALL_METHODS
 from test_harness import tiny_experiment_config
 
 
 def write_tiny_csv(tmp_path, name="tiny.csv", rows=240, seed=11, **shape):
     cfg = tiny_experiment_config(tmp_path, rows=rows, seed=seed, **shape)
     return cfg.datasets[0][1]
+
+
+def test_import_leaves_scipy_stats_out():
+    """No command needs scipy.stats, which takes most of a second to
+    import: importing the program loads it only where the HiGHS binding
+    that the LP imports already has (scipy 1.17's does not)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cshc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, scipy.optimize._highspy._core; "
+         "before = 'scipy.stats' in sys.modules; import cshc.cli; "
+         "print(before, 'scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert out.returncode == 0, out.stderr
+    before, after = out.stdout.split()
+    assert after == before
 
 
 class TestTrainSelect:
@@ -119,6 +138,25 @@ class TestSelectInput:
         assert main(["select", "--model", trained_bundle, "--input", str(bad),
                      "--output", str(out), "--method", "cshc"]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflow_in_a_model_the_row_does_not_pick(
+            self, split_bundle, tmp_path, capsys):
+        """cshc scores a row only with the model it picks. This row
+        overflows naive Bayes, and cshc picks the perceptron for it, so
+        it selects; rr reads every model's label and exits 2 naming naive
+        Bayes."""
+        query = tmp_path / "rows.csv"
+        query.write_text("x0,x1\n1e200,0.0\n")
+        out = tmp_path / "sel.csv"
+        args = ["select", "--model", split_bundle, "--input", str(query),
+                "--output", str(out), "--method"]
+        assert main(args + ["cshc"]) == 0
+        assert out.read_text().splitlines()[1].split(",")[1:2] == ["3"]
+        out.unlink()
+        assert main(args + ["rr"]) == 2
+        assert ("classifier 'gaussian_nb': overflow encountered in square "
+                "while scoring") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", list(harness.SELECTION_METHODS))
@@ -457,6 +495,16 @@ class TestSelectFiles:
                      str(query), flag, "nan"]) == 2
         assert "%s must be a finite number, got nan" % flag in \
             capsys.readouterr().err
+
+    def test_gamma_override_at_the_solver_bound_exits_2(
+            self, trained_bundle, tmp_path, capsys):
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n0.0,0.0\n")
+        assert main(["select", "--model", trained_bundle, "--input",
+                     str(query), "--method", "lp", "--gamma", "1e21"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: --gamma must be below 1e+20, HiGHS's infinite "
+                       "bound, got 1e+21\n")
 
     def test_log_prior_may_hold_minus_inf(self, trained_bundle, tmp_path):
         """A class absent from training gives gaussian_nb a log prior of
@@ -948,6 +996,17 @@ class TestConfigErrors:
          "[selection] rho must be a finite number, got inf"),
         ("compare", "[baselines]\nmcb_similarity = nan\n",
          "[baselines] mcb_similarity must be a finite number, got nan"),
+        ("evaluate", "[lp]\ngamma = 1e20\n",
+         "[lp] gamma must be below 1e+20, HiGHS's infinite bound, got "
+         "1e+20"),
+        ("train", "[lp]\ngamma = 1e21\n",
+         "[lp] gamma must be below 1e+20, HiGHS's infinite bound, got "
+         "1e+21"),
+        ("compare", "[cshc]\nn_trees = 5999999999999999999999\n",
+         "[cshc] n_trees must be at most 10000, got "
+         "5999999999999999999999"),
+        ("evaluate", "[cshc]\nn_trees = 10001\n",
+         "[cshc] n_trees must be at most 10000, got 10001"),
     ] + [(command, ini, message) for command in _COMMANDS
          for ini, message in _MALFORMED_INI.values()],
         ids=["train-protocol", "train-method", "train-k-zero",
@@ -957,7 +1016,9 @@ class TestConfigErrors:
             "train-depth-zero", "evaluate-cluster-size-zero",
             "compare-bootstrap-above-one", "train-improvement-one",
             "train-gamma-nan", "evaluate-rho-inf",
-            "compare-mcb-similarity-nan"]
+            "compare-mcb-similarity-nan", "evaluate-gamma-at-bound",
+            "train-gamma-above-bound", "compare-trees-huge",
+            "evaluate-trees-above-bound"]
         + ["%s-%s" % (command, name) for command in _COMMANDS
            for name in _MALFORMED_INI])
     def test_bad_config_exits_2(self, tmp_path, capsys, command, ini,
@@ -1077,6 +1138,79 @@ class TestMalformedDataset:
                      "--out", str(tmp_path / "b")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and self.message in err, err
+
+
+class TestNulInPath:
+    """A config path holding a NUL byte, which open refuses, is malformed
+    input: exit 2 with an error line."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    @pytest.mark.parametrize("section", ["data", "external"])
+    def test_exits_2(self, tmp_path, capsys, command, section):
+        data = write_tiny_csv(tmp_path)
+        lines = ["[data]", "tiny = " + (data + "\x00" if section == "data"
+                                        else data)]
+        if section == "external":
+            lines += ["[classifiers]", "external ext = preds\x00.csv"]
+        ini = tmp_path / "nul.ini"
+        ini.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(ini), "--out",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert "cannot read: embedded null byte" in err
+
+
+class TestForestOnFirstUse:
+    """The forest is grown the first time something reads it: a selection
+    method, or train's bundle. A spy on harness.build_forest counts the
+    builds."""
+
+    BASELINES = "ola,lca,apr,apo,mcb,knora_e,knora_u,mv"
+
+    def builds(self, argv):
+        with mock.patch.object(harness, "build_forest",
+                               wraps=harness.build_forest) as spy:
+            assert main(argv) == 0
+        return spy.call_count
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--methods", "mv", "--reference", "mv"],
+        ["evaluate", "--methods", BASELINES, "--reference", "mv"],
+        ["export-viz", "--method", "ola"]], ids=["mv", "baselines", "viz"])
+    def test_baselines_grow_none(self, tmp_path, argv):
+        data = write_tiny_csv(tmp_path)
+        assert self.builds(argv + ["--data", data, "--label", "label",
+                                   "--out", str(tmp_path / "out")]) == 0
+
+    def test_one_per_dataset(self, tmp_path):
+        paths = []
+        for seed in (11, 12):
+            (tmp_path / str(seed)).mkdir()
+            paths.append(write_tiny_csv(tmp_path / str(seed), seed=seed))
+        ini = tmp_path / "two.ini"
+        ini.write_text("[data]\none = %s\ntwo = %s\n" % tuple(paths))
+        assert self.builds(["compare", "--config", str(ini), "--out",
+                            str(tmp_path / "cmp")]) == 2
+        assert self.builds(["train", "--data", write_tiny_csv(tmp_path),
+                            "--label", "label", "--out",
+                            str(tmp_path / "bundle")]) == 1
+
+    def test_baseline_columns_do_not_depend_on_the_forest(self, tmp_path):
+        """Each baseline's accuracy, the static columns and the oracle are
+        the same with and without the selection methods in the run."""
+        data = write_tiny_csv(tmp_path, seed=12, centre=1.0, spread=1.0)
+        rows = []
+        for methods in (self.BASELINES, ",".join(ALL_METHODS)):
+            out = tmp_path / ("out%d" % len(rows))
+            assert main(["evaluate", "--data", data, "--label", "label",
+                         "--methods", methods, "--reference", "mv",
+                         "--out", str(out)]) == 0
+            with open(out / "results.csv", newline="") as fh:
+                rows.append(next(csv.DictReader(fh)))
+        assert rows[1]["cshc"] and not rows[1]["errors"]
+        del rows[1]["recourse_rate"], rows[0]["recourse_rate"]
+        assert {k: rows[1][k] for k in rows[0]} == rows[0]
 
 
 class TestExportViz:

@@ -20,7 +20,7 @@ from cshc.bundle import read_forest, write_forest
 from cshc.classifiers import ClassifierSpec, train
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, Dataset
-from cshc.forest import (Forest, Tree, _rank_within_leaves, bootstrap_draws,
+from cshc.forest import (Forest, Tree, average_rank, bootstrap_draws,
                          build_forest, feature_subset_size, grow_group,
                          query_batch)
 from forest_reference import split_gain
@@ -292,11 +292,11 @@ class TestQuery:
 
 class TestLeafRanks:
     def test_examples(self):
-        assert _rank_within_leaves(np.array([[3, 1, 2]])).tolist() == [
+        assert average_rank(np.array([[3, 1, 2]]), axis=1).tolist() == [
             [3.0, 1.0, 2.0]]
-        assert _rank_within_leaves(np.array([[2, 2, 0]])).tolist() == [
+        assert average_rank(np.array([[2, 2, 0]]), axis=1).tolist() == [
             [2.5, 2.5, 1.0]]
-        per_tree = _rank_within_leaves(np.array([[3, 1, 2], [2, 1, 3]]))
+        per_tree = average_rank(np.array([[3, 1, 2], [2, 1, 3]]), axis=1)
         assert per_tree.sum(axis=0).tolist() == [5.0, 2.0, 5.0]
 
     def test_rank_sum_invariant(self):
@@ -305,8 +305,26 @@ class TestLeafRanks:
             T = rng.integers(1, 8)
             n = rng.integers(2, 6)
             counts = rng.integers(0, 5, size=(T, n)).astype(float)
-            cum = _rank_within_leaves(counts).sum(axis=0)
+            cum = average_rank(counts, axis=1).sum(axis=0)
             assert cum.sum() == pytest.approx(T * n * (n + 1) / 2)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_average_rank_is_rankdata(self, data):
+        """The numpy ranks equal scipy's rankdata with method "average",
+        bit for bit, along any axis of arrays with many ties."""
+        shape = data.draw(st.lists(st.integers(1, 6), min_size=1,
+                                   max_size=3), label="shape")
+        values = np.array(data.draw(st.lists(
+            st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e300]),
+            min_size=int(np.prod(shape)), max_size=int(np.prod(shape))),
+            label="values")).reshape(shape)
+        axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
+        got = average_rank(values, axis)
+        want = rankdata(values, method="average", axis=axis)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_forest_rank_sum(self):
         forest, _, ds, _ = region_forest()

@@ -1,17 +1,22 @@
 """Metrics, experiment orchestration, and report/export behaviour."""
 
 import csv
+import dataclasses
 import math
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cshc import classifiers as clf
+from cshc import selection as sel
 from cshc.classifiers import ExternalPredictions, TrainedClassifier
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, load_csv
+from cshc.forest import query_batch
 from cshc.harness import (average_ranks, export_viz, load_bundle, mgi,
                           oracle_accuracy, paired_sign_ttest, pca_projection,
                           prepare_dataset, run_experiment, save_bundle,
@@ -367,12 +372,58 @@ class TestScoringRoute:
             assert M == prep.plan.train_indices.size
 
     def test_select_rows(self, tmp_path):
-        cfg = self.config(tmp_path, "split50", external=False)
+        # seed 12: the pick of the first 37 test rows mixes two models
+        cfg = tiny_experiment_config(tmp_path, seed=12, centre=1.0,
+                                     spread=1.0)
         name, path, label = cfg.datasets[0]
         prep = prepare_dataset(name, load_csv(path, label), cfg)
         X = prep.test_ds.features[:37]
-        out, batch_rows, model_rows = self.scored_rows(
-            lambda: select_rows(prep.models, prep.forest, X, "cshc",
-                                cfg.gamma, cfg.rho, cfg.seed))
+
+        def scored(method):
+            return self.scored_rows(lambda: select_rows(
+                prep.models, prep.forest, X, method, cfg.gamma, cfg.rho,
+                cfg.seed))
+        # under cshc each model scores only the rows that pick it, in
+        # classifier order, so the batch sizes sum to the 37 rows
+        out, batch_rows, model_rows = scored("cshc")
         assert out.chosen.size == 37
+        picks = np.bincount(out.chosen, minlength=len(prep.models))
+        assert np.count_nonzero(picks) > 1
+        assert batch_rows == model_rows == picks[picks > 0].tolist()
+        assert sum(batch_rows) == 37
+        # rr votes over every model's label of every row
+        _, batch_rows, model_rows = scored("rr")
         assert batch_rows == model_rows == [37] * len(prep.models)
+
+
+@pytest.fixture(scope="module")
+def mixed_prep(tmp_path_factory):
+    """A dataset on which CSHC picks each of the four native models for
+    some of the points in [-4, 4]^2."""
+    cfg = tiny_experiment_config(tmp_path_factory.mktemp("mixed"), seed=19,
+                                 centre=1.0, spread=1.0)
+    name, path, label = cfg.datasets[0]
+    return prepare_dataset(name, load_csv(path, label), cfg), cfg
+
+
+class TestCshcScoresChosenRows:
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+                    min_size=1, max_size=40))
+    def test_same_selection_as_from_every_label(self, mixed_prep, points):
+        """select_rows under cshc, which scores each row with its pick
+        only, gives what select_batch gives from every model's label of
+        every row, column by column."""
+        prep, cfg = mixed_prep
+        X = np.array(points)
+        rows = np.arange(len(X))
+        got = select_rows(prep.models, prep.forest, X, "cshc", cfg.gamma,
+                          cfg.rho, cfg.seed)
+        want = sel.select_batch(
+            "cshc", prep.forest, *query_batch(prep.forest, X),
+            clf.pool_proba(prep.models, X, rows).argmax(axis=2), rows,
+            cfg.gamma, cfg.rho, cfg.seed, {})
+        for f in dataclasses.fields(sel.Selection):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert isinstance(a, str) and a == b or (
+                a.dtype == b.dtype and a.tobytes() == b.tobytes()), f.name
