@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .classifiers import CLASSIFIERS, ClassifierSpec
 from .data import (CorrectnessMatrix, DataError, load_json, require_finite,
-                   require_int)
+                   require_gamma, require_int)
 from .forest import Forest, Tree
 
 BUNDLE_FORMAT = "cshc-bundle/5"
@@ -44,7 +44,7 @@ SCHEMA = {
 
 # the settings meta.json's config keeps, the ones `select` reads, and the
 # check each must pass on load
-CONFIG = (("gamma", require_finite), ("rho", require_finite),
+CONFIG = (("gamma", require_gamma), ("rho", require_finite),
           ("seed", require_int))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import (CorrectnessMatrix, DataError, read_records,
+from .data import (CorrectnessMatrix, DataError, parse_rows, read_records,
                    stratified_folds)
 from .rng import substream
 
@@ -326,14 +326,28 @@ class ExternalPredictions:
         return self.proba[self.require(indices)]
 
 
-def load_external_predictions(path, split=None, n_classes=None):
-    """Read (sample_index, predicted_class[, per-class probabilities]) rows.
+def _external_layout(header, width):
+    """Row dtype of a predictions file whose first data row has width
+    cells: the sample index, the class and the probability cells."""
+    if width < 2:
+        return None
+    return ([("index", "<i8"), ("class", "<i8")]
+            + ([("proba", "<f8", (width - 2,))] if width > 2 else []))
 
-    Each sample index appears once. Probability cells must be finite,
-    and a row of them must sum to 1 within 1e-6 and agree with the
-    predicted class; when absent, one-hot vectors are synthesized. With
-    a SplitPlan given, coverage of all its indices is enforced.
-    """
+
+def _probabilities_agree(labels, proba):
+    """Whether every row of probability cells sums to 1 within 1e-6, holds
+    no entry below -1e-12 and has its predicted class as argmax: the row
+    checks of the per-row reader, over all rows at once."""
+    return bool(not proba.shape[1] or (
+        (abs(proba.sum(axis=1) - 1.0) <= 1e-6).all()
+        and (proba.min(axis=1) >= -1e-12).all()
+        and (proba.argmax(axis=1) == labels).all()))
+
+
+def _read_external_rows(path):
+    """(ids, labels, proba) of a predictions file by the per-row reader,
+    which words the first row fault down the file."""
     # flat arrays, so that no per-row object outlives its row
     ids, labels, cells = array("q"), array("q"), array("d")
     _, records, linenos = read_records(path)
@@ -363,16 +377,40 @@ def load_external_predictions(path, split=None, n_classes=None):
                                 "probability argmax"
                                 % (path, lineno, labels[-1]))
         cells.extend(rest)
-    ids = np.array(ids, dtype=np.int64)
-    labels = np.array(labels, dtype=np.int64)
+    return (np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64),
+            np.array(cells).reshape(len(ids), width))
+
+
+def load_external_predictions(path, split=None, n_classes=None):
+    """Read (sample_index, predicted_class[, per-class probabilities]) rows.
+
+    Each sample index appears once. Probability cells must be finite,
+    and a row of them must sum to 1 within 1e-6 and agree with the
+    predicted class; when absent, one-hot vectors are synthesized. With
+    a SplitPlan given, coverage of all its indices is enforced.
+
+    The rows are parsed by one C call (`data.parse_rows`) and their row
+    checks run over all rows at once; a file that parse refuses, or
+    whose rows fail a check, is read again by the per-row reader, which
+    words the error.
+    """
+    parsed = parse_rows(path, _external_layout)
+    if parsed is not None:
+        rows = parsed[1]
+        ids, labels = rows["index"].copy(), rows["class"].copy()
+        proba = (rows["proba"].copy() if "proba" in rows.dtype.names
+                 else np.empty((ids.size, 0)))
+    if parsed is None or not _probabilities_agree(labels, proba):
+        ids, labels, proba = _read_external_rows(path)
+    width = proba.shape[1]
     C = width or n_classes or int(labels.max()) + 1
     bad = np.flatnonzero((labels < 0) | (labels >= C))
     if bad.size:
         raise DataError("%s: sample %d: class %d out of range [0, %d)"
                         % (path, ids[bad[0]], labels[bad[0]], C))
     # without probability cells, each row is its class's one-hot vector
-    proba = (np.array(cells).reshape(-1, width) if width
-             else (labels[:, None] == np.arange(C)).astype(float))
+    if not width:
+        proba = (labels[:, None] == np.arange(C)).astype(float)
     order = np.argsort(ids)
     ids = ids[order]
     repeated = ids[1:][ids[1:] == ids[:-1]]

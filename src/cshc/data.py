@@ -1,16 +1,24 @@
 """Tabular data: CSV input and output, stratified splits and folds, and
 the correctness matrix type.
 
-Every CSV is read by ``read_records`` and written by ``write_csv``, and
-``feature_matrix`` parses the feature cells of a whole file at once."""
+Every input CSV is first offered to ``parse_rows``, whose one C
+``np.loadtxt`` call parses all data rows of the file into arrays, so no
+GC-tracked object is built per row. A file that parse refuses, or whose
+rows fail a check, goes to the per-row reader instead: ``read_records``,
+then ``feature_matrix`` or the external loader's row loop. That reader
+alone words every error, and it reads the same values, so a file gives
+the same arrays and the same ``DataError`` on either path. Every CSV is
+written by ``write_csv``."""
 
 import contextlib
 import csv
+import io
 import json
 import math
 import numbers
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +185,70 @@ def require_gamma(value, name):
     return value
 
 
+# the bytes the C parse reads: printable ASCII but the quote, tab and
+# newline. Python's float() and int() read a control byte, a non-ASCII
+# digit or a quoted cell otherwise than loadtxt, or not at all
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+
+
+def parse_rows(path, layout):
+    """(header, rows) of a headered CSV whose data rows one C
+    ``np.loadtxt`` call parses, or None for a file the per-row reader
+    must read.
+
+    ``layout(header, width)`` gives the structured dtype of a row, or
+    None to refuse the file; header holds the header's names stripped of
+    spaces, and width is the cell count of the first data row. The parse
+    is offered only what ``read_records`` and ``float``/``int`` read
+    alike. So it refuses a file that holds:
+
+    - a byte outside ``_PLAIN``, or a line longer than csv's field
+      limit;
+    - a cell loadtxt fails or warns on, as it does for one that
+      ``float`` or ``int`` reads otherwise (digit underscores, ``1.0``
+      or a 21-digit number as an integer), or a row of another width
+      than the dtype;
+    - a non-blank line loadtxt reads as no row, as some numpy versions
+      may a whitespace-only line;
+    - a float that is not finite.
+
+    Line ends are csv's: a newline, a carriage return and the two
+    together.
+    """
+    with open_input(path, mode="rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # csv's other two line ends, as newlines
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data.translate(None, _PLAIN):
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    sizes = np.diff(ends, prepend=-1) - 1
+    lines = np.flatnonzero(sizes[1:]) + 1  # the non-blank data lines
+    head = data[:ends[0]]
+    # csv reads an empty first line as a header of no names
+    if not (lines.size and head) or sizes.max() > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in head.decode("ascii").split(",")]
+    dtype = layout(header, data.count(b",", ends[lines[0] - 1],
+                                      ends[lines[0]]) + 1)
+    if dtype is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+                              comments=None, skiprows=1, encoding=None,
+                              ndmin=1)
+    except (ValueError, TypeError, ArithmeticError, Warning):
+        return None  # what loadtxt refuses, the per-row reader words
+    finite = all(np.isfinite(rows[name]).all() for name in rows.dtype.names
+                 if rows.dtype[name].base.kind == "f")
+    # one row a non-blank line: csv reads a whitespace-only line as a row
+    return (header, rows) if finite and rows.shape == lines.shape else None
+
+
 def read_records(path):
     """(header, records, linenos) of a headered CSV: the header's names
     stripped of spaces, the non-blank records after it, and their row
@@ -235,6 +307,12 @@ def feature_matrix(path, header, records, linenos, skip=None):
     return X
 
 
+def _floats(name, n):
+    """The field of a row dtype that holds n float columns, as a list that
+    is empty when n is 0."""
+    return [(name, "<f8", (n,))] if n else []
+
+
 def load_csv(path, label_column):
     """Load a headered CSV into a Dataset.
 
@@ -242,19 +320,40 @@ def load_csv(path, label_column):
     reported with row and column names. Classes are encoded by first
     appearance down the file.
     """
-    header, records, linenos = read_records(path)
-    if label_column not in header:
-        raise DataError(
-            "%s: label column %r not found (columns: %s)"
-            % (path, label_column, ", ".join(header))
-        )
-    label_pos = header.index(label_column)
-    X = feature_matrix(path, header, records, linenos, skip=label_pos)
-    names = [rec[label_pos].strip() for rec in records]
-    class_ids = {name: c for c, name in enumerate(dict.fromkeys(names))}
+    def layout(header, width):
+        if width != len(header) or width < 2 or label_column not in header:
+            return None
+        at = header.index(label_column)
+        return (_floats("before", at) + [("label", "O")]
+                + _floats("after", width - 1 - at))
+
+    parsed = parse_rows(path, layout)
+    if parsed is not None:
+        header, rows = parsed
+        label_pos = header.index(label_column)
+        X = np.hstack([rows[name] for name in rows.dtype.names
+                       if name != "label"])
+        cells = rows["label"].tolist()
+    else:
+        header, records, linenos = read_records(path)
+        if label_column not in header:
+            raise DataError(
+                "%s: label column %r not found (columns: %s)"
+                % (path, label_column, ", ".join(header))
+            )
+        label_pos = header.index(label_column)
+        X = feature_matrix(path, header, records, linenos, skip=label_pos)
+        cells = [rec[label_pos] for rec in records]
+    # classes by first appearance of the stripped cell, each distinct cell
+    # stripped once
+    class_ids, class_of = {}, {}
+    for cell in dict.fromkeys(cells):
+        class_of[cell] = class_ids.setdefault(cell.strip(), len(class_ids))
     if len(class_ids) < 2:
-        raise DataError("%s: only one class (%r) present" % (path, names[0]))
-    return Dataset(X, np.array([class_ids[name] for name in names]),
+        raise DataError("%s: only one class (%r) present"
+                        % (path, next(iter(class_ids))))
+    return Dataset(X, np.fromiter(map(class_of.get, cells), np.int64,
+                                  len(cells)),
                    [h for i, h in enumerate(header) if i != label_pos],
                    list(class_ids))
 
@@ -262,6 +361,14 @@ def load_csv(path, label_column):
 def load_feature_rows(path, feature_names):
     """Feature matrix of a headered CSV whose columns are exactly
     ``feature_names``, checked like the feature cells of ``load_csv``."""
+    def layout(header, width):
+        if header == feature_names and width == len(header):
+            return _floats("x", width)
+        return None
+
+    parsed = parse_rows(path, layout)
+    if parsed is not None:
+        return parsed[1]["x"]
     header, records, linenos = read_records(path)
     if header != feature_names:
         raise DataError("input columns %s do not match the bundle's %s"

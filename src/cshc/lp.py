@@ -22,19 +22,33 @@ Callers reuse solutions through a cache keyed by the query's leaf ids.
 from dataclasses import dataclass
 
 import numpy as np
-# private module: the HiGHS binding that scipy's own linprog calls;
-# pyproject.toml bounds scipy to the versions known to ship it
-from scipy.optimize._highspy import _core
+
+# the HiGHS binding and its options, loaded by `highs` on the first solve:
+# the import takes most of a second, which a command that solves no LP
+# does not pay
+_core = None
+_OPTIONS = None
 
 
-# the options linprog(method="highs-ds") passes; everything else default
-_OPTIONS = _core.HighsOptions()
-_OPTIONS.presolve = "on"
-_OPTIONS.solver = "simplex"
-_OPTIONS.simplex_strategy = 1  # dual
-_OPTIONS.highs_debug_level = 0
-_OPTIONS.output_flag = False
-_OPTIONS.log_to_console = False
+def highs():
+    """(binding, options): the HiGHS binding that scipy's own linprog
+    calls, and the options linprog(method="highs-ds") passes, everything
+    else default; loaded on the first call."""
+    global _core, _OPTIONS
+    if _core is None:
+        # private module; pyproject.toml bounds scipy to the versions known
+        # to ship it
+        from scipy.optimize._highspy import _core as core
+        options = core.HighsOptions()
+        options.presolve = "on"
+        options.solver = "simplex"
+        options.simplex_strategy = 1  # dual
+        options.highs_debug_level = 0
+        options.output_flag = False
+        options.log_to_console = False
+        # options first: a thread that sees the binding sees its options
+        _OPTIONS, _core = options, core
+    return _core, _OPTIONS
 
 
 class LpSolverError(RuntimeError):
@@ -138,7 +152,7 @@ def _merge_equivalent(inst):
     return merged_m, inst.y[rows], inst.L[rows], group_of
 
 
-def _highs_model(inst):
+def _highs_model(inst, core):
     """Column-wise HiGHS model over the merged samples.
 
     Columns: w (n), then g and f (one each per merged sample). Rows: a
@@ -177,7 +191,7 @@ def _highs_model(inst):
     pen_end = np.cumsum(np.bincount(pair_i, minlength=kk))
     pairs = 2 * np.arange(P)
 
-    model = _core.HighsLp()
+    model = core.HighsLp()
     model.num_col_ = n + 2 * kk
     model.num_row_ = 2 * P + 1
     model.col_cost_ = np.concatenate([np.zeros(n), m, 2.0 * m])
@@ -188,7 +202,7 @@ def _highs_model(inst):
     model.row_upper_ = np.concatenate([np.tile([-float(inst.gamma), -1.0], P),
                                        [100.0]])
     matrix = model.a_matrix_
-    matrix.format_ = _core.MatrixFormat.kColwise
+    matrix.format_ = core.MatrixFormat.kColwise
     matrix.num_col_ = n + 2 * kk
     matrix.num_row_ = 2 * P + 1
     matrix.start_ = np.concatenate([[0], w_end, w_end[-1] + pen_end,
@@ -204,18 +218,19 @@ def solve(inst):
     Always feasible (uniform weights with large penalties), so failures
     are solver breakdowns and raise LpSolverError with the instance.
     """
-    model, kk, group_of = _highs_model(inst)
-    highs = _core._Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(model) == _core.HighsStatus.kError:
-        status = _core.HighsModelStatus.kModelError
+    core, options = highs()
+    model, kk, group_of = _highs_model(inst, core)
+    solver = core._Highs()
+    solver.passOptions(options)
+    if solver.passModel(model) == core.HighsStatus.kError:
+        status = core.HighsModelStatus.kModelError
     else:
-        highs.run()
-        status = highs.getModelStatus()
-    if status != _core.HighsModelStatus.kOptimal:
-        raise LpSolverError("HiGHS: %s\n%s" % (highs.modelStatusToString(status),
+        solver.run()
+        status = solver.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        raise LpSolverError("HiGHS: %s\n%s" % (solver.modelStatusToString(status),
                                                 instance_dump(inst)))
-    x = np.array(highs.getSolution().col_value)
+    x = np.array(solver.getSolution().col_value)
     n = inst.n
     w = np.clip(x[:n], 0.0, None)
     g_merged = np.clip(x[n:n + kk], 0.0, None)

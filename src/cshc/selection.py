@@ -109,6 +109,8 @@ def _lp_weights(forest, leaf_ids, sample_ids, gamma, cache):
         rows, mult = forest.member_union(leaf_ids[q])
         return lp_mod.solve(lp_mod.build_instance(rows, mult, cm, gamma))
 
+    if misses:
+        lp_mod.highs()  # loaded once, before the threads need it
     pool = ThreadPoolExecutor(_LP_WORKERS)
     try:
         # map re-raises in submission order: the first failing sample

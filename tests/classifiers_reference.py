@@ -8,14 +8,17 @@
   `classifiers.PerceptronTrained.fit`, which reads each step's scores as
   Python floats and updates only the rows of the wrong classes.
 - The dict-based external-predictions loader, the oracle for
-  `classifiers.load_external_predictions`: the program keeps sorted
-  sample ids and one (N, C) array and looks a batch up with one
-  `searchsorted`; this module keeps one dict entry per sample and stacks
-  a batch row by row. A file whose sample indices repeat, or whose
-  probability cells are not finite, is outside what the two share.
+  `classifiers.load_external_predictions`: the program parses a file
+  with one C call (`data.parse_rows`) and checks all its rows at once,
+  keeps sorted sample ids and one (N, C) array and looks a batch up with
+  one `searchsorted`; this module reads and checks one row at a time,
+  keeps one dict entry per sample and stacks a batch row by row. A file whose sample indices repeat, or whose
+  probability cells are not finite, is outside what the two share. Both
+  refuse an index or class beyond 64 bits alike.
 """
 
 import csv
+from array import array
 
 import numpy as np
 
@@ -101,8 +104,11 @@ def load_external_predictions(path, n_classes=None):
             try:
                 idx = int(rec[0])
                 label = int(rec[1])
+                # the program keeps them in int64 arrays, which refuse an
+                # index or class beyond 64 bits
+                array("q", [idx, label])
                 rest = [float(v) for v in rec[2:]]
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, OverflowError) as exc:
                 raise DataError("%s: row %d: %s" % (path, lineno, exc)) from None
             if width is None:
                 width = len(rest)

@@ -1,12 +1,15 @@
 """The per-cell CSV readers, the oracle for `data.load_csv` and
 `data.load_feature_rows`.
 
-The program reads a file into records once (`data.read_records`) and
-parses all feature cells of a file with one `float`-or-NaN map into one
-array, then finds the first cell that is not finite with one
-`np.isfinite`. This module keeps the reader it replaced: one loop per
-file, one `float()`, one scalar `np.isfinite` and one list append per
-cell, and the row's cell count checked before its cells.
+The program parses the data rows of a file with one C `np.loadtxt` call
+(`data.parse_rows`). A file that call refuses, or whose rows fail a
+check, goes to the program's per-row reader: the file read into records
+once (`data.read_records`), all feature cells parsed with one
+`float`-or-NaN map into one array, and the first cell that is not finite
+found with one `np.isfinite`. This module keeps the reader both
+replaced: one loop per file, one `float()`, one scalar `np.isfinite` and
+one list append per cell, and the row's cell count checked before its
+cells.
 """
 
 import csv

@@ -7,6 +7,7 @@ import tempfile
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,7 +16,7 @@ from cshc import bundle
 from cshc.bundle import (SCHEMA, load_bundle, read_forest, read_models,
                          save_bundle, write_forest, write_models)
 from cshc.classifiers import CLASSIFIERS, ClassifierSpec
-from cshc.data import CorrectnessMatrix
+from cshc.data import GAMMA_BOUND, CorrectnessMatrix, DataError
 from cshc.forest import Forest, Tree
 
 MAX = np.finfo(np.float64).max
@@ -27,6 +28,9 @@ FINITE = st.sampled_from(EDGES) | st.floats(allow_nan=False,
                                             allow_infinity=False)
 POSITIVE = st.sampled_from([5e-324, TINY, MAX]) | st.floats(
     min_value=5e-324, allow_infinity=False)
+# a gamma the LP can take: finite and below HiGHS's infinite bound
+GAMMA = st.sampled_from([e for e in EDGES if e < GAMMA_BOUND]) | st.floats(
+    max_value=GAMMA_BOUND, exclude_max=True, allow_nan=False)
 INT64 = st.sampled_from([-2 ** 63, 2 ** 63 - 1, -1, 0]) | st.integers(
     -2 ** 63, 2 ** 63 - 1)
 
@@ -136,7 +140,7 @@ def bundles(draw):
         name="random", models=models, forest=forest, cm=cm,
         ds=SimpleNamespace(feature_names=["f%d" % j for j in range(F)],
                            class_names=["c%d" % c for c in range(C)]))
-    cfg = SimpleNamespace(gamma=draw(FINITE), rho=draw(FINITE),
+    cfg = SimpleNamespace(gamma=draw(GAMMA), rho=draw(FINITE),
                           seed=draw(st.integers(0, 2 ** 31)))
     return prep, cfg
 
@@ -177,3 +181,19 @@ class TestRandomBundles:
         assert_same(forest.cm.predicted, prep.cm.predicted, "predicted")
         assert_same(forest.cm.truth, prep.cm.truth, "truth")
         assert meta["config"] == vars(cfg)
+
+    @settings(max_examples=3)
+    @given(bundles(), st.sampled_from([GAMMA_BOUND, 1e21, float(MAX)]))
+    def test_gamma_at_the_solver_bound_is_refused(self, case, gamma):
+        """A meta.json whose gamma HiGHS reads as infinite does not load,
+        so that `select --method lp` exits 2 instead of failing in the
+        solver."""
+        prep, cfg = case
+        cfg.gamma = gamma
+        with tempfile.TemporaryDirectory() as tmp:
+            save_bundle(prep, cfg, tmp)
+            with pytest.raises(DataError) as got:
+                load_bundle(tmp)
+            assert str(got.value) == (
+                "%s: 'config.gamma' must be below 1e+20, HiGHS's infinite "
+                "bound, got %r" % (os.path.join(tmp, "meta.json"), gamma))

@@ -458,10 +458,25 @@ class TestExternal:
 # the loaders raise for it
 MUTATIONS = ("sum", "negative", "argmax", "ragged", "index", "class_low",
              "class_high")
+# what the C parse must leave to the per-row reader or read alike: a `#`
+# line, a whitespace-only line, a quoted cell, a line ended by a lone \r
+# or by \r\n, a NUL, non-ASCII digits, `+5`, `1.0` as an index or class,
+# and a 21-digit index or class. The first data row wider than the
+# header is the file-level hazard of `prediction_file`.
+HAZARDS = ("comment", "blank", "quoted", "cr", "crlf", "nul",
+           "unicode_digits", "plus", "float_int", "huge")
+
+
+def unicode_digits(text):
+    """text with its ASCII digits written as Arabic-Indic digits, which
+    int() and float() read as the same number."""
+    return "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in text)
 
 
 def mutate(rows, r, kind, C, rng):
-    """Apply one mutation to data row r (a list of cells) in place."""
+    """Apply one mutation to data row r (a list of cells) in place. A
+    mutation of the row's line replaces it by its text, line end
+    included."""
     cells = rows[r]
     label = int(cells[1])
     proba = [float(v) for v in cells[2:]]
@@ -485,6 +500,28 @@ def mutate(rows, r, kind, C, rng):
         cells[1] = str(rng.choice([-1, -5]))
     elif kind == "class_high":
         cells[1] = str(rng.choice([C, C + 3]))
+    elif kind == "comment":
+        rows[r] = "#" + ",".join(cells) + "\n"
+    elif kind == "blank":
+        rows[r] = str(rng.choice([" ", "\t", "  \t "])) + "\n"
+    elif kind == "quoted":
+        at = int(rng.integers(0, len(cells)))
+        cells[at] = '"%s"' % cells[at]
+    elif kind in ("cr", "crlf"):
+        rows[r] = ",".join(cells) + ("\r" if kind == "cr" else "\r\n")
+    elif kind == "nul":
+        cells[int(rng.integers(0, len(cells)))] += "\0"
+    elif kind in ("unicode_digits", "plus", "float_int", "huge"):
+        at = int(rng.integers(0, 2))  # the index or the class
+        if kind == "unicode_digits":
+            cells[at] = unicode_digits(cells[at])
+        elif kind == "plus":
+            cells[at] = "+" + cells[at]
+        elif kind == "float_int":
+            cells[at] += ".0"
+        elif kind == "huge":
+            cells[at] = str(rng.choice(["123456789012345678901",
+                                        "-999999999999999999999"]))
 
 
 def prediction_file(rng, N, C, with_proba):
@@ -495,7 +532,9 @@ def prediction_file(rng, N, C, with_proba):
     ids = rng.permutation(rng.choice(3 * N + 4, size=N, replace=False))
     labels = rng.integers(0, C, size=N)
     header = "sample_index,predicted_class"
-    if with_proba:
+    # the loaders take the width from the first data row, which may be
+    # wider than the header
+    if with_proba and rng.random() < 0.8:
         header += "".join(",p%d" % c for c in range(C))
     rows = []
     for i, label in zip(ids.tolist(), labels.tolist()):
@@ -516,18 +555,22 @@ def prediction_file(rng, N, C, with_proba):
 
 
 def write_rows(path, header, rows, rng):
-    """Write the file, with blank lines between some rows."""
-    with open(path, "w") as fh:
+    """Write the file, with blank lines between some rows; a row that is
+    text is written as it is."""
+    with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for cells in rows:
             if rng.random() < 0.1:
                 fh.write("\n")
-            fh.write(",".join(cells) + "\n")
+            fh.write(cells if isinstance(cells, str)
+                     else ",".join(cells) + "\n")
 
 
 def same_error(call, want):
-    with pytest.raises(DataError) as got:
+    """call() raises an error of want's type with want's text."""
+    with pytest.raises(type(want)) as got:
         call()
+    assert type(got.value) is type(want)
     assert str(got.value) == str(want)
 
 
@@ -540,7 +583,7 @@ def same_as_the_dict_loader(rows, header, n_classes, queries, rng):
         write_rows(path, header, rows, rng)
         try:
             want = ref.load_external_predictions(path, n_classes)
-        except DataError as exc:
+        except Exception as exc:
             same_error(lambda: load_external_predictions(
                 path, n_classes=n_classes), exc)
             return str(exc)
@@ -575,7 +618,7 @@ class TestExternalOracle:
         rows, header, queries = prediction_file(rng, N, C, with_proba)
         k = int(rng.integers(0, min(N, 2) + 1))
         for r, kind in zip(rng.choice(N, size=k, replace=False).tolist(),
-                           rng.choice(MUTATIONS, size=k)):
+                           rng.choice(MUTATIONS + HAZARDS, size=k)):
             mutate(rows, r, kind, C, rng)
         same_as_the_dict_loader(rows, header, C if give_classes else None,
                                 queries, rng)
@@ -590,3 +633,14 @@ class TestExternalOracle:
         # the probability checks pass a file without probability columns
         assert (message is None) == (
             kind in ("sum", "negative", "argmax") and not with_proba)
+
+    @pytest.mark.parametrize("kind", HAZARDS)
+    @pytest.mark.parametrize("with_proba", [True, False])
+    def test_each_hazard_reads_alike(self, kind, with_proba):
+        rng = np.random.default_rng(HAZARDS.index(kind))
+        rows, header, queries = prediction_file(rng, 12, 3, with_proba)
+        mutate(rows, 5, kind, 3, rng)
+        message = same_as_the_dict_loader(rows, header, 3, queries, rng)
+        # int() reads non-ASCII digits and a sign, csv unquotes a cell
+        assert (message is None) == (
+            kind in ("quoted", "cr", "crlf", "unicode_digits", "plus"))

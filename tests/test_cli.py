@@ -44,6 +44,20 @@ def test_import_leaves_scipy_stats_out():
     assert after == before
 
 
+def test_import_leaves_scipy_optimize_out():
+    """The LP loads the HiGHS binding, which takes most of a second to
+    import, on its first solve: importing the program loads no
+    scipy.optimize."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cshc.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cshc.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "scipy.optimize" not in out.stdout, out.stdout
+
+
 class TestTrainSelect:
     def test_round_trip(self, tmp_path, capsys):
         data = write_tiny_csv(tmp_path)
@@ -505,6 +519,23 @@ class TestSelectFiles:
         err = capsys.readouterr().err
         assert err == ("error: --gamma must be below 1e+20, HiGHS's infinite "
                        "bound, got 1e+21\n")
+
+    def test_stored_gamma_at_the_solver_bound_exits_2(
+            self, trained_bundle, tmp_path, capsys):
+        bundle_dir = str(tmp_path / "huge-gamma")
+        shutil.copytree(trained_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "meta.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(_replaced(text, 1e21, "config", "gamma"))
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n0.0,0.0\n")
+        assert main(["select", "--model", bundle_dir, "--input", str(query),
+                     "--method", "lp"]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: 'config.gamma' must be below 1e+20, HiGHS's infinite "
+            "bound, got 1e+21\n" % path)
 
     def test_log_prior_may_hold_minus_inf(self, trained_bundle, tmp_path):
         """A class absent from training gives gaussian_nb a log prior of

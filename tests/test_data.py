@@ -1,6 +1,9 @@
 """Ingestion, split and correctness-matrix behaviour."""
 
+import csv
+import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import data_reference as ref
+from cshc import classifiers, data
 from cshc.classifiers import (ClassifierSpec, build_correctness_cv3,
                               build_correctness_holdout)
 from cshc.data import (CorrectnessMatrix, DataError, Dataset, load_csv,
@@ -70,21 +74,27 @@ class TestLoadCsv:
 
 # ways to break one data row: a cell that is not a finite number, in a
 # feature column, or a row one cell short or long
-CELL_MUTATIONS = ("bad", "nan", "inf", "overflow", "short", "long")
+FAULTS = ("bad", "nan", "inf", "overflow", "short", "long")
+# what the C parse must leave to the per-row reader or read alike, each
+# valid in some places and a fault in others: a `#` line, a
+# whitespace-only line, a quoted cell, a line ended by a lone \r or by
+# \r\n, a NUL, digit underscores, non-ASCII digits, `+5`, `1.0`, a
+# 21-digit number, and a first data row wider than the header
+HAZARDS = ("comment", "blank", "quoted", "cr", "crlf", "nul", "underscore",
+           "unicode_digits", "plus", "float_int", "huge", "wide_first")
+CELL_MUTATIONS = FAULTS + HAZARDS
 
 
 def cell_text(rng, x):
     """A cell float() reads as a finite number, in one of the spellings a
     file may hold: x plain, with an exponent, scaled to an integer or in
-    surrounding spaces, or a number with digit underscores."""
-    style = int(rng.integers(0, 5))
+    surrounding spaces."""
+    style = int(rng.integers(0, 4))
     if style == 1:
         return "%.3e" % x
     if style == 2:
         return str(int(round(x * 100)))
     if style == 3:
-        return "1_0%d.%d" % (rng.integers(0, 10), rng.integers(0, 100))
-    if style == 4:
         return " %.5f  " % x
     return repr(x)
 
@@ -107,8 +117,23 @@ def dataset_rows(rng, N, F, label_pos):
     return header, rows
 
 
+def line(cells):
+    """A row's text, quoting every cell that holds a comma."""
+    return ",".join('"%s"' % c if "," in c else c for c in cells)
+
+
+def unicode_digits(text):
+    """text with its ASCII digits written as Arabic-Indic digits, which
+    float() and int() read as the same number."""
+    return "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in text)
+
+
 def mutate_row(rows, r, kind, label_pos, rng):
-    """Apply one mutation to data row r (a list of cells) in place."""
+    """Apply one mutation to data row r (a list of cells) in place. A
+    mutation of the row's line replaces it by its text, line end
+    included."""
+    if kind == "wide_first":
+        r, kind = 0, "long"
     cells = rows[r]
     features = [i for i in range(len(cells)) if i != label_pos]
     at = int(rng.choice(features))
@@ -124,31 +149,52 @@ def mutate_row(rows, r, kind, label_pos, rng):
         del cells[at]
     elif kind == "long":
         cells.insert(at, "1.0")
+    elif kind == "comment":
+        rows[r] = "#" + line(cells) + "\n"
+    elif kind == "blank":
+        rows[r] = str(rng.choice([" ", "\t", "  \t "])) + "\n"
+    elif kind == "quoted":
+        at = int(rng.integers(0, len(cells)))
+        cells[at] = '"%s"' % cells[at]
+    elif kind in ("cr", "crlf"):
+        rows[r] = line(cells) + ("\r" if kind == "cr" else "\r\n")
+    elif kind == "nul":
+        cells[int(rng.integers(0, len(cells)))] += "\0"
+    elif kind == "underscore":
+        cells[at] = "1_0%d.%d" % (rng.integers(0, 10), rng.integers(0, 100))
+    elif kind == "unicode_digits":
+        cells[at] = unicode_digits(cells[at])
+    elif kind == "plus":
+        cells[at] = "+5"
+    elif kind == "float_int":
+        cells[at] = "1.0"
+    elif kind == "huge":
+        cells[at] = str(rng.choice(["123456789012345678901",
+                                    "-999999999999999999999"]))
 
 
 def write_dataset(path, header, rows, rng):
-    """Write the file, quoting every cell that holds a comma, with blank
-    lines between some rows and after the last."""
-    def line(cells):
-        return ",".join('"%s"' % c if "," in c else c for c in cells)
-    with open(path, "w") as fh:
+    """Write the file, with blank lines between some rows and after the
+    last; a row that is text is written as it is."""
+    with open(path, "w", newline="") as fh:
         fh.write(line(header) + "\n")
         for cells in rows:
             if rng.random() < 0.1:
                 fh.write("\n")
-            fh.write(line(cells) + "\n")
+            fh.write(cells if isinstance(cells, str) else line(cells) + "\n")
         if rng.random() < 0.2:
             fh.write("\n\n")
 
 
 def same_result(call, oracle):
-    """call() returns what oracle() returns, or raises the DataError
-    oracle() raises, with the same text."""
+    """call() returns what oracle() returns, or raises the error oracle()
+    raises, of the same type and with the same text."""
     try:
         want = oracle()
-    except DataError as exc:
-        with pytest.raises(DataError) as got:
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
             call()
+        assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return str(exc)
     got = call()
@@ -160,6 +206,18 @@ def same_result(call, oracle):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     return None
+
+
+def reads_alike(path, header, label_pos):
+    """The dataset file, whose header was written as header, reads alike
+    with its label column or, when label_pos is None, as query rows of
+    that header; its error text, or None."""
+    if label_pos is not None:
+        return same_result(lambda: load_csv(path, "label"),
+                           lambda: ref.load_csv(path, "label"))
+    names = [h.strip() for h in header]
+    return same_result(lambda: load_feature_rows(path, names),
+                       lambda: ref.load_feature_rows(path, names))
 
 
 class TestReaderOracle:
@@ -194,21 +252,188 @@ class TestReaderOracle:
                 same_result(lambda: load_feature_rows(path, names),
                             lambda: ref.load_feature_rows(path, names))
 
+    @staticmethod
+    def mutated_file_reads_alike(path, kind, F, label_pos):
+        """The file of 8 rows whose row 6 takes the mutation (row 1, for
+        "wide_first") reads alike; its error text, or None."""
+        rng = np.random.default_rng(CELL_MUTATIONS.index(kind))
+        header, rows = dataset_rows(rng, 8, F, label_pos)
+        mutate_row(rows, 5, kind, label_pos, rng)
+        write_dataset(path, header, rows, rng)
+        return reads_alike(path, header, label_pos)
+
+    @pytest.mark.parametrize("names", ["one short", "one over"])
+    @pytest.mark.parametrize("label_pos", [0, 2, None])
+    def test_rows_wider_or_narrower_than_the_header_fail_alike(
+            self, tmp_path, names, label_pos):
+        """Every row has one cell more, or one less, than the header has
+        names. The C parse takes its width from the first data row, so
+        rows that agree with each other must still agree with the
+        header."""
+        rng = np.random.default_rng(1)
+        header, rows = dataset_rows(rng, 6, 3, label_pos)
+        header = header[:-1] if names == "one short" else header + ["f9"]
+        path = str(tmp_path / "d.csv")
+        write_dataset(path, header, rows, rng)
+        assert "cells, expected" in reads_alike(path, header, label_pos)
+
+    @pytest.mark.parametrize("text", ["\nf0,label\n1,a\n2,b\n", "\n1\n2\n"])
+    def test_an_empty_first_line_reads_alike(self, tmp_path, text):
+        """csv reads it as a header of no names, not as one empty name,
+        which a bundle trained on a header of one blank name holds."""
+        path = write_csv(tmp_path / "d.csv", text)
+        if "label" in text:
+            message = same_result(lambda: load_csv(path, "label"),
+                                  lambda: ref.load_csv(path, "label"))
+        else:
+            message = same_result(lambda: load_feature_rows(path, [""]),
+                                  lambda: ref.load_feature_rows(path, [""]))
+        assert message is not None
+
+    @pytest.mark.parametrize("label_pos", [0, None])
+    def test_a_cell_beyond_the_csv_field_limit_fails_alike(self, tmp_path,
+                                                           label_pos):
+        """csv refuses the file; the C parse must not read it."""
+        rng = np.random.default_rng(0)
+        header, rows = dataset_rows(rng, 4, 2, label_pos)
+        rows[2][-1] = "0" * csv.field_size_limit() + "1"
+        path = str(tmp_path / "d.csv")
+        write_dataset(path, header, rows, rng)
+        assert "field larger than field limit" in reads_alike(path, header,
+                                                              label_pos)
+
     @pytest.mark.parametrize("kind", CELL_MUTATIONS)
     @pytest.mark.parametrize("label_pos", [0, 2, None])
     def test_each_mutation_fails_alike(self, tmp_path, kind, label_pos):
-        rng = np.random.default_rng(CELL_MUTATIONS.index(kind))
-        header, rows = dataset_rows(rng, 8, 2, label_pos)
-        mutate_row(rows, 5, kind, label_pos, rng)
-        path = str(tmp_path / "d.csv")
-        write_dataset(path, header, rows, rng)
-        names = [h.strip() for h in header]
-        message = (same_result(lambda: load_csv(path, "label"),
-                               lambda: ref.load_csv(path, "label"))
-                   if label_pos is not None else
-                   same_result(lambda: load_feature_rows(path, names),
-                               lambda: ref.load_feature_rows(path, names)))
-        assert message is not None
+        """Every fault fails; a hazard may be a valid spelling."""
+        message = self.mutated_file_reads_alike(str(tmp_path / "d.csv"),
+                                                kind, 2, label_pos)
+        assert message is not None or kind in HAZARDS
+
+    @pytest.mark.parametrize("kind", CELL_MUTATIONS)
+    def test_one_column_file_reads_alike(self, tmp_path, kind):
+        """In a file of one column a long row is a fault, and so is a
+        whitespace-only line, which is one blank cell: the C parse must
+        not skip it."""
+        message = self.mutated_file_reads_alike(str(tmp_path / "d.csv"),
+                                                kind, 1, None)
+        # a one-cell row that loses its cell is a blank line
+        valid = ("short", "quoted", "cr", "crlf", "underscore",
+                 "unicode_digits", "plus", "float_int", "huge")
+        assert (message is None) == (kind in valid)
+
+
+class TestCParse:
+    """A clean file never reaches the per-row reader, so the one C parse
+    cannot quietly turn into reading every file row by row; a file it
+    refuses does, and reads the same."""
+
+    @pytest.fixture
+    def per_row_reads(self, monkeypatch):
+        """The paths the per-row reader reads, in order."""
+        paths = []
+        read_records = data.read_records
+
+        def spy(path):
+            paths.append(path)
+            return read_records(path)
+
+        for module in (data, classifiers):
+            monkeypatch.setattr(module, "read_records", spy)
+        return paths
+
+    @staticmethod
+    def clean_files(tmp_path, rng, newline):
+        """A dataset, a query file and predictions files without and with
+        probability cells, with blank lines, spaces around cells and
+        labels, and the given line end."""
+        X = rng.normal(0, 50, size=(30, 3))
+        labels = rng.choice(["a", " b", "c "], size=30)
+        p = rng.dirichlet(np.ones(3), size=30)
+        texts = {
+            "d.csv": ["f0, f1 ,label,f2"] + [
+                "%r,%.3e,%s, %.5f " % (a, b, y, c)
+                for (a, b, c), y in zip(X.tolist(), labels)],
+            "q.csv": ["f0,f1,f2"] + ["%r,%r,%d" % (a, b, c * 100)
+                                     for a, b, c in X.tolist()],
+            "e.csv": ["sample_index,predicted_class"] + [
+                "%d, %d" % (3 * i, c) for i, c in enumerate(p.argmax(1))],
+            "ep.csv": ["sample_index,predicted_class,p0,p1,p2"] + [
+                "%d,%d,%s" % (i, c, ",".join(map(repr, row)))
+                for i, (c, row) in enumerate(zip(p.argmax(1), p.tolist()))],
+        }
+        paths = {}
+        for name, lines in texts.items():
+            lines.insert(int(rng.integers(2, len(lines))), "")
+            paths[name] = str(tmp_path / name)
+            with open(paths[name], "w", newline="") as fh:
+                fh.write(newline.join(lines) + newline)
+        return paths
+
+    @staticmethod
+    def load_all(paths):
+        return (load_csv(paths["d.csv"], "label"),
+                load_feature_rows(paths["q.csv"], ["f0", "f1", "f2"]),
+                classifiers.load_external_predictions(paths["e.csv"]),
+                classifiers.load_external_predictions(paths["ep.csv"]))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_clean_files_take_the_c_parse(self, tmp_path, per_row_reads,
+                                          newline):
+        paths = self.clean_files(tmp_path, np.random.default_rng(3),
+                                 newline)
+        ds, X, table, table_p = self.load_all(paths)
+        assert per_row_reads == []
+        assert sorted(ds.class_names) == ["a", "b", "c"]
+        assert X.shape == (30, 3)
+        assert table.n_classes == 3 and table_p.proba.shape == (30, 3)
+
+    @staticmethod
+    def loadtxt_reading(monkeypatch, edit):
+        """Make np.loadtxt parse edit(text) of the text it is given, as a
+        numpy version that reads a file otherwise might."""
+        loadtxt = np.loadtxt
+
+        def edited(fh, **kwargs):
+            return loadtxt(io.BytesIO(edit(fh.read())), **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", edited)
+
+    def test_a_whitespace_only_line_is_refused_whatever_loadtxt_does(
+            self, tmp_path, monkeypatch):
+        self.loadtxt_reading(monkeypatch, lambda text: re.sub(
+            rb"(?m)^[ \t]+\n", b"", text))
+        path = write_csv(tmp_path / "q.csv", "x\n1\n \n2\n")
+        with pytest.raises(DataError) as got:
+            load_feature_rows(path, ["x"])
+        assert str(got.value) == (
+            "%s: row 3, column 'x': non-numeric value ' '" % path)
+
+    def test_rows_loadtxt_drops_are_not_trusted(self, tmp_path, monkeypatch):
+        self.loadtxt_reading(monkeypatch, lambda text: text[:-2])
+        path = write_csv(tmp_path / "q.csv", "x\n1\n2\n3\n")
+        assert load_feature_rows(path, ["x"]).tolist() == [[1.0], [2.0],
+                                                           [3.0]]
+
+    def test_a_quoted_cell_takes_the_per_row_reader(self, tmp_path,
+                                                    per_row_reads):
+        paths = self.clean_files(tmp_path, np.random.default_rng(3), "\n")
+        fast = self.load_all(paths)
+        for path in paths.values():
+            with open(path) as fh:
+                head, first, rest = fh.read().split("\n", 2)
+            cells = first.split(",")
+            cells[-1] = '"%s"' % cells[-1]
+            with open(path, "w") as fh:
+                fh.write("\n".join([head, ",".join(cells), rest]))
+        slow = self.load_all(paths)
+        assert per_row_reads == list(paths.values())
+        assert slow[0].features.tobytes() == fast[0].features.tobytes()
+        assert slow[0].labels.tolist() == fast[0].labels.tolist()
+        assert slow[1].tobytes() == fast[1].tobytes()
+        for got, want in zip(slow[2:], fast[2:]):
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.proba.tobytes() == want.proba.tobytes()
 
 
 class TestMakeSplit:

@@ -317,7 +317,8 @@ class TestLinprogOracle:
 
 class TestSolverFailure:
     def test_non_optimal_status_raises_with_dump(self, monkeypatch):
-        options = lp._core.HighsOptions()
+        core, _ = lp.highs()
+        options = core.HighsOptions()
         options.output_flag = False
         options.simplex_iteration_limit = 0
         monkeypatch.setattr(lp, "_OPTIONS", options)
