@@ -1,8 +1,9 @@
 """The model bundle that `cshc train` writes and `cshc select` reads: in
 one directory, meta.json (the dataset's names, the settings `select`
 reads and the validation rows), models.json (each classifier's kind,
-name and state) and forest.json (the trees). SCHEMA gives every stored
-array its dtype and shape, and one reader, `_arrays`, checks them all.
+name and state) and forest.json (the trees and one table of their
+leaves). SCHEMA gives every stored array its dtype and shape, and one
+reader, `_arrays`, checks them all.
 
 An array is stored as {"shape": its sizes, "data": base64 text of its
 dtype's little-endian bytes in C order}, which JSON decodes and numpy
@@ -21,8 +22,8 @@ from .data import (CorrectnessMatrix, DataError, load_json, require_finite,
                    require_gamma, require_int)
 from .forest import Forest, Tree
 
-BUNDLE_FORMAT = "cshc-bundle/5"
-FOREST_FORMAT = "cshc-forest/5"
+BUNDLE_FORMAT = "cshc-bundle/6"
+FOREST_FORMAT = "cshc-forest/6"
 
 # what a shape letter counts; within one object, every array naming a
 # letter has the same size along it
@@ -37,8 +38,9 @@ LETTERS = {"C": "classes", "F": "features", "B": "columns (F + 1)",
 SCHEMA = {
     "meta": {"validation.predicted": ("i8", "MA"),
              "validation.truth": ("i8", "M")},
-    "tree": {"feat": ("i8", "N"), "thr": ("f8", "N"), "leaf_ptr": ("i8", "P"),
-             "leaf_rows": ("i8", "R"), "leaf_mult": ("f8", "R")},
+    "forest": {"leaf_ptr": ("i8", "P"), "leaf_rows": ("i8", "R"),
+               "leaf_mult": ("f8", "R")},
+    "tree": {"feat": ("i8", "N"), "thr": ("f8", "N")},
     **{kind: cls.STATE for kind, cls in CLASSIFIERS.items() if cls.STATE},
 }
 
@@ -78,7 +80,8 @@ def write_models(outdir, models):
 def write_forest(outdir, forest):
     _dump(outdir, "forest.json", {
         "format": FOREST_FORMAT,
-        "trees": [_state(tree, "tree") for tree in forest.trees]})
+        "trees": [_state(tree, "tree") for tree in forest.trees],
+        **_state(forest, "forest")})
 
 
 def _state(obj, kind):
@@ -89,15 +92,14 @@ def _state(obj, kind):
 def _encoded(arr, dtype):
     arr = np.ascontiguousarray(arr, "<" + dtype)
     return {"shape": list(arr.shape), "data": binascii.b2a_base64(
-        arr.tobytes(), newline=False).decode("ascii")}
+        arr, newline=False).decode("ascii")}
 
 
 def _dump(outdir, name, data):
-    # json.dumps without indent runs the C encoder; json.dump never does
-    text = json.dumps(data)
+    # json.dump writes entry by entry and holds no copy of the whole text
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, name), "w") as fh:
-        fh.write(text)
+        json.dump(data, fh)
 
 
 def load_bundle(outdir):
@@ -246,31 +248,34 @@ def _model(state, n_classes, n_features):
 
 
 def _forest(data, cm, n_features):
+    """A forest whose leaf table holds its trees' leaves in order, each a
+    member or more, and each tree's leaves one bootstrap draw."""
     _format(data, "forest", FOREST_FORMAT)
     trees = data.get("trees")
     if not (isinstance(trees, list) and trees):
         raise DataError("forest 'trees' is not a non-empty list")
-    return Forest(_objects(trees, len(trees), "forest tree", _tree,
-                           cm.n_samples, n_features), cm, n_features)
-
-
-def _tree(obj, n_rows, n_features):
-    """A tree whose nodes are in the layout `kernels.route` reads and
-    whose leaves split one bootstrap draw of at most n_rows rows, each
-    leaf holding a member or more, as every leaf the grower makes does."""
-    arrays = _arrays(obj, SCHEMA["tree"], {})
-    L = kernels.check_tree(arrays["feat"], arrays["thr"], n_features)
-    ptr, rows, mult = (arrays["leaf_ptr"], arrays["leaf_rows"],
-                       arrays["leaf_mult"])
-    if not (ptr.size == L + 1 and ptr[0] == 0 and ptr[-1] == rows.size
+    trees = _objects(trees, len(trees), "forest tree", _tree, n_features)
+    ptr, rows, mult = _arrays(data, SCHEMA["forest"], {}).values()
+    # the first leaf of each tree, then the number of leaves
+    base = np.cumsum([0] + [int(tree.leaf_id.max()) + 1 for tree in trees])
+    if not (ptr.size == base[-1] + 1 and ptr[0] == 0 and ptr[-1] == rows.size
             and (np.diff(ptr) > 0).all()):
         raise DataError("has 'leaf_ptr' other than %d rising offsets from 0 "
-                        "to %d, each leaf holding a member or more"
-                        % (L + 1, rows.size))
+                        "to %d, one more than the trees' leaves, each leaf "
+                        "holding a member or more" % (base[-1] + 1, rows.size))
     if not (((mult >= 1) & (mult == np.floor(mult))).all()
-            and mult.sum() <= n_rows
-            and ((rows >= 0) & (rows < n_rows)).all()):
-        raise DataError("has 'leaf_rows' and 'leaf_mult' other than equal "
-                        "lists of rows in [0, %d) and whole numbers >= 1 "
-                        "with a sum of at most %d" % (n_rows, n_rows))
+            and ((rows >= 0) & (rows < cm.n_samples)).all()):
+        raise DataError("has 'leaf_rows' and 'leaf_mult' other than lists of "
+                        "rows in [0, %d) and whole numbers >= 1" % cm.n_samples)
+    over = np.add.reduceat(mult, ptr[base[:-1]]) > cm.n_samples
+    if over.any():
+        raise DataError("forest tree %d: has leaves whose 'leaf_mult' sum to "
+                        "more than %d" % (over.argmax(), cm.n_samples))
+    return Forest(trees, ptr, rows, mult, cm, n_features)
+
+
+def _tree(obj, n_features):
+    """A tree whose nodes are in the layout `kernels.route` reads."""
+    arrays = _arrays(obj, SCHEMA["tree"], {})
+    kernels.check_tree(arrays["feat"], arrays["thr"], n_features)
     return Tree(**arrays)

@@ -198,7 +198,7 @@ class GiniTreeTrained(TrainedClassifier):
     @classmethod
     def fit(cls, spec, ds):
         onehot = (ds.labels[:, None] == np.arange(ds.n_classes)).astype(float)
-        (feat, thr, ptr, members), = kernels.grow(
+        ((feat, thr),), ptr, members = kernels.grow(
             np.ascontiguousarray(ds.features), [ds.n_samples], onehot,
             np.ones(ds.n_samples))
         counts = np.add.reduceat(onehot[members], ptr[:-1])

@@ -254,7 +254,11 @@ def read_records(path):
     stripped of spaces, the non-blank records after it, and their row
     numbers in the file, the header being row 1."""
     with open_input(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = []
+        try:  # csv refuses a row with a cell beyond its field size limit
+            rows.extend(csv.reader(fh))
+        except csv.Error as exc:
+            raise DataError("%s: row %d: %s" % (path, len(rows) + 1, exc)) from None
     if not rows:
         raise DataError("%s: file is empty" % path)
     linenos = [n for n, rec in enumerate(rows[1:], start=2) if rec]

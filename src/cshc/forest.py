@@ -34,62 +34,49 @@ def bootstrap_draws(n_rows, fraction):
 
 @dataclass
 class Tree:
-    """One tree as flat arrays, nodes and leaves numbered in level order.
+    """One tree's nodes in level order, in the layout of `kernels`: its
+    children and leaf ids, left, right and leaf_id, are derived from feat
+    and never stored. Its leaves' members are in its `Forest`'s table."""
 
-    The node arrays are the layout of `kernels`, which grows, routes and
-    checks them; its children and leaf ids, left, right and leaf_id, are
-    derived from feat and never stored. Leaf l holds the member rows and
-    multiplicities leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]], one
-    member or more; together the leaves hold the tree's bootstrap draw.
-    Everything else about a leaf is derived from its members by `Forest`.
-    """
-
-    feat: np.ndarray       # (N,) split feature per node, -1 at a leaf
-    thr: np.ndarray        # (N,) split threshold per node
-    leaf_ptr: np.ndarray   # (L + 1,) offsets into leaf_rows/leaf_mult
-    leaf_rows: np.ndarray  # (m,) member rows, grouped by leaf
-    leaf_mult: np.ndarray  # (m,) member multiplicities, whole numbers >= 1
+    feat: np.ndarray  # (N,) split feature per node, -1 at a leaf
+    thr: np.ndarray   # (N,) split threshold per node
 
     def __post_init__(self):
         self.left, self.right, self.leaf_id = kernels.layout(self.feat)
 
-    def members(self, leaf):
-        """(rows, mult) of one leaf's members."""
-        a, b = self.leaf_ptr[leaf], self.leaf_ptr[leaf + 1]
-        return self.leaf_rows[a:b], self.leaf_mult[a:b]
-
 
 @dataclass
 class Forest:
-    """The tree ensemble over the rows of a correctness matrix, plus
-    per-leaf tables derived from the two.
+    """The tree ensemble over the rows of a correctness matrix.
 
-    The tables hold the leaves of all trees one after another, tree t's
-    from row leaf_base[t] on: leaf_counts holds each leaf's member
-    multiplicities summed over the rows each classifier got right,
-    leaf_rank the classifiers' ranks within the leaf and leaf_support
-    the multiplicities summed by validation truth. They are computed on
-    construction and never serialized; the sums are of whole numbers, so
-    they are exact in any order.
+    The leaves of all trees come one after another, tree t's from leaf
+    leaf_base[t] on. Leaf l holds the member rows and multiplicities
+    leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]], one member or
+    more; a tree's leaves together hold its bootstrap draw. leaf_counts
+    holds each leaf's member multiplicities summed over the rows each
+    classifier got right, leaf_rank the classifiers' ranks within the
+    leaf and leaf_support the multiplicities summed by validation truth.
+    They are computed on construction and never serialized; the sums are
+    of whole numbers, so they are exact in any order.
     """
 
     trees: list
+    leaf_ptr: np.ndarray   # (L + 1,) offsets into leaf_rows/leaf_mult
+    leaf_rows: np.ndarray  # (m,) member rows, grouped by leaf
+    leaf_mult: np.ndarray  # (m,) member multiplicities, whole numbers >= 1
     cm: CorrectnessMatrix  # the validation rows the leaves' members index
     n_features: int
     leaf_base: np.ndarray = field(init=False, repr=False)     # (T,)
-    leaf_counts: np.ndarray = field(init=False, repr=False)   # (sum L, n)
-    leaf_rank: np.ndarray = field(init=False, repr=False)     # (sum L, n)
-    leaf_support: np.ndarray = field(init=False, repr=False)  # (sum L, C)
+    leaf_counts: np.ndarray = field(init=False, repr=False)   # (L, n)
+    leaf_rank: np.ndarray = field(init=False, repr=False)     # (L, n)
+    leaf_support: np.ndarray = field(init=False, repr=False)  # (L, C)
 
     def __post_init__(self):
-        trees, cm = self.trees, self.cm
-        leaves = [tree.leaf_ptr.size - 1 for tree in trees]
-        L = sum(leaves)
-        self.leaf_base = np.cumsum([0] + leaves[:-1]).astype(np.int64)
-        leaf_of = np.repeat(np.arange(L), np.concatenate(
-            [np.diff(tree.leaf_ptr) for tree in trees]))
-        rows = np.concatenate([tree.leaf_rows for tree in trees])
-        mult = np.concatenate([tree.leaf_mult for tree in trees])
+        cm, rows, mult = self.cm, self.leaf_rows, self.leaf_mult
+        self.leaf_base = np.cumsum([0] + [int(tree.leaf_id.max()) + 1
+                                          for tree in self.trees[:-1]])
+        L = self.leaf_ptr.size - 1
+        leaf_of = np.repeat(np.arange(L), np.diff(self.leaf_ptr))
         wc = mult[:, None] * cm.correct[rows]
         self.leaf_counts = np.column_stack(
             [np.bincount(leaf_of, weights=wc[:, a], minlength=L)
@@ -109,13 +96,14 @@ class Forest:
         """(rows, mult) of the leaves leaf_ids (T,), one per tree: their
         distinct member rows, ascending, and the multiplicities summed
         over the trees."""
-        # one bincount over the validation rows adds the multiplicities
-        # tree by tree
-        parts = [tree.members(lid)
-                 for tree, lid in zip(self.trees, leaf_ids.tolist())]
-        mult = np.bincount(np.concatenate([r for r, _ in parts]),
-                           weights=np.concatenate([m for _, m in parts]),
-                           minlength=self.cm.n_samples)
+        # one bincount over the validation rows adds the multiplicities of
+        # the hit leaves' rows of the table
+        ptr = self.leaf_ptr
+        hit = [slice(ptr[leaf], ptr[leaf + 1])
+               for leaf in (leaf_ids + self.leaf_base).tolist()]
+        rows, mult = (np.concatenate([a[s] for s in hit])
+                      for a in (self.leaf_rows, self.leaf_mult))
+        mult = np.bincount(rows, weights=mult, minlength=self.cm.n_samples)
         rows = np.flatnonzero(mult)
         return rows, mult[rows]
 
@@ -143,7 +131,9 @@ def average_rank(values, axis):
 
 def grow_group(draws, cfg, correct, features):
     """Grow one Tree per draw (rows, mult, allowed), all together, with
-    `kernels.grow` under the [cshc] limits of the ExperimentConfig cfg.
+    `kernels.grow` under the [cshc] limits of the ExperimentConfig cfg;
+    returns the trees and their leaf table (leaf_ptr, leaf_rows,
+    leaf_mult), laid out as a `Forest`'s.
 
     A node becomes a leaf when the depth limit is reached, no candidate
     split keeps both children at min_cluster_size, the parent's best
@@ -153,13 +143,13 @@ def grow_group(draws, cfg, correct, features):
     """
     rows = np.concatenate([r for r, _, _ in draws])
     mult = np.concatenate([m for _, m, _ in draws])
-    grown = kernels.grow(
+    nodes, ptr, members = kernels.grow(
         np.concatenate([features[r][:, a] for r, _, a in draws]),
         [r.size for r, _, _ in draws], mult[:, None] * correct[rows], mult,
         (cfg.max_depth, float(cfg.min_cluster_size), cfg.min_improvement))
-    return [Tree(np.where(feat >= 0, allowed[feat], -1), thr, ptr,
-                 rows[members], mult[members])
-            for (*_, allowed), (feat, thr, ptr, members) in zip(draws, grown)]
+    return ([Tree(np.where(feat >= 0, allowed[feat], -1), thr)
+             for (*_, allowed), (feat, thr) in zip(draws, nodes)],
+            ptr, rows[members], mult[members])
 
 
 def build_forest(cm, ds, cfg):
@@ -193,9 +183,11 @@ def build_forest(cm, ds, cfg):
             size = 0
         groups[-1].append((rows, mult, allowed))
         size += nbytes
-    trees = [tree for group in groups
-             for tree in grow_group(group, cfg, correct, features)]
-    return Forest(trees, cm, F)
+    trees, ptrs, rows, mult = zip(*[grow_group(group, cfg, correct, features)
+                                    for group in groups])
+    rows, mult = np.concatenate(rows), np.concatenate(mult)
+    return Forest(sum(trees, []), np.cumsum(np.concatenate(
+        [[0]] + [np.diff(ptr) for ptr in ptrs])), rows, mult, cm, F)
 
 
 def query_batch(forest, X):

@@ -172,11 +172,11 @@ def grow(vals, sizes, targets, mult, limits=None):
       valid.
 
     Each level makes one call of `best_split` or `gini_split` for all
-    the nodes it scans. Returns one (feat, thr, leaf_ptr, members) per
-    tree: the node arrays in level order, feat indexing the columns of
-    vals, and the leaves' members, row indices of vals, grouped by leaf
-    in leaf order and ascending within a leaf: leaf l holds
-    members[leaf_ptr[l]:leaf_ptr[l + 1]].
+    the nodes it scans. Returns (nodes, leaf_ptr, members): each tree's
+    (feat, thr) in level order, feat indexing the columns of vals, and
+    the group's leaf table, its leaves tree by tree in leaf order: leaf
+    l holds members[leaf_ptr[l]:leaf_ptr[l + 1]], ascending row indices
+    of vals.
     """
     bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     order = np.concatenate([np.argsort(vals[a:b], axis=0, kind="stable") + a
@@ -225,19 +225,17 @@ def grow(vals, sizes, targets, mult, limits=None):
         base += K
         depth += 1
     # a stable sort by tree gathers each tree's nodes in level order and
-    # its leaves in node order; tree t's members are its bounds[t:t + 2]
+    # numbers the group's leaves tree by tree, each tree's in node order
     tree, feat, thr = (np.concatenate(a) for a in zip(*levels))
     perm = np.argsort(tree, kind="stable")
+    feat, thr = feat[perm], thr[perm]
     leaf_of = np.empty(perm.size, dtype=np.int64)
-    leaf_of[perm] = np.cumsum(feat[perm] < 0) - 1
+    leaf_of[perm] = np.cumsum(feat < 0) - 1
     leaf_of = leaf_of[leaf_node]
-    nodes, leaves = (np.cumsum(np.bincount(t, minlength=len(sizes)))[:-1]
-                     for t in (tree, tree[feat < 0]))
-    return [(f, t, np.concatenate([[0], np.cumsum(n)]), m)
-            for f, t, n, m in zip(
-                np.split(feat[perm], nodes), np.split(thr[perm], nodes),
-                np.split(np.bincount(leaf_of), leaves),
-                np.split(np.argsort(leaf_of, kind="stable"), bounds[1:-1]))]
+    nodes = np.cumsum(np.bincount(tree, minlength=len(sizes)))[:-1]
+    return (list(zip(np.split(feat, nodes), np.split(thr, nodes))),
+            np.concatenate([[0], np.cumsum(np.bincount(leaf_of))]),
+            np.argsort(leaf_of, kind="stable"))
 
 
 def _keep(order, starts, node, keep, leaf_node):

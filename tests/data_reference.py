@@ -9,19 +9,37 @@ once (`data.read_records`), all feature cells parsed with one
 found with one `np.isfinite`. This module keeps the reader both
 replaced: one loop per file, one `float()`, one scalar `np.isfinite` and
 one list append per cell, and the row's cell count checked before its
-cells.
+cells. A row csv cannot read, such as one with a cell beyond its field
+size limit, fails with a `DataError` that names it; the program reads
+every row before it checks one, so a file that also has a fault before
+that row is outside what the two share.
 """
 
 import csv
+import itertools
 
 import numpy as np
 
 from cshc.data import DataError, Dataset
 
 
-def _read_header(reader, path):
+def _rows(fh, path):
+    """(row number, record) of each row of the file, the header being
+    row 1; a row csv refuses raises a DataError naming it."""
+    reader = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            rec = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError("%s: row %d: %s" % (path, lineno, exc)) from None
+        yield lineno, rec
+
+
+def _read_header(rows, path):
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise DataError("%s: file is empty" % path) from None
     return [h.strip() for h in header]
@@ -50,7 +68,7 @@ def load_csv(path, label_column):
     """What `data.load_csv(path, label_column)` gives, or the DataError
     it raises."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(fh, path)
         header = _read_header(reader, path)
         if label_column not in header:
             raise DataError(
@@ -61,7 +79,7 @@ def load_csv(path, label_column):
         feature_names = [h for i, h in enumerate(header) if i != label_pos]
         rows, labels = [], []
         class_ids, class_names = {}, []
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in reader:
             if not rec:
                 continue
             rows.append(_feature_values(path, lineno, header, rec,
@@ -82,13 +100,13 @@ def load_feature_rows(path, feature_names):
     """What `data.load_feature_rows(path, feature_names)` gives, or the
     DataError it raises."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(fh, path)
         header = _read_header(reader, path)
         if header != feature_names:
             raise DataError("input columns %s do not match the bundle's %s"
                             % (header, feature_names))
         rows = [_feature_values(path, lineno, header, rec)
-                for lineno, rec in enumerate(reader, start=2) if rec]
+                for lineno, rec in reader if rec]
     if not rows:
         raise DataError("%s: no data rows" % path)
     return np.vstack(rows)

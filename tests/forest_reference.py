@@ -7,7 +7,8 @@ queue of clusters, over the per-column scans of `kernels_reference`;
 they number the nodes in the order they leave the queue and set each
 split's children as they queue them, so the grower tests compare the
 program's trees, and the children `kernels.layout` derives, with them
-array for array.
+array for array. `grow_group` lays the trees `grow_tree` grows one at a
+time and their leaves out as `forest.grow_group` does.
 
 The program derives per-leaf correct counts, ranks and class support
 from the leaf members in one pass per forest, gathers a query batch's
@@ -16,9 +17,9 @@ builds a query's member union only when its LP is solved. This module is
 the independent oracle the query tests compare it with: `leaf_tables`
 sums each leaf's members on its own, the way the grower did before the
 tables existed, and `reference_bundle` walks each tree node by node and
-builds every bundle on its own from the hit leaves' members, ranking the
-counts per query. `split_gain` scores one split of a weighted cluster
-from its definition.
+builds every bundle on its own from the hit leaves' members
+(`leaf_bundle`), ranking the counts per query. `split_gain` scores one
+split of a weighted cluster from its definition.
 """
 
 from collections import deque
@@ -43,21 +44,39 @@ def walk(tree, x):
     return int(tree.leaf_id[node])
 
 
-def member_counts(tree, lid, cm):
+def n_leaves(tree):
+    return int((tree.feat < 0).sum())
+
+
+def first_leaves(forest):
+    """The row of each tree's first leaf in the forest's leaf table,
+    which follows the leaves of the trees before it."""
+    return np.cumsum([0] + [n_leaves(tree) for tree in forest.trees])
+
+
+def members(forest, t, lid, first=None):
+    """(rows, mult) of leaf lid of tree t, a row of the forest's leaf
+    table; first is `first_leaves(forest)`, computed when not given."""
+    first = first_leaves(forest) if first is None else first
+    leaf = first[t] + lid
+    a, b = forest.leaf_ptr[leaf], forest.leaf_ptr[leaf + 1]
+    return forest.leaf_rows[a:b], forest.leaf_mult[a:b]
+
+
+def member_counts(rows, mult, cm):
     """Multiplicity-weighted correct counts (n,) of one leaf's members."""
-    rows, mult = tree.members(lid)
     return (mult[:, None] * cm.correct[rows].astype(np.float64)).sum(axis=0)
 
 
 def leaf_tables(forest):
     """(leaf_counts, leaf_rank, leaf_support) of every leaf of every tree,
     one leaf at a time."""
-    cm = forest.cm
+    cm, first = forest.cm, first_leaves(forest)
     counts, support = [], []
-    for tree in forest.trees:
-        for lid in range(tree.leaf_ptr.size - 1):
-            rows, mult = tree.members(lid)
-            counts.append(member_counts(tree, lid, cm))
+    for t, tree in enumerate(forest.trees):
+        for lid in range(n_leaves(tree)):
+            rows, mult = members(forest, t, lid, first)
+            counts.append(member_counts(rows, mult, cm))
             support.append(np.bincount(cm.truth[rows], weights=mult,
                                        minlength=cm.n_classes))
     counts = np.vstack(counts)
@@ -67,14 +86,19 @@ def leaf_tables(forest):
 
 def reference_bundle(forest, x):
     """Everything the program's bundle for x exposes, built eagerly."""
-    cm = forest.cm
-    leaf_ids = [walk(tree, x) for tree in forest.trees]
+    return leaf_bundle(forest, [walk(tree, x) for tree in forest.trees])
+
+
+def leaf_bundle(forest, leaf_ids):
+    """Everything the program's bundle of a query that hits the leaves
+    leaf_ids, one per tree, exposes, built eagerly."""
+    cm, first = forest.cm, first_leaves(forest)
     row_parts, mult_parts, leaf_counts = [], [], []
-    for tree, lid in zip(forest.trees, leaf_ids):
-        rows, mult = tree.members(lid)
+    for t, lid in enumerate(leaf_ids):
+        rows, mult = members(forest, t, lid, first)
         row_parts.append(rows)
         mult_parts.append(mult)
-        leaf_counts.append(member_counts(tree, lid, cm))
+        leaf_counts.append(member_counts(rows, mult, cm))
     mult = np.bincount(np.concatenate(row_parts),
                        weights=np.concatenate(mult_parts),
                        minlength=cm.n_samples)
@@ -111,7 +135,9 @@ def split_gain(member_rows, member_mult, feature, threshold, correct, features):
 
 def grow_tree(rows, mult, cfg, correct, features, allowed):
     """Partition the weighted cluster (rows, mult) into a Tree, one
-    cluster of a FIFO queue at a time.
+    cluster of a FIFO queue at a time. Returns (tree, leaf_ptr,
+    leaf_rows, leaf_mult): the Tree and its leaves' members, leaf l's
+    being leaf_rows/leaf_mult[leaf_ptr[l]:leaf_ptr[l + 1]].
 
     A node becomes a leaf when the depth limit is reached, no candidate
     split keeps both children at min_cluster_size, the parent's best
@@ -146,15 +172,25 @@ def grow_tree(rows, mult, cfg, correct, features, allowed):
         leaf_id[i] = len(leaves)
         leaves.append((rows, mult))
     sizes = [r.size for r, _ in leaves]
-    tree = Tree(
-        feat=np.asarray(feat, dtype=np.int64),
-        thr=np.asarray(thr, dtype=np.float64),
-        leaf_ptr=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
-        leaf_rows=np.concatenate([r for r, _ in leaves]),
-        leaf_mult=np.concatenate([m for _, m in leaves]))
+    tree = Tree(feat=np.asarray(feat, dtype=np.int64),
+                thr=np.asarray(thr, dtype=np.float64))
     tree.left, tree.right, tree.leaf_id = (
         np.asarray(a, dtype=np.int64) for a in (left, right, leaf_id))
-    return tree
+    return (tree,
+            np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+            np.concatenate([r for r, _ in leaves]),
+            np.concatenate([m for _, m in leaves]))
+
+
+def grow_group(draws, cfg, correct, features):
+    """What `forest.grow_group` returns for the draws (rows, mult,
+    allowed), grown one tree at a time by `grow_tree`: the trees, and
+    their leaves one tree after another."""
+    trees, ptrs, rows, mult = zip(*[
+        grow_tree(r, m, cfg, correct, features, a) for r, m, a in draws])
+    sizes = np.concatenate([np.diff(ptr) for ptr in ptrs])
+    return (list(trees), np.concatenate([[0], np.cumsum(sizes)]),
+            np.concatenate(rows), np.concatenate(mult))
 
 
 def gini_tree(Z, y, C):

@@ -30,7 +30,8 @@ POSITIVE = st.sampled_from([5e-324, TINY, MAX]) | st.floats(
     min_value=5e-324, allow_infinity=False)
 # a gamma the LP can take: finite and below HiGHS's infinite bound
 GAMMA = st.sampled_from([e for e in EDGES if e < GAMMA_BOUND]) | st.floats(
-    max_value=GAMMA_BOUND, exclude_max=True, allow_nan=False)
+    max_value=GAMMA_BOUND, exclude_max=True, allow_nan=False,
+    allow_infinity=False)
 INT64 = st.sampled_from([-2 ** 63, 2 ** 63 - 1, -1, 0]) | st.integers(
     -2 ** 63, 2 ** 63 - 1)
 
@@ -86,18 +87,28 @@ def layouts(draw, max_splits, n_features):
 
 
 @st.composite
-def trees(draw, n_rows, n_features):
-    """A forest tree whose leaves hold one member or more and at most
-    n_rows multiplicities in all."""
-    feat, thr = draw(layouts(min(n_rows - 1, 3), n_features))
-    L = int((feat < 0).sum())
-    m = draw(st.integers(L, n_rows))
-    cuts = sorted(draw(st.lists(st.integers(1, max(m - 1, 1)), unique=True,
-                                min_size=L - 1, max_size=L - 1)))
-    mult = np.ones(m)
-    mult[draw(st.integers(0, m - 1))] += draw(st.integers(0, n_rows - m))
-    rows = draw(arrays("<i8", m, elements=st.integers(0, n_rows - 1)))
-    return Tree(feat, thr, np.array([0] + cuts + [m], "<i8"), rows, mult)
+def forests(draw, cm, n_features):
+    """A forest of one to three trees over the rows of cm, whose leaves
+    hold one member or more and each tree's at most as many
+    multiplicities in all as cm has rows."""
+    n_rows = cm.n_samples
+    trees, sizes, rows, mult = [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        feat, thr = draw(layouts(min(n_rows - 1, 3), n_features))
+        trees.append(Tree(feat, thr))
+        L = int((feat < 0).sum())
+        m = draw(st.integers(L, n_rows))
+        cuts = sorted(draw(st.lists(st.integers(1, max(m - 1, 1)),
+                                    unique=True, min_size=L - 1,
+                                    max_size=L - 1)))
+        sizes += np.diff([0] + cuts + [m]).tolist()
+        mult.append(np.ones(m))
+        mult[-1][draw(st.integers(0, m - 1))] += draw(
+            st.integers(0, n_rows - m))
+        rows.append(draw(arrays("<i8", m,
+                                elements=st.integers(0, n_rows - 1))))
+    return Forest(trees, np.cumsum([0] + sizes, dtype="<i8"),
+                  np.concatenate(rows), np.concatenate(mult), cm, n_features)
 
 
 @st.composite
@@ -134,8 +145,7 @@ def bundles(draw):
     cm = CorrectnessMatrix(
         draw(arrays("<i8", (M, len(models)), elements=classes)),
         draw(arrays("<i8", M, elements=classes)), C)
-    forest = Forest(draw(st.lists(trees(M, F), min_size=1, max_size=3)), cm,
-                    F)
+    forest = draw(forests(cm, F))
     prep = SimpleNamespace(
         name="random", models=models, forest=forest, cm=cm,
         ds=SimpleNamespace(feature_names=["f%d" % j for j in range(F)],
@@ -157,6 +167,8 @@ def assert_same_trees(got, want):
     for a, b in zip(got.trees, want.trees):
         for key in SCHEMA["tree"]:
             assert_same(getattr(a, key), getattr(b, key), key)
+    for key in SCHEMA["forest"]:
+        assert_same(getattr(got, key), getattr(want, key), key)
 
 
 class TestRandomBundles:

@@ -142,8 +142,11 @@ class TestSelectInput:
         ("x0,x1\n1e200,0.0\n",
          "classifier 'gaussian_nb': overflow encountered in square while "
          "scoring"),
+        # a cell longer than csv's field size limit
+        ("x0,x1\n1.0,2.0\n1.0," + "0" * 140001 + "\n",
+         "rows.csv: row 3: field larger than field limit (131072)"),
     ], ids=["nan", "inf", "ragged", "non-numeric", "header-only",
-            "feature-overflows"])
+            "feature-overflows", "field-limit"])
     def test_malformed_rows_exit_2(self, trained_bundle, tmp_path, capsys,
                                    text, message):
         bad = tmp_path / "rows.csv"
@@ -244,20 +247,51 @@ class TestSelectInput:
         assert main(["select", "--model", bundle_dir, "--input",
                      str(query)]) == 2
         assert ("unsupported bundle format 'cshc-bundle/3'; this program "
-                "reads 'cshc-bundle/5'") in capsys.readouterr().err
+                "reads 'cshc-bundle/6'") in capsys.readouterr().err
+
+    def test_per_tree_leaves_bundle_rejected(self, split_bundle, tmp_path):
+        """A bundle of the previous format, whose trees each store their
+        own leaf_ptr, leaf_rows and leaf_mult, is refused by its format,
+        not read field by field."""
+        bundle_dir = str(tmp_path / "per-tree")
+        shutil.copytree(split_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "forest.json")
+        with open(path) as fh:
+            data = _as_lists(json.load(fh))
+        ptr, rows, mult = (data.pop(key)
+                           for key in ("leaf_ptr", "leaf_rows", "leaf_mult"))
+        first = 0
+        for tree in data["trees"]:
+            last = first + tree["feat"].count(-1)
+            a, b = ptr[first], ptr[last]
+            tree.update(leaf_ptr=[p - a for p in ptr[first:last + 1]],
+                        leaf_rows=rows[a:b], leaf_mult=mult[a:b])
+            first = last
+        data["format"] = "cshc-forest/5"
+        with open(path, "w") as fh:
+            json.dump(_as_stored(data), fh)
+        path = os.path.join(bundle_dir, "meta.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(_replaced(text, "cshc-bundle/5", "format"))
+        stderr = _select_exits_2(bundle_dir, tmp_path)
+        assert stderr.startswith("error: ") and (
+            "unsupported bundle format 'cshc-bundle/5'; this program reads "
+            "'cshc-bundle/6'") in stderr
 
     @pytest.mark.parametrize("names,message", [
         (("meta.json", "models.json", "forest.json"),
          "unsupported bundle format 'cshc-bundle/4'; this program reads "
-         "'cshc-bundle/5'"),
+         "'cshc-bundle/6'"),
         (("forest.json",),
          "unsupported forest format 'cshc-forest/4'; this program reads "
-         "'cshc-forest/5'"),
+         "'cshc-forest/6'"),
     ], ids=["bundle", "forest"])
     def test_list_encoded_bundle_rejected(self, split_bundle, tmp_path,
                                           names, message):
-        """Files of the previous format, which held every array as a JSON
-        list, are refused by their format, not read field by field."""
+        """Files of format 4, which held every array as a JSON list, are
+        refused by their format, not read field by field."""
         bundle_dir = str(tmp_path / "lists")
         shutil.copytree(split_bundle, bundle_dir)
         for name in names:
@@ -265,7 +299,7 @@ class TestSelectInput:
             with open(path) as fh:
                 data = _as_lists(json.load(fh))
             if name != "models.json":
-                data["format"] = data["format"].replace("/5", "/4")
+                data["format"] = data["format"].replace("/6", "/4")
             with open(path, "w") as fh:
                 json.dump(data, fh)
         stderr = _select_exits_2(bundle_dir, tmp_path)
@@ -284,22 +318,63 @@ class TestSelectFiles:
         err = capsys.readouterr().err
         assert missing in err and "No such file or directory" in err
 
-    def test_tree_missing_field_exits_2(self, trained_bundle, tmp_path,
-                                        capsys):
-        bundle_dir = str(tmp_path / "truncated")
-        shutil.copytree(trained_bundle, bundle_dir)
+    def test_tree_missing_field_exits_2(self, trained_bundle, tmp_path):
+        _, err = _without_key(trained_bundle, tmp_path, "trees", 1, "thr")
+        assert "forest.json: forest tree 1: missing key 'thr'" in err
+
+    @pytest.mark.parametrize("key", ["leaf_ptr", "leaf_rows", "leaf_mult"])
+    def test_leaf_table_missing_field_exits_2(self, trained_bundle, tmp_path,
+                                              key):
+        path, err = _without_key(trained_bundle, tmp_path, key)
+        assert "error: %s: missing key %r" % (path, key) in err
+
+    def test_one_tree_past_the_rows_exits_2(self, split_bundle, tmp_path):
+        """Each tree's leaves hold one bootstrap draw: a tree whose
+        multiplicities sum past the validation rows is refused, and named,
+        even where the whole forest's sum stays under trees x rows."""
+        bundle_dir = str(tmp_path / "one-tree")
+        shutil.copytree(split_bundle, bundle_dir)
         path = os.path.join(bundle_dir, "forest.json")
         with open(path) as fh:
-            data = json.load(fh)
-        del data["trees"][1]["leaf_ptr"]
+            data = _as_lists(json.load(fh))
+        ptr, mult = data["leaf_ptr"], data["leaf_mult"]
+        first = data["trees"][0]["feat"].count(-1)  # tree 1's first leaf
+        last = first + data["trees"][1]["feat"].count(-1)
+        mult[ptr[first]] += 82 - sum(mult[ptr[first]:ptr[last]])
+        assert sum(mult) <= len(data["trees"]) * 81
         with open(path, "w") as fh:
-            json.dump(data, fh)
-        query = tmp_path / "query.csv"
-        query.write_text("x0,x1\n-2.0,0.1\n")
-        assert main(["select", "--model", bundle_dir, "--input",
-                     str(query)]) == 2
-        assert "forest tree 1: missing key 'leaf_ptr'" in \
-            capsys.readouterr().err
+            json.dump(_as_stored(data), fh)
+        stderr = _select_exits_2(bundle_dir, tmp_path)
+        assert stderr.startswith("error: ") and (
+            "%s: forest tree 1: has leaves whose 'leaf_mult' sum to more "
+            "than 81" % path) in stderr
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["fewer", "more"])
+    def test_leaf_count_other_than_the_trees_exits_2(self, split_bundle,
+                                                     tmp_path, change):
+        """A leaf table with one leaf fewer or more than the trees' feat
+        arrays give is refused, though its offsets still rise from 0 to
+        the member count."""
+        bundle_dir = str(tmp_path / "leaf-count")
+        shutil.copytree(split_bundle, bundle_dir)
+        path = os.path.join(bundle_dir, "forest.json")
+        with open(path) as fh:
+            data = _as_lists(json.load(fh))
+        ptr = data["leaf_ptr"]
+        if change < 0:
+            del ptr[1]  # leaves 0 and 1 as one
+        else:  # a leaf of two members or more cut in two
+            i = next(i for i in range(len(ptr) - 1) if ptr[i + 1] - ptr[i] > 1)
+            ptr.insert(i + 1, ptr[i] + 1)
+        with open(path, "w") as fh:
+            json.dump(_as_stored(data), fh)
+        stderr = _select_exits_2(bundle_dir, tmp_path)
+        L = sum(tree["feat"].count(-1) for tree in data["trees"])
+        assert len(ptr) == L + 1 + change
+        assert stderr.startswith("error: ") and (
+            "%s: has 'leaf_ptr' other than %d rising offsets from 0 to %d, "
+            "one more than the trees' leaves" % (
+                path, L + 1, len(data["leaf_rows"]))) in stderr
 
     @pytest.mark.parametrize("name,rewrite,message", [
         ("forest.json", lambda text: text[:1000], "forest.json: not valid JSON"),
@@ -328,9 +403,8 @@ class TestSelectFiles:
         ("models.json", lambda text: _truncated(text, 1, 0, "theta"),
          "models.json: classifier 0: 'theta' is not an array of shape "
          "(C, F) with C = 2 classes and F = 2 features"),
-        ("forest.json", lambda text: _replaced(text, [0, 1], "trees", 0,
-                                               "leaf_ptr"),
-         "forest.json: forest tree 0: has 'leaf_ptr' other than "),
+        ("forest.json", lambda text: _replaced(text, [0, 1], "leaf_ptr"),
+         "forest.json: has 'leaf_ptr' other than "),
         ("forest.json", lambda text: _replaced(text, 2, "trees", 0, "feat", 0),
          "has 'feat' 2 at node 0"),
         ("meta.json", lambda text: _truncated(text, 1, "dataset",
@@ -338,19 +412,16 @@ class TestSelectFiles:
          "meta.json: 'dataset.feature_names' and 'dataset.class_names' are "
          "not lists of names"),
         # leaf multiplicities are whole numbers >= 1
-        ("forest.json", lambda text: _replaced(text, 0.3, "trees", 0,
-                                               "leaf_mult", 0),
-         "forest.json: forest tree 0: has 'leaf_rows' and 'leaf_mult' other "
-         "than equal lists of rows in [0, 81) and whole numbers >= 1"),
-        ("forest.json", lambda text: _replaced(text, 0, "trees", 0,
-                                               "leaf_mult", 0),
-         "forest.json: forest tree 0: has 'leaf_rows' and 'leaf_mult' other "
-         "than equal lists of rows in [0, 81) and whole numbers >= 1"),
-        ("forest.json", lambda text: _replaced(text, 2.0 ** 60, "trees", 0,
-                                               "leaf_mult", 0),
-         "forest.json: forest tree 0: has 'leaf_rows' and 'leaf_mult' other "
-         "than equal lists of rows in [0, 81) and whole numbers >= 1 with a "
-         "sum of at most 81"),
+        ("forest.json", lambda text: _replaced(text, 0.3, "leaf_mult", 0),
+         "forest.json: has 'leaf_rows' and 'leaf_mult' other than lists of "
+         "rows in [0, 81) and whole numbers >= 1"),
+        ("forest.json", lambda text: _replaced(text, 0, "leaf_mult", 0),
+         "forest.json: has 'leaf_rows' and 'leaf_mult' other than lists of "
+         "rows in [0, 81) and whole numbers >= 1"),
+        ("forest.json", lambda text: _replaced(text, 2.0 ** 60, "leaf_mult",
+                                               0),
+         "forest.json: forest tree 0: has leaves whose 'leaf_mult' sum to "
+         "more than 81"),
         # meta.json values
         ("meta.json", lambda text: _replaced(text, 99, "validation", "truth",
                                              0),
@@ -410,9 +481,9 @@ class TestSelectFiles:
          "classifier 'one_nn': overflow encountered in square while "
          "scoring"),
         # integers beyond int64, one per file
-        ("forest.json", lambda text: _recoded(text, _beyond_int64, "trees", 0,
+        ("forest.json", lambda text: _recoded(text, _beyond_int64,
                                               "leaf_rows"),
-         "forest.json: forest tree 0: 'leaf_rows' has 'data' of "),
+         "forest.json: 'leaf_rows' has 'data' of "),
         ("meta.json", lambda text: _recoded(text, _beyond_int64, "validation",
                                             "truth"),
          "meta.json: 'validation.truth' has 'data' of 1296 bytes, not 8 for "
@@ -452,8 +523,9 @@ class TestSelectFiles:
          "of 2 whole numbers >= 0"),
         # every leaf holds a member or more
         ("forest.json", lambda text: _emptied_leaves(text),
-         "forest.json: forest tree 0: has 'leaf_ptr' other than 2 rising "
-         "offsets from 0 to 0, each leaf holding a member or more"),
+         "forest.json: has 'leaf_ptr' other than 51 rising offsets from 0 to "
+         "0, one more than the trees' leaves, each leaf holding a member or "
+         "more"),
         # thresholds are finite
         ("forest.json", lambda text: _replaced(text, float("nan"), "trees", 0,
                                                "thr", 0),
@@ -598,7 +670,21 @@ class TestSelectFiles:
         with open(path, "w") as fh:
             fh.write(_emptied_leaves(text))
         stderr = _select_exits_2(bundle_dir, tmp_path, "--method", "lp")
-        assert "%s: forest tree 0: has 'leaf_ptr'" % path in stderr
+        assert "%s: has 'leaf_ptr'" % path in stderr
+
+
+def _without_key(bundle, tmp_path, *keys):
+    """(path, stderr) of select on a copy of the bundle whose forest.json
+    lacks the entry at the path of keys, after checking that it exits 2
+    without a traceback."""
+    bundle_dir = str(tmp_path / "truncated")
+    shutil.copytree(bundle, bundle_dir)
+    path = os.path.join(bundle_dir, "forest.json")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(_without(text, *keys))
+    return path, _select_exits_2(bundle_dir, tmp_path)
 
 
 def _select_exits_2(bundle_dir, tmp_path, *args):
@@ -680,8 +766,9 @@ def _emptied_leaves(text):
     """forest.json text with every tree one leaf that has no members."""
     data = _as_lists(json.loads(text))
     for tree in data["trees"]:
-        tree.update(feat=[-1], thr=[0.0], leaf_ptr=[0, 0], leaf_rows=[],
-                    leaf_mult=[])
+        tree.update(feat=[-1], thr=[0.0])
+    data.update(leaf_ptr=[0] * (len(data["trees"]) + 1), leaf_rows=[],
+                leaf_mult=[])
     return json.dumps(_as_stored(data))
 
 
@@ -1169,6 +1256,21 @@ class TestMalformedDataset:
                      "--out", str(tmp_path / "b")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and self.message in err, err
+
+    def test_train_on_a_cell_beyond_the_csv_field_limit_exits_2(
+            self, tmp_path, capsys):
+        """csv refuses the 21-row file at its last row, whose label cell
+        is longer than csv's field size limit: an error line names the
+        file and the row."""
+        path = tmp_path / "long.csv"
+        path.write_text("x0,x1,label\n" + "".join(
+            "%d.0,%d.5,%s\n" % (i, -i, "ab"[i % 2]) for i in range(20))
+            + "1.0,2.0," + "a" * 140001 + "\n")
+        assert main(["train", "--data", str(path), "--label", "label",
+                     "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: %s: row 22: field larger than field limit "
+                       "(131072)\n" % path), err
 
 
 class TestNulInPath:

@@ -293,14 +293,18 @@ class TestReaderOracle:
     @pytest.mark.parametrize("label_pos", [0, None])
     def test_a_cell_beyond_the_csv_field_limit_fails_alike(self, tmp_path,
                                                            label_pos):
-        """csv refuses the file; the C parse must not read it."""
+        """csv refuses the file, and both readers fail with a DataError
+        that names the file and the row; the C parse must not read it."""
         rng = np.random.default_rng(0)
         header, rows = dataset_rows(rng, 4, 2, label_pos)
         rows[2][-1] = "0" * csv.field_size_limit() + "1"
         path = str(tmp_path / "d.csv")
         write_dataset(path, header, rows, rng)
-        assert "field larger than field limit" in reads_alike(path, header,
-                                                              label_pos)
+        message = reads_alike(path, header, label_pos)
+        with open(path, newline="") as fh:
+            row = 1 + fh.read().split("\n").index(line(rows[2]))
+        assert message == "%s: row %d: field larger than field limit (%d)" % (
+            path, row, csv.field_size_limit())
 
     @pytest.mark.parametrize("kind", CELL_MUTATIONS)
     @pytest.mark.parametrize("label_pos", [0, 2, None])

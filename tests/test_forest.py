@@ -134,8 +134,9 @@ class TestGrowTree:
     def test_hand_example_splits_at_midpoint(self):
         cfg = ExperimentConfig(min_cluster_size=2, max_depth=5,
                                min_improvement=0.02)
-        tree = grow_group([(np.arange(4), np.ones(4), np.array([0]))], cfg,
-                          TestSplitGain.correct, TestSplitGain.features)[0]
+        (tree,), ptr, rows, mult = grow_group(
+            [(np.arange(4), np.ones(4), np.array([0]))], cfg,
+            TestSplitGain.correct, TestSplitGain.features)
         assert not is_leaf(tree, 0)
         assert tree.feat[0] == 0
         assert tree.thr[0] == 2.5
@@ -143,25 +144,25 @@ class TestGrowTree:
         assert tree.left[0] == 1 and tree.right[0] == 2
         assert is_leaf(tree, 1) and is_leaf(tree, 2)
         assert tree.leaf_id.tolist() == [-1, 0, 1]
-        rows, mult = tree.members(0)
-        assert rows.tolist() == [0, 1] and mult.tolist() == [1.0, 1.0]
+        assert ptr.tolist() == [0, 2, 4]
+        assert rows.tolist() == [0, 1, 2, 3] and mult.tolist() == [1.0] * 4
         # the correct bits of TestSplitGain: A right on rows 0-1, B on 2-3
         cm = make_cm([[0, 1], [0, 1], [1, 0], [1, 0]], [0, 0, 0, 0])
-        forest = Forest([tree], cm, 1)
+        forest = Forest([tree], ptr, rows, mult, cm, 1)
         assert forest.leaf_counts.tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
     def test_two_members_min_size_two_stays_leaf(self):
         cfg = ExperimentConfig(min_cluster_size=2)
         tree = grow_group([(np.arange(2), np.ones(2), np.array([0]))], cfg,
                           TestSplitGain.correct[:2],
-                          TestSplitGain.features[:2])[0]
+                          TestSplitGain.features[:2])[0][0]
         assert is_leaf(tree, 0)
 
     def test_optimal_parent_stays_leaf(self):
         cfg = ExperimentConfig()
         correct = np.array([[1.0, 0.0]] * 4)
         tree = grow_group([(np.arange(4), np.ones(4), np.array([0]))], cfg,
-                          correct, TestSplitGain.features)[0]
+                          correct, TestSplitGain.features)[0][0]
         assert is_leaf(tree, 0)
 
     def test_depth_limit(self):
@@ -171,7 +172,7 @@ class TestGrowTree:
         features = rng.uniform(size=(16, 1))
         correct = rng.integers(0, 2, size=(16, 2)).astype(float)
         tree = grow_group([(np.arange(16), np.ones(16), np.array([0]))],
-                          cfg, correct, features)[0]
+                          cfg, correct, features)[0][0]
         assert tree_depth(tree.feat) <= 1
 
 
@@ -208,8 +209,8 @@ class TestBuildForest:
             rows, mult = np.unique(picks, return_counts=True)
             want = dict(zip(rows.tolist(), mult.tolist()))
             got = {}
-            for lid in range(tree.leaf_ptr.size - 1):
-                for r, m in zip(*tree.members(lid)):
+            for lid in range(forest_reference.n_leaves(tree)):
+                for r, m in zip(*forest_reference.members(forest, t, lid)):
                     got[int(r)] = got.get(int(r), 0) + int(m)
             assert got == want
             assert set(tree.feat[tree.left >= 0].tolist()) <= set(
@@ -219,11 +220,12 @@ class TestBuildForest:
         forest, cm, ds, cfg = region_forest()
         correct = cm.correct.astype(float)
 
-        def walk(tree, node):
+        def walk(t, tree, node):
             if is_leaf(tree, node):
-                return tree.members(tree.leaf_id[node])
-            lr, lm = walk(tree, tree.left[node])
-            rr, rm = walk(tree, tree.right[node])
+                return forest_reference.members(forest, t,
+                                                tree.leaf_id[node])
+            lr, lm = walk(t, tree, tree.left[node])
+            rr, rm = walk(t, tree, tree.right[node])
             rows = np.concatenate([lr, rr])
             mult = np.concatenate([lm, rm])
             gain = split_gain(rows, mult, tree.feat[node], tree.thr[node],
@@ -234,8 +236,8 @@ class TestBuildForest:
             assert gain >= cfg.min_improvement * parent_best - 1e-9
             return rows, mult
 
-        for tree in forest.trees:
-            walk(tree, 0)
+        for t, tree in enumerate(forest.trees):
+            walk(t, tree, 0)
 
     def test_deterministic_build(self):
         f1, _, _, _ = region_forest(seed=3)
@@ -270,8 +272,9 @@ class TestQuery:
         cfg = ExperimentConfig(n_trees=1, bootstrap_fraction=1.0, seed=1)
         forest = build_forest(cm, ds, cfg)
         leaf_ids, _, _ = query_batch(forest, [0.0])
-        _, mult = forest.trees[0].members(0)
-        assert forest.member_union(leaf_ids[0])[1].sum() == mult.sum()
+        assert forest.leaf_ptr.tolist() == [0, forest.leaf_rows.size]
+        assert forest.member_union(leaf_ids[0])[1].sum() == \
+            forest.leaf_mult.sum()
 
     def test_multiset_union_adds_multiplicities(self):
         # two single-leaf trees sharing sample 0 with multiplicities 1 and 2
@@ -279,7 +282,7 @@ class TestQuery:
         leaf_ids, _, _ = query_batch(forest, [0.5, 0.5])
         by_hand = {}
         for t, lid in enumerate(leaf_ids[0]):
-            for r, m in zip(*forest.trees[t].members(lid)):
+            for r, m in zip(*forest_reference.members(forest, t, lid)):
                 by_hand[int(r)] = by_hand.get(int(r), 0) + m
         rows, mult = forest.member_union(leaf_ids[0])
         assert {int(r): m for r, m in zip(rows, mult)} == by_hand
@@ -335,13 +338,16 @@ class TestLeafRanks:
 
 
 def assert_same_trees(f1, f2):
-    """The two forests' trees hold the same arrays, bit for bit."""
+    """The two forests' trees and leaf tables hold the same arrays, bit
+    for bit."""
     assert len(f1.trees) == len(f2.trees)
-    for t1, t2 in zip(f1.trees, f2.trees):
-        for f in fields(Tree):
-            a, b = getattr(t1, f.name), getattr(t2, f.name)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes(), f.name
+    pairs = [(getattr(t1, f.name), getattr(t2, f.name), f.name)
+             for t1, t2 in zip(f1.trees, f2.trees) for f in fields(Tree)]
+    for a, b, name in pairs + [
+            (getattr(f1, key), getattr(f2, key), key)
+            for key in ("leaf_ptr", "leaf_rows", "leaf_mult")]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestSerialization:
@@ -350,9 +356,9 @@ class TestSerialization:
         first, second = tmp_path / "first", tmp_path / "second"
         write_forest(str(first), forest)
         data = json.loads((first / "forest.json").read_text())
-        assert list(data) == ["format", "trees"]
-        assert list(data["trees"][0]) == [
-            "feat", "thr", "leaf_ptr", "leaf_rows", "leaf_mult"]
+        assert list(data) == ["format", "trees", "leaf_ptr", "leaf_rows",
+                              "leaf_mult"]
+        assert list(data["trees"][0]) == ["feat", "thr"]
         restored = read_forest(str(first), cm, ds.n_features)
         write_forest(str(second), restored)
         assert (second / "forest.json").read_bytes() == \
@@ -368,8 +374,8 @@ class TestSerialization:
             assert b1.dominant_true_class == b2.dominant_true_class
 
     def test_json_file_round_trip(self, tmp_path):
-        """Every tree array, the thresholds included, survives the text
-        round trip bit for bit."""
+        """Every tree array, the thresholds included, and the leaf table
+        survive the text round trip bit for bit."""
         forest, cm, ds, _ = region_forest()
         write_forest(str(tmp_path), forest)
         assert_same_trees(read_forest(str(tmp_path), cm, ds.n_features),
@@ -478,11 +484,22 @@ def grow_cases(draw):
 
 
 def assert_same_tree(got, want):
-    """Every field of two Trees is equal, dtype included: the derived
+    """Every array of two Trees is equal, dtype included: the derived
     left, right and leaf_id too."""
-    for f in fields(Tree):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+    for key in ("feat", "thr", "left", "right", "leaf_id"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.dtype == b.dtype and np.array_equal(a, b), key
+
+
+def assert_same_grown(got, want):
+    """Two (trees, leaf_ptr, leaf_rows, leaf_mult) are equal, dtype
+    included."""
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[0], want[0]):
+        assert_same_tree(a, b)
+    for a, b, key in zip(got[1:], want[1:],
+                         ("leaf_ptr", "leaf_rows", "leaf_mult")):
+        assert a.dtype == b.dtype and np.array_equal(a, b), key
 
 
 def assert_same_gini_tree(model, Z, labels, n):
@@ -502,10 +519,11 @@ class TestGrowOracle:
     @given(grow_cases())
     def test_grow_tree_matches_recursive_reference(self, case):
         rows, mult, cfg, correct, features, allowed, _, _ = case
-        assert_same_tree(
-            grow_group([(rows, mult, allowed)], cfg, correct, features)[0],
-            forest_reference.grow_tree(rows, mult, cfg, correct, features,
-                                       allowed))
+        tree, *table = forest_reference.grow_tree(rows, mult, cfg, correct,
+                                                  features, allowed)
+        assert_same_grown(
+            grow_group([(rows, mult, allowed)], cfg, correct, features),
+            ([tree], *table))
 
     @settings(max_examples=150)
     @given(grow_cases())
@@ -562,11 +580,12 @@ class TestGroupedBuild:
     @given(forest_cases())
     def test_every_group_budget_grows_the_reference_trees(self, case):
         """However many trees grow together, each is the queue-built
-        reference's tree over the draws of its substream."""
+        reference's tree over the draws of its substream, and the leaf
+        table holds the reference's leaves tree after tree."""
         cm, ds, cfg = case
         M, F = ds.features.shape
         correct = cm.correct.astype(np.float64)
-        want = []
+        draws = []
         for t in range(cfg.n_trees):
             rng = substream(cfg.seed, t)
             counts = np.bincount(rng.integers(0, M, size=bootstrap_draws(
@@ -574,14 +593,13 @@ class TestGroupedBuild:
             rows = np.flatnonzero(counts)
             allowed = np.sort(rng.choice(F, size=feature_subset_size(F),
                                          replace=False))
-            want.append(forest_reference.grow_tree(
-                rows, counts[rows].astype(np.float64), cfg, correct,
-                ds.features, allowed))
+            draws.append((rows, counts[rows].astype(np.float64), allowed))
+        want = forest_reference.grow_group(draws, cfg, correct, ds.features)
         # one tree a group, about two, the default and all in one group
         two = 2 * 8 * M * cm.n_classifiers * feature_subset_size(F)
         for budget in (0, two, forest_module.GROUP_BYTES, 1 << 40):
             with mock.patch.object(forest_module, "GROUP_BYTES", budget):
-                got = build_forest(cm, ds, cfg).trees
-            assert len(got) == cfg.n_trees
-            for a, b in zip(got, want):
-                assert_same_tree(a, b)
+                forest = build_forest(cm, ds, cfg)
+            assert len(forest.trees) == cfg.n_trees
+            assert_same_grown((forest.trees, forest.leaf_ptr,
+                               forest.leaf_rows, forest.leaf_mult), want)

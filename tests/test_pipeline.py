@@ -1,17 +1,22 @@
-"""End-to-end oracle for the tree layers, the kNN kernel, the
-neighbourhood baselines and the LP.
+"""End-to-end oracle for the tree layers, the classifiers, the kNN
+kernel, the neighbourhood baselines, the selection methods and the LP.
 
 The program grows its CSHC trees a group at a time and its Gini trees
-level by level, in `kernels.grow`, finds the 1-NN's nearest rows and the
+level by level, in `kernels.grow`, trains the perceptron with one
+in-place add per wrong class, finds the 1-NN's nearest rows and the
 baselines' kNN regions for a whole batch at once, in `kernels.nearest`,
-scores each baseline over the whole test partition as arrays, and hands
-each LP to HiGHS's low-level binding. Here each command runs twice on
-one small native-pool dataset: once as it is, and once with every tree
-grown node by node by `forest_reference`, the 1-NN scored row by row by
+scores each baseline and each selection method over the whole test
+partition as arrays, reading the LPs' members from the forest's one leaf
+table, and hands each LP to HiGHS's low-level binding. Here each command
+runs twice on one small native-pool dataset: once as it is, and once
+with every tree grown node by node by `forest_reference`, the
+perceptron trained by its numpy step and the 1-NN scored row by row by
 `classifiers_reference`, every region found and every baseline scored
-query by query by `baselines_reference`, and every LP solved through
-public `linprog` by `lp_reference` instead. Every file the commands
-write, the bundles' meta.json included, must be the same bytes both
+query by query by `baselines_reference`, every selection made query by
+query by `selection_reference` over bundles built from each query's
+leaves by `forest_reference`, and every LP solved through public
+`linprog` by `lp_reference` instead. Every file the commands write, the
+bundles' meta.json and forest.json included, must be the same bytes both
 times.
 """
 
@@ -28,19 +33,16 @@ import classifiers_reference
 import cshc.forest as forest_module
 import cshc.harness as harness_module
 import cshc.lp as lp_module
+import cshc.selection as selection_module
 import forest_reference
 import lp_reference
-from cshc.classifiers import GiniTreeTrained, OneNNTrained
+import selection_reference
+from cshc.classifiers import (GiniTreeTrained, OneNNTrained, PerceptronTrained,
+                              standardizer)
 from cshc.cli import main
 from cshc.config import ALL_METHODS
 from cshc.harness import SELECTION_METHODS
-
-
-def reference_group(draws, cfg, correct, features):
-    """`forest.grow_group` by the reference grower, one tree at a time."""
-    return [forest_reference.grow_tree(rows, mult, cfg, correct, features,
-                                       allowed)
-            for rows, mult, allowed in draws]
+from cshc.selection import Selection
 
 
 def reference_gini_fit(cls, spec, ds):
@@ -49,6 +51,33 @@ def reference_gini_fit(cls, spec, ds):
         ds.features, ds.labels, ds.n_classes)
     return cls(spec, ds.n_classes, ds.n_features, feat=feat, thr=thr,
                leaf_proba=proba)
+
+
+def reference_perceptron_fit(cls, spec, ds):
+    """`PerceptronTrained.fit` by the numpy step it replaced."""
+    mean, scale = standardizer(ds.features)
+    return cls(spec, ds.n_classes, ds.n_features, mean=mean, scale=scale,
+               W=classifiers_reference.perceptron_weights(ds, mean, scale))
+
+
+def reference_select_batch(method, forest, leaf_ids, cumulative, dominant,
+                           labels, sample_ids, gamma, rho, seed, cache):
+    """`selection.select_batch` by the per-query reference, over bundles
+    built from the members of each query's leaves; cumulative and
+    dominant, the program's, are left unread."""
+    bundles = [forest_reference.leaf_bundle(forest, ids) for ids in leaf_ids]
+    outcomes = selection_reference.select_batch(
+        method, bundles, labels, sample_ids, forest.cm, gamma, rho, seed,
+        cache)
+    columns = [np.array([getattr(o, key) for o in outcomes], dtype=dtype)
+               for key, dtype in (("chosen_classifier", np.int64),
+                                  ("predicted_class", np.int64),
+                                  ("method_used", object),
+                                  ("confidence_ratio", np.float64))]
+    ratios = [np.array([np.nan if getattr(o, key) is None
+                        else getattr(o, key) for o in outcomes])
+              for key in ("rr_ratio", "lp_ratio")]
+    return Selection(method, *columns, *ratios)
 
 
 def write_inputs(tmp, seed):
@@ -104,8 +133,13 @@ def test_reference_growers_write_the_same_files(protocol, seed):
         data, query = write_inputs(tmp, seed)
         want = run_commands(tmp, "program", data, query, seed, protocol)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(forest_module, "grow_group", reference_group)
+            mp.setattr(forest_module, "grow_group",
+                       forest_reference.grow_group)
             mp.setattr(GiniTreeTrained, "fit", classmethod(reference_gini_fit))
+            mp.setattr(PerceptronTrained, "fit",
+                       classmethod(reference_perceptron_fit))
+            mp.setattr(selection_module, "select_batch",
+                       reference_select_batch)
             mp.setattr(OneNNTrained, "_proba", classifiers_reference.one_nn_proba)
             mp.setattr(harness_module, "_baseline_choice",
                        baselines_reference.evaluate_baseline)

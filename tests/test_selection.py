@@ -41,10 +41,9 @@ def plain_cm(n, n_classes=2):
 def bundle_forest(bundle, cm):
     """A forest of one single-leaf tree whose leaf holds the hand-built
     bundle's members (rows, mult) over the validation rows of cm."""
-    tree = Tree(feat=np.array([-1]), thr=np.zeros(1),
-                leaf_ptr=np.array([0, bundle.rows.size]),
-                leaf_rows=bundle.rows, leaf_mult=bundle.mult)
-    return Forest([tree], cm, 1)
+    return Forest([Tree(feat=np.array([-1]), thr=np.zeros(1))],
+                  np.array([0, bundle.rows.size]), bundle.rows, bundle.mult,
+                  cm, 1)
 
 
 def select_bundle(method, bundle, cm, labels, sample_ids=None, rho=0.5,
