@@ -4,11 +4,13 @@ Per dataset: split off a test partition, build the correctness matrix
 on the protocol's validation data, run every method against identical
 test-time base-classifier predictions, growing the forest only when a
 method reads it, then fold the per-dataset accuracies into the
-cross-benchmark comparison statistics.
+cross-benchmark comparison statistics. When a method reads the test
+rows' kNN regions, a second thread finds them while the forest grows.
 """
 
 import json
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +114,8 @@ def pca_projection(train_features, test_features):
 
 @dataclass
 class PreparedDataset:
+    """What every method on one dataset reads; the forest, the test
+    rows' leaves and their kNN regions are made for their first reader."""
     name: str
     ds: object
     plan: object
@@ -126,7 +130,7 @@ class PreparedDataset:
     test_std: np.ndarray
     fold: np.ndarray = None
     query: tuple = None           # (leaf_ids, cumulative, dominant)
-    regions: tuple = None         # (Q, k) neighbours and distances
+    regions: object = None        # (Q, k) neighbours, distances, or a Future
     lp_cache: dict = field(default_factory=dict)
     _forest: object = None
 
@@ -142,9 +146,15 @@ class PreparedDataset:
             self.query = query_batch(self.forest, self.test_ds.features)
         return self.query
 
-    def get_regions(self, k):
+    def get_regions(self):
+        """The test rows' cfg.knn_k nearest validation rows and distances,
+        found here or by the Future run_experiment submits, whose error
+        re-raises at every read."""
         if self.regions is None:
-            self.regions = bl.region_of(self.test_std, k, self.dsel_std)
+            self.regions = bl.region_of(self.test_std, self.cfg.knn_k,
+                                        self.dsel_std)
+        if isinstance(self.regions, Future):
+            self.regions = self.regions.result()
         return self.regions
 
 
@@ -225,7 +235,7 @@ def _baseline_choice(prep, method, cfg):
         return rep, winner
     if method not in _BASELINES:
         raise DataError("unknown method %r" % method)
-    result = _BASELINES[method](prep, cfg, *prep.get_regions(cfg.knn_k))
+    result = _BASELINES[method](prep, cfg, *prep.get_regions())
     if isinstance(result, tuple):
         return result[-1], result[-2]
     chosen = result.argmax(axis=1)
@@ -277,28 +287,36 @@ def run_experiment(cfg):
     """Evaluate every configured method on every configured dataset.
 
     A failing dataset or (dataset, method) cell keeps its exception in
-    result.errors and does not abort the sweep.
+    result.errors and does not abort the sweep. The cells run here in
+    cfg.methods order while one worker thread finds the kNN regions.
     """
     cfg.validate()
     result = ExperimentResult(cfg, [], {}, {}, {}, {}, {})
-    for name, path, label_column in cfg.datasets:
-        result.dataset_names.append(name)
-        try:
-            ds = path if not isinstance(path, str) else load_csv(path, label_column)
-            prep = prepare_dataset(name, ds, cfg)
-        except Exception as exc:
-            result.errors[name] = exc
-            continue
-        result.preps[name] = prep
-        result.oracle[name] = oracle_accuracy(prep.test_cm)
-        for a, model in enumerate(prep.models):
-            acc = float(prep.test_cm.correct[:, a].mean() * 100.0)
-            result.static[(name, model.spec.name)] = acc
-        for method in cfg.methods:
+    with ThreadPoolExecutor(1) as worker:  # no thread until a submit
+        for name, path, label_column in cfg.datasets:
+            result.dataset_names.append(name)
             try:
-                result.cells[(name, method)] = evaluate_method(prep, method, cfg)
+                ds = path if not isinstance(path, str) else load_csv(
+                    path, label_column)
+                prep = prepare_dataset(name, ds, cfg)
             except Exception as exc:
-                result.errors[(name, method)] = exc
+                result.errors[name] = exc
+                continue
+            if not _BASELINES.keys().isdisjoint(cfg.methods):
+                # looked up now, as _BASELINES looks up its scorers
+                prep.regions = worker.submit(bl.region_of, prep.test_std,
+                                             cfg.knn_k, prep.dsel_std)
+            result.preps[name] = prep
+            result.oracle[name] = oracle_accuracy(prep.test_cm)
+            for a, model in enumerate(prep.models):
+                acc = float(prep.test_cm.correct[:, a].mean() * 100.0)
+                result.static[(name, model.spec.name)] = acc
+            for method in cfg.methods:
+                try:
+                    result.cells[(name, method)] = evaluate_method(
+                        prep, method, cfg)
+                except Exception as exc:
+                    result.errors[(name, method)] = exc
     return result
 
 

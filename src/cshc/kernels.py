@@ -167,6 +167,10 @@ def grow(vals, sizes, targets, mult, limits=None):
       is a leaf at max_depth, when its best count (its largest target
       sum) is 0, when no cut leaves both children min_size of mult, or
       when the best gain is below min_improvement times its best count.
+      A node is not scanned when its total multiplicity is below
+      2 min_size, or its total less its best count is below that
+      product: a child's best count is at most its multiplicity, so a
+      cut gains at most total - best, exactly in whole-number float64.
     - limits None grows unpruned Gini trees, targets being one-hot class
       rows and mult ones. A node is a leaf when it is pure or no cut is
       valid.
@@ -201,10 +205,13 @@ def grow(vals, sizes, targets, mult, limits=None):
         levels.append((tree, feat, thr))
         first = order[:, 0]
         best = np.add.reduceat(targets[first], starts).max(axis=1)
+        total = np.add.reduceat(mult[first], starts)
         if limits is None:
-            scan = best < np.add.reduceat(mult[first], starts)  # impure
+            scan = best < total  # impure
         else:
-            scan = (best != 0.0) & (depth < max_depth)
+            need = min_improvement * best
+            scan = ((best != 0.0) & (depth < max_depth)
+                    & (total >= 2 * min_size) & (total - best >= need))
         order, starts, node = _keep(order, starts, node, scan, leaf_node)
         if starts.size:
             if limits is None:
@@ -213,7 +220,7 @@ def grow(vals, sizes, targets, mult, limits=None):
             else:
                 gain, col, cut = best_split(vals, targets, mult, min_size,
                                             order, starts)
-                col[gain < min_improvement * best[scan]] = -1
+                col[gain < need[scan]] = -1
             split = col >= 0
             order, starts, node = _keep(order, starts, node, split,
                                         leaf_node)

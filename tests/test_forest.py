@@ -176,6 +176,51 @@ class TestGrowTree:
         assert tree_depth(tree.feat) <= 1
 
 
+class TestScanPrune:
+    """The grower scans no node that cannot split: one whose total
+    multiplicity is below 2 min_size, or whose total less its best count
+    is below min_improvement times that count. Each case equals the
+    node-by-node reference, which scans every node."""
+
+    @staticmethod
+    def grow_one(cfg, correct, features):
+        rows, mult = np.arange(len(features)), np.ones(len(features))
+        allowed = np.array([0])
+        with mock.patch.object(kernels, "best_split",
+                               wraps=kernels.best_split) as spy:
+            got = grow_group([(rows, mult, allowed)], cfg, correct, features)
+        tree, *table = forest_reference.grow_tree(rows, mult, cfg, correct,
+                                                  features, allowed)
+        assert_same_grown(got, ([tree], *table))
+        return tree, spy.call_count
+
+    def test_gain_exactly_at_the_bound_splits(self):
+        """Best 4 of total 5: the one cut gains 1, which is 0.25 x 4."""
+        cfg = ExperimentConfig(min_cluster_size=1, min_improvement=0.25)
+        correct = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]])
+        features = np.array([[0.0]] * 4 + [[1.0]])
+        tree, calls = self.grow_one(cfg, correct, features)
+        assert tree.feat.tolist() == [0, -1, -1] and tree.thr[0] == 0.5
+        assert calls == 1  # neither child is scanned
+
+    def test_one_member_short_is_a_leaf_unscanned(self):
+        """Best 4 of total 4: total - best is 0, below 0.25 x 4."""
+        cfg = ExperimentConfig(min_cluster_size=1, min_improvement=0.25)
+        correct = np.array([[1.0, 0.0]] * 3 + [[1.0, 1.0]])
+        features = np.array([[0.0]] * 3 + [[1.0]])
+        tree, calls = self.grow_one(cfg, correct, features)
+        assert tree.feat.tolist() == [-1]
+        assert calls == 0
+
+    def test_total_of_twice_min_size_splits(self):
+        cfg = ExperimentConfig(min_cluster_size=2, min_improvement=0.25)
+        correct = np.array([[1.0, 0.0]] * 2 + [[0.0, 1.0]] * 2)
+        features = np.array([[0.0], [0.0], [1.0], [1.0]])
+        tree, calls = self.grow_one(cfg, correct, features)
+        assert tree.feat.tolist() == [0, -1, -1] and tree.thr[0] == 0.5
+        assert calls == 1
+
+
 def region_forest(seed=0, n_trees=10):
     """Small forest over an easy two-expert problem."""
     rng = np.random.default_rng(seed)
@@ -394,7 +439,8 @@ def small_forests(draw):
     C = draw(st.integers(2, 3))
     cfg = ExperimentConfig(n_trees=draw(st.integers(1, 6)),
                            min_cluster_size=draw(st.integers(1, 3)),
-                           min_improvement=draw(st.sampled_from([0.0, 0.02])),
+                           min_improvement=draw(st.sampled_from(
+                               [0.0, 0.02, 0.25, 0.5])),
                            seed=draw(st.integers(0, 99)))
     rng = np.random.default_rng(seed)
     # coarse feature values, so that rows tie and queries hit thresholds
@@ -474,7 +520,7 @@ def grow_cases(draw):
     cfg = ExperimentConfig(
         max_depth=draw(st.sampled_from([1, 2, 3, 15])),
         min_cluster_size=draw(st.integers(1, 3)),
-        min_improvement=draw(st.sampled_from([0.0, 0.02, 0.3])))
+        min_improvement=draw(st.sampled_from([0.0, 0.02, 0.25, 0.3, 0.5])))
     allowed = np.sort(rng.choice(F, size=draw(st.integers(1, F)),
                                  replace=False))
     correct = (rng.random((M, n)) < 0.6).astype(float)
@@ -568,7 +614,7 @@ def forest_cases(draw):
         n_trees=draw(st.integers(1, 8)),
         max_depth=draw(st.sampled_from([1, 3, 15])),
         min_cluster_size=draw(st.integers(1, 3)),
-        min_improvement=draw(st.sampled_from([0.0, 0.02, 0.3])),
+        min_improvement=draw(st.sampled_from([0.0, 0.02, 0.25, 0.3, 0.5])),
         seed=draw(st.integers(0, 99)))
     ds = Dataset(features, truth, ["f%d" % j for j in range(F)],
                  ["c%d" % c for c in range(C)])

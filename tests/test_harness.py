@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import math
+import threading
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cshc import baselines as bl
 from cshc import classifiers as clf
 from cshc import selection as sel
+from cshc.cli import _warn
 from cshc.classifiers import ExternalPredictions, TrainedClassifier
 from cshc.config import ExperimentConfig
 from cshc.data import CorrectnessMatrix, load_csv
@@ -245,6 +249,73 @@ class TestRunExperiment:
         text = out.read_text()
         assert "tiny" in text
         assert "avg_rank" in text
+
+
+class TestConcurrentRegions:
+    """run_experiment finds the kNN regions on a worker thread while the
+    cells run in cfg.methods order; each cell keeps its result or error."""
+
+    def test_region_error_fails_each_region_cell_in_order(self, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+        cfg = tiny_experiment_config(tmp_path)
+        cfg.methods = ["knora_u", "cshc", "ola", "mv", "rr", "lca"]
+        cfg.reference = "mv"
+
+        def no_regions(*args):
+            raise ValueError("no regions")
+
+        monkeypatch.setattr(bl, "region_of", no_regions)
+        result = run_experiment(cfg)
+        failed = ["knora_u", "ola", "lca"]
+        assert list(result.errors) == [("tiny", m) for m in failed]
+        assert all(type(exc) is ValueError and str(exc) == "no regions"
+                   for exc in result.errors.values())
+        assert set(result.cells) == {("tiny", m)
+                                     for m in ("cshc", "mv", "rr")}
+        _warn(result.errors)
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: ('tiny', '%s') failed: ValueError: no regions" % m
+            for m in failed]
+
+    @pytest.mark.parametrize("methods,calls", [
+        (["cshc", "ola", "lca", "mv"], 1), (["cshc", "rr", "mv"], 0)])
+    def test_regions_found_once_on_the_worker(self, tmp_path, monkeypatch,
+                                              methods, calls):
+        cfg = tiny_experiment_config(tmp_path)
+        cfg.methods, cfg.reference = methods, "mv"
+        real, threads = bl.region_of, []
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(bl, "region_of", spy)
+        result = run_experiment(cfg)
+        assert not result.errors
+        assert len(threads) == calls
+        assert threading.main_thread() not in threads
+        prep = result.preps["tiny"]
+        if calls:
+            want = real(prep.test_std, cfg.knn_k, prep.dsel_std)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(prep.regions, want))
+        else:
+            assert prep.regions is None
+
+    def test_clamp_warns_once(self, tmp_path):
+        cfg = tiny_experiment_config(tmp_path)
+        cfg.methods = ["ola", "cshc", "lca", "mv"]
+        cfg.reference, cfg.knn_k = "mv", 10 ** 6
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            result = run_experiment(cfg)
+        assert not result.errors
+        clamps = [str(w.message) for w in seen
+                  if "exceeds pool" in str(w.message)]
+        pool = result.preps["tiny"].dsel_std.shape[0]
+        assert clamps == ["k=%d exceeds pool of %d samples; clamping"
+                          % (cfg.knn_k, pool)]
 
 
 class TestExportViz:
