@@ -45,9 +45,8 @@ def test_import_leaves_scipy_stats_out():
 
 
 def test_import_leaves_scipy_optimize_out():
-    """The LP loads the HiGHS binding, which takes most of a second to
-    import, on its first solve: importing the program loads no
-    scipy.optimize."""
+    """The LP loads the HiGHS binding on its first solve: importing the
+    program loads no scipy.optimize."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cshc.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, cshc.cli; "
@@ -1177,7 +1176,8 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", out]) == 0
         stdout = capsys.readouterr().out
         assert "reference=lpr" in stdout
-        results = open(os.path.join(out, "results.csv")).read()
+        with open(os.path.join(out, "results.csv")) as fh:
+            results = fh.read()
         assert results.count("d0") >= 1 and results.count("d2") >= 1
 
     def test_no_dataset_completed_prints_a_note(self, tmp_path):
@@ -1353,7 +1353,8 @@ class TestExportViz:
         assert main(["export-viz", "--data", data, "--label", "label",
                      "--out", str(tmp_path / "o"), "--method", "rr",
                      "--output", out_file]) == 0
-        lines = open(out_file).read().strip().splitlines()
+        with open(out_file) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0].startswith("sample_index,pc1,pc2")
         assert len(lines) > 10
 
@@ -1363,7 +1364,8 @@ class TestExportViz:
         assert main(["export-viz", "--data", data, "--label", "label",
                      "--out", str(tmp_path / "o"), "--method", "ola",
                      "--output", out_file]) == 0
-        lines = open(out_file).read().strip().splitlines()
+        with open(out_file) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "sample_index,pc1,pc2,chosen_classifier,correct"
         assert len(lines) > 10
         assert {line.split(",")[3] for line in lines[1:]} <= {"0", "1", "2",

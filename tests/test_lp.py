@@ -1,17 +1,24 @@
 """LP construction, the HiGHS solve, and its oracles: the reference dense
 simplex, the discrete weight grid, and scipy's public linprog."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cshc import lp
+from cshc.cli import main
 from cshc.data import CorrectnessMatrix
 from cshc.lp import (LpInstance, _merge_equivalent, build_instance,
                      instance_dump, penalties_given_weights, solve)
 import lp_reference
 from lp_reference import linprog_solve, merge_equivalent, reference_solve
+from test_harness import tiny_experiment_config
 
 
 def grid_oracle(inst, step=1):
@@ -337,3 +344,135 @@ class TestDumps:
         text = instance_dump(inst)
         assert "gamma=80" in text
         assert text.count("m=") == 2
+
+
+# prints whether the binding is loaded, then every other scipy.optimize
+# module that is
+STRAY_OPTIMIZE = """
+import sys
+core = "scipy.optimize._highspy._core"
+print(core in sys.modules, sorted(
+    m for m in sys.modules
+    if (m == "scipy.optimize" or m.startswith("scipy.optimize."))
+    and m != core and not m.startswith(core + ".")))
+"""
+
+
+def run_fresh(code, *args):
+    """stdout of `code` run in a fresh interpreter, with the program and
+    the test helpers importable, so that sys.modules starts clean."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])))
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestLoader:
+    """`lp.highs` loads scipy's HiGHS binding from its file, without the
+    scipy.optimize package around it."""
+
+    def test_solve_imports_no_scipy_optimize(self):
+        out = run_fresh(textwrap.dedent("""
+            from cshc.lp import LpInstance, solve
+            solve(LpInstance(n=2, n_classes=2, m=[1, 2], y=[0, 1],
+                             L=[[0, 1], [1, 1]], gamma=80.0))
+            """) + STRAY_OPTIMIZE)
+        assert out.split("\n")[-2] == "True []", out
+
+    def test_select_lp_imports_no_scipy_optimize(self, tmp_path):
+        data = tiny_experiment_config(tmp_path).datasets[0][1]
+        bundle_dir = str(tmp_path / "bundle")
+        assert main(["train", "--data", data, "--label", "label",
+                     "--out", bundle_dir, "--seed", "5"]) == 0
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n2.0,-0.2\n0.0,0.0\n")
+        out_file = tmp_path / "sel.csv"
+        out = run_fresh(textwrap.dedent("""
+            import sys
+            from cshc import cli
+            assert cli.main(["select", "--model", sys.argv[1], "--input",
+                             sys.argv[2], "--output", sys.argv[3],
+                             "--method", "lp"]) == 0
+            """) + STRAY_OPTIMIZE, bundle_dir, str(query), str(out_file))
+        assert out.split("\n")[-2] == "True []", out
+        assert len(out_file.read_text().splitlines()) == 4
+
+    def test_scipy_optimize_reuses_the_loaded_binding(self):
+        """A later `import scipy.optimize` finds the binding the LP loaded,
+        and linprog solves through it, not a second copy, to the same
+        bits."""
+        out = run_fresh("""
+            import numpy as np
+            from cshc import lp
+            rng = np.random.default_rng(31)
+            k, n, C = 200, 3, 3
+            y = rng.integers(0, C, size=k)
+            right = rng.random((k, n)) < [0.9, 0.6, 0.3]
+            L = np.where(right, y[:, None], (y[:, None] + 1) % C)
+            inst = lp.LpInstance(n=n, n_classes=C, y=y, L=L, gamma=80.0,
+                                 m=rng.integers(1, 4, size=k))
+            got = lp.solve(inst)
+            import scipy.optimize
+            from scipy.optimize._highspy import _core
+            from lp_reference import linprog_solve
+            want = linprog_solve(inst)
+            from scipy.optimize._highspy import _highs_wrapper
+            print(_core is lp.highs()[0], _highs_wrapper._h is _core)
+            print(all(np.array_equal(a, b) for a, b in
+                      ((got.w, want.w), (got.g, want.g), (got.f, want.f))),
+                  got.objective == want.objective)
+            """)
+        assert out.split("\n")[-3:] == ["True True", "True True", ""], out
+
+    def test_binding_already_imported_is_reused(self):
+        out = run_fresh("""
+            import scipy.optimize
+            from scipy.optimize._highspy import _core
+            from cshc import lp
+            print(lp.highs()[0] is _core)
+            """)
+        assert out.split("\n")[-2] == "True", out
+
+    def test_concurrent_first_loads_share_one_module(self):
+        out = run_fresh("""
+            import sys, threading
+            from cshc import lp
+            barrier = threading.Barrier(8)
+            got = []
+            def load():
+                barrier.wait()
+                got.append(lp.highs())
+            threads = [threading.Thread(target=load) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            print(len(got), len({id(core) for core, _ in got}),
+                  len({id(options) for _, options in got}),
+                  got[0][0] is sys.modules["scipy.optimize._highspy._core"])
+            """)
+        assert out.split("\n")[-2] == "8 1 1 True", out
+
+    def test_missing_binding_names_the_directory(self, tmp_path):
+        root = tmp_path / "scipy"
+        (root / "optimize" / "_highspy").mkdir(parents=True)
+        out = run_fresh("""
+            import importlib.util, sys, types
+            from cshc import lp
+            real = importlib.util.find_spec
+            fake = types.SimpleNamespace(
+                submodule_search_locations=[sys.argv[1]])
+            importlib.util.find_spec = (
+                lambda name, package=None:
+                fake if name == "scipy" else real(name, package))
+            try:
+                lp.highs()
+            except ImportError as exc:
+                print(exc)
+            """, str(root))
+        assert str(root) in out, out
+

@@ -41,3 +41,15 @@ def test_exception_in_a_thread_fails(tmp_path):
         "    thread.join(timeout=60)\n")
     out = run_pytest(tmp_path, "test_thread.py")
     assert "1 failed" in out.stdout
+
+
+def test_unclosed_file_fails(tmp_path):
+    """A file a test opens and never closes fails that test: its
+    ResourceWarning is raised when the file is collected, and reaches
+    pytest as an unraisable exception."""
+    (tmp_path / "data.txt").write_text("x\n")
+    (tmp_path / "test_leak.py").write_text(
+        "def test_leaks_a_file():\n"
+        "    assert open('data.txt').read() == 'x\\n'\n")
+    out = run_pytest(tmp_path, "test_leak.py")
+    assert "1 failed" in out.stdout
