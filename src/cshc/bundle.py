@@ -18,8 +18,8 @@ import numpy as np
 
 from . import kernels
 from .classifiers import CLASSIFIERS, ClassifierSpec
-from .data import (CorrectnessMatrix, DataError, load_json, require_finite,
-                   require_gamma, require_int)
+from .data import (CorrectnessMatrix, DataError, load_json, open_output,
+                   require_finite, require_gamma, require_int)
 from .forest import Forest, Tree
 
 BUNDLE_FORMAT = "cshc-bundle/6"
@@ -97,8 +97,7 @@ def _encoded(arr, dtype):
 
 def _dump(outdir, name, data):
     # json.dump writes entry by entry and holds no copy of the whole text
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, name), "w") as fh:
+    with open_output(os.path.join(outdir, name), mode="w") as fh:
         json.dump(data, fh)
 
 

@@ -85,8 +85,11 @@ def cmd_select(args):
 
 
 def _run_and_report(cfg):
+    """Run the experiment and write its reports; returns the result and
+    its stat block."""
     result = harness.run_experiment(cfg)
-    harness.write_results_csv(result, os.path.join(cfg.outdir, "results.csv"))
+    stats = harness.write_results_csv(result,
+                                      os.path.join(cfg.outdir, "results.csv"))
     for name in result.dataset_names:
         prep = result.preps.get(name)
         if prep is None:
@@ -98,7 +101,7 @@ def _run_and_report(cfg):
                     prep, cell,
                     os.path.join(cfg.outdir, "trace_%s_%s.csv" % (name, method)))
     harness.append_run_record(result, os.path.join(cfg.outdir, "runs.jsonl"))
-    return result
+    return result, stats
 
 
 def _warn(errors):
@@ -119,7 +122,7 @@ def _failed(what, exc):
 
 def cmd_evaluate(args):
     cfg = _single_dataset_config(args)
-    result = _run_and_report(cfg)
+    result, _ = _run_and_report(cfg)
     name = result.dataset_names[0]
     if name in result.errors:
         return _failed("dataset failed", result.errors[name])
@@ -139,9 +142,8 @@ def cmd_compare(args):
     _apply_overrides(cfg, args)
     if not cfg.datasets:
         raise DataError("compare needs a config file with a [data] section")
-    result = _run_and_report(cfg)
+    result, (rows, kept) = _run_and_report(cfg)
     _warn(result.errors)
-    rows, kept = harness.comparison_rows(result)
     print("compared %d methods on %d dataset(s); reference=%s"
           % (len(cfg.methods), len(kept), cfg.reference))
     print("%-10s %5s %7s %5s %9s %9s %9s"

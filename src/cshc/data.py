@@ -20,6 +20,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +136,14 @@ class CorrectnessMatrix:
     def classifier_accuracies(self):
         return self.correct.mean(axis=0)
 
+    @cached_property
+    def profile(self):
+        """(M,) id of each row's (truth, label row): two rows share an id
+        exactly when their true classes and every classifier's labels
+        agree. Computed on the first read."""
+        key = np.column_stack([self.truth, self.predicted])
+        return np.unique(key, axis=0, return_inverse=True)[1].reshape(-1)
+
 
 def open_input(path, **kwargs):
     """``open`` for reading a file the user named; a missing or unreadable
@@ -144,6 +153,19 @@ def open_input(path, **kwargs):
         return open(path, **kwargs)
     except (OSError, ValueError) as exc:
         raise DataError("%s: cannot read: %s"
+                        % (path, getattr(exc, "strerror", exc))) from None
+
+
+def open_output(path, **kwargs):
+    """``open`` for writing a file the user named, making its directory
+    first; a path that cannot be made or written (a file where a
+    directory should be, no permission, a NUL byte in it) is a DataError
+    naming the path."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise DataError("%s: cannot write: %s"
                         % (path, getattr(exc, "strerror", exc))) from None
 
 
@@ -269,11 +291,8 @@ def read_records(path):
 def write_csv(path, header, rows):
     """Write the header and then rows as CSV to the file path, making its
     directory, or to stdout when path is None."""
-    if path is None:
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        target = open(path, "w", newline="")
+    target = (contextlib.nullcontext(sys.stdout) if path is None
+              else open_output(path, mode="w", newline=""))
     with target as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

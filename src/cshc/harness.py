@@ -24,7 +24,7 @@ from .bundle import load_bundle, save_bundle
 from .classifiers import build_correctness_cv3, build_correctness_holdout
 from .config import ExperimentConfig
 from .data import (CorrectnessMatrix, DataError, load_csv, make_split,
-                   write_csv)
+                   open_output, write_csv)
 from .forest import average_rank, build_forest, query_batch
 from .selection import SELECTION_METHODS
 
@@ -368,6 +368,8 @@ def _column(values, fmt="%.4f"):
 
 
 def write_results_csv(result, path):
+    """Write the per-dataset accuracies and the stat block to path;
+    returns the stat block, ``comparison_rows(result)``."""
     cfg = result.config
     static_names = sorted({k[1] for k in result.static})
     rows = []
@@ -399,6 +401,7 @@ def write_results_csv(result, path):
     write_csv(path, ["dataset"] + ["static:" + s for s in static_names]
               + list(cfg.methods) + ["oracle", "recourse_rate", "errors"],
               rows)
+    return stat_rows, kept
 
 
 def write_trace_csv(prep, method_result, path):
@@ -442,7 +445,7 @@ def append_run_record(result, path):
         "errors": {"/".join(k) if isinstance(k, tuple) else k: error_text(v)
                    for k, v in result.errors.items()},
     }
-    with open(path, "a") as fh:
+    with open_output(path, mode="a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 

@@ -6,11 +6,12 @@ support of its true class beats every other class by at least gamma;
 violations are bought off with penalties g (margin shortfall below
 gamma) and f (shortfall below 1), minimizing sum_i m_i * (g_i + 2 f_i).
 
-Instances are shrunk before solving by merging samples with identical
-(truth, label row) and by collapsing the constraints of all classes no
-classifier votes for into one; both reductions preserve the optimum
-exactly. The merged LP is built in numpy as one column-wise model and
-goes straight to HiGHS (the binding scipy ships), with the options
+``build_instance`` makes a query's member rows of one (truth, label
+row), one ``CorrectnessMatrix.profile`` id, one sample whose
+multiplicity is their sum, and the model collapses the constraints of
+all classes no classifier votes for into one; both reductions preserve
+the optimum exactly. The LP is built in numpy as one column-wise model
+and goes straight to HiGHS (the binding scipy ships), with the options
 scipy's ``linprog(method="highs-ds")`` uses: presolve, then dual
 simplex, so that a basic (vertex) solution comes back, the same one run
 to run. Degenerate instances have many optimal weight vectors; which
@@ -130,15 +131,21 @@ class LpSolution:
 
 
 def build_instance(rows, mult, cm, gamma):
-    """LP data for one query: the distinct member rows of its leaves with
-    their multiplicities, labels taken from the validation-time prediction
-    matrix."""
+    """LP data for one query from the distinct member rows of its leaves,
+    ascending, and their multiplicities: rows of one ``cm.profile`` id
+    are one sample whose multiplicity is their sum, and the samples come
+    in order of first appearance among the rows."""
+    _, first, group = np.unique(cm.profile[rows], return_index=True,
+                                return_inverse=True)
+    by_first = np.argsort(first)
+    m = np.bincount(group, weights=np.rint(mult))[by_first]
+    kept = rows[first[by_first]]
     return LpInstance(
         n=cm.n_classifiers,
         n_classes=cm.n_classes,
-        m=np.rint(mult).astype(np.int64),
-        y=cm.truth[rows],
-        L=cm.predicted[rows],
+        m=m.astype(np.int64),
+        y=cm.truth[kept],
+        L=cm.predicted[kept],
         gamma=gamma,
     )
 
@@ -175,41 +182,21 @@ def penalties_given_weights(inst, w):
     return objective, g, f
 
 
-def _merge_equivalent(inst):
-    """Group samples sharing (truth, label row); multiplicities add.
-    Groups are numbered in order of first appearance."""
-    key = np.column_stack([inst.y, inst.L])
-    # a stable sort keeps each group's rows in sample order, so a group
-    # starts at its first sample
-    order = np.lexsort(key.T)
-    ordered = key[order]
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(start)
-    first = order[starts]
-    by_first = np.argsort(first)
-    group_of = np.empty_like(order)
-    group_of[order] = np.argsort(by_first)[np.cumsum(start) - 1]
-    merged_m = np.add.reduceat(inst.m[order], starts)[by_first]
-    rows = first[by_first]
-    return merged_m, inst.y[rows], inst.L[rows], group_of
-
-
 def _highs_model(inst, core):
-    """Column-wise HiGHS model over the merged samples.
+    """Column-wise HiGHS model of the instance.
 
-    Columns: w (n), then g and f (one each per merged sample). Rows: a
-    (g, f) pair per merged sample and constrained class, in sample order
-    with voted wrong classes ascending and one row last covering every
-    unvoted class:  -d.w - g_i <= -gamma  and  -d.w - f_i <= -1,  where
+    Columns: w (n), then g and f (one each per sample). Rows: a (g, f)
+    pair per sample and constrained class, in sample order with voted
+    wrong classes ascending and one row last covering every unvoted
+    class:  -d.w - g_i <= -gamma  and  -d.w - f_i <= -1,  where
     d = [L_i == y_i] - [L_i == c]; then the weight-sum row  sum w = 100.
     Each column lists its rows in ascending order, the order a CSC
-    conversion of the same matrix gives. Returns (HighsLp, kk, group_of).
+    conversion of the same matrix gives.
     """
-    m, y, L, group_of = _merge_equivalent(inst)
-    kk, n, C = m.size, inst.n, inst.n_classes
-    rows = np.arange(kk)
-    voted = np.zeros((kk, C + 1), dtype=bool)
+    m, y, L = inst.m, inst.y, inst.L
+    k, n, C = inst.k, inst.n, inst.n_classes
+    rows = np.arange(k)
+    voted = np.zeros((k, C + 1), dtype=bool)
     voted[np.repeat(rows, n), L.ravel()] = True
     voted[rows, y] = False
     # column C stands for all unvoted wrong classes: L never equals C, so
@@ -229,30 +216,30 @@ def _highs_model(inst, core):
                               np.full(n, 2 * P)])[order]
     w_value = np.concatenate([np.repeat(-d[nz_r, nz_a], 2), np.ones(n)])[order]
     w_end = np.cumsum(np.bincount(w_col, minlength=n))
-    # g and f columns of merged sample i: -1 at rows 2p (g) and 2p + 1 (f)
+    # g and f columns of sample i: -1 at rows 2p (g) and 2p + 1 (f)
     # for each of its pairs p, which np.nonzero left grouped by sample
-    pen_end = np.cumsum(np.bincount(pair_i, minlength=kk))
+    pen_end = np.cumsum(np.bincount(pair_i, minlength=k))
     pairs = 2 * np.arange(P)
 
     model = core.HighsLp()
-    model.num_col_ = n + 2 * kk
+    model.num_col_ = n + 2 * k
     model.num_row_ = 2 * P + 1
     model.col_cost_ = np.concatenate([np.zeros(n), m, 2.0 * m])
-    model.col_lower_ = np.zeros(n + 2 * kk)
+    model.col_lower_ = np.zeros(n + 2 * k)
     model.col_upper_ = np.concatenate([np.full(n, 100.0),
-                                       np.full(2 * kk, np.inf)])
+                                       np.full(2 * k, np.inf)])
     model.row_lower_ = np.concatenate([np.full(2 * P, -np.inf), [100.0]])
     model.row_upper_ = np.concatenate([np.tile([-float(inst.gamma), -1.0], P),
                                        [100.0]])
     matrix = model.a_matrix_
     matrix.format_ = core.MatrixFormat.kColwise
-    matrix.num_col_ = n + 2 * kk
+    matrix.num_col_ = n + 2 * k
     matrix.num_row_ = 2 * P + 1
     matrix.start_ = np.concatenate([[0], w_end, w_end[-1] + pen_end,
                                     w_end[-1] + P + pen_end])
     matrix.index_ = np.concatenate([w_index, pairs, pairs + 1])
     matrix.value_ = np.concatenate([w_value, np.full(2 * P, -1.0)])
-    return model, kk, group_of
+    return model
 
 
 def solve(inst):
@@ -262,7 +249,7 @@ def solve(inst):
     are solver breakdowns and raise LpSolverError with the instance.
     """
     core, options = highs()
-    model, kk, group_of = _highs_model(inst, core)
+    model = _highs_model(inst, core)
     solver = core._Highs()
     solver.passOptions(options)
     if solver.passModel(model) == core.HighsStatus.kError:
@@ -274,12 +261,10 @@ def solve(inst):
         raise LpSolverError("HiGHS: %s\n%s" % (solver.modelStatusToString(status),
                                                 instance_dump(inst)))
     x = np.array(solver.getSolution().col_value)
-    n = inst.n
+    n, k = inst.n, inst.k
     w = np.clip(x[:n], 0.0, None)
-    g_merged = np.clip(x[n:n + kk], 0.0, None)
-    f_merged = np.clip(x[n + kk:n + 2 * kk], 0.0, None)
-    g = g_merged[group_of]
-    f = f_merged[group_of]
+    g = np.clip(x[n:n + k], 0.0, None)
+    f = np.clip(x[n + k:n + 2 * k], 0.0, None)
     sol = LpSolution(w=w, g=g, f=f,
                      objective=float((inst.m * (g + 2.0 * f)).sum()))
     _verify(inst, sol)

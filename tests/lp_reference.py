@@ -7,14 +7,15 @@ oracles the LP tests compare it with. They share no code with
 - ``reference_solve``: a dense two-phase simplex over a tableau built
   from the instance's raw rows (no merging of equivalent samples), the
   method the program used before it moved to HiGHS.
-- ``linprog_solve``: the merged sparse model solved through scipy's
-  public ``linprog(method="highs-ds")``, the path the program took
-  before it handed its column-wise model to HiGHS directly. Both reach
-  the same HiGHS with the same matrix and options, so they must return
-  the same vertex bit for bit.
+- ``linprog_solve``: the instance's sparse model, as given, solved
+  through scipy's public ``linprog(method="highs-ds")``, the path the
+  program took before it handed its column-wise model to HiGHS
+  directly. Both reach the same HiGHS with the same matrix and options,
+  so they must return the same vertex bit for bit.
 
-The loop forms of the program's sample merge and closed-form penalties
-are kept here as the references for their vectorized versions.
+The loop forms of the program's sample merge (``lp.build_instance``)
+and closed-form penalties are kept here as the references for their
+vectorized versions.
 
 Candidate columns follow the largest-reduced-cost rule and switch to
 Bland's rule after a fixed number of pivots so degenerate instances
@@ -35,23 +36,19 @@ class ReferenceSolverError(RuntimeError):
 def merge_equivalent(inst):
     """Loop form of the program's sample merge: groups of samples sharing
     (truth, label row) in order of first appearance, multiplicities
-    added. Returns (m, y, L, group_of)."""
+    added. Returns (m, y, L)."""
     keys = {}
     order = []
     merged_m = []
-    group_of = np.empty(inst.k, dtype=np.int64)
     for i in range(inst.k):
         key = (int(inst.y[i]),) + tuple(int(v) for v in inst.L[i])
         if key not in keys:
             keys[key] = len(order)
             order.append(i)
             merged_m.append(0)
-        gid = keys[key]
-        group_of[i] = gid
-        merged_m[gid] += int(inst.m[i])
+        merged_m[keys[key]] += int(inst.m[i])
     rows = np.asarray(order, dtype=np.int64)
-    return (np.asarray(merged_m, dtype=np.int64), inst.y[rows], inst.L[rows],
-            group_of)
+    return np.asarray(merged_m, dtype=np.int64), inst.y[rows], inst.L[rows]
 
 
 def penalties_given_weights(inst, w):
@@ -233,16 +230,16 @@ def reference_solve(inst):
 
 
 def _inequality_form(inst):
-    """Sparse model over the merged samples, as ``linprog`` takes it.
+    """Sparse model of the instance's samples, as ``linprog`` takes it.
 
-    Columns: w (n), then g and f (one each per merged sample). Rows: a
-    (g, f) pair per merged sample and constrained class, in sample order
-    with voted wrong classes ascending and one row last covering every
-    unvoted class:  -d.w - g_i <= -gamma  and  -d.w - f_i <= -1,  where
-    d = [L_i == y_i] - [L_i == c].  Returns (cost, A_ub, b_ub, kk, group_of).
+    Columns: w (n), then g and f (one each per sample). Rows: a (g, f)
+    pair per sample and constrained class, in sample order with voted
+    wrong classes ascending and one row last covering every unvoted
+    class:  -d.w - g_i <= -gamma  and  -d.w - f_i <= -1,  where
+    d = [L_i == y_i] - [L_i == c].  Returns (cost, A_ub, b_ub).
     """
-    m, y, L, group_of = merge_equivalent(inst)
-    kk, n, C = m.size, inst.n, inst.n_classes
+    m, y, L = inst.m, inst.y, inst.L
+    kk, n, C = inst.k, inst.n, inst.n_classes
     rows = np.arange(kk)
     voted = np.zeros((kk, C + 1), dtype=bool)
     voted[np.repeat(rows, n), L.ravel()] = True
@@ -265,14 +262,14 @@ def _inequality_form(inst):
         shape=(2 * P, n + 2 * kk))
     b_ub = np.tile([-float(inst.gamma), -1.0], P)
     cost = np.concatenate([np.zeros(n), m, 2.0 * m])
-    return cost, A_ub, b_ub, kk, group_of
+    return cost, A_ub, b_ub
 
 
 def linprog_solve(inst):
     """``LpSolution`` of one instance through public ``linprog``, with
-    the program's clipping and per-raw-sample penalties."""
-    cost, A_ub, b_ub, kk, group_of = _inequality_form(inst)
-    n = inst.n
+    the program's clipping."""
+    cost, A_ub, b_ub = _inequality_form(inst)
+    n, kk = inst.n, inst.k
     A_eq = np.zeros((1, cost.size))
     A_eq[0, :n] = 1.0
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[100.0],
@@ -282,9 +279,7 @@ def linprog_solve(inst):
         raise ReferenceSolverError("HiGHS: %s" % res.message)
     x = res.x
     w = np.clip(x[:n], 0.0, None)
-    g_merged = np.clip(x[n:n + kk], 0.0, None)
-    f_merged = np.clip(x[n + kk:n + 2 * kk], 0.0, None)
-    g = g_merged[group_of]
-    f = f_merged[group_of]
+    g = np.clip(x[n:n + kk], 0.0, None)
+    f = np.clip(x[n + kk:n + 2 * kk], 0.0, None)
     return LpSolution(w=w, g=g, f=f,
                       objective=float((inst.m * (g + 2.0 * f)).sum()))

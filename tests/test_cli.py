@@ -21,6 +21,7 @@ from cshc import bundle, harness, kernels
 from cshc.cli import main
 from cshc.config import ALL_METHODS
 from test_harness import tiny_experiment_config
+from test_lp import run_fresh
 
 
 def write_tiny_csv(tmp_path, name="tiny.csv", rows=240, seed=11, **shape):
@@ -1370,3 +1371,83 @@ class TestExportViz:
         assert len(lines) > 10
         assert {line.split(",")[3] for line in lines[1:]} <= {"0", "1", "2",
                                                                "3"}
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be made or written, here one whose
+    directory is an existing file, is a bad flag value: exit 2 with one
+    error line naming the path."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "train", "export-viz",
+                                         "select"])
+    def test_exits_2(self, tmp_path, capsys, trained_bundle, command):
+        data = write_tiny_csv(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        query = tmp_path / "query.csv"
+        query.write_text("x0,x1\n-2.0,0.1\n2.0,-0.2\n")
+        fit = ["--data", data, "--label", "label", "--seed", "5"]
+        argv = {
+            "evaluate": ["evaluate", *fit, "--methods", "cshc,mv",
+                         "--reference", "cshc", "--out", str(taken)],
+            "train": ["train", *fit, "--out", str(taken)],
+            "export-viz": ["export-viz", *fit, "--method", "rr",
+                           "--out", str(tmp_path / "o"),
+                           "--output", str(taken / "v.csv")],
+            "select": ["select", "--model", trained_bundle, "--input",
+                       str(query), "--method", "cshc",
+                       "--output", str(taken / "x.csv")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s%s" % (taken, os.sep)), err
+        assert len(err.splitlines()) == 1, err
+        assert ": cannot write: " in err
+
+
+class TestStatsImport:
+    """Only the stat block's p-value imports scipy.special, and
+    `paired_sign_ttest` reaches that import only with 2 or more decisive
+    outcomes, which a sweep over one dataset never has."""
+
+    def test_regions_evaluate_loads_only_the_highs_binding(
+            self, region_benchmark, tmp_path):
+        data, experts, _ = region_benchmark
+        ini = tmp_path / "regions.ini"
+        ini.write_text("[experiment]\ntest_fraction = %r\n\n[classifiers]\n"
+                       "pool =\n%s" % (1.0 / 3.0, "".join(
+                           "external expert%d = %s\n" % (a, p)
+                           for a, p in enumerate(experts))))
+        out = run_fresh("""
+            import sys
+            from cshc import cli
+            assert cli.main(["evaluate", "--config", sys.argv[1], "--data",
+                             sys.argv[2], "--label", "label", "--out",
+                             sys.argv[3]]) == 0
+            print(sorted(m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy.")))
+            """, str(ini), data, str(tmp_path / "out"))
+        core = "scipy.optimize._highspy._core"
+        assert out.split("\n")[-2] == str(
+            [core, core + ".cb", core + ".simplex_constants"]), out
+
+    def test_compare_over_two_datasets_imports_scipy_special(self, tmp_path):
+        # overlapping clusters, where rr beats mv on one dataset and loses
+        # on the other: the one spread of outcomes that needs the t tail
+        lines = ["[experiment]", "seed = 13", "methods = cshc, rr, mv",
+                 "reference = mv", "[cshc]", "n_trees = 8", "[data]"]
+        for i in range(2):
+            (tmp_path / str(i)).mkdir()
+            lines.append("d%d = %s" % (i, write_tiny_csv(
+                tmp_path / str(i), seed=24 + i, centre=1.0, spread=1.0)))
+        ini = tmp_path / "exp.ini"
+        ini.write_text("\n".join(lines) + "\n")
+        out = run_fresh("""
+            import sys
+            from cshc import cli
+            assert cli.main(["compare", "--config", sys.argv[1], "--out",
+                             sys.argv[2]]) == 0
+            print("scipy.special" in sys.modules)
+            """, str(ini), str(tmp_path / "cmp"))
+        assert out.split("\n")[3].split()[:4] == ["rr", "1", "1", "0"], out
+        assert out.split("\n")[-2] == "True", out

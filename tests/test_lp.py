@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cshc import lp
 from cshc.cli import main
 from cshc.data import CorrectnessMatrix
-from cshc.lp import (LpInstance, _merge_equivalent, build_instance,
+from cshc.lp import (LpInstance, _highs_model, build_instance,
                      instance_dump, penalties_given_weights, solve)
 import lp_reference
 from lp_reference import linprog_solve, merge_equivalent, reference_solve
@@ -109,6 +109,19 @@ class TestBuildInstance:
         assert inst.L.tolist() == [[0, 1], [0, 0]]
         assert inst.gamma == 80.0
 
+    def test_rows_of_one_profile_merge(self):
+        # rows 0 and 3 share (truth 0, labels [0, 1]), as do 1 and 4; the
+        # samples keep the order of each profile's first row
+        cm = CorrectnessMatrix(np.array([[0, 1], [1, 1], [0, 0], [0, 1],
+                                         [1, 1]]),
+                               np.array([0, 1, 1, 0, 1]), 2)
+        assert cm.profile[0] == cm.profile[3] != cm.profile[2]
+        inst = build_instance(np.arange(5), np.array([1.0, 2, 3, 4, 5]), cm,
+                              gamma=80.0)
+        assert inst.m.tolist() == [5, 7, 3]
+        assert inst.y.tolist() == [0, 1, 1]
+        assert inst.L.tolist() == [[0, 1], [1, 1], [0, 0]]
+
 
 class TestOracleEquivalence:
     def test_random_instances_never_beat_grid_and_match_reference(self):
@@ -172,6 +185,43 @@ def lp_instances(draw):
     return LpInstance(n=n, n_classes=C, m=m, y=y, L=L, gamma=80.0)
 
 
+@st.composite
+def member_unions(draw, widths):
+    """(rows, mult, cm) as ``Forest.member_union`` hands them to
+    ``build_instance``: a correctness matrix whose rows repeat a few
+    distinct (truth, label row) profiles, its width drawn from
+    ``widths``; an ascending set of its rows; whole multiplicities. At 3
+    classes a row 40 classifiers wide has more profiles than 2^63, so no
+    mixed-radix int64 key holds it."""
+    n = draw(widths)
+    C = draw(st.integers(2, 4))
+    label = st.integers(0, C - 1)
+    distinct = draw(st.lists(st.lists(label, min_size=n + 1, max_size=n + 1),
+                             min_size=1, max_size=6))
+    M = draw(st.integers(1, 30))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=M,
+                          max_size=M))
+    table = np.asarray(distinct)[picks]
+    cm = CorrectnessMatrix(table[:, 1:], table[:, 0], C)
+    rows = np.array(sorted(draw(st.sets(st.integers(0, M - 1), min_size=1))))
+    mult = draw(st.lists(st.integers(1, 5), min_size=rows.size,
+                         max_size=rows.size))
+    return rows, np.asarray(mult, dtype=np.float64), cm
+
+
+def raw_instance(rows, mult, cm):
+    """The instance of the rows unmerged, one sample per row."""
+    return LpInstance(n=cm.n_classifiers, n_classes=cm.n_classes,
+                      m=np.rint(mult), y=cm.truth[rows],
+                      L=cm.predicted[rows], gamma=80.0)
+
+
+def assert_same_array(have, want):
+    have, want = np.asarray(have), np.asarray(want)
+    assert have.dtype == want.dtype
+    assert np.array_equal(have, want)
+
+
 class TestProperties:
     @settings(max_examples=80)
     @given(lp_instances())
@@ -196,64 +246,60 @@ class TestProperties:
         assert np.array_equal(got[2], want[2])
 
     @settings(max_examples=80)
-    @given(lp_instances())
-    def test_merge_matches_loop_reference(self, inst):
-        got = _merge_equivalent(inst)
-        for have, want in zip(got, merge_equivalent(inst)):
-            assert have.dtype == want.dtype
-            assert np.array_equal(have, want)
+    @given(member_unions(st.integers(1, 5)))
+    def test_merge_matches_loop_reference(self, case):
+        # build_instance merges what the solve once merged: the loop merge
+        # of the raw instance, to the bit, and so the same HiGHS model
+        rows, mult, cm = case
+        got = build_instance(rows, mult, cm, 80.0)
+        want = LpInstance(cm.n_classifiers, cm.n_classes,
+                          *merge_equivalent(raw_instance(rows, mult, cm)))
+        for name in ("m", "y", "L"):
+            assert_same_array(getattr(got, name), getattr(want, name))
+        core, _ = lp.highs()
+        a, b = _highs_model(got, core), _highs_model(want, core)
+        for name in ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                     "row_upper_"):
+            assert_same_array(getattr(a, name), getattr(b, name))
+        for name in ("start_", "index_", "value_"):
+            assert_same_array(getattr(a.a_matrix_, name),
+                              getattr(b.a_matrix_, name))
 
 
 def unique_merge(inst):
     """The row-wise np.unique(axis=0) merge, groups renumbered in order of
-    first appearance. Returns (m, y, L, group_of)."""
+    first appearance. Returns (m, y, L)."""
     key = np.column_stack([inst.y, inst.L])
     _, first, inverse = np.unique(key, axis=0, return_index=True,
                                   return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    group_of = rank[inverse.ravel()]
     merged_m = np.zeros(order.size, dtype=np.int64)
-    np.add.at(merged_m, group_of, inst.m)
+    np.add.at(merged_m, rank[inverse.ravel()], inst.m)
     rows = first[order]
-    return merged_m, inst.y[rows], inst.L[rows], group_of
+    return merged_m, inst.y[rows], inst.L[rows]
 
 
-@st.composite
-def merge_instances(draw):
-    """Samples drawn from a few distinct (truth, label row) pairs, so that
-    groups repeat, with rows up to 40 classifiers wide: at 3 classes,
-    3^41 exceeds 2^63, so no mixed-radix int64 key holds such a row."""
-    n = draw(st.sampled_from([1, 2, 5, 40]))
-    C = draw(st.integers(2, 4))
-    label = st.integers(0, C - 1)
-    distinct = draw(st.lists(st.lists(label, min_size=n + 1, max_size=n + 1),
-                             min_size=1, max_size=6))
-    k = draw(st.integers(1, 30))
-    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=k,
-                          max_size=k))
-    rows = np.asarray(distinct)[picks]
-    m = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
-    return LpInstance(n=n, n_classes=C, m=m, y=rows[:, 0], L=rows[:, 1:],
-                      gamma=80.0)
+def wide_case(truth, labels, rows, mult):
+    """(rows, mult, cm) over 3 classes from plain lists."""
+    cm = CorrectnessMatrix(np.array(labels), np.array(truth), 3)
+    return np.array(rows), np.array(mult, dtype=np.float64), cm
 
 
 class TestMergeOracle:
     @settings(max_examples=100)
-    @given(merge_instances())
-    @example(LpInstance(n=40, n_classes=3, m=[2], y=[2], L=[[2] * 40]))
-    @example(LpInstance(n=40, n_classes=3, m=[1, 2, 3, 4], y=[2, 2, 1, 2],
-                        L=[[2] * 40, [2] * 39 + [1], [2] * 40, [2] * 40]))
-    def test_matches_unique_merge(self, inst):
-        got = _merge_equivalent(inst)
-        for have, want in zip(got, unique_merge(inst)):
-            assert have.dtype == want.dtype
-            assert np.array_equal(have, want)
-        # numbered by first appearance: scanning the samples meets the
-        # groups as 0, 1, 2, ...
-        _, first = np.unique(got[3], return_index=True)
-        assert np.array_equal(got[3][np.sort(first)], np.arange(first.size))
+    @given(member_unions(st.sampled_from([1, 2, 5, 40])))
+    @example(wide_case([2], [[2] * 40], [0], [2]))
+    @example(wide_case([2, 2, 1, 2],
+                       [[2] * 40, [2] * 39 + [1], [2] * 40, [2] * 40],
+                       [0, 1, 2, 3], [1, 2, 3, 4]))
+    def test_matches_unique_merge(self, case):
+        rows, mult, cm = case
+        got = build_instance(rows, mult, cm, 80.0)
+        for name, want in zip(("m", "y", "L"),
+                              unique_merge(raw_instance(rows, mult, cm))):
+            assert_same_array(getattr(got, name), want)
 
 
 @st.composite
