@@ -98,7 +98,7 @@ def aposteriori(neighbors, cm, query_labels, distances=None):
         None if distances is None else _inverse_distance(distances))
 
 
-def mcb(neighbors, cm, query_labels, similarity_threshold=0.7):
+def mcb(neighbors, cm, query_labels, similarity_threshold):
     """OLA over the neighbors whose output profile resembles the query's.
 
     A profile is the vector of all classifiers' predictions; similarity

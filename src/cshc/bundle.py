@@ -50,9 +50,10 @@ CONFIG = (("gamma", require_gamma), ("rho", require_finite),
           ("seed", require_int))
 
 
-def save_bundle(prep, cfg, outdir):
-    """Write the bundle of a PreparedDataset into outdir; a model that
-    cannot be serialized fails the call before any file is written."""
+def save_bundle(prep, outdir):
+    """Write the bundle of a PreparedDataset into outdir, with the
+    prep.cfg settings its forest was grown under; a model that cannot be
+    serialized fails the call before any file is written."""
     write_models(outdir, prep.models)
     write_forest(outdir, prep.forest)
     _dump(outdir, "meta.json", {
@@ -60,7 +61,7 @@ def save_bundle(prep, cfg, outdir):
         "dataset": {"name": prep.name,
                     "feature_names": prep.ds.feature_names,
                     "class_names": prep.ds.class_names},
-        "config": {key: getattr(cfg, key) for key, _ in CONFIG},
+        "config": {key: getattr(prep.cfg, key) for key, _ in CONFIG},
         "validation": {key: _encoded(getattr(prep.cm, key),
                                      SCHEMA["meta"]["validation." + key][0])
                        for key in ("predicted", "truth")},

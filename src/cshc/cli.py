@@ -53,7 +53,7 @@ def cmd_train(args):
     name, path, label = cfg.datasets[0]
     ds = load_csv(path, label)
     prep = harness.prepare_dataset(name, ds, cfg)
-    harness.save_bundle(prep, cfg, cfg.outdir)
+    harness.save_bundle(prep, cfg.outdir)
     export_assignments_csv(os.path.join(cfg.outdir, "assignments.csv"),
                            prep.plan, prep.fold)
     print("bundle written to %s (%d trees, %d classifiers, oracle %.2f%%)"

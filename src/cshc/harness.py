@@ -122,7 +122,7 @@ class PreparedDataset:
     models: list
     cm: CorrectnessMatrix
     dsel_ds: object               # the validation rows cm and the forest cover
-    cfg: ExperimentConfig         # the forest's [cshc] settings and seed
+    cfg: ExperimentConfig         # the one source of every method's settings
     test_ds: object
     test_labels: np.ndarray       # (Q, n)
     test_cm: CorrectnessMatrix
@@ -146,13 +146,15 @@ class PreparedDataset:
             self.query = query_batch(self.forest, self.test_ds.features)
         return self.query
 
+    def find_regions(self):
+        """The test rows' cfg.knn_k nearest validation rows and distances."""
+        return bl.region_of(self.test_std, self.cfg.knn_k, self.dsel_std)
+
     def get_regions(self):
-        """The test rows' cfg.knn_k nearest validation rows and distances,
-        found here or by the Future run_experiment submits, whose error
-        re-raises at every read."""
+        """The regions, found here or by the Future run_experiment
+        submits, whose error re-raises at every read."""
         if self.regions is None:
-            self.regions = bl.region_of(self.test_std, self.cfg.knn_k,
-                                        self.dsel_std)
+            self.regions = self.find_regions()
         if isinstance(self.regions, Future):
             self.regions = self.regions.result()
         return self.regions
@@ -210,50 +212,49 @@ class MethodResult:
 # partition's (Q, k) neighbours and distances. A scorer is looked up on
 # `bl` when it is called, so wrappers installed on the module apply. One
 # array back is (Q, n) competence scores, whose argmax is the chosen
-# classifier; a tuple back ends in a vote's (winner, rep) arrays.
+# classifier; a tuple back ends in a vote's rep array.
 _BASELINES = {
-    "ola": lambda prep, cfg, nb, dist: bl.ola(nb, prep.cm),
-    "lca": lambda prep, cfg, nb, dist: bl.lca(nb, prep.cm, prep.test_labels),
-    "apr": lambda prep, cfg, nb, dist: bl.apriori(
-        nb, prep.cm, dist if cfg.apr_distance_weighting else None),
-    "apo": lambda prep, cfg, nb, dist: bl.aposteriori(
+    "ola": lambda prep, nb, dist: bl.ola(nb, prep.cm),
+    "lca": lambda prep, nb, dist: bl.lca(nb, prep.cm, prep.test_labels),
+    "apr": lambda prep, nb, dist: bl.apriori(
+        nb, prep.cm, dist if prep.cfg.apr_distance_weighting else None),
+    "apo": lambda prep, nb, dist: bl.aposteriori(
         nb, prep.cm, prep.test_labels,
-        dist if cfg.apr_distance_weighting else None),
-    "mcb": lambda prep, cfg, nb, dist: bl.mcb(
-        nb, prep.cm, prep.test_labels, cfg.mcb_similarity),
-    "knora_e": lambda prep, cfg, nb, dist: bl.knora_e(
-        nb, prep.cm, prep.test_labels, prep.ds.n_classes),
-    "knora_u": lambda prep, cfg, nb, dist: bl.knora_u(
-        nb, prep.cm, prep.test_labels, prep.ds.n_classes),
+        dist if prep.cfg.apr_distance_weighting else None),
+    "mcb": lambda prep, nb, dist: bl.mcb(
+        nb, prep.cm, prep.test_labels, prep.cfg.mcb_similarity),
+    "knora_e": lambda prep, nb, dist: bl.knora_e(
+        nb, prep.cm, prep.test_labels, prep.cm.n_classes),
+    "knora_u": lambda prep, nb, dist: bl.knora_u(
+        nb, prep.cm, prep.test_labels, prep.cm.n_classes),
 }
 
 
-def _baseline_choice(prep, method, cfg):
-    """(chosen, predicted) arrays of a neighbourhood baseline."""
+def _baseline_choice(prep, method):
+    """The classifier a neighbourhood baseline chooses for each test row:
+    its scores' argmax, or a vote's rep, which labels the class it won."""
     if method == "mv":  # the only baseline that reads no region
-        winner, rep = bl.majority_vote(prep.test_labels, prep.ds.n_classes)
-        return rep, winner
+        return bl.majority_vote(prep.test_labels, prep.cm.n_classes)[1]
     if method not in _BASELINES:
         raise DataError("unknown method %r" % method)
-    result = _BASELINES[method](prep, cfg, *prep.get_regions())
-    if isinstance(result, tuple):
-        return result[-1], result[-2]
-    chosen = result.argmax(axis=1)
-    return chosen, prep.test_labels[np.arange(chosen.size), chosen]
+    result = _BASELINES[method](prep, *prep.get_regions())
+    return result[-1] if isinstance(result, tuple) else result.argmax(axis=1)
 
 
-def evaluate_method(prep, method, cfg):
-    """Run one method over the whole test partition."""
+def evaluate_method(prep, method):
+    """Run one method over the whole test partition under prep.cfg."""
     outcomes = recourse = None
     if method in SELECTION_METHODS:
+        cfg = prep.cfg
         outcomes = sel.select_batch(
             method, prep.forest, *prep.get_query(), prep.test_labels,
             prep.test_ds.row_ids, cfg.gamma, cfg.rho, cfg.seed, prep.lp_cache)
-        chosen, predicted = outcomes.chosen, outcomes.predicted
+        chosen = outcomes.chosen
         if method == "lpr":
             recourse = float(outcomes.recourse.mean())
     else:
-        chosen, predicted = _baseline_choice(prep, method, cfg)
+        chosen = _baseline_choice(prep, method)
+    predicted = prep.test_labels[np.arange(chosen.size), chosen]
     accuracy = float((predicted == prep.test_ds.labels).mean() * 100.0)
     return MethodResult(method, accuracy, predicted, chosen, outcomes, recourse)
 
@@ -272,11 +273,11 @@ class ExperimentResult:
     static: dict       # (dataset, classifier name) -> accuracy
     preps: dict        # dataset -> PreparedDataset
 
-    def accuracy_matrix(self, methods=None, datasets=None):
-        """(methods x datasets) array over cells that all succeeded."""
-        methods = methods or self.config.methods
-        datasets = datasets or self.dataset_names
-        keep = [d for d in datasets
+    def accuracy_matrix(self):
+        """(methods x datasets) array over the datasets whose every cell
+        succeeded, and those datasets."""
+        methods = self.config.methods
+        keep = [d for d in self.dataset_names
                 if all((d, m) in self.cells for m in methods)]
         arr = np.array([[self.cells[(d, m)].accuracy for d in keep]
                         for m in methods])
@@ -303,9 +304,7 @@ def run_experiment(cfg):
                 result.errors[name] = exc
                 continue
             if not _BASELINES.keys().isdisjoint(cfg.methods):
-                # looked up now, as _BASELINES looks up its scorers
-                prep.regions = worker.submit(bl.region_of, prep.test_std,
-                                             cfg.knn_k, prep.dsel_std)
+                prep.regions = worker.submit(prep.find_regions)
             result.preps[name] = prep
             result.oracle[name] = oracle_accuracy(prep.test_cm)
             for a, model in enumerate(prep.models):
@@ -313,8 +312,7 @@ def run_experiment(cfg):
                 result.static[(name, model.spec.name)] = acc
             for method in cfg.methods:
                 try:
-                    result.cells[(name, method)] = evaluate_method(
-                        prep, method, cfg)
+                    result.cells[(name, method)] = evaluate_method(prep, method)
                 except Exception as exc:
                     result.errors[(name, method)] = exc
     return result

@@ -106,7 +106,7 @@ class LpInstance:
     m: np.ndarray  # (k,) multiplicities
     y: np.ndarray  # (k,) true classes
     L: np.ndarray  # (k, n) validation-time labels per classifier
-    gamma: float = 80.0
+    gamma: float
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.int64)

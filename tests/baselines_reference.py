@@ -79,7 +79,7 @@ def aposteriori(region, cm, query_labels, distance_weighting=False):
     return scores
 
 
-def mcb(region, cm, query_labels, similarity_threshold=0.7):
+def mcb(region, cm, query_labels, similarity_threshold):
     """OLA over the neighbors whose output profile resembles the query's.
 
     A profile is the vector of all classifiers' predictions; similarity
@@ -144,9 +144,10 @@ def _competence_outcome(method, scores, labels_row):
     return SelectionOutcome(chosen, int(labels_row[chosen]), method, 0.0, False)
 
 
-def evaluate_baseline(prep, method, cfg):
-    """(chosen, predicted) arrays of one baseline, query by query."""
-    C = prep.ds.n_classes
+def evaluate_baseline(prep, method):
+    """(chosen, predicted) arrays of one baseline, query by query, under
+    prep.cfg."""
+    C, cfg = prep.ds.n_classes, prep.cfg
     outcomes = []
     for x, labels_row in zip(prep.test_std, prep.test_labels):
         region = region_of(x, cfg.knn_k, prep.dsel_std)
@@ -181,3 +182,9 @@ def evaluate_baseline(prep, method, cfg):
         outcomes.append(out)
     return (np.array([o.chosen_classifier for o in outcomes]),
             np.array([o.predicted_class for o in outcomes]))
+
+
+def baseline_choice(prep, method):
+    """The chosen classifiers of `evaluate_baseline`, as
+    `harness._baseline_choice` returns them."""
+    return evaluate_baseline(prep, method)[0]

@@ -486,29 +486,29 @@ def tiny_prepared(tmp_path, **overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     name, path, label = cfg.datasets[0]
-    return prepare_dataset(name, load_csv(path, label), cfg), cfg
+    return prepare_dataset(name, load_csv(path, label), cfg)
 
 
 class TestHarnessOracle:
     @pytest.mark.parametrize("k,weighted", [(7, False), (12, True)])
     def test_evaluate_method_matches_per_query(self, tmp_path, k, weighted):
-        prep, cfg = tiny_prepared(tmp_path, knn_k=k,
-                                  apr_distance_weighting=weighted)
+        prep = tiny_prepared(tmp_path, knn_k=k,
+                             apr_distance_weighting=weighted)
         for method in BASELINE_METHODS:
-            cell = evaluate_method(prep, method, cfg)
-            chosen, predicted = ref.evaluate_baseline(prep, method, cfg)
+            cell = evaluate_method(prep, method)
+            chosen, predicted = ref.evaluate_baseline(prep, method)
             assert cell.outcomes is None
             assert np.array_equal(cell.chosen, chosen), method
             assert np.array_equal(cell.predicted, predicted), method
 
     def test_mv_reads_no_region(self, tmp_path, monkeypatch):
-        prep, cfg = tiny_prepared(tmp_path)
+        prep = tiny_prepared(tmp_path)
 
         def no_regions(*args):
             raise AssertionError("mv built kNN regions")
 
         monkeypatch.setattr(bl, "region_of", no_regions)
-        evaluate_method(prep, "mv", cfg)
+        evaluate_method(prep, "mv")
         assert prep.regions is None
 
     @pytest.mark.parametrize("method,scorer", [
@@ -518,7 +518,7 @@ class TestHarnessOracle:
     def test_scorer_looked_up_at_call_time(self, tmp_path, monkeypatch,
                                            method, scorer):
         # a wrapper installed on the module after import must be called
-        prep, cfg = tiny_prepared(tmp_path)
+        prep = tiny_prepared(tmp_path)
         real, calls = getattr(bl, scorer), []
 
         def wrapped(*args):
@@ -526,5 +526,5 @@ class TestHarnessOracle:
             return real(*args)
 
         monkeypatch.setattr(bl, scorer, wrapped)
-        evaluate_method(prep, method, cfg)
+        evaluate_method(prep, method)
         assert calls == [scorer]

@@ -113,8 +113,9 @@ def forests(draw, cm, n_features):
 
 @st.composite
 def bundles(draw):
-    """(prep, cfg) of a random bundle: one model of each native kind,
-    their states drawn to the edges of what the loader accepts."""
+    """The prep of a random bundle: one model of each native kind, their
+    states drawn to the edges of what the loader accepts, and the
+    settings meta.json keeps in prep.cfg."""
     C, F, M = (draw(st.integers(2, 3)), draw(st.integers(1, 3)),
                draw(st.integers(1, 6)))
     S = draw(st.integers(1, 5))
@@ -150,9 +151,9 @@ def bundles(draw):
         name="random", models=models, forest=forest, cm=cm,
         ds=SimpleNamespace(feature_names=["f%d" % j for j in range(F)],
                            class_names=["c%d" % c for c in range(C)]))
-    cfg = SimpleNamespace(gamma=draw(GAMMA), rho=draw(FINITE),
-                          seed=draw(st.integers(0, 2 ** 31)))
-    return prep, cfg
+    prep.cfg = SimpleNamespace(gamma=draw(GAMMA), rho=draw(FINITE),
+                               seed=draw(st.integers(0, 2 ** 31)))
+    return prep
 
 
 def assert_same_models(got, want):
@@ -174,8 +175,7 @@ def assert_same_trees(got, want):
 class TestRandomBundles:
     @settings(max_examples=60)
     @given(bundles())
-    def test_writers_and_readers_keep_every_array(self, case):
-        prep, cfg = case
+    def test_writers_and_readers_keep_every_array(self, prep):
         C, F = prep.cm.n_classes, prep.forest.n_features
         with tempfile.TemporaryDirectory() as tmp:
             models_dir, forest_dir, bundle_dir = (
@@ -186,24 +186,23 @@ class TestRandomBundles:
             write_forest(forest_dir, prep.forest)
             assert_same_trees(read_forest(forest_dir, prep.cm, F),
                               prep.forest)
-            save_bundle(prep, cfg, bundle_dir)
+            save_bundle(prep, bundle_dir)
             meta, models, forest = load_bundle(bundle_dir)
         assert_same_models(models, prep.models)
         assert_same_trees(forest, prep.forest)
         assert_same(forest.cm.predicted, prep.cm.predicted, "predicted")
         assert_same(forest.cm.truth, prep.cm.truth, "truth")
-        assert meta["config"] == vars(cfg)
+        assert meta["config"] == vars(prep.cfg)
 
     @settings(max_examples=3)
     @given(bundles(), st.sampled_from([GAMMA_BOUND, 1e21, float(MAX)]))
-    def test_gamma_at_the_solver_bound_is_refused(self, case, gamma):
+    def test_gamma_at_the_solver_bound_is_refused(self, prep, gamma):
         """A meta.json whose gamma HiGHS reads as infinite does not load,
         so that `select --method lp` exits 2 instead of failing in the
         solver."""
-        prep, cfg = case
-        cfg.gamma = gamma
+        prep.cfg.gamma = gamma
         with tempfile.TemporaryDirectory() as tmp:
-            save_bundle(prep, cfg, tmp)
+            save_bundle(prep, tmp)
             with pytest.raises(DataError) as got:
                 load_bundle(tmp)
             assert str(got.value) == (

@@ -535,6 +535,14 @@ class TestSelectFiles:
                                                "thr", 0),
          "forest.json: forest tree 0: 'thr' holds a value that is not a "
          "finite number"),
+        # a 1-NN label outside the classes; a leaf table one row short
+        ("models.json", lambda text: _replaced(text, 2, 1, "y", 0),
+         "models.json: classifier 1: 'y' is not a non-empty list of classes "
+         "in [0, 2)"),
+        ("models.json", lambda text: _edited(text, lambda node, key: (
+            node.__setitem__(key, node[key][:-1])), (2, "leaf_proba")),
+         "models.json: classifier 2: 'leaf_proba' has 11 rows for 12 "
+         "leaves"),
     ], ids=["forest-truncated", "models-not-json", "meta-format-only",
             "meta-old-format", "meta-no-truth", "meta-short-truth", "meta-ragged-predicted",
             "models-not-objects", "models-short", "models-empty-objects",
@@ -555,7 +563,8 @@ class TestSelectFiles:
             "models-negative-shape", "models-fractional-shape",
             "meta-3d-shape",
             "forest-empty-leaves", "forest-nan-threshold",
-            "forest-inf-threshold"])
+            "forest-inf-threshold", "models-1nn-class-beyond",
+            "models-leaf-proba-short"])
     def test_malformed_bundle_file_exits_2(self, split_bundle, tmp_path,
                                            capsys, name, rewrite, message):
         bundle_dir = str(tmp_path / "malformed")
@@ -1211,10 +1220,10 @@ class TestCompare:
                        "[data]\nbad = %s\ngood = %s\n" % (bad, good))
         real = harness.evaluate_method
 
-        def failing(prep, method, cfg):
+        def failing(prep, method):
             if method == "rr":
                 raise RuntimeError("boom")
-            return real(prep, method, cfg)
+            return real(prep, method)
 
         monkeypatch.setattr(harness, "evaluate_method", failing)
         assert main(["compare", "--config", str(cfg), "--out",
@@ -1272,6 +1281,59 @@ class TestMalformedDataset:
         err = capsys.readouterr().err
         assert err == ("error: %s: row 22: field larger than field limit "
                        "(131072)\n" % path), err
+
+
+class TestErrorExits:
+    """Each command's refusal of input it cannot run on: exit 2 with one
+    error line; a dataset that fails otherwise exits 1."""
+
+    def test_evaluate_without_a_dataset_exits_2(self, tmp_path, capsys):
+        assert main(["evaluate", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: no dataset given (use --data or a config [data] "
+            "section)\n")
+
+    def test_compare_without_a_config_exits_2(self, tmp_path, capsys):
+        assert main(["compare", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: compare needs a config file with a [data] section\n")
+
+    def test_export_viz_on_one_feature_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "one.csv"
+        data.write_text("x0,label\n" + "".join(
+            "%.3f,%s\n" % (rng.normal() + 2 * (i % 2), "ab"[i % 2])
+            for i in range(60)))
+        assert main(["export-viz", "--data", str(data), "--label", "label",
+                     "--method", "rr", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: need at least 2 features for a 2-D projection\n")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_cv3_class_under_three_rows_exits_2(self, tmp_path, capsys,
+                                                command):
+        # the test split takes one of class b's 3 rows, leaving 2 to train
+        rng = np.random.default_rng(0)
+        data = tmp_path / "small.csv"
+        data.write_text("x0,x1,label\n" + "".join(
+            "%.3f,%.3f,%s\n" % (rng.normal() + 3 * (i >= 40), rng.normal(),
+                                "ab"[i >= 40]) for i in range(43)))
+        assert main([command, "--data", str(data), "--label", "label",
+                     "--protocol", "cv3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: every class needs at least 3 samples for 3-fold "
+            "assignment\n")
+
+    def test_evaluate_dataset_failing_otherwise_exits_1(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def failing(name, ds, cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "prepare_dataset", failing)
+        assert main(["evaluate", "--data", write_tiny_csv(tmp_path),
+                     "--label", "label", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            "dataset failed: RuntimeError: boom\n"
 
 
 class TestNulInPath:

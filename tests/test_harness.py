@@ -18,13 +18,20 @@ from cshc import classifiers as clf
 from cshc import selection as sel
 from cshc.cli import _warn
 from cshc.classifiers import ExternalPredictions, TrainedClassifier
-from cshc.config import ExperimentConfig
+from cshc.config import ALL_METHODS, ExperimentConfig
 from cshc.data import CorrectnessMatrix, load_csv
 from cshc.forest import query_batch
-from cshc.harness import (average_ranks, export_viz, load_bundle, mgi,
-                          oracle_accuracy, paired_sign_ttest, pca_projection,
-                          prepare_dataset, run_experiment, save_bundle,
-                          select_rows, wins_losses, write_results_csv)
+from cshc.harness import (_BASELINES, SELECTION_METHODS, average_ranks,
+                          export_viz, load_bundle, mgi, oracle_accuracy,
+                          paired_sign_ttest, pca_projection, prepare_dataset,
+                          run_experiment, save_bundle, select_rows,
+                          wins_losses, write_results_csv)
+
+
+def test_every_method_has_one_evaluator():
+    # a method config accepts but evaluate_method cannot run would fail
+    # only at run time, as "unknown method"
+    assert ALL_METHODS == SELECTION_METHODS + tuple(_BASELINES) + ("mv",)
 
 
 class TestMgi:
@@ -365,15 +372,16 @@ class TestSaveBundle:
         assert sorted(m.spec.kind for m in prep.models) == [
             "decision_tree_gini", "gaussian_nb", "one_nn", "perceptron"]
         first, second = tmp_path / "first", tmp_path / "second"
-        save_bundle(prep, cfg, str(first))
+        save_bundle(prep, str(first))
         meta, models, forest = load_bundle(str(first))
         names = meta["dataset"]
         again = SimpleNamespace(
             name=names["name"], ds=SimpleNamespace(
                 feature_names=names["feature_names"],
                 class_names=names["class_names"]),
-            cm=forest.cm, models=models, forest=forest)
-        save_bundle(again, SimpleNamespace(**meta["config"]), str(second))
+            cm=forest.cm, models=models, forest=forest,
+            cfg=SimpleNamespace(**meta["config"]))
+        save_bundle(again, str(second))
         for fname in ("forest.json", "models.json", "meta.json"):
             assert (second / fname).read_bytes() == \
                 (first / fname).read_bytes(), fname

@@ -253,7 +253,8 @@ class TestProperties:
         rows, mult, cm = case
         got = build_instance(rows, mult, cm, 80.0)
         want = LpInstance(cm.n_classifiers, cm.n_classes,
-                          *merge_equivalent(raw_instance(rows, mult, cm)))
+                          *merge_equivalent(raw_instance(rows, mult, cm)),
+                          gamma=80.0)
         for name in ("m", "y", "L"):
             assert_same_array(getattr(got, name), getattr(want, name))
         core, _ = lp.highs()

@@ -142,7 +142,7 @@ def test_reference_growers_write_the_same_files(protocol, seed):
                        reference_select_batch)
             mp.setattr(OneNNTrained, "_proba", classifiers_reference.one_nn_proba)
             mp.setattr(harness_module, "_baseline_choice",
-                       baselines_reference.evaluate_baseline)
+                       baselines_reference.baseline_choice)
             mp.setattr(lp_module, "solve", lp_reference.linprog_solve)
             got = run_commands(tmp, "reference", data, query, seed, protocol)
     assert sorted(got) == sorted(want)

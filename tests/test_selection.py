@@ -341,6 +341,26 @@ class TestRecourseExitFixtures:
         assert out.predicted_class == 0
         assert out.lp_ratio == pytest.approx(49.5 / 50.5)
 
+    def test_agree_tie_goes_to_the_lp(self, monkeypatch):
+        # ranks (1, 3, 2) back class 0 by 4 to 2, and the stubbed LP
+        # weights (2, 0, 1) by 2 to 1: both ratios are exactly 0.5, above
+        # rho, and the tie keeps the LP's classifier 0, not rr's 1
+        monkeypatch.setattr(lp, "solve", lambda inst: lp.LpSolution(
+            np.array([2.0, 0.0, 1.0]), np.zeros(inst.k), np.zeros(inst.k),
+            0.0))
+        cm = plain_cm(3)
+        bundle = simple_bundle([[0.0, 2.0, 1.0]])
+        labels = np.array([0, 0, 1])
+        out = outcome(select_bundle("lpr", bundle, cm, labels, rho=0.3))
+        want = ref.select_lpr(bundle, cm, labels, 0.3, 80.0, 2,
+                              cm.classifier_accuracies(),
+                              substream(0, _STREAM["rr"], 0),
+                              substream(0, _STREAM["lp"], 0))
+        assert out == want
+        assert out.method_used == "lpr-agree"
+        assert out.rr_ratio == out.lp_ratio == 0.5
+        assert out.chosen_classifier == 0
+
 
 class TestSelectBatch:
     @pytest.mark.parametrize("method", ["lp", "lpr"])
